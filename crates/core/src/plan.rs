@@ -9,9 +9,11 @@
 //! group→stream mapping of §IV-C, and a weighted row partition for
 //! backends that execute on real threads. Both the simulated-device
 //! backend ([`crate::SimExecutor`]) and the host thread-pool backend
-//! ([`crate::HostParallelExecutor`]) consume the same plan, which is
-//! what makes their outputs identical by construction: every decision
-//! that could diverge is made exactly once, here.
+//! ([`crate::HostParallelExecutor`]) consume the same plan: every
+//! decision that could make their outputs diverge (the row algorithm,
+//! which rows replan) is made exactly once, here. The simulation sizes
+//! its hash tables from the plan; the host treats the count-phase sizes
+//! only as each row's overflow bound and sizes its own accumulators.
 
 use crate::groups::{build_groups, Assignment, GroupPhase, GroupTable};
 use crate::pipeline::{overflow_err, Options, Result};
@@ -196,11 +198,13 @@ impl PhasePlan {
         Ok(PhasePlan { groups, metric, rows_by_group })
     }
 
-    /// Hash-table capacity a backend must use for `row` in this phase:
-    /// the group's shared-memory table size, or the per-row global-table
-    /// size for group-0 rows. Capacities only ever *bound* the table —
-    /// the accumulation order inside a row is the A-row traversal order
-    /// regardless of capacity — so outputs stay backend-independent.
+    /// Hash-table capacity of `row` in this phase: the group's
+    /// shared-memory table size, or the per-row global-table size for
+    /// group-0 rows. The simulation allocates exactly this; the host
+    /// backend only checks a row's distinct columns against it (a count
+    /// row that exceeds it replans). Capacities only ever *bound* the
+    /// table — the accumulation order inside a row is the A-row
+    /// traversal order regardless — so outputs stay backend-independent.
     pub fn table_size_for(&self, row: usize) -> usize {
         let spec = &self.groups.groups[self.groups.group_of(self.metric[row])];
         match spec.assignment {

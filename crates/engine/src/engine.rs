@@ -358,6 +358,10 @@ struct Counters {
 struct Metrics(Mutex<Counters>);
 
 fn summarize(mut us: Vec<u64>) -> LatencySummary {
+    if us.is_empty() {
+        // No job has completed yet: there is no rank to take.
+        return LatencySummary::default();
+    }
     us.sort_unstable();
     let pct = |q: f64| {
         let i = ((q * us.len() as f64).ceil() as usize).clamp(1, us.len());
@@ -1337,6 +1341,20 @@ mod tests {
         // once (racing misses), so only the sum is exact.
         assert_eq!(stats.cache.hits + stats.symbolic_runs, 6);
         assert!(stats.symbolic_runs >= 2, "two distinct patterns need at least two cold plans");
+    }
+
+    #[test]
+    fn stats_and_shutdown_before_any_job_report_zeroes() {
+        let eng = Engine::<f64>::new(EngineConfig { workers: 2, ..EngineConfig::default() });
+        let stats = eng.stats();
+        assert_eq!((stats.jobs, stats.completed), (0, 0));
+        assert_eq!(stats.latency.count, 0);
+        assert_eq!((stats.latency.p50_us, stats.latency.max_us), (0, 0));
+        let stats = eng.shutdown();
+        assert_eq!(stats.queue_wait.count, 0);
+        assert_eq!(stats.latency.p99_us, 0);
+        assert!(stats.conserved());
+        assert!(stats.budget_drained);
     }
 
     #[test]
