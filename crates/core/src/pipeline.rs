@@ -41,7 +41,10 @@ pub struct Options {
     /// and fixed 4).
     pub pwarp_width: usize,
     /// Apply the multiplicative `HASH_SCAL` scrambling (ablation; the
-    /// paper always scrambles).
+    /// paper always scrambles). Only the simulated backend's hash tables
+    /// read it, and it moves their probe counts (so simulated time),
+    /// never the output; the host backend has no hash tables and
+    /// ignores it.
     pub use_mul_hash: bool,
     /// How the count-phase metric is obtained (DESIGN.md §16). The
     /// default, [`Estimator::Exact`], is byte-identical to the paper's
