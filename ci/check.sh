@@ -21,8 +21,8 @@ cargo build --release --offline
 echo "== tier-1 tests (offline) ==" >&2
 cargo test -q --offline
 
-echo "== core + engine crate tests (accumulators, groups, engine units) ==" >&2
-cargo test -q --offline -p nsparse-core -p engine
+echo "== core + engine + vgpu crate tests (accumulators, groups, engine, scheduler, sanitizer units) ==" >&2
+cargo test -q --offline -p nsparse-core -p engine -p vgpu
 
 echo "== trace smoke (telemetry exports valid + deterministic) ==" >&2
 smoke="$(mktemp -d)"

@@ -11,7 +11,9 @@
 //! actually happened rather than an estimate. The table is reused across
 //! rows via a stamp (no O(t_size) clearing per row — matching the device
 //! code, where each block re-initializes only its own shared array; the
-//! initialization cost is charged separately by the kernels).
+//! initialization cost is charged separately by the kernels). It also
+//! lists the slots each row claims, so extracting a row sorts only its
+//! own entries instead of scanning every slot.
 
 use sparse::Scalar;
 
@@ -44,6 +46,17 @@ pub struct ProbeStats {
     pub load_permille: obs::Log2Histogram,
 }
 
+impl ProbeStats {
+    /// Fold `other`'s observations into these. Histogram merges are
+    /// exact and commutative, so observations split across tables (one
+    /// per worker thread) merge to the same stats in any order.
+    pub(crate) fn merge(&mut self, other: &ProbeStats) {
+        self.probe_len.merge(&other.probe_len);
+        self.row_occupancy.merge(&other.row_occupancy);
+        self.load_permille.merge(&other.load_permille);
+    }
+}
+
 /// A reusable hash table with observed probe counts.
 #[derive(Debug, Clone)]
 pub struct HashTable<T> {
@@ -52,7 +65,12 @@ pub struct HashTable<T> {
     vals: Vec<T>,
     mask: usize,
     epoch: u32,
-    occupied: usize,
+    /// Slots claimed since the last reset, in claim order (its length is
+    /// the row's occupancy).
+    touched: Vec<u32>,
+    /// Reused sort buffer of [`HashTable::extract_sorted_into`]: one
+    /// `(column << 32) | slot` key per entry.
+    order: Vec<u64>,
     /// Total probe steps since the last `probes_taken` reset (one step =
     /// one slot inspection, i.e. one shared/global load + compare).
     probes: u64,
@@ -73,7 +91,8 @@ impl<T: Scalar> HashTable<T> {
             vals: vec![T::ZERO; capacity],
             mask: capacity - 1,
             epoch: 0,
-            occupied: 0,
+            touched: Vec::new(),
+            order: Vec::new(),
             probes: 0,
             scramble,
             observer: None,
@@ -120,6 +139,8 @@ impl<T: Scalar> HashTable<T> {
     pub fn reset(&mut self, capacity: usize) {
         let cap = capacity.next_power_of_two();
         if cap > self.stamp.len() {
+            // Claimed slots are recorded as `u32` (see `claim`).
+            assert!(cap <= 1 << 32, "t_size {cap} exceeds 2^32 slots");
             self.stamp = vec![0; cap];
             self.keys = vec![0; cap];
             self.vals = vec![T::ZERO; cap];
@@ -133,8 +154,17 @@ impl<T: Scalar> HashTable<T> {
             }
         }
         self.mask = cap - 1;
-        self.occupied = 0;
+        self.touched.clear();
         self.probes = 0;
+    }
+
+    /// Claim the empty `slot` for `key` in the current row.
+    #[inline]
+    fn claim(&mut self, slot: usize, key: u32) {
+        self.stamp[slot] = self.epoch;
+        self.keys[slot] = key;
+        // `slot <= mask < 2^32`: `reset` caps the capacity.
+        self.touched.push(slot as u32);
     }
 
     #[inline]
@@ -165,9 +195,7 @@ impl<T: Scalar> HashTable<T> {
             self.probes += 1;
             if self.stamp[slot] != self.epoch {
                 // Empty: claim it (the device's atomicCAS).
-                self.stamp[slot] = self.epoch;
-                self.keys[slot] = key;
-                self.occupied += 1;
+                self.claim(slot, key);
                 self.note_chain(p0);
                 return Insert::New;
             }
@@ -197,10 +225,8 @@ impl<T: Scalar> HashTable<T> {
         for _ in 0..max_probes {
             self.probes += 1;
             if self.stamp[slot] != self.epoch {
-                self.stamp[slot] = self.epoch;
-                self.keys[slot] = key;
+                self.claim(slot, key);
                 self.vals[slot] = value;
-                self.occupied += 1;
                 self.note_chain(p0);
                 return Insert::New;
             }
@@ -242,14 +268,14 @@ impl<T: Scalar> HashTable<T> {
 
     /// Distinct keys inserted since the last reset (the row's nnz).
     pub fn occupied(&self) -> usize {
-        self.occupied
+        self.touched.len()
     }
 
     /// Take and clear the probe counter. Called once per row by the
     /// kernels, so the observer samples row occupancy and load factor
     /// here.
     pub fn take_probes(&mut self) -> u64 {
-        let (occupied, mask) = (self.occupied as u64, self.mask as u64);
+        let (occupied, mask) = (self.touched.len() as u64, self.mask as u64);
         if let Some(o) = self.observer.as_deref_mut() {
             let load = occupied * 1000 / (mask + 1);
             o.row_occupancy.record(occupied);
@@ -258,16 +284,34 @@ impl<T: Scalar> HashTable<T> {
         std::mem::take(&mut self.probes)
     }
 
-    /// Extract this row's entries sorted by column — the functional
-    /// equivalent of the paper's gather + count-sort phases (§III-C).
-    /// Returns `(columns, values)`.
-    pub fn extract_sorted(&self) -> (Vec<u32>, Vec<T>) {
-        let mut entries: Vec<(u32, T)> = (0..self.capacity())
-            .filter(|&s| self.stamp[s] == self.epoch)
-            .map(|s| (self.keys[s], self.vals[s]))
-            .collect();
-        entries.sort_unstable_by_key(|&(c, _)| c);
-        (entries.iter().map(|&(c, _)| c).collect(), entries.iter().map(|&(_, v)| v).collect())
+    /// Write this row's entries, sorted by column, into `out_cols` and
+    /// `out_vals` (each exactly [`HashTable::occupied`] long) — the
+    /// functional equivalent of the paper's gather + count-sort phases
+    /// (§III-C). Only the claimed slots are read and sorted, in a buffer
+    /// reused across rows, so a row costs no allocation once the buffer
+    /// has grown.
+    pub fn extract_sorted_into(&mut self, out_cols: &mut [u32], out_vals: &mut [T]) {
+        debug_assert_eq!(out_cols.len(), self.touched.len(), "output sized to the row's nnz");
+        debug_assert_eq!(out_vals.len(), self.touched.len(), "output sized to the row's nnz");
+        self.order.clear();
+        self.order.extend(
+            self.touched.iter().map(|&s| (u64::from(self.keys[s as usize]) << 32) | u64::from(s)),
+        );
+        // Keys are distinct within a row, so the column alone orders.
+        self.order.sort_unstable();
+        for ((c, v), &e) in out_cols.iter_mut().zip(out_vals.iter_mut()).zip(&self.order) {
+            *c = (e >> 32) as u32;
+            *v = self.vals[(e & u64::from(u32::MAX)) as usize];
+        }
+    }
+
+    /// Allocating form of [`HashTable::extract_sorted_into`]: returns
+    /// `(columns, values)`.
+    pub fn extract_sorted(&mut self) -> (Vec<u32>, Vec<T>) {
+        let mut cols = vec![0; self.occupied()];
+        let mut vals = vec![T::ZERO; self.occupied()];
+        self.extract_sorted_into(&mut cols, &mut vals);
+        (cols, vals)
     }
 }
 
@@ -346,6 +390,29 @@ mod tests {
         assert_eq!(t.insert_numeric(1, 2.0), Insert::New);
         let (_, vals) = t.extract_sorted();
         assert_eq!(vals, vec![2.0]); // old value gone
+    }
+
+    #[test]
+    fn extract_into_reads_only_the_current_row() {
+        // Rows of varying capacity reuse (and once grow) one table; each
+        // extraction must hold exactly that row's columns, sorted, with
+        // values summed in insertion order.
+        let mut t = HashTable::<f64>::new(8, true);
+        let mut state = 7u64;
+        for (row, cap) in [8usize, 64, 16, 512, 32].into_iter().enumerate() {
+            t.reset(cap);
+            let mut expect = std::collections::BTreeMap::<u32, f64>::new();
+            for i in 0..cap / 2 {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+                let (key, v) = ((state >> 40) as u32 % (cap as u32 * 3), (row + i) as f64);
+                t.insert_numeric(key, v);
+                *expect.entry(key).or_insert(-0.0) += v;
+            }
+            let (mut cols, mut vals) = (vec![0; t.occupied()], vec![0.0; t.occupied()]);
+            t.extract_sorted_into(&mut cols, &mut vals);
+            assert_eq!(cols, expect.keys().copied().collect::<Vec<_>>(), "row {row}");
+            assert_eq!(vals, expect.values().copied().collect::<Vec<_>>(), "row {row}");
+        }
     }
 
     #[test]

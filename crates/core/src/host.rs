@@ -37,7 +37,7 @@
 // design (WallClock is its deliverable); determinism lives in the output, not
 // the timings.
 use crate::exec::{Backend, BackendCaps, Execution, Executor, SymbolicOutput, WallClock};
-use crate::partition::JobQueue;
+use crate::partition::{run_workers, JobQueue};
 use crate::pipeline::{overflow_err, Error, Options, Result};
 use crate::plan::SpgemmPlan;
 use crate::rowalg::{
@@ -206,19 +206,6 @@ impl<T: Scalar> RowAccumulator<T> {
     }
 }
 
-/// Run `body` on `workers` scoped threads and collect what each returns,
-/// in spawn order. A worker panic is re-raised on the calling thread,
-/// as `std::thread::scope` would.
-fn run_workers<R: Send>(workers: usize, body: impl Fn() -> R + Sync) -> Vec<R> {
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers).map(|_| s.spawn(&body)).collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-            .collect()
-    })
-}
-
 /// How the backend's worker count was chosen — kept around (and logged)
 /// because `available_parallelism()` *can* fail (e.g. restricted
 /// sandboxes), and a silent fall-back to one thread looks exactly like
@@ -241,6 +228,12 @@ impl ThreadResolution {
     pub fn resolve(requested: usize, detected: Option<usize>) -> Self {
         let resolved = if requested > 0 { requested } else { detected.unwrap_or(1) };
         ThreadResolution { requested, detected, resolved }
+    }
+
+    /// [`ThreadResolution::resolve`] against the cores
+    /// `available_parallelism()` reports right now.
+    pub(crate) fn detect(requested: usize) -> Self {
+        Self::resolve(requested, std::thread::available_parallelism().ok().map(|n| n.get()))
     }
 
     /// `true` when auto-detection failed and the backend silently-ish
@@ -273,8 +266,7 @@ impl HostParallelExecutor {
 
     /// Backend planning against a specific device class.
     pub fn with_config(threads: usize, cfg: DeviceConfig) -> Self {
-        let detected = std::thread::available_parallelism().ok().map(|n| n.get());
-        let resolution = ThreadResolution::resolve(threads, detected);
+        let resolution = ThreadResolution::detect(threads);
         if resolution.degraded() {
             eprintln!(
                 "host backend: available_parallelism() failed; running with 1 worker \

@@ -20,11 +20,14 @@
 //!   against the row's others → `nnz²` comparisons), and the coalesced
 //!   write of the finished row.
 //!
-//! Both execution backends run these functions: [`crate::sim`] consumes
-//! the functional result *and* the [`BlockCost`]; [`crate::host`] runs
-//! the same row walks on OS threads and ignores the cost half. Keeping
-//! one implementation is what makes sim-vs-host output bitwise equal
-//! (DESIGN.md §12).
+//! Only the simulated backend runs these functions. [`crate::sim`] runs
+//! the functional half — the row walk and its [`TbRowStats`] /
+//! [`PwarpRowStats`] — on worker threads, each with its own table, then
+//! charges the [`BlockCost`]s on the calling thread in row order, so
+//! simulated time cannot depend on the thread count (DESIGN.md §12). The
+//! host backend has CPU-native accumulators of its own ([`crate::host`]);
+//! both accumulate in A-row order, which keeps their output bitwise
+//! equal.
 
 use crate::groups::GroupSpec;
 use crate::hash::{HashTable, Insert};
@@ -125,9 +128,7 @@ pub(crate) fn tb_numeric_row<T: Scalar>(
     }
     s.probes = table.take_probes();
     s.nnz = table.occupied() as u32;
-    let (cols, vals) = table.extract_sorted();
-    out_cols.copy_from_slice(&cols);
-    out_vals.copy_from_slice(&vals);
+    table.extract_sorted_into(out_cols, out_vals);
     s
 }
 
@@ -231,8 +232,10 @@ pub(crate) struct PwarpRowStats {
 }
 
 /// Walk one row PWARP-style (width lanes striding the A-row, each lane
-/// walking its B-rows serially). `numeric` additionally accumulates
-/// values and extracts the sorted row.
+/// walking its B-rows serially). With `out` (the numeric phase) the walk
+/// accumulates values and extracts the sorted row into it; without, it
+/// only counts columns. `lane_steps` is the caller's reused per-lane
+/// step buffer.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn pwarp_row<T: Scalar>(
     a: &Csr<T>,
@@ -241,13 +244,15 @@ pub(crate) fn pwarp_row<T: Scalar>(
     width: usize,
     cap: usize,
     table: &mut HashTable<T>,
-    numeric: bool,
+    lane_steps: &mut Vec<u64>,
     out: Option<(&mut [u32], &mut [T])>,
 ) -> PwarpRowStats {
     table.reset(cap);
     let (acols, avals) = a.row(row);
     let mut s = PwarpRowStats { a_len: acols.len() as u64, ..Default::default() };
-    let mut lane_steps = vec![0u64; width];
+    let numeric = out.is_some();
+    lane_steps.clear();
+    lane_steps.resize(width, 0);
     'outer: for (idx, (&k, &av)) in acols.iter().zip(avals).enumerate() {
         let lane = idx % width;
         let (bcols, bvals) = b.row(k as usize);
@@ -274,9 +279,7 @@ pub(crate) fn pwarp_row<T: Scalar>(
     s.lane_max = lane_steps.iter().copied().max().unwrap_or(0);
     s.nnz = table.occupied() as u32;
     if let Some((oc, ov)) = out {
-        let (cols, vals) = table.extract_sorted();
-        oc.copy_from_slice(&cols);
-        ov.copy_from_slice(&vals);
+        table.extract_sorted_into(oc, ov);
     }
     s
 }
@@ -405,7 +408,7 @@ mod tests {
                 4,
                 32,
                 &mut table,
-                true,
+                &mut Vec::new(),
                 Some((&mut cols[span.clone()], &mut vals[span])),
             );
             assert_eq!(s.nnz as usize, c_ref.row_nnz(row));
@@ -431,7 +434,7 @@ mod tests {
         let b = Csr::from_parts(4, 64, vec![0, 40, 40, 40, 40], (0..40).collect(), vec![1.0; 40])
             .unwrap();
         let mut table = HashTable::<f64>::new(64, true);
-        let s = pwarp_row(&a, &b, 0, 4, 64, &mut table, false, None);
+        let s = pwarp_row(&a, &b, 0, 4, 64, &mut table, &mut Vec::new(), None);
         assert_eq!(s.products, 40);
         // lane 0 walked 40 elements (1 step + 1 probe each) plus its A elem.
         assert!(s.lane_max >= 40);

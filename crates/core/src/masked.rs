@@ -65,6 +65,9 @@ pub fn multiply_masked<T: Scalar>(
     table.observe_probes(gpu.telemetry_enabled());
     let mut total_probes = 0u64;
     let mut val_c = vec![T::ZERO; mask.nnz()];
+    // Reused per-row column buffer for the extraction (the mask already
+    // holds the output columns; these only check them in debug builds).
+    let mut cols = Vec::new();
     let mut blocks = Vec::with_capacity(m);
     for i in 0..m {
         let (mcols, _) = mask.row(i);
@@ -90,9 +93,9 @@ pub fn multiply_masked<T: Scalar>(
         total_probes += probes;
         // Write the row's values in mask order.
         let span = mask.rpt()[i]..mask.rpt()[i + 1];
-        let (cols, vals) = table.extract_sorted();
+        cols.resize(mcols.len(), 0);
+        table.extract_sorted_into(&mut cols, &mut val_c[span]);
         debug_assert_eq!(&cols[..], mcols);
-        val_c[span].copy_from_slice(&vals);
         // Cost: same traversal as a numeric TB row, without gather/sort
         // (mask order is already sorted) and without the count phase.
         let mut c = gpu.block_cost();

@@ -1,11 +1,13 @@
 //! Deterministic work partitioning for thread-parallel backends.
 //!
-//! The host backend splits the row space into contiguous ranges weighted
-//! by a per-row cost metric (intermediate products), then lets threads
-//! pull ranges from a shared queue. Because every range owns a disjoint
-//! slice of the output and rows are pure functions of their inputs, the
-//! *order* in which threads pull ranges cannot affect the result — the
-//! output is bitwise identical for any thread count (DESIGN.md §12).
+//! Both backends split rows into contiguous ranges weighted by a per-row
+//! cost metric (intermediate products) and let [`run_workers`] threads
+//! pull them from a shared [`JobQueue`] — the host over the whole row
+//! space, the simulator over each group's rows. Because every range owns
+//! a disjoint slice of the output and rows are pure functions of their
+//! inputs, the *order* in which threads pull ranges cannot affect the
+//! result — the output is bitwise identical for any thread count
+//! (DESIGN.md §12).
 
 use sparse::to_u64;
 use std::ops::Range;
@@ -66,6 +68,19 @@ impl<J> JobQueue<J> {
     pub fn next(&self) -> Option<J> {
         self.jobs.lock().unwrap_or_else(PoisonError::into_inner).next()
     }
+}
+
+/// Run `body` on `workers` scoped threads and collect what each returns,
+/// in spawn order. A worker panic is re-raised on the calling thread,
+/// as `std::thread::scope` would.
+pub(crate) fn run_workers<R: Send>(workers: usize, body: impl Fn() -> R + Sync) -> Vec<R> {
+    std::thread::scope(|s| {
+        let handles: Vec<_> = (0..workers).map(|_| s.spawn(&body)).collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect()
+    })
 }
 
 #[cfg(test)]

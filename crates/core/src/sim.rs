@@ -11,11 +11,13 @@
 
 use crate::exec::{prefix_sum, Backend, BackendCaps, Execution, Executor, SymbolicOutput};
 use crate::groups::{Assignment, GroupTable};
-use crate::hash::HashTable;
+use crate::hash::{HashTable, ProbeStats};
+use crate::host::ThreadResolution;
 use crate::kernels::{
     count_products_block_cost, pwarp_block_cost, pwarp_row, tb_block_cost, tb_global_block_cost,
-    tb_numeric_row, tb_symbolic_row, PwarpRowStats,
+    tb_numeric_row, tb_symbolic_row,
 };
+use crate::partition::{run_workers, weighted_ranges, JobQueue};
 use crate::pipeline::{overflow_err, Error, Options, Result};
 use crate::plan::{
     exact_row_products, global_table_size_checked, Estimator, PhasePlan, SpgemmPlan,
@@ -25,6 +27,7 @@ use crate::rowalg::{
     merge_symbolic_row, AlgorithmChoice, RowAlgScratch,
 };
 use sparse::{Csr, Scalar, DEVICE_INDEX_BYTES};
+use std::ops::Range;
 use vgpu::device::DEFAULT_STREAM;
 use vgpu::{primitives, AllocId, Gpu, KernelDesc, MemRange, Phase, SimTime, SpgemmReport};
 
@@ -51,14 +54,22 @@ impl OwnedAllocs {
 /// The virtual-GPU backend. Borrows the device for its lifetime; every
 /// phase charges kernels to the cost model and feeds the device
 /// telemetry, exactly as `pipeline::multiply` always has.
+///
+/// The functional half of the row kernels runs on one worker thread per
+/// available core; the device sees the same operations in the same
+/// order at any thread count (DESIGN.md §12).
 pub struct SimExecutor<'g> {
     gpu: &'g mut Gpu,
+    /// Worker threads for the row kernels.
+    threads: usize,
 }
 
 impl<'g> SimExecutor<'g> {
-    /// Wrap a device.
+    /// Wrap a device. Row kernels run on as many threads as
+    /// `available_parallelism()` reports, exactly like
+    /// `HostParallelExecutor::new(0)`.
     pub fn new(gpu: &'g mut Gpu) -> Self {
-        SimExecutor { gpu }
+        SimExecutor { gpu, threads: ThreadResolution::detect(0).resolved }
     }
 
     /// The wrapped device (for report/telemetry access between calls).
@@ -77,7 +88,7 @@ impl<T: Scalar> Executor<T> for SimExecutor<'_> {
             simulated_time: true,
             wall_clock: false,
             concurrent_streams: true,
-            threads: 1,
+            threads: self.threads,
             deterministic_output: true,
         }
     }
@@ -108,7 +119,7 @@ impl<T: Scalar> Executor<T> for SimExecutor<'_> {
             }
         };
         gpu.set_phase(Phase::Count);
-        let res = run_count(gpu, a, b, plan);
+        let res = run_count(gpu, a, b, plan, self.threads);
         gpu.set_phase(Phase::Other);
         gpu.free(d_nprod);
         gpu.free(grp);
@@ -136,7 +147,8 @@ impl<T: Scalar> Executor<T> for SimExecutor<'_> {
         let c_buf = gpu.malloc(c_bytes, "C")?;
         gpu.set_phase(Phase::Calc);
         let d_c = MemRange { id: c_buf, offset: 0, len: c_bytes };
-        let res = run_numeric(gpu, a, b, plan, &symbolic.nnz_row, &symbolic.rpt, Some(d_c));
+        let res =
+            run_numeric(gpu, a, b, plan, &symbolic.nnz_row, &symbolic.rpt, Some(d_c), self.threads);
         gpu.set_phase(Phase::Other);
         gpu.free(c_buf);
         let (col_c, val_c, calc_probes) = res?;
@@ -174,7 +186,7 @@ impl<T: Scalar> Executor<T> for SimExecutor<'_> {
             let span = t.span_begin("spgemm", t_run0);
             (span, t.set_parent(Some(span)))
         });
-        let res = multiply_inner(self.gpu, &plan, a, b, &mut allocs);
+        let res = multiply_inner(self.gpu, &plan, a, b, &mut allocs, self.threads);
         allocs.free_all(self.gpu);
         let t_run1 = self.gpu.elapsed().us();
         if let Some((span, prev)) = run_span {
@@ -226,6 +238,7 @@ fn multiply_inner<T: Scalar>(
     a: &Csr<T>,
     b: &Csr<T>,
     allocs: &mut OwnedAllocs,
+    threads: usize,
 ) -> Result<Execution<T>> {
     let m = a.rows();
     let phase_before = gpu.profiler().phase_times();
@@ -288,7 +301,7 @@ fn multiply_inner<T: Scalar>(
 
     // ---------------- Count: (3) symbolic hash per group ----------------
     gpu.set_phase(Phase::Count);
-    let (nnz_row, count_probes, replans) = run_count(gpu, a, b, plan)?;
+    let (nnz_row, count_probes, replans) = run_count(gpu, a, b, plan, threads)?;
     // (4) scan row counts into the output row pointer.
     primitives::exclusive_scan(gpu, DEFAULT_STREAM, m as u64 + 1, DEVICE_INDEX_BYTES as u32)?;
     let rpt_c = prefix_sum(&nnz_row);
@@ -304,7 +317,7 @@ fn multiply_inner<T: Scalar>(
     gpu.set_phase(Phase::Calc);
     let c_range = MemRange { id: d_c, offset: 0, len: c_bytes };
     let (col_c, val_c, calc_probes) =
-        run_numeric(gpu, a, b, plan, &nnz_row, &rpt_c, Some(c_range))?;
+        run_numeric(gpu, a, b, plan, &nnz_row, &rpt_c, Some(c_range), threads)?;
     gpu.set_phase(Phase::Other);
     // Assemble the report from the profiler delta of this call.
     let report = report_from_delta(
@@ -328,21 +341,21 @@ fn multiply_inner<T: Scalar>(
 /// estimator — replan rows whose padded table still under-sized.
 /// Returns the exact nnz of every output row, the total hash-probe
 /// steps observed, and the replanned-row count. The caller sets the
-/// device phase.
+/// device phase. The row walks run on up to `threads` workers; every
+/// device call is made here, in row order.
 pub(crate) fn run_count<T: Scalar>(
     gpu: &mut Gpu,
     a: &Csr<T>,
     b: &Csr<T>,
     plan: &SpgemmPlan,
+    threads: usize,
 ) -> Result<(Vec<u32>, u64, u64)> {
     let count = &plan.count;
     let nprod = &count.metric;
     emit_group_summary(gpu, &count.groups, nprod, "count");
     let m = a.rows();
     let mut nnz_row = vec![0u32; m];
-    let mut table = HashTable::<T>::new(1024, plan.opts.use_mul_hash);
-    table.observe_probes(gpu.telemetry_enabled());
-    let mut scratch = RowAlgScratch::<T>::new();
+    let mut runner = RowRunner::new(gpu, plan, threads);
     let mut total_probes = 0u64;
     let mut count_overflow: Vec<u32> = Vec::new();
     for (gi, spec) in count.groups.groups.iter().enumerate() {
@@ -355,11 +368,12 @@ pub(crate) fn run_count<T: Scalar>(
             // ESC rows expand into shared memory and sort — no table,
             // no overflow, exact counts on the first pass.
             Assignment::TbRow if spec.algorithm == AlgorithmChoice::Esc => {
+                let stats = runner
+                    .map::<T, _>(rows, None, |w, _, r, _| esc_symbolic_row(a, b, r, &mut w.alg));
                 let mut blocks = Vec::with_capacity(rows.len());
-                for &r in rows {
-                    let s = esc_symbolic_row(a, b, r as usize, &mut scratch);
+                for (&r, s) in rows.iter().zip(&stats) {
                     nnz_row[r as usize] = s.nnz;
-                    blocks.push(esc_block_cost(gpu, spec.block_threads, &s, None));
+                    blocks.push(esc_block_cost(gpu, spec.block_threads, s, None));
                 }
                 gpu.launch(
                     KernelDesc::new(
@@ -375,11 +389,12 @@ pub(crate) fn run_count<T: Scalar>(
             // they skip both the doomed shared attempt and the global
             // hash fallback entirely.
             Assignment::TbRowGlobal if spec.algorithm == AlgorithmChoice::Merge => {
+                let stats = runner
+                    .map::<T, _>(rows, None, |w, _, r, _| merge_symbolic_row(a, b, r, &mut w.alg));
                 let mut blocks = Vec::with_capacity(rows.len());
-                for &r in rows {
-                    let s = merge_symbolic_row(a, b, r as usize, &mut scratch);
+                for (&r, s) in rows.iter().zip(&stats) {
                     nnz_row[r as usize] = s.nnz;
-                    blocks.push(merge_block_cost(gpu, &s, None));
+                    blocks.push(merge_block_cost(gpu, s, None));
                 }
                 gpu.launch(
                     KernelDesc::new(format!("symbolic_merge_g{gi}"), stream, spec.block_threads, 0),
@@ -387,16 +402,18 @@ pub(crate) fn run_count<T: Scalar>(
                 )?;
             }
             Assignment::TbRow | Assignment::TbRowGlobal => {
+                let stats = runner.map::<T, _>(rows, None, |w, _, r, _| {
+                    tb_symbolic_row(a, b, r, spec.table_size, &mut w.table)
+                });
                 let mut blocks = Vec::with_capacity(rows.len());
-                for &r in rows {
-                    let s = tb_symbolic_row(a, b, r as usize, spec.table_size, &mut table);
+                for (&r, s) in rows.iter().zip(&stats) {
                     total_probes += s.probes;
                     if s.overflowed {
                         count_overflow.push(r);
                     } else {
                         nnz_row[r as usize] = s.nnz;
                     }
-                    blocks.push(tb_block_cost(gpu, spec, &s, None));
+                    blocks.push(tb_block_cost(gpu, spec, s, None));
                 }
                 gpu.launch(
                     KernelDesc::new(
@@ -409,25 +426,14 @@ pub(crate) fn run_count<T: Scalar>(
                 )?;
             }
             Assignment::Pwarp { width } => {
+                let stats = runner.map::<T, _>(rows, None, |w, _, r, _| {
+                    pwarp_row(a, b, r, width, spec.table_size, &mut w.table, &mut w.lanes, None)
+                });
                 let rows_per_block = count.groups.pwarp_rows_per_block();
                 let mut blocks = Vec::with_capacity(rows.len().div_ceil(rows_per_block));
-                for chunk in rows.chunks(rows_per_block) {
-                    let stats: Vec<PwarpRowStats> = chunk
-                        .iter()
-                        .map(|&r| {
-                            pwarp_row(
-                                a,
-                                b,
-                                r as usize,
-                                width,
-                                spec.table_size,
-                                &mut table,
-                                false,
-                                None,
-                            )
-                        })
-                        .collect();
-                    for (&r, s) in chunk.iter().zip(&stats) {
+                for (chunk, stats) in rows.chunks(rows_per_block).zip(stats.chunks(rows_per_block))
+                {
+                    for (&r, s) in chunk.iter().zip(stats) {
                         // A sampled under-estimate can misplace a fat row
                         // into PWARP; it funnels into the global pass.
                         if s.overflowed {
@@ -437,7 +443,7 @@ pub(crate) fn run_count<T: Scalar>(
                         }
                     }
                     total_probes += stats.iter().map(|s| s.probes).sum::<u64>();
-                    blocks.push(pwarp_block_cost(gpu, spec, width, &stats, None));
+                    blocks.push(pwarp_block_cost(gpu, spec, width, stats, None));
                 }
                 gpu.launch(
                     KernelDesc::new(
@@ -450,7 +456,7 @@ pub(crate) fn run_count<T: Scalar>(
                 )?;
             }
         }
-        drain_probe_stats(gpu, &mut table, "count", gi);
+        drain_probe_stats(gpu, &mut runner, "count", gi);
     }
     // Second pass for rows whose table overflowed shared memory:
     // per-row global tables sized from their intermediate products.
@@ -472,10 +478,12 @@ pub(crate) fn run_count<T: Scalar>(
         if memset_res.is_ok() {
             gpu.san_note_memset(gt, 0, table_bytes);
         }
+        let stats = runner.map::<T, _>(&count_overflow, None, |w, i, r, _| {
+            tb_symbolic_row(a, b, r, caps[i], &mut w.table)
+        });
         let mut blocks = Vec::with_capacity(count_overflow.len());
         let mut replan_rows: Vec<u32> = Vec::new();
-        for (&r, &cap) in count_overflow.iter().zip(&caps) {
-            let s = tb_symbolic_row(a, b, r as usize, cap, &mut table);
+        for ((&r, &cap), s) in count_overflow.iter().zip(&caps).zip(&stats) {
             total_probes += s.probes;
             if s.overflowed {
                 // Only possible when `cap` came from a sampled estimate
@@ -484,7 +492,7 @@ pub(crate) fn run_count<T: Scalar>(
             } else {
                 nnz_row[r as usize] = s.nnz;
             }
-            blocks.push(tb_global_block_cost(gpu, &s, cap, None));
+            blocks.push(tb_global_block_cost(gpu, s, cap, None));
         }
         let launch_res = memset_res.and_then(|()| {
             gpu.launch(
@@ -502,7 +510,7 @@ pub(crate) fn run_count<T: Scalar>(
         gpu.free(gt); // synchronizes; table only lives through the pass
         launch_res?;
         // The second pass re-runs group-0 rows with global tables.
-        drain_probe_stats(gpu, &mut table, "count", 0);
+        drain_probe_stats(gpu, &mut runner, "count", 0);
 
         // Third pass (DESIGN.md §16's replan contract): recount the
         // under-estimated rows with tables sized from *exact* products.
@@ -529,13 +537,15 @@ pub(crate) fn run_count<T: Scalar>(
             if memset_res.is_ok() {
                 gpu.san_note_memset(gt, 0, replan_bytes);
             }
+            let stats = runner.map::<T, _>(&replan_rows, None, |w, i, r, _| {
+                tb_symbolic_row(a, b, r, exact_caps[i], &mut w.table)
+            });
             let mut blocks = Vec::with_capacity(replan_rows.len());
-            for (&r, &cap) in replan_rows.iter().zip(&exact_caps) {
-                let s = tb_symbolic_row(a, b, r as usize, cap, &mut table);
+            for ((&r, &cap), s) in replan_rows.iter().zip(&exact_caps).zip(&stats) {
                 total_probes += s.probes;
                 debug_assert!(!s.overflowed, "exact-cap replan table cannot overflow");
                 nnz_row[r as usize] = s.nnz;
-                blocks.push(tb_global_block_cost(gpu, &s, cap, None));
+                blocks.push(tb_global_block_cost(gpu, s, cap, None));
             }
             let launch_res = memset_res.and_then(|()| {
                 gpu.launch(
@@ -552,7 +562,7 @@ pub(crate) fn run_count<T: Scalar>(
             });
             gpu.free(gt);
             launch_res?;
-            drain_probe_stats(gpu, &mut table, "count", 0);
+            drain_probe_stats(gpu, &mut runner, "count", 0);
             if let Some(t) = gpu.telemetry_mut() {
                 t.emit(obs::Event::new("replan").str("phase", "count").u64("rows", replans));
             }
@@ -564,7 +574,10 @@ pub(crate) fn run_count<T: Scalar>(
 /// The numeric (calc) phase: regroup rows by output nnz via the plan,
 /// run the per-group value kernels (shared, global and PWARP variants),
 /// producing the output column/value arrays plus the total hash-probe
-/// steps observed. The caller sets the device phase.
+/// steps observed. The caller sets the device phase. The row walks run
+/// on up to `threads` workers; every device call is made here, in row
+/// order.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_numeric<T: Scalar>(
     gpu: &mut Gpu,
     a: &Csr<T>,
@@ -573,12 +586,11 @@ pub(crate) fn run_numeric<T: Scalar>(
     nnz_row: &[u32],
     rpt_c: &[usize],
     d_c: Option<MemRange>,
+    threads: usize,
 ) -> Result<(Vec<u32>, Vec<T>, u64)> {
     let m = a.rows();
     let nnz_c = rpt_c.last().copied().unwrap_or(0);
-    let mut table = HashTable::<T>::new(1024, plan.opts.use_mul_hash);
-    table.observe_probes(gpu.telemetry_enabled());
-    let mut scratch = RowAlgScratch::<T>::new();
+    let mut runner = RowRunner::new(gpu, plan, threads);
     let mut total_probes = 0u64;
     let numeric: PhasePlan = plan.numeric_phase(nnz_row)?;
     emit_group_summary(gpu, &numeric.groups, &numeric.metric, "calc");
@@ -599,21 +611,16 @@ pub(crate) fn run_numeric<T: Scalar>(
             continue;
         }
         let stream = plan.stream_for(gi);
+        let out = Some((rpt_c, &mut col_c[..], &mut val_c[..]));
         match spec.assignment {
             Assignment::TbRow if spec.algorithm == AlgorithmChoice::Esc => {
-                let mut blocks = Vec::with_capacity(rows.len());
-                for &r in rows {
-                    let span = rpt_c[r as usize]..rpt_c[r as usize + 1];
-                    let s = esc_numeric_row(
-                        a,
-                        b,
-                        r as usize,
-                        &mut scratch,
-                        &mut col_c[span.clone()],
-                        &mut val_c[span],
-                    );
-                    blocks.push(esc_block_cost(gpu, spec.block_threads, &s, Some(T::BYTES)));
-                }
+                let stats = runner.map(rows, out, |w, _, r, (cols, vals)| {
+                    esc_numeric_row(a, b, r, &mut w.alg, cols, vals)
+                });
+                let blocks = stats
+                    .iter()
+                    .map(|s| esc_block_cost(gpu, spec.block_threads, s, Some(T::BYTES)))
+                    .collect();
                 gpu.launch(
                     write_c(KernelDesc::new(
                         format!("numeric_esc_g{gi}"),
@@ -634,19 +641,11 @@ pub(crate) fn run_numeric<T: Scalar>(
                     })
                     .sum();
                 let gt = gpu.malloc(buf_bytes, "numeric_merge_buffers")?;
-                let mut blocks = Vec::with_capacity(rows.len());
-                for &r in rows {
-                    let span = rpt_c[r as usize]..rpt_c[r as usize + 1];
-                    let s = merge_numeric_row(
-                        a,
-                        b,
-                        r as usize,
-                        &mut scratch,
-                        &mut col_c[span.clone()],
-                        &mut val_c[span],
-                    );
-                    blocks.push(merge_block_cost(gpu, &s, Some(T::BYTES)));
-                }
+                let stats = runner.map(rows, out, |w, _, r, (cols, vals)| {
+                    merge_numeric_row(a, b, r, &mut w.alg, cols, vals)
+                });
+                let blocks =
+                    stats.iter().map(|s| merge_block_cost(gpu, s, Some(T::BYTES))).collect();
                 let launch_res = gpu.launch(
                     write_c(KernelDesc::new(
                         format!("numeric_merge_g{gi}"),
@@ -661,21 +660,12 @@ pub(crate) fn run_numeric<T: Scalar>(
                 launch_res?;
             }
             Assignment::TbRow => {
-                let mut blocks = Vec::with_capacity(rows.len());
-                for &r in rows {
-                    let span = rpt_c[r as usize]..rpt_c[r as usize + 1];
-                    let s = tb_numeric_row(
-                        a,
-                        b,
-                        r as usize,
-                        spec.table_size,
-                        &mut table,
-                        &mut col_c[span.clone()],
-                        &mut val_c[span],
-                    );
-                    total_probes += s.probes;
-                    blocks.push(tb_block_cost(gpu, spec, &s, Some(T::BYTES)));
-                }
+                let stats = runner.map(rows, out, |w, _, r, (cols, vals)| {
+                    tb_numeric_row(a, b, r, spec.table_size, &mut w.table, cols, vals)
+                });
+                total_probes += stats.iter().map(|s| s.probes).sum::<u64>();
+                let blocks =
+                    stats.iter().map(|s| tb_block_cost(gpu, spec, s, Some(T::BYTES))).collect();
                 gpu.launch(
                     write_c(KernelDesc::new(
                         format!("numeric_tb_g{gi}"),
@@ -703,22 +693,18 @@ pub(crate) fn run_numeric<T: Scalar>(
                 if memset_res.is_ok() {
                     gpu.san_note_memset(gt, 0, table_bytes);
                 }
-                let mut blocks = Vec::with_capacity(rows.len());
-                for &r in rows {
-                    let cap = numeric.table_size_for(r as usize);
-                    let span = rpt_c[r as usize]..rpt_c[r as usize + 1];
-                    let s = tb_numeric_row(
-                        a,
-                        b,
-                        r as usize,
-                        cap,
-                        &mut table,
-                        &mut col_c[span.clone()],
-                        &mut val_c[span],
-                    );
-                    total_probes += s.probes;
-                    blocks.push(tb_global_block_cost(gpu, &s, cap, Some(T::BYTES)));
-                }
+                let stats = runner.map(rows, out, |w, _, r, (cols, vals)| {
+                    tb_numeric_row(a, b, r, numeric.table_size_for(r), &mut w.table, cols, vals)
+                });
+                total_probes += stats.iter().map(|s| s.probes).sum::<u64>();
+                let blocks = rows
+                    .iter()
+                    .zip(&stats)
+                    .map(|(&r, s)| {
+                        let cap = numeric.table_size_for(r as usize);
+                        tb_global_block_cost(gpu, s, cap, Some(T::BYTES))
+                    })
+                    .collect();
                 let launch_res = memset_res.and_then(|()| {
                     gpu.launch(
                         write_c(KernelDesc::new(
@@ -736,34 +722,24 @@ pub(crate) fn run_numeric<T: Scalar>(
                 launch_res?;
             }
             Assignment::Pwarp { width } => {
+                let stats = runner.map(rows, out, |w, _, r, out| {
+                    pwarp_row(
+                        a,
+                        b,
+                        r,
+                        width,
+                        spec.table_size,
+                        &mut w.table,
+                        &mut w.lanes,
+                        Some(out),
+                    )
+                });
+                total_probes += stats.iter().map(|s| s.probes).sum::<u64>();
                 let rows_per_block = numeric.groups.pwarp_rows_per_block();
-                let mut blocks = Vec::with_capacity(rows.len().div_ceil(rows_per_block));
-                for chunk in rows.chunks(rows_per_block) {
-                    let stats: Vec<PwarpRowStats> = chunk
-                        .iter()
-                        .map(|&r| {
-                            let span = rpt_c[r as usize]..rpt_c[r as usize + 1];
-                            let (cslice, vslice) = (
-                                &mut col_c[span.clone()] as *mut [u32],
-                                &mut val_c[span] as *mut [T],
-                            );
-                            // SAFETY: spans of distinct rows never overlap.
-                            let (cslice, vslice) = unsafe { (&mut *cslice, &mut *vslice) };
-                            pwarp_row(
-                                a,
-                                b,
-                                r as usize,
-                                width,
-                                spec.table_size,
-                                &mut table,
-                                true,
-                                Some((cslice, vslice)),
-                            )
-                        })
-                        .collect();
-                    total_probes += stats.iter().map(|s| s.probes).sum::<u64>();
-                    blocks.push(pwarp_block_cost(gpu, spec, width, &stats, Some(T::BYTES)));
-                }
+                let blocks = stats
+                    .chunks(rows_per_block)
+                    .map(|block| pwarp_block_cost(gpu, spec, width, block, Some(T::BYTES)))
+                    .collect();
                 gpu.launch(
                     write_c(KernelDesc::new(
                         format!("numeric_pwarp_g{gi}"),
@@ -775,16 +751,153 @@ pub(crate) fn run_numeric<T: Scalar>(
                 )?;
             }
         }
-        drain_probe_stats(gpu, &mut table, "calc", gi);
+        drain_probe_stats(gpu, &mut runner, "calc", gi);
     }
     Ok((col_c, val_c, total_probes))
 }
 
-/// Drain the hash table's probe observer into the device telemetry
+/// Intermediate products each worker needs before a group's rows are
+/// split across threads: below `threads × PRODUCTS_PER_WORKER` products
+/// a group runs on fewer workers, and below two workers' worth on the
+/// calling thread, so small jobs spawn no threads. A few hundred
+/// microseconds of row walks per worker amortize a spawn.
+#[cfg(not(test))]
+const PRODUCTS_PER_WORKER: usize = 1 << 16;
+/// Unit tests split every group that has work, so small inputs drive the
+/// threaded path.
+#[cfg(test)]
+const PRODUCTS_PER_WORKER: usize = 1;
+
+/// Chunks cut per worker: enough for the pull queue to rebalance skewed
+/// rows, few enough to amortize its lock.
+const CHUNKS_PER_WORKER: usize = 8;
+
+/// A worker's row-kernel state, reused across the rows it pulls: its own
+/// hash table (probe observer included) and scratch buffers.
+struct RowWorker<T> {
+    table: HashTable<T>,
+    alg: RowAlgScratch<T>,
+    /// PWARP per-lane step counts.
+    lanes: Vec<u64>,
+}
+
+/// A row's slice of the output: `(columns, values)`, empty in the count
+/// phase.
+type RowOut<'o, T> = (&'o mut [u32], &'o mut [T]);
+
+/// Runs the functional half of a phase's row kernels on up to `threads`
+/// workers and collects the hash tables' probe observations between
+/// drains. Which worker walks which row cannot show in the results: each
+/// row's stats land in its own slot, output rows are disjoint, and probe
+/// histograms merge exactly.
+struct RowRunner<'p> {
+    threads: usize,
+    /// Row weights (intermediate products) for the work split.
+    weight: &'p [usize],
+    scramble: bool,
+    observe: bool,
+    probes: Option<ProbeStats>,
+}
+
+impl<'p> RowRunner<'p> {
+    fn new(gpu: &Gpu, plan: &'p SpgemmPlan, threads: usize) -> Self {
+        RowRunner {
+            threads: threads.max(1),
+            weight: &plan.count.metric,
+            scramble: plan.opts.use_mul_hash,
+            observe: gpu.telemetry_enabled(),
+            probes: None,
+        }
+    }
+
+    /// Run `kernel(worker, i, rows[i], out)` for every `i`, returning
+    /// the stats in `rows` order. With `out = Some((rpt, cols, vals))`
+    /// — `rows` ascending — each row receives its `rpt` span of
+    /// `cols`/`vals`; otherwise empty slices.
+    fn map<T: Scalar, S: Default + Clone + Send>(
+        &mut self,
+        rows: &[u32],
+        out: Option<(&[usize], &mut [u32], &mut [T])>,
+        kernel: impl Fn(&mut RowWorker<T>, usize, usize, RowOut<'_, T>) -> S + Sync,
+    ) -> Vec<S> {
+        debug_assert!(out.is_none() || rows.windows(2).all(|w| w[0] < w[1]), "rows ascend");
+        let weight = |&r: &u32| self.weight[r as usize];
+        let products = rows.iter().map(weight).fold(0usize, usize::saturating_add);
+        let workers = self.threads.min(products / PRODUCTS_PER_WORKER).max(1);
+        let ranges: Vec<Range<usize>> = if workers == 1 {
+            std::iter::once(0..rows.len()).collect()
+        } else {
+            let w: Vec<usize> = rows.iter().map(weight).collect();
+            weighted_ranges(&w, workers * CHUNKS_PER_WORKER)
+        };
+        // Cut the stats and (numeric) the output into one disjoint slice
+        // per range; a range's rows ascend, so its output rows sit in
+        // one span that the next range's span starts after.
+        let mut stats = vec![S::default(); rows.len()];
+        let (rpt, mut cols, mut vals) = match out {
+            Some((rpt, cols, vals)) => (Some(rpt), cols, vals),
+            None => (None, Default::default(), Default::default()),
+        };
+        let span = |range: &Range<usize>| match (rpt, range.is_empty()) {
+            (Some(rpt), false) => {
+                rpt[rows[range.start] as usize]..rpt[rows[range.end - 1] as usize + 1]
+            }
+            _ => 0..0,
+        };
+        let mut jobs = Vec::with_capacity(ranges.len());
+        let (mut st_rest, mut pos) = (&mut stats[..], 0);
+        for range in ranges {
+            let sp = span(&range);
+            let (st, st_tail) = st_rest.split_at_mut(range.len());
+            st_rest = st_tail;
+            let (_, c_tail) = cols.split_at_mut(sp.start - pos);
+            let (c, c_tail) = c_tail.split_at_mut(sp.len());
+            let (_, v_tail) = vals.split_at_mut(sp.start - pos);
+            let (v, v_tail) = v_tail.split_at_mut(sp.len());
+            (cols, vals, pos) = (c_tail, v_tail, sp.end);
+            jobs.push((range, st, c, v, sp.start));
+        }
+        let queue = JobQueue::new(jobs);
+        let work = || {
+            let mut w = RowWorker {
+                table: HashTable::new(1024, self.scramble),
+                alg: RowAlgScratch::new(),
+                lanes: Vec::new(),
+            };
+            w.table.observe_probes(self.observe);
+            while let Some((range, st, cols, vals, base)) = queue.next() {
+                for (slot, i) in st.iter_mut().zip(range) {
+                    let r = rows[i] as usize;
+                    let row = rpt.map_or(0..0, |rpt| rpt[r] - base..rpt[r + 1] - base);
+                    *slot = kernel(&mut w, i, r, (&mut cols[row.clone()], &mut vals[row]));
+                }
+            }
+            w.table.take_probe_stats()
+        };
+        let observed = if workers == 1 { vec![work()] } else { run_workers(workers, work) };
+        for p in observed.into_iter().flatten() {
+            match &mut self.probes {
+                Some(acc) => acc.merge(&p),
+                None => self.probes = Some(p),
+            }
+        }
+        stats
+    }
+
+    /// Take the probe observations since the last take: `None` when
+    /// telemetry (and hence observation) is off, as
+    /// [`HashTable::take_probe_stats`].
+    fn take_probe_stats(&mut self) -> Option<ProbeStats> {
+        let taken = self.probes.take();
+        self.observe.then(|| taken.unwrap_or_default())
+    }
+}
+
+/// Drain the row runner's probe observations into the device telemetry
 /// under `{phase}.g{gi}.*` histogram names (no-op when telemetry and
 /// hence the observer are off).
-fn drain_probe_stats<T: Scalar>(gpu: &mut Gpu, table: &mut HashTable<T>, phase: &str, gi: usize) {
-    if let Some(stats) = table.take_probe_stats() {
+fn drain_probe_stats(gpu: &mut Gpu, runner: &mut RowRunner<'_>, phase: &str, gi: usize) {
+    if let Some(stats) = runner.take_probe_stats() {
         if let Some(t) = gpu.telemetry_mut() {
             t.registry.hist_merge(&format!("{phase}.g{gi}.probe_len"), &stats.probe_len);
             t.registry.hist_merge(&format!("{phase}.g{gi}.row_occupancy"), &stats.row_occupancy);
@@ -844,4 +957,170 @@ pub(crate) fn grouping_kernel(
     gpu.launch(desc, blocks)?;
     primitives::exclusive_scan(gpu, DEFAULT_STREAM, m as u64, DEVICE_INDEX_BYTES as u32)?;
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::rowalg::AlgorithmPolicy;
+    use vgpu::DeviceConfig;
+
+    /// Everything a run exposes that must not depend on the worker count.
+    #[derive(Debug, PartialEq)]
+    struct Observed {
+        rpt: Vec<usize>,
+        col: Vec<u32>,
+        val_bits: Vec<u64>,
+        total_time_bits: u64,
+        phase_time_bits: Vec<(Phase, u64)>,
+        peak_mem_bytes: u64,
+        hash_probes: u64,
+        replans: u64,
+        telemetry: Option<obs::Summary>,
+        events_jsonl: String,
+    }
+
+    /// `A · B` on a fresh telemetry-enabled P100 with `threads` row
+    /// workers, once through `multiply` and once through the split
+    /// symbolic + numeric phases.
+    fn observe(a: &Csr<f64>, b: &Csr<f64>, opts: &Options, threads: usize) -> [Observed; 2] {
+        let mut gpu = Gpu::new(DeviceConfig::p100());
+        gpu.enable_telemetry();
+        let mut exec = SimExecutor { gpu: &mut gpu, threads };
+        let whole = exec.multiply(a, b, opts).unwrap();
+        let plan = Executor::<f64>::plan(&exec, a, b, opts).unwrap();
+        let sym = exec.execute_symbolic(&plan, a, b).unwrap();
+        let split = exec.execute_numeric(&plan, &sym, a, b).unwrap();
+        let events_jsonl = gpu.telemetry().map(|t| t.to_jsonl()).unwrap_or_default();
+        assert_eq!(gpu.live_mem_bytes(), 0);
+        [whole, split].map(|run| Observed {
+            rpt: run.matrix.rpt().to_vec(),
+            col: run.matrix.col().to_vec(),
+            val_bits: run.matrix.val().iter().map(|v| v.to_bits()).collect(),
+            total_time_bits: run.report.total_time.secs().to_bits(),
+            phase_time_bits: run
+                .report
+                .phase_times
+                .iter()
+                .map(|&(p, t)| (p, t.secs().to_bits()))
+                .collect(),
+            peak_mem_bytes: run.report.peak_mem_bytes,
+            hash_probes: run.report.hash_probes,
+            replans: run.replans,
+            telemetry: run.report.telemetry,
+            events_jsonl: events_jsonl.clone(),
+        })
+    }
+
+    fn assert_thread_invariant(what: &str, a: &Csr<f64>, b: &Csr<f64>, opts: &Options) -> u64 {
+        let one = observe(a, b, opts, 1);
+        for threads in [2, 7] {
+            assert!(one == observe(a, b, opts, threads), "{what}: 1 vs {threads} workers differ");
+        }
+        let c_ref = sparse::spgemm_ref::spgemm_gustavson(a, b).unwrap();
+        assert_eq!(one[0].rpt, c_ref.rpt(), "{what}: wrong structure");
+        assert_eq!(one[0].col, c_ref.col(), "{what}: wrong structure");
+        one[0].replans
+    }
+
+    fn power_law(rows: usize, avg: f64, max: usize, seed: u64) -> Csr<f64> {
+        matgen::generators::power_law(rows, avg, max, 1.1, 0.5, 32, seed)
+    }
+
+    #[test]
+    fn power_law_is_thread_count_invariant() {
+        let a = power_law(1500, 8.0, 300, 3);
+        assert_thread_invariant("power-law A²", &a, &a, &Options::default());
+    }
+
+    #[test]
+    fn group0_global_rows_are_thread_count_invariant() {
+        // Rows 0..4 each select three dense B-rows: more output columns
+        // than the largest shared table, so both phases run them in
+        // global-memory tables.
+        let n = 9000;
+        let mut ta = Vec::new();
+        let mut tb = Vec::new();
+        for r in 0..4usize {
+            for k in 0..3u32 {
+                ta.push((r, k + r as u32, 1.0 + k as f64));
+            }
+        }
+        for r in 0..8usize {
+            for c in (r % 2..n).step_by(2) {
+                tb.push((r, c as u32, 1.0 + (c % 7) as f64 * 0.5));
+            }
+        }
+        for r in 8..n {
+            ta.push((r, r as u32, 0.5));
+            ta.push((r, ((r * 7) % n) as u32, -1.5));
+            tb.push((r, ((r * 3) % n) as u32, 2.0));
+        }
+        let a = Csr::from_triplets(n, n, &ta).unwrap();
+        let b = Csr::from_triplets(n, n, &tb).unwrap();
+        let plan = SpgemmPlan::new(&DeviceConfig::p100(), &a, &b, &Options::default()).unwrap();
+        assert!(plan.count.groups.groups[0].assignment == Assignment::TbRowGlobal);
+        assert!(plan.count.rows_by_group[0].len() >= 4, "test needs group-0 rows");
+        assert_thread_invariant("group-0 rows", &a, &b, &Options::default());
+    }
+
+    #[test]
+    fn sampled_replans_are_thread_count_invariant() {
+        let opts = Options { estimator: Estimator::Sampled { sample: 2 }, ..Options::default() };
+        let replans: u64 = (0..4)
+            .map(|seed| {
+                let a = power_law(512, 8.0, 256, seed);
+                assert_thread_invariant("sampled:2", &a, &a, &opts)
+            })
+            .sum();
+        assert!(replans > 0, "test needs replanned rows");
+    }
+
+    #[test]
+    fn adaptive_policy_is_thread_count_invariant() {
+        // Rows of ~64 scattered products (compression ≈ 1: ESC groups)
+        // plus four rows that concatenate eight disjoint 3000-column
+        // B-rows (24 000 products, no duplicates: merge groups).
+        let (m, k, n) = (1500usize, 1500usize, 30_000usize);
+        let mut seed = 17u64;
+        let mut next = |below: usize| {
+            seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (seed >> 33) as usize % below
+        };
+        let mut ta = Vec::new();
+        for r in 0..m {
+            if r < 4 {
+                ta.extend((0..8u32).map(|c| (r, c, 1.0 + c as f64)));
+            } else {
+                ta.extend((0..8).map(|_| (r, (8 + next(k - 8)) as u32, 0.5 + next(4) as f64)));
+            }
+        }
+        let mut tb = Vec::new();
+        for r in 0..k {
+            if r < 8 {
+                tb.extend((r * 3000..(r + 1) * 3000).map(|c| (r, c as u32, 1.0 - (c % 5) as f64)));
+            } else {
+                tb.extend((0..8).map(|_| (r, next(n) as u32, 1.5)));
+            }
+        }
+        let a = Csr::from_triplets(m, k, &ta).unwrap();
+        let b = Csr::from_triplets(k, n, &tb).unwrap();
+        let opts = Options { policy: AlgorithmPolicy::Adaptive, ..Options::default() };
+        let plan = SpgemmPlan::new(&DeviceConfig::p100(), &a, &b, &opts).unwrap();
+        let c_ref = sparse::spgemm_ref::spgemm_gustavson(&a, &b).unwrap();
+        let nnz_row: Vec<u32> = (0..m).map(|r| c_ref.row_nnz(r) as u32).collect();
+        let numeric = plan.numeric_phase(&nnz_row).unwrap();
+        for (phase, groups) in [("count", &plan.count), ("calc", &numeric)] {
+            for algo in [AlgorithmChoice::Esc, AlgorithmChoice::Merge] {
+                let used = groups
+                    .groups
+                    .groups
+                    .iter()
+                    .zip(&groups.rows_by_group)
+                    .any(|(g, rows)| g.algorithm == algo && !rows.is_empty());
+                assert!(used, "test needs {algo} rows in the {phase} phase");
+            }
+        }
+        assert_thread_invariant("adaptive", &a, &b, &opts);
+    }
 }

@@ -21,6 +21,8 @@ use crate::config::DeviceConfig;
 use crate::cost::{BlockCost, CostModel};
 use crate::occupancy::occupancy;
 use crate::simtime::SimTime;
+use std::cmp::{Ordering, Reverse};
+use std::collections::BinaryHeap;
 
 /// A kernel waiting to be scheduled at the next synchronization point.
 #[derive(Debug, Clone)]
@@ -63,6 +65,45 @@ pub struct RegionSchedule {
     pub end: SimTime,
 }
 
+/// An SM and the instant it next falls idle, ordered by `(t, sm)` with
+/// `f64::total_cmp`.
+#[derive(Debug, Clone, Copy)]
+struct SmFree {
+    t: f64,
+    sm: usize,
+}
+
+impl Ord for SmFree {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.t.total_cmp(&other.t).then(self.sm.cmp(&other.sm))
+    }
+}
+
+impl PartialOrd for SmFree {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for SmFree {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for SmFree {}
+
+/// Run a block of `service` seconds, issuable from `ready`, on the
+/// earliest-free SM (ties to the lowest index); returns that SM and the
+/// block's end. O(log num_sms).
+fn place(sm_free: &mut BinaryHeap<Reverse<SmFree>>, ready: f64, service: f64) -> (usize, f64) {
+    // lint:allow(no-expect) — the heap holds cfg.num_sms entries, validated > 0
+    let mut top = sm_free.peek_mut().expect("num_sms > 0");
+    let end = top.0.t.max(ready) + service;
+    top.0.t = end;
+    (top.0.sm, end) // dropping `top` restores the heap order
+}
+
 /// Schedule `kernels` (in launch order) starting no earlier than `start`.
 ///
 /// `stream_ready` carries per-stream serialization state across calls and
@@ -74,7 +115,10 @@ pub fn schedule_region(
     start: SimTime,
     stream_ready: &mut Vec<SimTime>,
 ) -> RegionSchedule {
-    let mut sm_free = vec![start.secs(); cfg.num_sms];
+    // Min-heap of SMs by (free time, index): the top is the earliest-free
+    // SM, ties going to the lowest index, as the hardware scheduler picks.
+    let mut sm_free: BinaryHeap<Reverse<SmFree>> =
+        (0..cfg.num_sms).map(|sm| Reverse(SmFree { t: start.secs(), sm })).collect();
     let mut spans = Vec::with_capacity(kernels.len());
     let mut region_end = start;
     let mut region_bytes = 0.0f64;
@@ -100,18 +144,8 @@ pub fn schedule_region(
         let mut kernel_last = t_launch.secs();
         let mut kernel_bytes = 0.0f64;
         for b in &k.blocks {
-            // Earliest-free SM, deterministic tie-break by index.
-            let (sm, _) = sm_free
-                .iter()
-                .enumerate()
-                .min_by(|a, b| a.1.total_cmp(b.1).then(a.0.cmp(&b.0)))
-                .map(|(i, &t)| (i, t))
-                // lint:allow(no-expect) — sm_free has cfg.num_sms entries, validated > 0
-                .expect("num_sms > 0");
-            let b_start = sm_free[sm].max(t_launch.secs());
             let service = (b.slots + cost.block_overhead_slots) / slot_rate;
-            let b_end = b_start + service;
-            sm_free[sm] = b_end;
+            let (_, b_end) = place(&mut sm_free, t_launch.secs(), service);
             kernel_last = kernel_last.max(b_end);
             kernel_bytes += b.dram_bytes;
         }
@@ -239,6 +273,39 @@ mod tests {
         // Second region starts at r1.end; stream 0 must not go backwards.
         let r2 = schedule_region(&[kernel(0, 1, 1.0e6, 256)], &cfg, &cost, r1.end, &mut ready);
         assert!(r2.spans[0].start >= r1.end);
+    }
+
+    #[test]
+    fn heap_pick_matches_linear_scan() {
+        // The linear-scan rule the heap replaces: the earliest-free SM,
+        // ties to the lowest index. Services come from a small set and
+        // ready times repeat, so exact time ties are frequent.
+        let mut seed = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = |n: u64| {
+            seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (seed >> 33) % n
+        };
+        for num_sms in [1usize, 3, 56] {
+            let start = next(4) as f64;
+            let mut linear = vec![start; num_sms];
+            let mut heap: BinaryHeap<Reverse<SmFree>> =
+                (0..num_sms).map(|sm| Reverse(SmFree { t: start, sm })).collect();
+            let mut ready = start;
+            for _ in 0..5000 {
+                if next(50) == 0 {
+                    ready += next(3) as f64; // a new kernel's launch instant
+                }
+                let service = [0.5, 1.0, 1.0, 2.0, 0.25][next(5) as usize];
+                let (sm, _) = linear
+                    .iter()
+                    .enumerate()
+                    .min_by(|a, b| a.1.total_cmp(b.1).then(a.0.cmp(&b.0)))
+                    .unwrap();
+                let end = linear[sm].max(ready) + service;
+                linear[sm] = end;
+                assert_eq!(place(&mut heap, ready, service), (sm, end));
+            }
+        }
     }
 
     #[test]

@@ -321,6 +321,8 @@ fn executor_capabilities_are_truthful() {
     let mut sim_exec = SimExecutor::new(&mut gpu);
     let caps = Executor::<f64>::capabilities(&sim_exec);
     assert!(caps.simulated_time && !caps.wall_clock);
+    // The simulator walks rows on one worker per available core.
+    assert_eq!(caps.threads, std::thread::available_parallelism().map_or(1, |n| n.get()));
     let run = sim_exec.multiply(&a, &a, &Options::default()).unwrap();
     assert!(run.wall.is_none());
 }
