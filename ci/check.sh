@@ -21,8 +21,8 @@ cargo build --release --offline
 echo "== tier-1 tests (offline) ==" >&2
 cargo test -q --offline
 
-echo "== core + engine + vgpu crate tests (accumulators, groups, engine, scheduler, sanitizer units) ==" >&2
-cargo test -q --offline -p nsparse-core -p engine -p vgpu
+echo "== workspace tests (every crate's unit and integration tests) ==" >&2
+cargo test -q --offline --workspace
 
 echo "== trace smoke (telemetry exports valid + deterministic) ==" >&2
 smoke="$(mktemp -d)"

@@ -1214,11 +1214,17 @@ fn run_with_cache<T: Scalar, E: Executor<T>>(
     let run = plan.execute_with(exec, a, b);
     x_end(exec, tr, ns);
     let mut run = run?;
-    // The numeric report only covers `execute_with`; attribute the
-    // planning window (setup + count) back into it so per-job stage
-    // accounting sees the symbolic cost a cache hit would have skipped.
+    // The numeric report only covers `execute_with`; fold the planning
+    // window (setup + count) into its `Setup` entry and its total, so the
+    // cold job reports the symbolic cost a cache hit skips.
     if let Some(us) = sym_us {
-        run.report.phase_times.push((vgpu::Phase::Setup, vgpu::SimTime::from_us(us)));
+        let window = vgpu::SimTime::from_us(us);
+        let phases = &mut run.report.phase_times;
+        match phases.iter_mut().find(|(p, _)| *p == vgpu::Phase::Setup) {
+            Some((_, t)) => *t += window,
+            None => phases.push((vgpu::Phase::Setup, window)),
+        }
+        run.report.total_time += window;
     }
     shared.cache.insert(key, Arc::new(plan));
     Ok((run.matrix, run.report, CacheOutcome::Miss))
@@ -1371,6 +1377,28 @@ mod tests {
         assert_eq!(stats.symbolic_runs, 1);
         assert_eq!(stats.cache.hits, 4);
         assert_eq!(stats.cache.misses, 1);
+    }
+
+    #[test]
+    fn cold_job_report_folds_the_symbolic_window_into_setup() {
+        // One worker, one pattern on the sim backend: a cold job, then a
+        // hit that replays its plan and runs the same numeric phase.
+        let a = rand_mat(240, 29);
+        let mut eng = Engine::new(EngineConfig { workers: 1, ..EngineConfig::default() });
+        let tickets: Vec<_> =
+            (0..2).map(|_| eng.submit(JobSpec::new(Arc::clone(&a), Arc::clone(&a)))).collect();
+        let outs: Vec<_> = tickets.into_iter().map(|t| t.wait().unwrap()).collect();
+        let (cold, hit) = (&outs[0].report, &outs[1].report);
+        assert_eq!((outs[0].cache, outs[1].cache), (CacheOutcome::Miss, CacheOutcome::Hit));
+        let setups = cold.phase_times.iter().filter(|(p, _)| *p == vgpu::Phase::Setup).count();
+        assert_eq!(setups, 1, "one Setup entry: {:?}", cold.phase_times);
+        let setup = cold.phase_time(vgpu::Phase::Setup).us();
+        assert!(setup > 0.0);
+        assert_eq!(hit.phase_time(vgpu::Phase::Setup), vgpu::SimTime::ZERO);
+        // The whole difference between the jobs is the symbolic window.
+        let extra = cold.total_time.us() - hit.total_time.us();
+        assert!((extra - setup).abs() <= 1e-9 * cold.total_time.us(), "{extra} vs {setup}");
+        eng.shutdown();
     }
 
     #[test]
