@@ -28,8 +28,8 @@ echo "== trace smoke (telemetry exports valid + deterministic) ==" >&2
 smoke="$(mktemp -d)"
 trap 'rm -rf "$smoke"' EXIT
 for i in 1 2; do
-  cargo run -q --release --offline -p bench --bin trace -- \
-    --dataset QCD --tiny --check \
+  cargo run -q --release --offline -p bench --bin spgemm -- \
+    trace --dataset QCD --tiny --check \
     --jsonl "$smoke/run$i.jsonl" --chrome-trace "$smoke/run$i.json" \
     > "$smoke/stdout$i" 2>/dev/null
 done
@@ -145,6 +145,20 @@ cmp "$smoke/flight1.jsonl" "$smoke/flight2.jsonl"
 cmp "$smoke/flight1.jsonl.chrome.json" "$smoke/flight2.jsonl.chrome.json"
 grep -q '"kind":"batch_retry"' "$smoke/flight1.jsonl"
 grep -q '"status":"complete"' "$smoke/flight1.jsonl"
+
+echo "== host job tracing (host telemetry hand-off byte-deterministic) ==" >&2
+# The same gate on the host backend, whose executor carries the job's
+# telemetry session on both routes: under a 64 KiB budget the mix runs
+# 3 jobs direct and 7 batched.
+for i in 1 2; do
+  cargo run -q --release --offline -p bench --bin spgemm -- \
+    serve --jobs 10 --seed 7 --workers 1 --dim 128 --backend host:2 \
+    --budget 64K --no-verify --trace-jobs "$smoke/host-flight$i.jsonl" > /dev/null
+done
+cmp "$smoke/host-flight1.jsonl" "$smoke/host-flight2.jsonl"
+cmp "$smoke/host-flight1.jsonl.chrome.json" "$smoke/host-flight2.jsonl.chrome.json"
+grep -q '"kind":"stitch"' "$smoke/host-flight1.jsonl"
+grep -q '"outcome":"miss"' "$smoke/host-flight1.jsonl"
 
 echo "== chaos soak (hostile load drains clean at any worker count) ==" >&2
 # DESIGN.md §17: a seeded hostile job mix — recoverable OOMs, transient

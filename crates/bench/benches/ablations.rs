@@ -34,10 +34,10 @@ fn main() {
         let mut gpu = bench::device_for(&d);
         let (_, full) =
             nsparse_core::multiply(&mut gpu, &a, &a, &nsparse_core::Options::default()).unwrap();
-        let plan =
-            nsparse_core::SymbolicPlan::new(&mut gpu, &a, &a, &nsparse_core::Options::default())
-                .unwrap();
-        let (_, planned) = plan.execute(&mut gpu, &a, &a).unwrap();
+        let opts = nsparse_core::Options::default();
+        let mut exec = nsparse_core::SimExecutor::new(&mut gpu);
+        let plan = nsparse_core::SymbolicPlan::from_executor(&mut exec, &a, &a, &opts).unwrap();
+        let planned = plan.execute_with(&mut exec, &a, &a).unwrap().report;
         eprintln!(
             "plan_reuse FEM/Cantilever: full {} vs numeric-only {} (x{:.2})",
             full.total_time,

@@ -488,9 +488,8 @@ fn run_host_constrained<T: Scalar>(args: &Args, a: &Csr<T>, threads: usize) {
 }
 
 fn main() {
-    // `spgemm trace ...` delegates to the telemetry inspection CLI
-    // (also available as the standalone `trace` binary); `spgemm serve`
-    // to the job-engine serving mode; `spgemm bench` to the
+    // `spgemm trace ...` delegates to the telemetry inspection CLI;
+    // `spgemm serve` to the job-engine serving mode; `spgemm bench` to the
     // perf-regression observatory.
     let argv: Vec<String> = std::env::args().skip(1).collect();
     if argv.first().map(String::as_str) == Some("trace") {

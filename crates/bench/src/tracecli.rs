@@ -5,10 +5,9 @@
 //! attribution — plus machine-readable exports (`--jsonl`,
 //! `--chrome-trace`).
 //!
-//! Reachable both as `cargo run --bin trace -- ...` and as
-//! `cargo run --bin spgemm -- trace ...` (the `spgemm` binary delegates
-//! its `trace` subcommand here). The run is fully deterministic:
-//! identical arguments produce byte-identical exports.
+//! Reachable as `cargo run --bin spgemm -- trace ...` (the `spgemm`
+//! binary delegates its `trace` subcommand here). The run is fully
+//! deterministic: identical arguments produce byte-identical exports.
 
 use baselines::Algorithm;
 use nsparse_core::{AlgorithmPolicy, Estimator, Options};

@@ -11,17 +11,20 @@
 //! belongs to the backend-neutral plan in [`crate::plan`]) captures
 //! everything the numeric phase needs: the backend-neutral plan, the
 //! symbolic result (output row pointer, per-row nnz) and the options.
-//! `execute` then runs only the output `cudaMalloc` + numeric kernels on
-//! the simulated device — the same split [`crate::Executor`] draws,
-//! promoted to a cacheable object. A fingerprint of both input patterns
-//! guards against executing a plan on matrices it was not built for.
+//! It has one constructor and one execution path, both on any
+//! [`crate::Executor`]: [`SymbolicPlan::from_executor`] runs the setup +
+//! count phases (on the sim backend, `SymbolicPlan::from_executor(&mut
+//! SimExecutor::new(&mut gpu), ..)`), and [`SymbolicPlan::execute_with`]
+//! then runs only the output malloc + numeric kernels — the same split
+//! [`crate::Executor`] draws, promoted to a cacheable object. A
+//! fingerprint of both input patterns guards against executing a plan on
+//! matrices it was not built for.
 
 use crate::exec::{Execution, Executor, SymbolicOutput};
 use crate::pipeline::{Error, Options, Result};
 use crate::plan::SpgemmPlan;
-use crate::sim::SimExecutor;
 use sparse::{Csr, Scalar};
-use vgpu::{Gpu, SimTime, SpgemmReport};
+use vgpu::SimTime;
 
 /// FNV-1a over the structural arrays of a matrix (pattern only — values
 /// are free to change between plan and execute). Public because the
@@ -59,36 +62,19 @@ pub struct SymbolicPlan<T> {
 }
 
 impl<T: Scalar> SymbolicPlan<T> {
-    /// Build a plan by running the setup and count phases on the device
-    /// (their time is charged and reported in [`SymbolicPlan::plan_time`]).
-    pub fn new(gpu: &mut Gpu, a: &Csr<T>, b: &Csr<T>, opts: &Options) -> Result<Self> {
-        let t0 = gpu.elapsed();
-        let mut exec = SimExecutor::new(gpu);
-        let plan = Executor::<T>::plan(&exec, a, b, opts)?;
-        let symbolic = exec.execute_symbolic(&plan, a, b)?;
-        let plan_hash_probes = symbolic.hash_probes;
-        Ok(SymbolicPlan {
-            plan,
-            fingerprint_a: pattern_fingerprint(a),
-            fingerprint_b: pattern_fingerprint(b),
-            symbolic,
-            plan_time: gpu.elapsed() - t0,
-            plan_hash_probes,
-            _marker: std::marker::PhantomData,
-        })
-    }
-
-    /// Build a plan through *any* executor — the backend-neutral form
-    /// the engine's plan cache uses, so a cached symbolic result can be
-    /// produced by (and later replayed on) the sim or host backend
-    /// alike. `plan_time` is zero here: wall-clock backends do not
-    /// charge simulated time.
+    /// Build a plan by running the setup and count phases on `exec` —
+    /// the backend-neutral form the engine's plan cache uses, so a cached
+    /// symbolic result can be produced by (and later replayed on) the sim
+    /// or host backend alike. `plan_time` is the simulated time the two
+    /// phases advanced the executor's device clock by; zero on backends
+    /// without one (wall-clock backends do not charge simulated time).
     pub fn from_executor<E: Executor<T>>(
         exec: &mut E,
         a: &Csr<T>,
         b: &Csr<T>,
         opts: &Options,
     ) -> Result<Self> {
+        let t0 = exec.device_elapsed_us();
         let plan = exec.plan(a, b, opts)?;
         let symbolic = exec.execute_symbolic(&plan, a, b)?;
         let plan_hash_probes = symbolic.hash_probes;
@@ -97,7 +83,10 @@ impl<T: Scalar> SymbolicPlan<T> {
             fingerprint_a: pattern_fingerprint(a),
             fingerprint_b: pattern_fingerprint(b),
             symbolic,
-            plan_time: SimTime::ZERO,
+            plan_time: exec
+                .device_elapsed_us()
+                .zip(t0)
+                .map_or(SimTime::ZERO, |(t1, t0)| SimTime::from_us(t1 - t0)),
             plan_hash_probes,
             _marker: std::marker::PhantomData,
         })
@@ -153,22 +142,27 @@ impl<T: Scalar> SymbolicPlan<T> {
     pub fn output_rpt(&self) -> &[usize] {
         &self.symbolic.rpt
     }
-
-    /// Execute the numeric phase for matrices with the planned patterns
-    /// (values may differ from the planning call). Only output-malloc
-    /// and calc time is spent — the point of reusing the plan.
-    pub fn execute(&self, gpu: &mut Gpu, a: &Csr<T>, b: &Csr<T>) -> Result<(Csr<T>, SpgemmReport)> {
-        let mut exec = SimExecutor::new(gpu);
-        let run = self.execute_with(&mut exec, a, b)?;
-        Ok((run.matrix, run.report))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SimExecutor;
     use sparse::spgemm_ref::spgemm_gustavson;
-    use vgpu::{DeviceConfig, Phase};
+    use vgpu::{DeviceConfig, Gpu, Phase};
+
+    fn sim_plan(gpu: &mut Gpu, a: &Csr<f64>) -> SymbolicPlan<f64> {
+        SymbolicPlan::from_executor(&mut SimExecutor::new(gpu), a, a, &Options::default()).unwrap()
+    }
+
+    fn sim_execute(
+        plan: &SymbolicPlan<f64>,
+        gpu: &mut Gpu,
+        a: &Csr<f64>,
+    ) -> Result<(Csr<f64>, vgpu::SpgemmReport)> {
+        let run = plan.execute_with(&mut SimExecutor::new(gpu), a, a)?;
+        Ok((run.matrix, run.report))
+    }
 
     fn mats(n: usize, seed: u64) -> Csr<f64> {
         let mut s = seed;
@@ -186,11 +180,12 @@ mod tests {
     fn planned_execution_matches_direct_multiply() {
         let a = mats(400, 3);
         let mut gpu = Gpu::new(DeviceConfig::p100());
-        let plan = SymbolicPlan::new(&mut gpu, &a, &a, &Options::default()).unwrap();
-        let (c, report) = plan.execute(&mut gpu, &a, &a).unwrap();
+        let plan = sim_plan(&mut gpu, &a);
+        let (c, report) = sim_execute(&plan, &mut gpu, &a).unwrap();
         let c_ref = spgemm_gustavson(&a, &a).unwrap();
         assert_eq!(c, c_ref);
         assert_eq!(plan.output_nnz(), c_ref.nnz());
+        assert!(plan.plan_time > SimTime::ZERO, "the sim backend charges planning time");
         assert!(report.total_time > SimTime::ZERO);
         assert_eq!(gpu.live_mem_bytes(), 0);
     }
@@ -200,8 +195,8 @@ mod tests {
         let a = mats(2000, 7);
         let mut gpu = Gpu::new(DeviceConfig::p100());
         let (_, full) = crate::multiply(&mut gpu, &a, &a, &Options::default()).unwrap();
-        let plan = SymbolicPlan::new(&mut gpu, &a, &a, &Options::default()).unwrap();
-        let (_, planned) = plan.execute(&mut gpu, &a, &a).unwrap();
+        let plan = sim_plan(&mut gpu, &a);
+        let (_, planned) = sim_execute(&plan, &mut gpu, &a).unwrap();
         assert!(
             planned.total_time < full.total_time,
             "planned {} vs full {}",
@@ -217,14 +212,14 @@ mod tests {
     fn values_may_change_pattern_may_not() {
         let a = mats(300, 11);
         let mut gpu = Gpu::new(DeviceConfig::p100());
-        let plan = SymbolicPlan::new(&mut gpu, &a, &a, &Options::default()).unwrap();
+        let plan = sim_plan(&mut gpu, &a);
         // Same pattern, scaled values: fine.
         let a2 = a.scaled(3.0);
-        let (c, _) = plan.execute(&mut gpu, &a2, &a2).unwrap();
+        let (c, _) = sim_execute(&plan, &mut gpu, &a2).unwrap();
         assert_eq!(c, spgemm_gustavson(&a2, &a2).unwrap());
         // Different pattern: rejected.
         let other = mats(300, 12);
-        assert!(plan.execute(&mut gpu, &other, &other).is_err());
+        assert!(sim_execute(&plan, &mut gpu, &other).is_err());
     }
 
     #[test]
@@ -235,6 +230,7 @@ mod tests {
         let a = mats(350, 9);
         let mut host = crate::HostParallelExecutor::new(2);
         let plan = SymbolicPlan::from_executor(&mut host, &a, &a, &Options::default()).unwrap();
+        assert_eq!(plan.plan_time, SimTime::ZERO, "no device clock, no planning time");
         let a2 = a.scaled(2.5);
         let hit = plan.execute_with(&mut host, &a2, &a2).unwrap();
         let cold =
@@ -252,9 +248,9 @@ mod tests {
     fn repeated_execution_is_stable() {
         let a = mats(500, 5);
         let mut gpu = Gpu::new(DeviceConfig::p100());
-        let plan = SymbolicPlan::new(&mut gpu, &a, &a, &Options::default()).unwrap();
-        let (c1, r1) = plan.execute(&mut gpu, &a, &a).unwrap();
-        let (c2, r2) = plan.execute(&mut gpu, &a, &a).unwrap();
+        let plan = sim_plan(&mut gpu, &a);
+        let (c1, r1) = sim_execute(&plan, &mut gpu, &a).unwrap();
+        let (c2, r2) = sim_execute(&plan, &mut gpu, &a).unwrap();
         assert_eq!(c1, c2);
         assert_eq!(r1.total_time.secs().to_bits(), r2.total_time.secs().to_bits());
     }

@@ -55,8 +55,9 @@ use crate::recorder::{FlightRecorder, PhaseSpan, TraceBuilder};
 use crate::Result;
 use nsparse_core::{
     estimate_memory, Backend, BatchedExecutor, Error, ErrorKind, Executor, HostParallelExecutor,
-    JobCtl, Recovery, SimExecutor, SymbolicPlan,
+    JobCtl, Options, Recovery, SimExecutor, SymbolicPlan,
 };
+use obs::Telemetry;
 use sparse::{Csr, Scalar};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -668,14 +669,12 @@ fn worker_loop<T: Scalar>(shared: &Shared<T>) {
         let t0 = Instant::now();
         let queue_wait = t0.duration_since(job.submitted);
         let mut tracer: Tracer = shared.cfg.trace.then(|| TraceBuilder::new(job.id));
-        if let Some(tb) = tracer.as_mut() {
-            // The wait is over the moment the worker picks the job up;
-            // the span records *that it happened and where* — the wall
-            // duration is scheduling-dependent and lives only in the
-            // aggregate queue-wait metrics, never in the trace.
-            let qs = tb.begin("queue_wait");
-            tb.end(qs);
-        }
+        // The wait is over the moment the worker picks the job up; the
+        // span records *that it happened and where* — the wall duration
+        // is scheduling-dependent and lives only in the aggregate
+        // queue-wait metrics, never in the trace.
+        let qs = t_begin(&mut tracer, None, "queue_wait");
+        t_end(&mut tracer, None, qs);
         // Deterministic self-cancellation (chaos harness): flip the flag
         // at the same point the submitter's `JobTicket::cancel` targets.
         if job.spec.cancel_at == Some(CancelPoint::Pickup) {
@@ -792,6 +791,7 @@ impl<T: Scalar> Drop for Reservation<'_, T> {
 fn emit_breaker(tr: &mut Tracer, t: Transition) {
     t_emit(
         tr,
+        None,
         obs::Event::new("breaker").str("from", &t.from.to_string()).str("to", &t.to.to_string()),
     );
 }
@@ -821,7 +821,7 @@ fn process_job<T: Scalar>(
     }
     let backend = decision.backend;
     if decision.failed_over {
-        t_emit(tr, obs::Event::new("failover").str("backend", &backend.to_string()));
+        t_emit(tr, None, obs::Event::new("failover").str("backend", &backend.to_string()));
     }
 
     // Admission. A forecast over the whole budget can never run in one
@@ -836,15 +836,16 @@ fn process_job<T: Scalar>(
             c.admitted += 1;
         }
     });
-    let adm = t_begin(tr, "admission");
+    let adm = t_begin(tr, None, "admission");
     t_emit(
         tr,
+        None,
         obs::Event::new("reserve")
             .u64("bytes", reserve_bytes)
             .str("route", if on_batched { "batched" } else { "direct" }),
     );
     let mut reservation = Reservation::new(shared, reserve_bytes);
-    t_end(tr, adm);
+    t_end(tr, None, adm);
 
     // Deterministic chaos hooks, post-admission: both exercise the
     // reservation-release paths (cooperative cancellation at the next
@@ -863,7 +864,6 @@ fn process_job<T: Scalar>(
     let retry_budget = spec.retry_budget.unwrap_or(shared.cfg.retry_budget);
     let mut base_us: f64 = 0.0;
     let mut attempt: u32 = 0;
-    let mut fell_back = false;
     let dev_result = loop {
         attempt += 1;
         let ctl =
@@ -884,35 +884,30 @@ fn process_job<T: Scalar>(
                 _ => spec.faults.as_ref(),
             }
         };
-        let r = if on_batched {
-            run_batched(shared, spec, a, b, capacity, backend, faults, &ctl, tr)
-                .map(|(m, rep, retries)| (m, rep, Route::Batched, CacheOutcome::Bypass, retries))
-        } else {
-            match run_direct(shared, spec, a, b, est, backend, faults, &ctl, tr) {
-                Err(e) if e.recovery() == Recovery::RetrySmallerBatch => {
-                    // The forecast was admitted but the device still ran
-                    // out (fault injection, adversarial estimates):
-                    // retry batched under the full budget. Later
-                    // attempts stay batched.
-                    if !fell_back {
-                        fell_back = true;
-                        shared.metrics.with(|c| c.fallback += 1);
-                    }
-                    t_emit(tr, obs::Event::new("fallback").str("cause", &e.to_string()));
-                    let adm = t_begin(tr, "admission");
-                    t_emit(
-                        tr,
-                        obs::Event::new("reserve").u64("bytes", capacity).str("route", "fallback"),
-                    );
-                    reservation.resize(capacity);
-                    t_end(tr, adm);
-                    on_batched = true;
-                    run_batched(shared, spec, a, b, capacity, backend, faults, &ctl, tr).map(
-                        |(m, rep, retries)| (m, rep, Route::Batched, CacheOutcome::Bypass, retries),
-                    )
-                }
-                other => other.map(|(m, rep, cache)| (m, rep, Route::Direct, cache, 0)),
+        let attempt_on = |batched: bool, tr: &mut Tracer| {
+            let reserve = if batched { capacity } else { est };
+            run_attempt(shared, &spec.opts, a, b, backend, reserve, batched, faults, &ctl, tr)
+        };
+        let r = match attempt_on(on_batched, tr) {
+            Err(e) if !on_batched && e.recovery() == Recovery::RetrySmallerBatch => {
+                // The forecast was admitted but the device still ran out
+                // (fault injection, adversarial estimates): retry batched
+                // under the full budget. Later attempts stay batched, so
+                // this runs at most once per job.
+                shared.metrics.with(|c| c.fallback += 1);
+                t_emit(tr, None, obs::Event::new("fallback").str("cause", &e.to_string()));
+                let adm = t_begin(tr, None, "admission");
+                t_emit(
+                    tr,
+                    None,
+                    obs::Event::new("reserve").u64("bytes", capacity).str("route", "fallback"),
+                );
+                reservation.resize(capacity);
+                t_end(tr, None, adm);
+                on_batched = true;
+                attempt_on(true, tr)
             }
+            other => other,
         };
         match r {
             Err(e) if e.recovery() == Recovery::RetryAfterBackoff && attempt <= retry_budget => {
@@ -928,6 +923,7 @@ fn process_job<T: Scalar>(
                 shared.metrics.with(|c| c.backoff_retries += 1);
                 t_emit(
                     tr,
+                    None,
                     obs::Event::new("backoff")
                         .u64("attempt", u64::from(attempt))
                         .u64("wait_us", wait_us),
@@ -968,58 +964,25 @@ fn process_job<T: Scalar>(
 
 // ---- tracer helpers ----
 //
-// `t_*` operate on the TraceBuilder's own session (engine-side spans,
-// before/after the session is installed into a backend). `x_*` operate
-// through `Executor::telemetry_mut` — the same session, reached inside
-// the device while it is installed — but draw timestamps from the
-// TraceBuilder's logical clock so the sequence stays a pure function of
-// the code path.
+// One family for every span and event of a job. `installed` is the
+// backend's `telemetry_mut()` while a job attempt has the session
+// installed there, `None` when the `TraceBuilder` holds it; either way
+// timestamps come from the builder's logical clock, so the sequence is
+// a pure function of the code path.
 
-fn t_begin(tr: &mut Tracer, name: &str) -> Option<PhaseSpan> {
-    tr.as_mut().and_then(|tb| tb.begin(name))
+fn t_begin(tr: &mut Tracer, installed: Option<&mut Telemetry>, name: &str) -> Option<PhaseSpan> {
+    tr.as_mut()?.begin(installed, name)
 }
 
-fn t_end(tr: &mut Tracer, phase: Option<PhaseSpan>) {
+fn t_end(tr: &mut Tracer, installed: Option<&mut Telemetry>, phase: Option<PhaseSpan>) {
     if let Some(tb) = tr.as_mut() {
-        tb.end(phase);
+        tb.end(installed, phase);
     }
 }
 
-fn t_emit(tr: &mut Tracer, event: obs::Event) {
+fn t_emit(tr: &mut Tracer, installed: Option<&mut Telemetry>, event: obs::Event) {
     if let Some(tb) = tr.as_mut() {
-        tb.emit(event);
-    }
-}
-
-fn x_begin<T: Scalar, E: Executor<T>>(
-    exec: &mut E,
-    tr: &mut Tracer,
-    name: &str,
-) -> Option<PhaseSpan> {
-    let tb = tr.as_mut()?;
-    let t_us = tb.tick();
-    exec.telemetry_mut().map(|t| {
-        let span = t.span_begin(name, t_us);
-        let prev = t.set_parent(Some(span));
-        PhaseSpan { span, prev }
-    })
-}
-
-fn x_end<T: Scalar, E: Executor<T>>(exec: &mut E, tr: &mut Tracer, phase: Option<PhaseSpan>) {
-    let Some(tb) = tr.as_mut() else { return };
-    let t_us = tb.tick();
-    if let (Some(p), Some(t)) = (phase, exec.telemetry_mut()) {
-        t.set_parent(p.prev);
-        t.span_end(p.span, t_us);
-    }
-}
-
-fn x_emit<T: Scalar, E: Executor<T>>(exec: &mut E, tr: &mut Tracer, event: obs::Event) {
-    if tr.is_none() {
-        return;
-    }
-    if let Some(t) = exec.telemetry_mut() {
-        t.emit(event);
+        tb.emit(installed, event);
     }
 }
 
@@ -1099,25 +1062,41 @@ fn reserve<T: Scalar>(shared: &Shared<T>, bytes: u64) {
     }
 }
 
+/// One attempt's product: matrix, report, route, cache outcome and the
+/// batched route's budget-halving retries.
+type Attempt<T> = (Csr<T>, SpgemmReport, Route, CacheOutcome, u32);
+
+/// One job attempt — the per-attempt session every route and backend
+/// shares. Open: a fresh backend capped at the attempt's reservation
+/// (`est` direct, the whole budget batched) — on the sim backend a
+/// virtual GPU with the sanitizer and the attempt's fault plan, so
+/// concurrent jobs cannot exceed the shared budget in aggregate and
+/// device state never leaks across jobs; on the host backend an executor
+/// with the same capped config (planning never reads its memory size).
+/// The job's telemetry session is installed into the backend so engine
+/// spans and device events build one tree. Run: [`run_on`]. Close: the
+/// session goes back to the tracer on every path, error included; on the
+/// sim backend a successful run then passes the sanitizer gate and the
+/// leak check.
 #[allow(clippy::too_many_arguments)]
-fn run_direct<T: Scalar>(
+fn run_attempt<T: Scalar>(
     shared: &Shared<T>,
-    spec: &JobSpec<T>,
+    opts: &Options,
     a: &Csr<T>,
     b: &Csr<T>,
-    est: u64,
     backend: Backend,
+    reserve: u64,
+    batched: bool,
     faults: Option<&FaultPlan>,
     ctl: &JobCtl,
     tr: &mut Tracer,
-) -> Result<(Csr<T>, SpgemmReport, CacheOutcome)> {
-    match backend {
+) -> Result<Attempt<T>> {
+    let mut dev = shared.cfg.device.clone();
+    dev.device_mem_bytes = reserve.max(1);
+    let batch = batched.then_some(dev.device_mem_bytes);
+    let tel = tr.as_mut().map(TraceBuilder::take_tel);
+    let (tel, out) = match backend {
         Backend::Sim => {
-            // Fresh device per job, capped at the job's reservation, so
-            // concurrent jobs cannot exceed the shared budget in
-            // aggregate and device state never leaks across jobs.
-            let mut dev = shared.cfg.device.clone();
-            dev.device_mem_bytes = est.max(1);
             let mut gpu = Gpu::new(dev);
             if shared.cfg.sanitize {
                 gpu.enable_sanitizer();
@@ -1125,69 +1104,91 @@ fn run_direct<T: Scalar>(
             if let Some(faults) = faults {
                 gpu.set_fault_plan(faults.clone());
             }
-            // Install the job's telemetry session into the device so
-            // engine spans and device events build one tree; always
-            // retrieve it before propagating errors.
-            if let Some(tb) = tr.as_mut() {
-                gpu.set_telemetry(tb.take_tel());
+            if let Some(tel) = tel {
+                gpu.set_telemetry(tel);
             }
-            let out = {
-                let mut exec = SimExecutor::new(&mut gpu);
-                run_with_cache(shared, &mut exec, a, b, spec, ctl, tr)
-            };
-            if let Some(tb) = tr.as_mut() {
-                tb.put_tel(gpu.take_telemetry());
-            }
-            let out = out?;
-            san_finalize(shared, &mut gpu)?;
-            let live = gpu.live_mem_bytes();
-            if live != 0 {
-                return Err(Error::invariant(format!("job leaked {live} B of device memory")));
-            }
-            Ok(out)
+            let (out, _) = run_on(shared, SimExecutor::new(&mut gpu), a, b, opts, batch, ctl, tr);
+            let tel = gpu.take_telemetry();
+            let out = out.and_then(|out| {
+                san_finalize(shared, &mut gpu)?;
+                match gpu.live_mem_bytes() {
+                    0 => Ok(out),
+                    live => Err(Error::invariant(format!("job leaked {live} B of device memory"))),
+                }
+            });
+            (tel, out)
         }
         Backend::Host { threads } => {
-            let mut exec = HostParallelExecutor::with_config(threads, shared.cfg.device.clone());
-            if let Some(tb) = tr.as_mut() {
-                exec.set_telemetry(tb.take_tel());
+            let mut exec = HostParallelExecutor::with_config(threads, dev);
+            if let Some(tel) = tel {
+                exec.set_telemetry(tel);
             }
-            let out = run_with_cache(shared, &mut exec, a, b, spec, ctl, tr);
-            if let Some(tb) = tr.as_mut() {
-                tb.put_tel(exec.take_telemetry());
-            }
-            out
+            let (out, mut exec) = run_on(shared, exec, a, b, opts, batch, ctl, tr);
+            (exec.take_telemetry(), out)
         }
+    };
+    if let Some(tb) = tr.as_mut() {
+        tb.put_tel(tel);
     }
+    out
+}
+
+/// Run one attempt on `exec`: direct through the plan cache, or — with
+/// a `batch` byte budget — the row-batched fallback wrapped around it
+/// under the job's [`JobCtl`]. Hands `exec` back for the session to
+/// close.
+#[allow(clippy::too_many_arguments)]
+fn run_on<T: Scalar, E: Executor<T>>(
+    shared: &Shared<T>,
+    mut exec: E,
+    a: &Csr<T>,
+    b: &Csr<T>,
+    opts: &Options,
+    batch: Option<u64>,
+    ctl: &JobCtl,
+    tr: &mut Tracer,
+) -> (Result<Attempt<T>>, E) {
+    let Some(capacity) = batch else {
+        return (run_with_cache(shared, &mut exec, a, b, opts, ctl, tr), exec);
+    };
+    let mut batched = BatchedExecutor::new(exec, capacity);
+    batched.set_ctl(Some(ctl.clone()));
+    let bs = t_begin(tr, batched.inner_mut().telemetry_mut(), "batched");
+    let run = batched.multiply(a, b, opts);
+    t_end(tr, batched.inner_mut().telemetry_mut(), bs);
+    let retries = batched.retries_used();
+    let out = run.map(|r| (r.matrix, r.report, Route::Batched, CacheOutcome::Bypass, retries));
+    (out, batched.into_inner())
 }
 
 /// The cache-aware direct multiply: hit → numeric phase only, miss →
 /// plan cold and publish the plan. Phase spans go through the
-/// executor's telemetry — the job session lives inside the device here.
+/// executor's telemetry — the job session lives inside the backend here.
 fn run_with_cache<T: Scalar, E: Executor<T>>(
     shared: &Shared<T>,
     exec: &mut E,
     a: &Csr<T>,
     b: &Csr<T>,
-    spec: &JobSpec<T>,
+    opts: &Options,
     ctl: &JobCtl,
     tr: &mut Tracer,
-) -> Result<(Csr<T>, SpgemmReport, CacheOutcome)> {
-    let key = PlanKey::new(a, b, &spec.opts);
+) -> Result<Attempt<T>> {
+    let key = PlanKey::new(a, b, opts);
     if let Some(plan) = shared.cache.lookup(&key) {
-        x_emit(exec, tr, obs::Event::new("plan_cache").str("outcome", "hit"));
-        let ns = x_begin(exec, tr, "numeric");
-        let run = plan.execute_with(exec, a, b);
-        x_end(exec, tr, ns);
+        t_emit(tr, exec.telemetry_mut(), obs::Event::new("plan_cache").str("outcome", "hit"));
+        let ns = t_begin(tr, exec.telemetry_mut(), "numeric");
+        // The matching key already holds both operands' pattern
+        // fingerprints, so skip `execute_with`'s second hash of them.
+        let run = exec.execute_numeric(plan.plan(), plan.symbolic(), a, b);
+        t_end(tr, exec.telemetry_mut(), ns);
         let run = run?;
-        return Ok((run.matrix, run.report, CacheOutcome::Hit));
+        return Ok((run.matrix, run.report, Route::Direct, CacheOutcome::Hit, 0));
     }
-    x_emit(exec, tr, obs::Event::new("plan_cache").str("outcome", "miss"));
-    let sym0 = exec.device_elapsed_us();
-    let ss = x_begin(exec, tr, "symbolic");
-    let plan = SymbolicPlan::from_executor(exec, a, b, &spec.opts);
-    x_end(exec, tr, ss);
+    t_emit(tr, exec.telemetry_mut(), obs::Event::new("plan_cache").str("outcome", "miss"));
+    let ss = t_begin(tr, exec.telemetry_mut(), "symbolic");
+    let plan = SymbolicPlan::from_executor(exec, a, b, opts);
+    t_end(tr, exec.telemetry_mut(), ss);
     let plan = plan?;
-    let sym_us = exec.device_elapsed_us().zip(sym0).map(|(t1, t0)| t1 - t0);
     // Symbolic/numeric phase boundary: the deterministic cooperative
     // checkpoint for deadlines and cancellation (DESIGN.md §17).
     ctl.check(exec.device_elapsed_us().unwrap_or(0.0))?;
@@ -1195,13 +1196,13 @@ fn run_with_cache<T: Scalar, E: Executor<T>>(
     // already-corrected table sizes, and `Execution::replans` merely
     // echoes the plan's count — so both counters move on miss only.
     let replans = plan.symbolic().replans;
-    let sampled = spec.opts.estimator.is_sampled();
+    let sampled = opts.estimator.is_sampled();
     if sampled {
-        x_emit(
-            exec,
+        t_emit(
             tr,
+            exec.telemetry_mut(),
             obs::Event::new("estimate")
-                .str("estimator", &spec.opts.estimator.to_string())
+                .str("estimator", &opts.estimator.to_string())
                 .u64("replanned_rows", replans),
         );
     }
@@ -1210,15 +1211,16 @@ fn run_with_cache<T: Scalar, E: Executor<T>>(
         c.sampled_plans += u64::from(sampled);
         c.replanned_rows += replans;
     });
-    let ns = x_begin(exec, tr, "numeric");
+    let ns = t_begin(tr, exec.telemetry_mut(), "numeric");
     let run = plan.execute_with(exec, a, b);
-    x_end(exec, tr, ns);
+    t_end(tr, exec.telemetry_mut(), ns);
     let mut run = run?;
-    // The numeric report only covers `execute_with`; fold the planning
-    // window (setup + count) into its `Setup` entry and its total, so the
-    // cold job reports the symbolic cost a cache hit skips.
-    if let Some(us) = sym_us {
-        let window = vgpu::SimTime::from_us(us);
+    // The numeric report only covers `execute_with`; on a backend with a
+    // device clock, fold the planning window (setup + count) into its
+    // `Setup` entry and its total, so the cold job reports the symbolic
+    // cost a cache hit skips.
+    if exec.device_elapsed_us().is_some() {
+        let window = plan.plan_time;
         let phases = &mut run.report.phase_times;
         match phases.iter_mut().find(|(p, _)| *p == vgpu::Phase::Setup) {
             Some((_, t)) => *t += window,
@@ -1227,71 +1229,7 @@ fn run_with_cache<T: Scalar, E: Executor<T>>(
         run.report.total_time += window;
     }
     shared.cache.insert(key, Arc::new(plan));
-    Ok((run.matrix, run.report, CacheOutcome::Miss))
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_batched<T: Scalar>(
-    shared: &Shared<T>,
-    spec: &JobSpec<T>,
-    a: &Csr<T>,
-    b: &Csr<T>,
-    capacity: u64,
-    backend: Backend,
-    faults: Option<&FaultPlan>,
-    ctl: &JobCtl,
-    tr: &mut Tracer,
-) -> Result<(Csr<T>, SpgemmReport, u32)> {
-    let mut dev = shared.cfg.device.clone();
-    dev.device_mem_bytes = capacity.max(1);
-    match backend {
-        Backend::Sim => {
-            let mut gpu = Gpu::new(dev);
-            if shared.cfg.sanitize {
-                gpu.enable_sanitizer();
-            }
-            if let Some(faults) = faults {
-                gpu.set_fault_plan(faults.clone());
-            }
-            if let Some(tb) = tr.as_mut() {
-                gpu.set_telemetry(tb.take_tel());
-            }
-            let (run, retries) = {
-                let mut exec = BatchedExecutor::sim(&mut gpu);
-                exec.set_ctl(Some(ctl.clone()));
-                let bs = x_begin::<T, _>(&mut exec, tr, "batched");
-                let run = Executor::<T>::multiply(&mut exec, a, b, &spec.opts);
-                x_end::<T, _>(&mut exec, tr, bs);
-                (run, exec.retries_used())
-            };
-            if let Some(tb) = tr.as_mut() {
-                tb.put_tel(gpu.take_telemetry());
-            }
-            let run = run?;
-            san_finalize(shared, &mut gpu)?;
-            let live = gpu.live_mem_bytes();
-            if live != 0 {
-                return Err(Error::invariant(format!("job leaked {live} B of device memory")));
-            }
-            Ok((run.matrix, run.report, retries))
-        }
-        Backend::Host { threads } => {
-            let mut exec = BatchedExecutor::host(threads, dev);
-            exec.set_ctl(Some(ctl.clone()));
-            if let Some(tb) = tr.as_mut() {
-                exec.inner_mut().set_telemetry(tb.take_tel());
-            }
-            let bs = x_begin::<T, _>(&mut exec, tr, "batched");
-            let run = Executor::<T>::multiply(&mut exec, a, b, &spec.opts);
-            x_end::<T, _>(&mut exec, tr, bs);
-            let retries = exec.retries_used();
-            if let Some(tb) = tr.as_mut() {
-                tb.put_tel(exec.inner_mut().take_telemetry());
-            }
-            let run = run?;
-            Ok((run.matrix, run.report, retries))
-        }
-    }
+    Ok((run.matrix, run.report, Route::Direct, CacheOutcome::Miss, 0))
 }
 
 #[cfg(test)]

@@ -18,7 +18,11 @@
 //!   the queue), jobs that can never fit whole are routed through the
 //!   row-batched fallback ([`nsparse_core::BatchedExecutor`]), and
 //!   admitted jobs that still hit a recoverable device error fall back
-//!   to the same batched route;
+//!   to the same batched route. Every attempt, on either route and
+//!   either backend, runs as one session: a fresh backend capped at the
+//!   attempt's reservation, the job's telemetry installed into it once
+//!   and taken back once, and (on the sim backend) one sanitizer and
+//!   leak check after a successful run;
 //! * [`PlanCache`] — a shared LRU of [`nsparse_core::SymbolicPlan`]s
 //!   keyed by the sparsity-structure fingerprint of both inputs (dims +
 //!   `rpt` + `col`) plus the multiply options, so repeated structures

@@ -5,9 +5,10 @@
 //! the worker opens the root `job` span at pickup, the engine opens
 //! phase spans (`queue_wait`, `admission`, `symbolic`, `numeric`,
 //! `batched`) around its routing decisions, and the session is
-//! *installed into the backend device* while kernels run — so device
-//! events and engine spans share one span-id space and reassemble into
-//! a single causal tree per job.
+//! *installed into the backend* for each job attempt — taken from the
+//! [`TraceBuilder`] when the attempt opens and put back when it closes,
+//! each in exactly one place — so device events and engine spans share
+//! one span-id space and reassemble into a single causal tree per job.
 //!
 //! # Two clock domains, one tree
 //!
@@ -28,9 +29,8 @@ use obs::{Event, EventLog, SpanId, Telemetry, TraceCtx, Value};
 use std::collections::VecDeque;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-/// Handle for a phase span opened by [`TraceBuilder::begin`] (or the
-/// executor-side equivalent in the engine): the span plus the ambient
-/// parent to restore when it ends.
+/// Handle for a phase span opened by [`TraceBuilder::begin`]: the span
+/// plus the ambient parent to restore when it ends.
 #[derive(Debug, Clone, Copy)]
 pub struct PhaseSpan {
     /// The opened span.
@@ -40,10 +40,12 @@ pub struct PhaseSpan {
 }
 
 /// Builds one job's span tree. Holds the job's telemetry session except
-/// while it is installed into a backend device (`take_tel`/`put_tel`),
-/// and owns the job's logical sequence clock — which keeps ticking even
-/// while the session is installed, so span timestamps are a pure
-/// function of the code path taken.
+/// while it is installed into a backend (`take_tel`/`put_tel`), and owns
+/// the job's logical sequence clock — which keeps ticking even while the
+/// session is installed, so span timestamps are a pure function of the
+/// code path taken. One family of span/event methods (`begin`, `end`,
+/// `emit`) serves both places the session can be: each takes the
+/// backend's session while it is installed there, `None` otherwise.
 #[derive(Debug)]
 pub struct TraceBuilder {
     job: u64,
@@ -61,7 +63,7 @@ impl TraceBuilder {
         // No `job` field on the marker: `JobTrace::to_jsonl` splices a
         // `"job":N` prefix into every line of the finished trace.
         let mut tb = TraceBuilder { job, tel: Some(tel), root, seq: 1 };
-        tb.emit(Event::new("submit"));
+        tb.emit(None, Event::new("submit"));
         tb
     }
 
@@ -72,46 +74,51 @@ impl TraceBuilder {
 
     /// Next logical timestamp (ticks whether or not the session is
     /// currently held, so timestamps depend only on the code path).
-    pub fn tick(&mut self) -> f64 {
+    fn tick(&mut self) -> f64 {
         let t = self.seq;
         self.seq += 1;
         t as f64
     }
 
-    /// Record an event (dropped while the session is installed into a
-    /// device — emit through the executor's telemetry there instead).
-    pub fn emit(&mut self, event: Event) {
-        if let Some(t) = self.tel.as_mut() {
+    /// Record an event in the job's session wherever it lives:
+    /// `installed` (the backend's `telemetry_mut()`) while the session is
+    /// installed into a backend, `None` while the builder holds it.
+    pub fn emit(&mut self, installed: Option<&mut Telemetry>, event: Event) {
+        if let Some(t) = installed.or(self.tel.as_mut()) {
             t.emit(event);
         }
     }
 
-    /// Open a phase span and make it the ambient parent.
-    pub fn begin(&mut self, name: &str) -> Option<PhaseSpan> {
+    /// Open a phase span in the job's session wherever it lives (see
+    /// [`TraceBuilder::emit`]), stamped with the builder's logical clock,
+    /// and make it the ambient parent.
+    pub fn begin(&mut self, installed: Option<&mut Telemetry>, name: &str) -> Option<PhaseSpan> {
         let t_us = self.tick();
-        self.tel.as_mut().map(|t| {
-            let span = t.span_begin(name, t_us);
-            let prev = t.set_parent(Some(span));
-            PhaseSpan { span, prev }
-        })
+        let t = installed.or(self.tel.as_mut())?;
+        let span = t.span_begin(name, t_us);
+        Some(PhaseSpan { span, prev: t.set_parent(Some(span)) })
     }
 
-    /// Close a phase span and restore the previous ambient parent.
-    pub fn end(&mut self, phase: Option<PhaseSpan>) {
+    /// Close a phase span opened by [`TraceBuilder::begin`] and restore
+    /// the previous ambient parent.
+    pub fn end(&mut self, installed: Option<&mut Telemetry>, phase: Option<PhaseSpan>) {
         let t_us = self.tick();
-        if let (Some(p), Some(t)) = (phase, self.tel.as_mut()) {
+        if let (Some(p), Some(t)) = (phase, installed.or(self.tel.as_mut())) {
             t.set_parent(p.prev);
             t.span_end(p.span, t_us);
         }
     }
 
-    /// Detach the session for installation into a device. The engine
-    /// must `put_tel` it back before the next `begin`/`emit`.
+    /// Detach the session for installation into a backend. The engine
+    /// does this in exactly one place — when it opens a job attempt's
+    /// backend — and `put_tel`s it back in exactly one place when the
+    /// attempt closes, on every path, error included. In between, spans
+    /// and events reach it through the `installed` argument.
     pub fn take_tel(&mut self) -> Telemetry {
         self.tel.take().unwrap_or_default()
     }
 
-    /// Reattach a session retrieved from a device.
+    /// Reattach a session retrieved from a backend.
     pub fn put_tel(&mut self, tel: Option<Telemetry>) {
         if let Some(t) = tel {
             self.tel = Some(t);
@@ -131,7 +138,7 @@ impl TraceBuilder {
         if let Some(e) = error {
             event = event.str("error", e);
         }
-        self.emit(event);
+        self.emit(None, event);
         let t_us = self.tick();
         let events = match self.tel.take() {
             Some(mut t) => {
@@ -338,11 +345,11 @@ mod tests {
 
     fn sample_trace(job: u64) -> JobTrace {
         let mut tb = TraceBuilder::new(job);
-        let q = tb.begin("queue_wait");
-        tb.end(q);
-        let n = tb.begin("numeric");
-        tb.emit(Event::new("alloc").u64("bytes", 64));
-        tb.end(n);
+        let q = tb.begin(None, "queue_wait");
+        tb.end(None, q);
+        let n = tb.begin(None, "numeric");
+        tb.emit(None, Event::new("alloc").u64("bytes", 64));
+        tb.end(None, n);
         tb.finish(None)
     }
 

@@ -6,7 +6,7 @@
 //! cargo run --release --example plan_reuse [dataset-name] [repeats]
 //! ```
 
-use nsparse_repro::nsparse_core::SymbolicPlan;
+use nsparse_repro::nsparse_core::{SimExecutor, SymbolicPlan};
 use nsparse_repro::prelude::*;
 
 fn main() {
@@ -32,13 +32,14 @@ fn main() {
         full_total += r.total_time;
     }
     // Planned: one symbolic pass, numeric-only afterwards.
-    let plan = SymbolicPlan::new(&mut gpu, &a, &a, &Options::default()).unwrap();
+    let mut exec = SimExecutor::new(&mut gpu);
+    let plan = SymbolicPlan::from_executor(&mut exec, &a, &a, &Options::default()).unwrap();
     let mut planned_total = plan.plan_time;
     for i in 0..repeats {
         // Values change between applications; the pattern does not.
         let a_i = a.scaled(1.0 + i as f32 * 0.125);
-        let (_, r) = plan.execute(&mut gpu, &a_i, &a_i).unwrap();
-        planned_total += r.total_time;
+        let run = plan.execute_with(&mut exec, &a_i, &a_i).unwrap();
+        planned_total += run.report.total_time;
     }
     println!("\nfull multiply x{repeats}        : {full_total}");
     println!("plan once + numeric x{repeats} : {planned_total} (plan itself: {})", plan.plan_time);

@@ -7,7 +7,8 @@
 //! survivors stay bitwise identical.
 
 use engine::{
-    run_chaos, run_driver, ChaosConfig, DriverConfig, Engine, EngineConfig, JobSpec, Route,
+    run_chaos, run_driver, CacheOutcome, ChaosConfig, DriverConfig, Engine, EngineConfig, JobSpec,
+    Route,
 };
 use nsparse_core::{multiply, Backend, ErrorKind, Options};
 use quickprop::prelude::*;
@@ -136,6 +137,111 @@ fn faulted_job_trace_shows_retry_and_batched_completion() {
     assert!(rep.records[4].retries >= 1, "the retry must surface in the job record");
     // A recoverable fault is not a flight-recorder trigger.
     assert!(rep.flight_trigger.is_none());
+}
+
+/// Span ids of one job's trace mapped to the line each closes on, after
+/// checking the tree is well formed: unique ids, the root `job` span
+/// (id 0) closing last, every child's id above its parent's and its
+/// `span` line before the parent's, and every plain event parented
+/// under a span of the same tree.
+fn check_job_tree(lines: &[&str]) -> std::collections::HashMap<u64, usize> {
+    let field = |line: &str, key: &str| -> Option<u64> {
+        let pat = format!("\"{key}\":");
+        let rest = &line[line.find(&pat)? + pat.len()..];
+        let end = rest.find(|c: char| !c.is_ascii_digit()).unwrap_or(rest.len());
+        rest[..end].parse().ok()
+    };
+    let is_span = |line: &str| line.contains("\"kind\":\"span\"");
+    let mut closes = std::collections::HashMap::new();
+    for (i, line) in lines.iter().enumerate() {
+        obs::json::validate(line).expect("trace line is valid JSON");
+        if is_span(line) {
+            let id = field(line, "id").expect("span has an id");
+            assert!(closes.insert(id, i).is_none(), "span {id} closed twice");
+        }
+    }
+    assert_eq!(closes.get(&0), Some(&(lines.len() - 1)), "the root span closes last");
+    for (i, line) in lines.iter().enumerate() {
+        let parent = field(line, "parent");
+        if is_span(line) && field(line, "id") == Some(0) {
+            assert_eq!(parent, None, "the root span has no parent");
+            continue;
+        }
+        let p = parent.unwrap_or_else(|| panic!("unparented line: {line}"));
+        let p_line = *closes.get(&p).unwrap_or_else(|| panic!("parent {p} never closed"));
+        if is_span(line) {
+            assert!(p < field(line, "id").unwrap(), "child id below its parent's: {line}");
+            assert!(i < p_line, "child must close before its parent: {line}");
+        }
+    }
+    closes
+}
+
+#[test]
+fn host_job_traces_cover_direct_and_batched_routes_byte_identically() {
+    // Host backend, traced, one worker: a cold direct job, a plan-cache
+    // hit, and two jobs whose forecast exceeds the 64 KiB budget and run
+    // batched. Both routes install the job's telemetry session into the
+    // host executor and must hand it back intact.
+    let small = Arc::new(matgen::generators::random_uniform::<f64>(48, 4.0, 12, 21));
+    let big = Arc::new(matgen::generators::random_uniform::<f64>(220, 6.0, 24, 5));
+    let run = || {
+        let mut eng: Engine<f64> = Engine::new(EngineConfig {
+            workers: 1,
+            backend: Backend::Host { threads: 2 },
+            budget_bytes: Some(64 * 1024),
+            trace: true,
+            ..EngineConfig::default()
+        });
+        let flight = eng.flight();
+        let tickets: Vec<_> = [&small, &small, &big, &big]
+            .iter()
+            .map(|m| eng.submit(JobSpec::new(Arc::clone(m), Arc::clone(m))))
+            .collect();
+        let outs: Vec<_> = tickets.into_iter().map(|t| t.wait().unwrap()).collect();
+        let stats = eng.shutdown();
+        assert!(stats.budget_drained);
+        (outs, flight.dump(&stats), flight.chrome())
+    };
+    let (outs, dump, chrome) = run();
+    let routes: Vec<_> = outs.iter().map(|o| (o.route, o.cache)).collect();
+    assert_eq!(
+        routes,
+        [
+            (Route::Direct, CacheOutcome::Miss),
+            (Route::Direct, CacheOutcome::Hit),
+            (Route::Batched, CacheOutcome::Bypass),
+            (Route::Batched, CacheOutcome::Bypass),
+        ]
+    );
+    for (out, m) in outs.iter().zip([&small, &small, &big, &big]) {
+        assert_eq!(bits(&out.matrix), bits(&reference(m, m)), "host job output diverged");
+    }
+    for job in 0..4 {
+        let prefix = format!("{{\"job\":{job},");
+        let lines: Vec<&str> = dump.lines().filter(|l| l.starts_with(&prefix)).collect();
+        check_job_tree(&lines);
+        let has = |kind: &str| lines.iter().any(|l| l.contains(kind));
+        let span = |name: &str| has(&format!("\"kind\":\"span\",\"name\":\"{name}\""));
+        let event = |kind: &str| has(&format!("\"kind\":\"{kind}\""));
+        assert!(has("\"status\":\"complete\""), "job {job} must complete");
+        match job {
+            0 => {
+                assert!(has("\"outcome\":\"miss\"") && span("symbolic") && span("numeric"));
+            }
+            1 => {
+                assert!(has("\"outcome\":\"hit\"") && span("numeric"));
+                assert!(!span("symbolic"), "a cache hit skips the symbolic phase");
+            }
+            _ => {
+                assert!(span("batched") && event("batch") && event("stitch"), "job {job}");
+                assert!(!event("plan_cache"), "batched jobs bypass the plan cache");
+            }
+        }
+    }
+    let (_, dump2, chrome2) = run();
+    assert_eq!(dump, dump2, "identical host runs must dump identical bytes");
+    assert_eq!(chrome, chrome2);
 }
 
 #[test]

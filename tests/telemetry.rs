@@ -151,17 +151,17 @@ mod span_tree_props {
                 let mut stack = Vec::new();
                 for (i, op) in ops.iter().enumerate() {
                     match *op {
-                        0 => stack.push(tb.begin(["admission", "symbolic", "numeric"][i % 3])),
+                        0 => stack.push(tb.begin(None, ["admission", "symbolic", "numeric"][i % 3])),
                         1 => {
                             if let Some(s) = stack.pop() {
-                                tb.end(s);
+                                tb.end(None, s);
                             }
                         }
-                        _ => tb.emit(obs::Event::new("marker").u64("i", i as u64)),
+                        _ => tb.emit(None, obs::Event::new("marker").u64("i", i as u64)),
                     }
                 }
                 while let Some(s) = stack.pop() {
-                    tb.end(s);
+                    tb.end(None, s);
                 }
                 tb.finish(None).to_jsonl()
             };
