@@ -120,6 +120,27 @@ for seed in 11 29; do
   done
 done
 
+echo "== serve mode, host cache hits (host:1 outputs equal the sim's) ==" >&2
+# A host plan-cache hit fills values into the column structure its
+# symbolic phase recorded (DESIGN.md §14). Every job's output must still
+# equal the sim backend's byte for byte, and the mix must hit the cache.
+for seed in 11 29; do
+  cargo run -q --release --offline -p bench --bin spgemm -- \
+    serve --jobs 24 --seed "$seed" --workers 1 --dim 160 --backend sim \
+    --out-dir "$smoke/hits-sim-$seed" > "$smoke/hits-sim-$seed.out"
+  for workers in 1 4; do
+    out="$smoke/hits-host-$seed-$workers"
+    cargo run -q --release --offline -p bench --bin spgemm -- \
+      serve --jobs 24 --seed "$seed" --workers "$workers" --dim 160 \
+      --backend host:1 --out-dir "$out" > "$out.out"
+    grep -q "^verify      : ok" "$out.out"
+    grep -Eq "^plan cache  : [1-9][0-9]* hits" "$out.out"
+    for f in "$smoke/hits-sim-$seed"/*.mtx; do
+      cmp "$f" "$out/$(basename "$f")"
+    done
+  done
+done
+
 echo "== serve mode (fault-injected job mix, shared budget drains) ==" >&2
 # Injected device OOM must route jobs through the batched fallback and
 # still release every budget reservation (the no-leak contract at the

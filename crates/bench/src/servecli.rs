@@ -146,8 +146,13 @@ fn print_report<T: Scalar>(args: &ServeArgs, rep: &DriverReport<T>) -> i32 {
         s.admitted, s.queued, s.batched, s.fallback
     );
     println!(
-        "plan cache  : {} hits, {} misses, {} evictions ({} cached, cap {})",
-        s.cache.hits, s.cache.misses, s.cache.evictions, s.cache.len, s.cache.capacity
+        "plan cache  : {} hits, {} misses, {} evictions ({} cached, {} B, cap {})",
+        s.cache.hits,
+        s.cache.misses,
+        s.cache.evictions,
+        s.cache.len,
+        s.cache.bytes,
+        s.cache.capacity
     );
     println!(
         "symbolic    : {} cold runs for {} direct jobs ({} skipped via cache)",

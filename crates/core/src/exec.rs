@@ -14,7 +14,7 @@
 
 use crate::pipeline::{Error, Options, Result};
 use crate::plan::SpgemmPlan;
-use sparse::{Csr, Scalar};
+use sparse::{to_u64, Csr, Scalar};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -76,7 +76,8 @@ pub struct BackendCaps {
     pub deterministic_output: bool,
 }
 
-/// Result of the symbolic (count) phase: exact per-row output sizes.
+/// Result of the symbolic (count) phase: exact per-row output sizes
+/// and, when the backend records it, the output's structure.
 #[derive(Debug, Clone)]
 pub struct SymbolicOutput {
     /// nnz of each output row.
@@ -90,17 +91,34 @@ pub struct SymbolicOutput {
     /// with exact products (always 0 under [`crate::Estimator::Exact`];
     /// DESIGN.md §16's replan contract).
     pub replans: u64,
+    /// The output's structure: every row's sorted column indices, back
+    /// to back and laid out by `rpt` — the column array `C` will have.
+    /// The patterns alone decide it, so the host backend records it in
+    /// its symbolic phase and its numeric phase (the plan-cache hit
+    /// path) only fills values, checking each row against it. `None`
+    /// from the simulator, whose numeric kernels rebuild every row; the
+    /// host derives it again when it replays such a result.
+    pub structure: Option<Vec<u32>>,
 }
 
 impl SymbolicOutput {
     pub(crate) fn from_nnz_row(nnz_row: Vec<u32>, hash_probes: u64, replans: u64) -> Self {
         let rpt = prefix_sum(&nnz_row);
-        SymbolicOutput { nnz_row, rpt, hash_probes, replans }
+        SymbolicOutput { nnz_row, rpt, hash_probes, replans, structure: None }
     }
 
     /// Total nnz of the output matrix.
     pub fn output_nnz(&self) -> usize {
         *self.rpt.last().unwrap_or(&0)
+    }
+
+    /// Heap bytes of the result: the row arrays (`nnz_row`, `rpt`) and
+    /// the structure, 4 B per output entry, when there is one.
+    pub fn heap_bytes(&self) -> u64 {
+        let words = |len: usize, bytes: usize| to_u64(len) * to_u64(bytes);
+        words(self.nnz_row.len(), 4)
+            + words(self.rpt.len(), std::mem::size_of::<usize>())
+            + words(self.structure.as_ref().map_or(0, Vec::len), 4)
     }
 }
 
@@ -110,9 +128,10 @@ impl SymbolicOutput {
 ///
 /// The host backend's `multiply` reports `Setup` (planning), `Count`
 /// and `Calc` when it runs the two phases — its first call of a value
-/// type — and `Setup` and `Calc` when it walks every row once (one
-/// window that counts and accumulates, then copies into `C`). Its
-/// `execute_numeric` reports `Calc` alone.
+/// type, whose `Count` now records and sorts every row's columns and
+/// whose `Calc` only fills values — and `Setup` and `Calc` when it
+/// walks every row once (one window that counts and accumulates, then
+/// copies into `C`). Its `execute_numeric` reports `Calc` alone.
 #[derive(Debug, Clone, Default)]
 pub struct WallClock {
     /// End-to-end duration of the multiply.
@@ -312,6 +331,11 @@ mod tests {
         assert_eq!(s.output_nnz(), 5);
         assert_eq!(s.hash_probes, 7);
         assert_eq!(s.replans, 0);
+        // Row arrays only: 3 counts and 4 row pointers.
+        let word = std::mem::size_of::<usize>() as u64;
+        assert_eq!(s.heap_bytes(), 4 * 3 + word * 4);
+        let s = SymbolicOutput { structure: Some(vec![0, 1, 0, 1, 2]), ..s };
+        assert_eq!(s.heap_bytes(), 4 * 3 + word * 4 + 4 * 5);
         let empty = SymbolicOutput::from_nnz_row(vec![], 0, 0);
         assert_eq!(empty.output_nnz(), 0);
     }

@@ -9,12 +9,37 @@
 //! ranges from a [`JobQueue`] — but accumulates rows the way a CPU wants
 //! to, not the way shared memory forces a GPU to. Every worker owns a
 //! **dense accumulator** for the plan's hash rows: a stamp and a value
-//! per column of `B`, reset between rows in O(1) by bumping an epoch.
-//! Each new column is listed as it appears, the list is sorted in place
-//! and the values are gathered from the accumulator: no per-row
-//! allocation, no scan over empty slots, no `(column, value)` pair sort.
-//! Only a `B` wider than [`DENSE_MAX_COLS`] skips the arrays; its hash
-//! rows run the ESC row kernel instead.
+//! per column of `B`, reset between rows in O(1) by bumping an epoch:
+//! no per-row allocation, no scan over empty slots, no `(column, value)`
+//! pair sort. Only a `B` wider than [`DENSE_MAX_COLS`] skips the arrays;
+//! its hash rows run the ESC row kernel instead.
+//!
+//! # Structure, then values
+//!
+//! The paper's symbolic phase sizes every output row; the host's also
+//! records it. `execute_symbolic` walks each row through the stamps
+//! alone, lists each new column as it appears, sorts the row in place
+//! and stages it per chunk, then copies the chunks in row order into the
+//! output's **structure**: its sorted column array, laid out by the row
+//! pointer ([`SymbolicOutput::structure`]). The structure depends only on
+//! the patterns, so `execute_numeric` — the numeric phase and the
+//! plan-cache hit path — is a values-only pass: it accumulates each row
+//! through the dense arrays and gathers the values in the recorded
+//! column order. It builds no column list and sorts nothing; `C`'s
+//! column array is the structure, copied from a cached plan or moved in
+//! by `multiply`'s two phases. A hash row above the plan's table
+//! capacity for it (a sampled under-estimate) is complete all the same
+//! and counts as a replan.
+//!
+//! Replay is verified, not trusted. Each row must produce exactly as
+//! many new columns as its symbolic count, and every recorded column, in
+//! strictly increasing order, must be one this row stamped. Together
+//! these make the two column sets equal, so a stale or corrupted
+//! structure is an [`Error::invariant`], never a wrong matrix. ESC,
+//! merge and wide-`B` rows run their own kernels and compare the columns
+//! they produce. A symbolic result without a structure (the
+//! simulator's) is replayed by deriving one first, with the same
+//! structure pass.
 //!
 //! # One walk per product
 //!
@@ -29,17 +54,15 @@
 //!
 //! The walk only pays off on an executor that is *reused*: writing
 //! rows into freshly allocated staging faults in as many pages as the
-//! saved count pass costs, so the walk needs the staging an earlier
-//! walk left behind. The executor therefore picks the path from its own
-//! history. The first `multiply` of a value type — for most callers the
-//! only one — runs the two phases, `execute_symbolic` then
-//! `execute_numeric`, and allocates no staging. Every later one walks
-//! once and keeps its emptied staging for the next, trimmed when it
-//! holds far more than the call needed. The two phases also stay for
-//! plan reuse: `execute_symbolic` counts rows for a cacheable
-//! [`crate::SymbolicPlan`], and `execute_numeric` — the plan-cache hit
-//! path — writes each row straight into `C` through the same dense row
-//! loop as the walk.
+//! saved pass costs, so the walk needs the staging an earlier walk left
+//! behind. The executor therefore picks the path from its own history.
+//! The first `multiply` of a value type — for most callers the only one
+//! — runs the two phases, `execute_symbolic` then `execute_numeric`,
+//! and keeps no staging. Every later one walks once and keeps its
+//! emptied staging for the next, trimmed when it holds far more than the
+//! call needed. The two phases also stay for plan reuse:
+//! `execute_symbolic` records the structure a cacheable
+//! [`crate::SymbolicPlan`] holds, and every plan-cache hit replays it.
 //!
 //! # Determinism
 //!
@@ -53,9 +76,9 @@
 //! `-0.0` into `+0.0`). Every job writes only its own rows — its own
 //! staging, or its own output slice carved with `split_at_mut` at
 //! row-pointer boundaries — so scheduling decides *when* a row is
-//! computed, never *what* it computes. The one-phase walk dispatches each
-//! row on the count phase's arm and the numeric phase on the numeric
-//! phase's; all arms produce the same bits.
+//! computed, never *what* it computes. The structure pass and the walk
+//! dispatch each row on the count phase's arm, the values pass on the
+//! numeric phase's; all arms produce the same bits.
 //!
 //! The host inspects no hash slots, so its `hash_probes` is 0
 //! (DESIGN.md §12).
@@ -71,10 +94,11 @@ use crate::pipeline::{overflow_err, Error, Options, Result};
 use crate::plan::{exact_row_products, SpgemmPlan};
 use crate::rowalg::{
     esc_numeric_row, esc_symbolic_row, merge_numeric_row, merge_symbolic_row, AlgorithmChoice,
-    RowAlgScratch,
+    RowAlgScratch, RowAlgStats,
 };
 use sparse::{ix, to_u64, Csr, Scalar, SparseError, DEVICE_INDEX_BYTES};
 use std::any::Any;
+use std::borrow::Cow;
 use std::time::Instant;
 use vgpu::{DeviceConfig, Phase, SimTime, SpgemmReport};
 
@@ -103,7 +127,7 @@ const STAGING_SLACK: u64 = 8;
 pub const DENSE_MAX_COLS: usize = 1 << 20;
 
 /// A worker thread's accumulator for the plan's hash rows: a stamp and
-/// (numeric phase) a value per column of `B`, allocated on the first row
+/// (values passes) a value per column of `B`, allocated on the first row
 /// and reused for every later one. An epoch stamp marks the columns of
 /// the current row, so a reset is O(1). A `B` wider than
 /// [`DENSE_MAX_COLS`] gets no arrays: its rows run the ESC kernel.
@@ -112,8 +136,8 @@ struct RowAccumulator<T> {
     dense: bool,
     /// Column count of `B` (the arrays' length).
     width: usize,
-    /// Whether values are accumulated (numeric phase) or only columns
-    /// counted (symbolic phase).
+    /// Whether values are accumulated (the values pass and the walk) or
+    /// only columns recorded (the structure pass).
     numeric: bool,
     /// The epoch that last claimed each column.
     stamp: Vec<u32>,
@@ -121,8 +145,6 @@ struct RowAccumulator<T> {
     vals: Vec<T>,
     /// Stamp of the current row.
     epoch: u32,
-    /// Row scratch of the ESC kernel, when `B` is too wide for the arrays.
-    esc: RowAlgScratch<T>,
 }
 
 impl<T: Scalar> RowAccumulator<T> {
@@ -135,7 +157,6 @@ impl<T: Scalar> RowAccumulator<T> {
             stamp: Vec::new(),
             vals: Vec::new(),
             epoch: 0,
-            esc: RowAlgScratch::new(),
         }
     }
 
@@ -162,43 +183,40 @@ impl<T: Scalar> RowAccumulator<T> {
         }
     }
 
-    /// Count row `row`'s distinct output columns. `None` when they
-    /// exceed `bound` — the plan's table capacity for the row; the walk
-    /// stops there and the row is replanned. `usize::MAX` never stops.
-    fn count_row(
+    /// Append row `row`'s distinct columns, sorted, to `out` — a walk of
+    /// the stamps alone — and return the row's nnz. The columns are
+    /// reserved up front for the row's bound (its products, at most
+    /// `B`'s width), so the walk itself never reallocates.
+    fn structure_row(
         &mut self,
         a: &Csr<T>,
         b: &Csr<T>,
         row: usize,
-        bound: usize,
-    ) -> Result<Option<u32>> {
-        if !self.dense {
-            let nnz = esc_symbolic_row(a, b, row, &mut self.esc).nnz;
-            return Ok((ix(nnz) <= bound).then_some(nnz));
-        }
+        out: &mut Vec<u32>,
+    ) -> Result<usize> {
+        let start = out.len();
+        reserve(out, exact_row_products(a, b, row).min(self.width))?;
         self.start_row();
         let (stamp, epoch) = (&mut self.stamp, self.epoch);
-        let mut nnz = 0usize;
         for &k in a.row(row).0 {
             for &j in b.row(ix(k)).0 {
                 let seen = &mut stamp[ix(j)];
                 if *seen != epoch {
                     *seen = epoch;
-                    nnz += 1;
-                    if nnz > bound {
-                        return Ok(None);
-                    }
+                    out.push(j);
                 }
             }
         }
-        u32::try_from(nnz).map(Some).map_err(|_| overflow_err("host row nnz"))
+        let row_cols = &mut out[start..];
+        row_cols.sort_unstable();
+        Ok(row_cols.len())
     }
 
     /// Walk row `row` through the dense arrays — the one accumulate loop
-    /// of both paths. The first product of a column *assigns* its value,
-    /// later ones `+=`, in A-row traversal order — never `0 + x`, which
-    /// would turn `-0.0` into `+0.0`. `new_col` receives each column the
-    /// first time it appears.
+    /// of the values pass and the walk. The first product of a column
+    /// *assigns* its value, later ones `+=`, in A-row traversal order —
+    /// never `0 + x`, which would turn `-0.0` into `+0.0`. `new_col`
+    /// receives each column the first time it appears.
     #[inline]
     fn accumulate(&mut self, a: &Csr<T>, b: &Csr<T>, row: usize, mut new_col: impl FnMut(u32)) {
         self.start_row();
@@ -219,34 +237,31 @@ impl<T: Scalar> RowAccumulator<T> {
         }
     }
 
-    /// Accumulate row `row` into `out_cols`/`out_vals`, which hold
-    /// exactly the row's nnz entries (its symbolic count). Each new
-    /// column is listed in `out_cols` as it appears; `out_cols` is then
-    /// sorted in place and `out_vals` gathered in that order.
-    fn numeric_row(
+    /// Accumulate row `row` and write its values to `out_vals` in the
+    /// order of `cols`, the row's recorded structure (as long as
+    /// `out_vals`). The replay is checked: the row must produce exactly
+    /// `cols.len()` new columns, and each recorded column, in strictly
+    /// increasing order, must be one this row stamped — so the recorded
+    /// and the produced column sets are equal.
+    fn values_row(
         &mut self,
         a: &Csr<T>,
         b: &Csr<T>,
         row: usize,
-        out_cols: &mut [u32],
+        cols: &[u32],
         out_vals: &mut [T],
     ) -> Result<()> {
-        if !self.dense {
-            esc_numeric_row(a, b, row, &mut self.esc, out_cols, out_vals);
-            return Ok(());
+        let mut produced = 0usize;
+        self.accumulate(a, b, row, |_| produced += 1);
+        if produced != cols.len() {
+            return Err(replay_mismatch());
         }
-        let mut nnz = 0usize;
-        self.accumulate(a, b, row, |j| {
-            if let Some(slot) = out_cols.get_mut(nnz) {
-                *slot = j;
+        let mut prev = None;
+        for (v, &j) in out_vals.iter_mut().zip(cols) {
+            if self.stamp.get(ix(j)) != Some(&self.epoch) || prev >= Some(j) {
+                return Err(replay_mismatch());
             }
-            nnz += 1;
-        });
-        if nnz != out_cols.len() {
-            return Err(Error::invariant("host numeric row disagrees with its symbolic nnz"));
-        }
-        out_cols.sort_unstable();
-        for (v, &j) in out_vals.iter_mut().zip(out_cols.iter()) {
+            prev = Some(j);
             *v = self.vals[ix(j)];
         }
         Ok(())
@@ -274,6 +289,51 @@ impl<T: Scalar> RowAccumulator<T> {
         out.vals.extend(row_cols.iter().map(|&j| self.vals[ix(j)]));
         Ok(row_cols.len())
     }
+}
+
+/// The error of a values pass whose row disagrees with the structure it
+/// replays.
+fn replay_mismatch() -> Error {
+    Error::invariant("host numeric row disagrees with its recorded structure")
+}
+
+/// An ESC or merge numeric row kernel (`esc_numeric_row`,
+/// `merge_numeric_row`).
+type RowKernel<T> =
+    fn(&Csr<T>, &Csr<T>, usize, &mut RowAlgScratch<T>, &mut [u32], &mut [T]) -> RowAlgStats;
+
+/// Replay row `row` through an ESC or merge row kernel, check the
+/// columns it produces against the row's recorded `cols`, then write its
+/// values to `out_vals`. The kernel writes into `buf`, sized to the
+/// row's products (a bound on its nnz), so a wrong record cannot
+/// overrun it.
+#[allow(clippy::too_many_arguments)]
+fn replay_row<T: Scalar>(
+    kernel: RowKernel<T>,
+    a: &Csr<T>,
+    b: &Csr<T>,
+    row: usize,
+    scratch: &mut RowAlgScratch<T>,
+    buf: &mut Staged<T>,
+    cols: &[u32],
+    out_vals: &mut [T],
+) -> Result<()> {
+    let mut nnz = 0;
+    buf.cols.clear();
+    buf.vals.clear();
+    buf.fill(exact_row_products(a, b, row), |c, v| nnz = ix(kernel(a, b, row, scratch, c, v).nnz))?;
+    if buf.cols.get(..nnz) != Some(cols) {
+        return Err(replay_mismatch());
+    }
+    out_vals.copy_from_slice(&buf.vals[..nnz]);
+    Ok(())
+}
+
+/// Append `cols` to `out`, returning how many there were.
+fn append(out: &mut Vec<u32>, cols: &[u32]) -> Result<usize> {
+    reserve(out, cols.len())?;
+    out.extend_from_slice(cols);
+    Ok(cols.len())
 }
 
 /// One chunk's rows of `C`, staged by the one-phase walk until the
@@ -501,71 +561,9 @@ impl<T: Scalar> Executor<T> for HostParallelExecutor {
         a: &Csr<T>,
         b: &Csr<T>,
     ) -> Result<SymbolicOutput> {
-        let mut nnz_row = vec![0u32; a.rows()];
-        // Carve the output into per-range slices so each job owns its
-        // rows' counters outright.
-        let mut jobs = Vec::new();
-        let mut rest: &mut [u32] = &mut nnz_row;
-        for range in plan.count.partition(self.threads * CHUNKS_PER_THREAD) {
-            let (chunk, tail) = rest.split_at_mut(range.len());
-            rest = tail;
-            jobs.push((range, chunk));
-        }
-        let workers = self.threads.min(jobs.len());
-        let queue = JobQueue::new(jobs);
-        // Each worker returns the rows whose distinct columns exceeded the
-        // plan's table capacity (under a sampled estimate); those are
-        // replanned sequentially below.
-        let tallies = run_workers(workers, || -> Result<Vec<u32>> {
-            let mut acc = RowAccumulator::<T>::new(b.cols(), false);
-            let mut scratch = RowAlgScratch::<T>::new();
-            let mut overflow = Vec::new();
-            while let Some((range, out)) = queue.next() {
-                for (slot, r) in out.iter_mut().zip(range) {
-                    match plan.count.algorithm_for(r) {
-                        AlgorithmChoice::Esc => {
-                            *slot = esc_symbolic_row(a, b, r, &mut scratch).nnz;
-                        }
-                        AlgorithmChoice::Merge => {
-                            *slot = merge_symbolic_row(a, b, r, &mut scratch).nnz;
-                        }
-                        AlgorithmChoice::Hash => {
-                            match acc.count_row(a, b, r, plan.count.table_size_for(r))? {
-                                Some(nnz) => *slot = nnz,
-                                None => overflow.push(r as u32),
-                            }
-                        }
-                    }
-                }
-            }
-            Ok(overflow)
-        });
-        drop(queue); // releases the borrows of `nnz_row`
-        let mut overflow = Vec::new();
-        for rows in tallies {
-            overflow.extend(rows?);
-        }
-        let replans = overflow.len() as u64;
-        if !overflow.is_empty() {
-            if !plan.opts.estimator.is_sampled() {
-                return Err(Error::invariant(
-                    "exact-estimator symbolic table overflowed its planned capacity",
-                ));
-            }
-            // Arrival order depends on worker scheduling; sort so the
-            // replan pass is identical for every thread count.
-            overflow.sort_unstable();
-            let mut acc = RowAccumulator::<T>::new(b.cols(), false);
-            for &r in &overflow {
-                nnz_row[r as usize] = acc
-                    .count_row(a, b, r as usize, usize::MAX)?
-                    .ok_or_else(|| Error::invariant("unbounded replan count overflowed"))?;
-            }
-            if let Some(t) = self.telemetry.as_deref_mut() {
-                t.emit(obs::Event::new("replan").str("phase", "count").u64("rows", replans));
-            }
-        }
-        Ok(SymbolicOutput::from_nnz_row(nnz_row, 0, replans))
+        let symbolic = self.structure_pass(plan, a, b)?;
+        self.note_replans(plan, symbolic.replans)?;
+        Ok(symbolic)
     }
 
     fn execute_numeric(
@@ -576,58 +574,15 @@ impl<T: Scalar> Executor<T> for HostParallelExecutor {
         b: &Csr<T>,
     ) -> Result<Execution<T>> {
         let t0 = Instant::now();
-        let numeric = plan.numeric_phase(&symbolic.nnz_row)?;
-        let nnz_c = symbolic.output_nnz();
-        let mut col_c = vec![0u32; nnz_c];
-        let mut val_c = vec![T::ZERO; nnz_c];
-        // Disjoint output slices per range, cut at row-pointer bounds.
-        let mut jobs = Vec::new();
-        let (mut crest, mut vrest): (&mut [u32], &mut [T]) = (&mut col_c, &mut val_c);
-        for range in plan.count.partition(self.threads * CHUNKS_PER_THREAD) {
-            let span = symbolic.rpt[range.end] - symbolic.rpt[range.start];
-            let (cchunk, ctail) = crest.split_at_mut(span);
-            let (vchunk, vtail) = vrest.split_at_mut(span);
-            crest = ctail;
-            vrest = vtail;
-            jobs.push((range, cchunk, vchunk));
-        }
-        let workers = self.threads.min(jobs.len());
-        let queue = JobQueue::new(jobs);
-        // Each worker returns its accumulator's bytes.
-        let tallies = run_workers(workers, || -> Result<u64> {
-            let mut acc = RowAccumulator::<T>::new(b.cols(), true);
-            let mut scratch = RowAlgScratch::<T>::new();
-            while let Some((range, cols, vals)) = queue.next() {
-                let base = symbolic.rpt[range.start];
-                for r in range {
-                    let lo = symbolic.rpt[r] - base;
-                    let hi = symbolic.rpt[r + 1] - base;
-                    let (cols, vals) = (&mut cols[lo..hi], &mut vals[lo..hi]);
-                    match numeric.algorithm_for(r) {
-                        AlgorithmChoice::Esc => {
-                            esc_numeric_row(a, b, r, &mut scratch, cols, vals);
-                        }
-                        AlgorithmChoice::Merge => {
-                            merge_numeric_row(a, b, r, &mut scratch, cols, vals);
-                        }
-                        AlgorithmChoice::Hash => acc.numeric_row(a, b, r, cols, vals)?,
-                    }
-                }
-            }
-            Ok(acc.bytes())
-        });
-        drop(queue); // releases the borrows of `col_c`/`val_c`
-        let mut acc_bytes = 0;
-        for bytes in tallies {
-            acc_bytes += bytes?;
-        }
+        let structure = match &symbolic.structure {
+            Some(cols) => Cow::Borrowed(cols.as_slice()),
+            // A result without a structure (the simulator's): derive one.
+            None => Cow::Owned(self.structure_pass(plan, a, b)?.structure.unwrap_or_default()),
+        };
+        let mut run = self.replay(plan, symbolic, structure, a, b)?;
         let calc = t0.elapsed();
-        let report = self.host_report::<T>(plan, nnz_c, acc_bytes);
-        // lint:allow(unchecked-ctor) — hot-path assembly; rows are sorted by kernel construction
-        let c = Csr::from_parts_unchecked(plan.rows, plan.cols, symbolic.rpt.clone(), col_c, val_c)
-            .map_err(|e| Error::invariant(format!("numeric phase assembled malformed C: {e}")))?;
-        let wall = WallClock { total: calc, phases: vec![(Phase::Calc, calc)] };
-        Ok(Execution { matrix: c, report, wall: Some(wall), replans: symbolic.replans })
+        run.wall = Some(WallClock { total: calc, phases: vec![(Phase::Calc, calc)] });
+        Ok(run)
     }
 
     /// Plan, then either the two phases or — when an earlier `multiply`
@@ -652,16 +607,7 @@ impl<T: Scalar> Executor<T> for HostParallelExecutor {
         let t1 = Instant::now();
         self.mark_stage("symbolic");
         let walk = self.walk_rows(&plan, a, b, *spare)?;
-        if walk.replans > 0 {
-            if !plan.opts.estimator.is_sampled() {
-                return Err(Error::invariant(
-                    "exact-estimator symbolic table overflowed its planned capacity",
-                ));
-            }
-            if let Some(t) = self.telemetry.as_deref_mut() {
-                t.emit(obs::Event::new("replan").str("phase", "count").u64("rows", walk.replans));
-            }
-        }
+        self.note_replans(&plan, walk.replans)?;
         self.mark_stage("numeric");
         let matrix = self.stitch(&plan, prefix_sum(&walk.nnz_row), &walk.chunks)?;
         let calc = t1.elapsed();
@@ -701,7 +647,8 @@ struct RowWalk<T> {
 
 impl HostParallelExecutor {
     /// `multiply` as the count phase and then the numeric phase, timed
-    /// from `t0` with `setup` already spent on the plan.
+    /// from `t0` with `setup` already spent on the plan. The structure
+    /// moves into `C`; the report charges its staging.
     fn two_phases<T: Scalar>(
         &mut self,
         plan: &SpgemmPlan,
@@ -712,12 +659,13 @@ impl HostParallelExecutor {
     ) -> Result<Execution<T>> {
         let t1 = Instant::now();
         self.mark_stage("symbolic");
-        let symbolic = self.execute_symbolic(plan, a, b)?;
+        let mut symbolic = self.execute_symbolic(plan, a, b)?;
         let count = t1.elapsed();
 
         let t2 = Instant::now();
         self.mark_stage("numeric");
-        let mut run = self.execute_numeric(plan, &symbolic, a, b)?;
+        let structure = Cow::Owned(symbolic.structure.take().unwrap_or_default());
+        let mut run = self.replay(plan, &symbolic, structure, a, b)?;
         let calc = t2.elapsed();
 
         run.report.algorithm = format!("proposal (host:{})", self.threads);
@@ -726,6 +674,189 @@ impl HostParallelExecutor {
             phases: vec![(Phase::Setup, setup), (Phase::Count, count), (Phase::Calc, calc)],
         });
         Ok(run)
+    }
+
+    /// Check the hash rows whose nnz exceeded the plan's table capacity:
+    /// an invariant error under the exact estimator, whose tables are
+    /// sized from every row's products, else a `replan` event.
+    fn note_replans(&mut self, plan: &SpgemmPlan, replans: u64) -> Result<()> {
+        if replans == 0 {
+            return Ok(());
+        }
+        if !plan.opts.estimator.is_sampled() {
+            return Err(Error::invariant(
+                "exact-estimator symbolic table overflowed its planned capacity",
+            ));
+        }
+        if let Some(t) = self.telemetry.as_deref_mut() {
+            t.emit(obs::Event::new("replan").str("phase", "count").u64("rows", replans));
+        }
+        Ok(())
+    }
+
+    /// The structure pass of `execute_symbolic`: each worker pulls a
+    /// product-weighted chunk of rows, appends every row's sorted columns
+    /// to the chunk's staging through the arm the plan's count phase
+    /// picked and writes its nnz into the chunk's slice of `nnz_row`;
+    /// the chunks are then copied in row order into one structure. A
+    /// hash row whose nnz exceeds the plan's table capacity counts as a
+    /// replan; it is already complete, so nothing is recounted.
+    fn structure_pass<T: Scalar>(
+        &self,
+        plan: &SpgemmPlan,
+        a: &Csr<T>,
+        b: &Csr<T>,
+    ) -> Result<SymbolicOutput> {
+        let ranges = plan.count.partition(self.threads * CHUNKS_PER_THREAD);
+        let mut nnz_row = vec![0u32; a.rows()];
+        let mut chunks: Vec<Vec<u32>> = ranges.iter().map(|_| Vec::new()).collect();
+        // Each job owns its rows' counters and its chunk's staging.
+        let mut jobs = Vec::with_capacity(ranges.len());
+        let mut rest: &mut [u32] = &mut nnz_row;
+        for (range, staged) in ranges.into_iter().zip(&mut chunks) {
+            let (counts, tail) = rest.split_at_mut(range.len());
+            rest = tail;
+            jobs.push((range, counts, staged));
+        }
+        let workers = self.threads.min(jobs.len());
+        let queue = JobQueue::new(jobs);
+        // Each worker returns its replan count.
+        let tallies = run_workers(workers, || -> Result<u64> {
+            let mut acc = RowAccumulator::<T>::new(b.cols(), false);
+            let mut scratch = RowAlgScratch::<T>::new();
+            let mut replans = 0u64;
+            while let Some((range, counts, chunk)) = queue.next() {
+                // A worker-local handle, as in `walk_rows`.
+                let mut cols = std::mem::take(chunk);
+                for (slot, r) in counts.iter_mut().zip(range) {
+                    let algorithm = plan.count.algorithm_for(r);
+                    let nnz = match algorithm {
+                        AlgorithmChoice::Hash if acc.dense => {
+                            acc.structure_row(a, b, r, &mut cols)?
+                        }
+                        // Hash rows of a `B` too wide for the arrays run ESC.
+                        AlgorithmChoice::Hash | AlgorithmChoice::Esc => {
+                            esc_symbolic_row(a, b, r, &mut scratch);
+                            append(&mut cols, scratch.columns())?
+                        }
+                        AlgorithmChoice::Merge => {
+                            merge_symbolic_row(a, b, r, &mut scratch);
+                            append(&mut cols, scratch.columns())?
+                        }
+                    };
+                    if algorithm == AlgorithmChoice::Hash {
+                        replans += u64::from(nnz > plan.count.table_size_for(r));
+                    }
+                    *slot = u32::try_from(nnz).map_err(|_| overflow_err("host row nnz"))?;
+                }
+                *chunk = cols;
+            }
+            Ok(replans)
+        });
+        drop(queue); // releases the borrows of `nnz_row` and `chunks`
+        let mut replans = 0;
+        for tally in tallies {
+            replans += tally?;
+        }
+        let mut structure = Vec::new();
+        reserve(&mut structure, chunks.iter().map(Vec::len).sum())?;
+        for cols in chunks {
+            structure.extend_from_slice(&cols);
+        }
+        let symbolic = SymbolicOutput::from_nnz_row(nnz_row, 0, replans);
+        Ok(SymbolicOutput { structure: Some(structure), ..symbolic })
+    }
+
+    /// The values pass and assembly of `execute_numeric`, untimed: `C`'s
+    /// column array is `structure`, borrowed from a cached result and
+    /// copied, or owned and moved in. An owned structure came from this
+    /// call's structure pass, so the report charges that pass's staging,
+    /// a column per entry, next to the dense arrays.
+    fn replay<T: Scalar>(
+        &self,
+        plan: &SpgemmPlan,
+        symbolic: &SymbolicOutput,
+        structure: Cow<'_, [u32]>,
+        a: &Csr<T>,
+        b: &Csr<T>,
+    ) -> Result<Execution<T>> {
+        let (val_c, acc_bytes) = self.values_pass(plan, symbolic, &structure, a, b)?;
+        let staged = match &structure {
+            Cow::Owned(cols) => 4 * to_u64(cols.len()),
+            Cow::Borrowed(_) => 0,
+        };
+        let report = self.host_report::<T>(plan, val_c.len(), acc_bytes + staged);
+        let col_c = structure.into_owned();
+        // lint:allow(unchecked-ctor) — hot-path assembly; the values pass checked every row against its sorted structure
+        let c = Csr::from_parts_unchecked(plan.rows, plan.cols, symbolic.rpt.clone(), col_c, val_c)
+            .map_err(|e| Error::invariant(format!("numeric phase assembled malformed C: {e}")))?;
+        Ok(Execution { matrix: c, report, wall: None, replans: symbolic.replans })
+    }
+
+    /// The values pass: each worker pulls a product-weighted chunk of
+    /// rows and fills its disjoint slice of `C`'s values, cut at the row
+    /// pointer, replaying each row against its recorded columns through
+    /// the arm the plan's numeric phase picked. Returns the values and
+    /// the bytes of the dense arrays the workers allocated.
+    fn values_pass<T: Scalar>(
+        &self,
+        plan: &SpgemmPlan,
+        symbolic: &SymbolicOutput,
+        structure: &[u32],
+        a: &Csr<T>,
+        b: &Csr<T>,
+    ) -> Result<(Vec<T>, u64)> {
+        let (nnz_row, rpt) = (&symbolic.nnz_row, &symbolic.rpt);
+        let laid_out = nnz_row.len() == plan.rows
+            && rpt.len() == plan.rows + 1
+            && rpt[0] == 0
+            && rpt.windows(2).zip(nnz_row).all(|(w, &n)| w[0].checked_add(ix(n)) == Some(w[1]))
+            && structure.len() == symbolic.output_nnz();
+        if !laid_out {
+            return Err(Error::invariant("symbolic row arrays disagree with the structure"));
+        }
+        let numeric = plan.numeric_phase(nnz_row)?;
+        let mut val_c = vec![T::ZERO; structure.len()];
+        // Disjoint output slices per range, cut at row-pointer bounds.
+        let mut jobs = Vec::new();
+        let mut rest: &mut [T] = &mut val_c;
+        for range in plan.count.partition(self.threads * CHUNKS_PER_THREAD) {
+            let (chunk, tail) = rest.split_at_mut(rpt[range.end] - rpt[range.start]);
+            rest = tail;
+            jobs.push((range, chunk));
+        }
+        let workers = self.threads.min(jobs.len());
+        let queue = JobQueue::new(jobs);
+        // Each worker returns its accumulator's bytes.
+        let tallies = run_workers(workers, || -> Result<u64> {
+            let mut acc = RowAccumulator::<T>::new(b.cols(), true);
+            let mut scratch = RowAlgScratch::<T>::new();
+            let mut buf = Staged::new();
+            while let Some((range, vals)) = queue.next() {
+                let base = rpt[range.start];
+                for r in range {
+                    let (lo, hi) = (rpt[r], rpt[r + 1]);
+                    let (cols, vals) = (&structure[lo..hi], &mut vals[lo - base..hi - base]);
+                    let kernel: RowKernel<T> = match numeric.algorithm_for(r) {
+                        AlgorithmChoice::Hash if acc.dense => {
+                            acc.values_row(a, b, r, cols, vals)?;
+                            continue;
+                        }
+                        // Hash rows of a `B` too wide for the arrays run ESC.
+                        AlgorithmChoice::Hash | AlgorithmChoice::Esc => esc_numeric_row,
+                        AlgorithmChoice::Merge => merge_numeric_row,
+                    };
+                    replay_row(kernel, a, b, r, &mut scratch, &mut buf, cols, vals)?;
+                }
+            }
+            Ok(acc.bytes())
+        });
+        drop(queue); // releases the borrow of `val_c`
+        let mut acc_bytes = 0;
+        for bytes in tallies {
+            acc_bytes += bytes?;
+        }
+        Ok((val_c, acc_bytes))
     }
 
     /// The walk of [`Executor::multiply`]: each worker pulls a
@@ -856,9 +987,10 @@ impl HostParallelExecutor {
     /// host heap a multiply holds: the output, the per-row working
     /// arrays and the `scratch` its workers actually allocated — the
     /// dense accumulator arrays and, for the one-phase walk, the staged
-    /// entries held next to `C` until the copy (what the call needed,
-    /// not the capacity an earlier call left, so the figure depends only
-    /// on the operands and the path). The host inspects no hash slots,
+    /// entries held next to `C` until the copy, or, for a call that ran
+    /// the structure pass, its staged columns (what the call needed, not
+    /// the capacity an earlier call left, so the figure depends only on
+    /// the operands and the path). The host inspects no hash slots,
     /// so `hash_probes` is 0.
     fn host_report<T: Scalar>(
         &self,
@@ -927,20 +1059,19 @@ mod tests {
         (Csr::from_triplets(rows, 40, &ta).unwrap(), Csr::from_triplets(40, b_cols, &tb).unwrap())
     }
 
-    /// Count and accumulate every row of `A · B` through one pair of
+    /// Record and replay every row of `A · B` through one pair of dense
     /// accumulators, checking each row against the reference; returns
-    /// the (symbolic, numeric) accumulators.
+    /// the (structure, values) accumulators.
     fn check_rows(a: &Csr<f64>, b: &Csr<f64>) -> (RowAccumulator<f64>, RowAccumulator<f64>) {
         let c_ref = spgemm_gustavson(a, b).unwrap();
         let mut sym = RowAccumulator::new(b.cols(), false);
         let mut num = RowAccumulator::new(b.cols(), true);
         for r in 0..a.rows() {
-            let (want_cols, want_vals) = c_ref.row(r);
-            let nnz = sym.count_row(a, b, r, usize::MAX).unwrap().unwrap() as usize;
-            assert_eq!(nnz, want_cols.len(), "row {r}");
-            let (mut cols, mut vals) = (vec![0u32; nnz], vec![0.0; nnz]);
-            num.numeric_row(a, b, r, &mut cols, &mut vals).unwrap();
-            assert_eq!((cols.as_slice(), vals.as_slice()), (want_cols, want_vals), "row {r}");
+            let mut cols = Vec::new();
+            let nnz = sym.structure_row(a, b, r, &mut cols).unwrap();
+            let mut vals = vec![0.0; nnz];
+            num.values_row(a, b, r, &cols, &mut vals).unwrap();
+            assert_eq!((cols.as_slice(), vals.as_slice()), c_ref.row(r), "row {r}");
         }
         (sym, num)
     }
@@ -948,39 +1079,116 @@ mod tests {
     #[test]
     fn dense_accumulator_rows_match_reference() {
         let (a, b) = int_pair(60, 500, 5);
-        let (mut sym, mut num) = check_rows(&a, &b);
+        let (sym, mut num) = check_rows(&a, &b);
         assert!(sym.dense && num.dense);
-        // The arrays span B's columns; only the numeric one holds values.
+        // The arrays span B's columns; only the values one holds values.
         assert_eq!(sym.bytes(), 4 * 500);
         assert_eq!(num.bytes(), (4 + 8) * 500);
-        // The count stops as soon as the distinct columns pass the bound.
-        let nnz = sym.count_row(&a, &b, 0, usize::MAX).unwrap().unwrap();
-        assert_eq!(sym.count_row(&a, &b, 0, nnz as usize).unwrap(), Some(nnz));
-        assert_eq!(sym.count_row(&a, &b, 0, nnz as usize - 1).unwrap(), None);
         // A wrapped epoch clears the stamps instead of aliasing old rows.
-        num.epoch = u32::MAX;
-        let (mut cols, mut vals) = (vec![0u32; nnz as usize], vec![0.0; nnz as usize]);
-        num.numeric_row(&a, &b, 0, &mut cols, &mut vals).unwrap();
-        assert_eq!(num.epoch, 1);
         let c_ref = spgemm_gustavson(&a, &b).unwrap();
-        assert_eq!((cols.as_slice(), vals.as_slice()), c_ref.row(0));
-        // A symbolic count that disagrees with the row is an error.
-        let mut short = vec![0u32; nnz as usize - 1];
-        let mut short_vals = vec![0.0; nnz as usize - 1];
-        assert!(num.numeric_row(&a, &b, 0, &mut short, &mut short_vals).is_err());
+        let (cols, want) = c_ref.row(0);
+        num.epoch = u32::MAX;
+        let mut vals = vec![0.0; cols.len()];
+        num.values_row(&a, &b, 0, cols, &mut vals).unwrap();
+        assert_eq!(num.epoch, 1);
+        assert_eq!(vals, want);
+        // A recorded row that is not the row's column set is an error: a
+        // column short, one too many, out of order, or past B's width.
+        let n = cols.len();
+        let unsorted: Vec<u32> = cols.iter().rev().copied().collect();
+        let mut outside = cols.to_vec();
+        outside[n - 1] = 500;
+        for bad in [&cols[..n - 1], &[cols, &[499]].concat(), &unsorted, &outside] {
+            let mut vals = vec![0.0; bad.len()];
+            let err = num.values_row(&a, &b, 0, bad, &mut vals).unwrap_err();
+            assert_eq!(err.kind(), crate::ErrorKind::Invariant);
+        }
     }
 
     #[test]
     fn rows_of_b_wider_than_dense_max_cols_run_esc() {
-        let (a, b) = int_pair(60, DENSE_MAX_COLS + 4_464, 9);
-        let (mut sym, num) = check_rows(&a, &b);
-        assert!(!sym.dense && !num.dense);
+        let width = DENSE_MAX_COLS + 4_464;
+        let (a, b) = int_pair(60, width, 9);
+        let c_ref = spgemm_gustavson(&a, &b).unwrap();
         // No column-indexed arrays for a B this wide.
-        assert_eq!(sym.bytes() + num.bytes(), 0);
-        // The plan's bound still decides which rows replan.
-        let nnz = spgemm_gustavson(&a, &b).unwrap().row_nnz(3);
-        assert_eq!(sym.count_row(&a, &b, 3, nnz).unwrap(), Some(nnz as u32));
-        assert_eq!(sym.count_row(&a, &b, 3, nnz - 1).unwrap(), None);
+        assert!(!RowAccumulator::<f64>::new(width, true).dense);
+        let mut ex = HostParallelExecutor::new(2);
+        let opts = Options::default();
+        let plan = Executor::<f64>::plan(&ex, &a, &b, &opts).unwrap();
+        let run = Executor::<f64>::multiply(&mut ex, &a, &b, &opts).unwrap();
+        assert_eq!(run.matrix, c_ref);
+        // Two phases: the structure pass's staging, but no dense arrays.
+        let staged = 4 * c_ref.nnz() as u64;
+        let no_arrays = ex.host_report::<f64>(&plan, c_ref.nnz(), staged);
+        assert_eq!(run.report.peak_mem_bytes, no_arrays.peak_mem_bytes);
+
+        // The plan's bound still decides which rows replan: power-law
+        // rows of A over a B spread across `width` columns, under a
+        // sampled estimate that under-sizes some of them.
+        let a = matgen::generators::power_law(512, 8.0, 256, 1.1, 0.5, 32, 0);
+        let stride = (width / a.cols()) as u32;
+        let mut t = Vec::new();
+        for r in 0..a.rows() {
+            let (cols, vals) = a.row(r);
+            t.extend(cols.iter().zip(vals).map(|(&c, &v)| (r, c * stride, v)));
+        }
+        let b = Csr::from_triplets(a.rows(), width, &t).unwrap();
+        let c_ref = spgemm_gustavson(&a, &b).unwrap();
+        let sampled =
+            Options { estimator: crate::Estimator::Sampled { sample: 1 }, ..Options::default() };
+        let plan = Executor::<f64>::plan(&ex, &a, &b, &sampled).unwrap();
+        let sym = ex.execute_symbolic(&plan, &a, &b).unwrap();
+        assert_eq!(sym.structure.as_deref(), Some(c_ref.col()));
+        let over = (0..a.rows()).filter(|&r| c_ref.row_nnz(r) > plan.count.table_size_for(r));
+        let over = over.count() as u64;
+        assert!(over > 0, "test needs under-sized rows");
+        assert_eq!(sym.replans, over);
+    }
+
+    /// The host plan of `a · b` and its symbolic result with one row
+    /// tampered: a recorded column swapped for one the row does not
+    /// produce (order and counts kept), and a count one short (the
+    /// row's last column dropped, the row arrays kept consistent).
+    fn tampered(
+        ex: &mut HostParallelExecutor,
+        a: &Csr<f64>,
+        b: &Csr<f64>,
+    ) -> (crate::SymbolicPlan<f64>, [SymbolicOutput; 2]) {
+        let plan = crate::SymbolicPlan::from_executor(ex, a, b, &Options::default()).unwrap();
+        let good = plan.symbolic();
+        let structure = good.structure.as_ref().unwrap();
+        let row = |r: usize| &structure[good.rpt[r]..good.rpt[r + 1]];
+        let r = (0..a.rows()).find(|&r| row(r).len() >= 2).unwrap();
+        // A column strictly between the row's first and third entries (or
+        // past its second), other than its second: not in the row.
+        let cols = row(r);
+        let hi = cols.get(2).copied().unwrap_or(b.cols() as u32);
+        let col = (cols[0] + 1..hi).find(|&c| c != cols[1]).unwrap();
+        let mut swapped = good.clone();
+        swapped.structure.as_mut().unwrap()[good.rpt[r] + 1] = col;
+        let mut nnz_row = good.nnz_row.clone();
+        nnz_row[r] -= 1;
+        let mut short_cols = structure.clone();
+        short_cols.remove(good.rpt[r + 1] - 1);
+        let short = SymbolicOutput::from_nnz_row(nnz_row, 0, 0);
+        let short = SymbolicOutput { structure: Some(short_cols), ..short };
+        (plan, [swapped, short])
+    }
+
+    #[test]
+    fn tampered_structure_is_an_invariant_error() {
+        let (a, b) = int_pair(60, 500, 5);
+        let c_ref = spgemm_gustavson(&a, &b).unwrap();
+        for threads in [1, 2] {
+            let mut ex = HostParallelExecutor::new(threads);
+            let (plan, bad) = tampered(&mut ex, &a, &b);
+            assert_eq!(plan.execute_with(&mut ex, &a, &b).unwrap().matrix, c_ref);
+            for (sym, what) in bad.iter().zip(["swapped column", "count one short"]) {
+                let err = Executor::<f64>::execute_numeric(&mut ex, plan.plan(), sym, &a, &b)
+                    .unwrap_err();
+                assert_eq!(err.kind(), crate::ErrorKind::Invariant, "{what}, host:{threads}");
+            }
+        }
     }
 
     #[test]
@@ -998,10 +1206,16 @@ mod tests {
         assert_eq!(split.matrix.nnz() as u64, nnz);
         let two_phase = 4 * m + 8 * (m + 1) + dense + output(nnz);
         assert_eq!(split.report.peak_mem_bytes, two_phase);
-        // A first `multiply` runs the same two phases.
+        // A first `multiply` runs the same two phases, and its structure
+        // pass stages a column per entry before the copy.
         let first = Executor::<f64>::multiply(&mut ex, &a, &b, &opts).unwrap();
-        assert_eq!(first.report.peak_mem_bytes, two_phase);
+        assert_eq!(first.report.peak_mem_bytes, two_phase + 4 * nnz);
         assert_eq!(phases(&first), [Phase::Setup, Phase::Count, Phase::Calc]);
+        // So does a replay that derives the structure the result lacks.
+        let bare = SymbolicOutput { structure: None, ..sym };
+        let derived = ex.execute_numeric(&plan, &bare, &a, &b).unwrap();
+        assert_eq!(derived.matrix, split.matrix);
+        assert_eq!(derived.report.peak_mem_bytes, two_phase + 4 * nnz);
         // A second one walks once and holds its staging next to C until
         // the copy: a column and a value per entry.
         let run = Executor::<f64>::multiply(&mut ex, &a, &b, &opts).unwrap();

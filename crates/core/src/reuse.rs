@@ -10,7 +10,11 @@
 //! [`SymbolicPlan`] (the pre-executor-split `SpgemmPlan` — that name now
 //! belongs to the backend-neutral plan in [`crate::plan`]) captures
 //! everything the numeric phase needs: the backend-neutral plan, the
-//! symbolic result (output row pointer, per-row nnz) and the options.
+//! symbolic result (output row pointer, per-row nnz and, from the host
+//! backend, the output's sorted column structure) and the options. A
+//! host plan's numeric phase therefore only fills values: it checks
+//! every row against the recorded columns and copies them into `C`
+//! ([`crate::SymbolicOutput::structure`]).
 //! It has one constructor and one execution path, both on any
 //! [`crate::Executor`]: [`SymbolicPlan::from_executor`] runs the setup +
 //! count phases (on the sim backend, `SymbolicPlan::from_executor(&mut
@@ -136,6 +140,13 @@ impl<T: Scalar> SymbolicPlan<T> {
     ) -> Result<Execution<T>> {
         self.check_patterns(a, b)?;
         exec.execute_numeric(&self.plan, &self.symbolic, a, b)
+    }
+
+    /// Heap bytes the plan's symbolic result holds: its row arrays and,
+    /// from the host backend, the structure (4 B per output entry) — what
+    /// a plan cache pays per entry beyond the backend-neutral plan.
+    pub fn heap_bytes(&self) -> u64 {
+        self.symbolic.heap_bytes()
     }
 
     /// The output's row pointer (exact, from the symbolic phase).

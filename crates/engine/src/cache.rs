@@ -11,6 +11,10 @@
 //! cached plan through [`nsparse_core::SymbolicPlan::execute_with`],
 //! which re-verifies the fingerprints before touching the backend.
 //!
+//! A host-built entry holds the output's sorted column structure next to
+//! its row arrays (4 B per output entry), so a hit only fills values;
+//! [`CacheStats::bytes`] reports what the entries hold.
+//!
 //! Eviction is LRU over a fixed entry capacity. Eviction can never
 //! change results — an evicted pattern just plans cold again — which
 //! `tests/cache_props.rs` asserts property-style.
@@ -71,6 +75,10 @@ pub struct CacheStats {
     pub len: usize,
     /// Maximum entries before eviction.
     pub capacity: usize,
+    /// Heap bytes of the cached plans' symbolic results: each entry's
+    /// row arrays plus, for a host-built plan, its structure at 4 B per
+    /// output entry ([`SymbolicPlan::heap_bytes`]).
+    pub bytes: u64,
 }
 
 #[derive(Debug)]
@@ -159,6 +167,7 @@ impl<T: Scalar> PlanCache<T> {
             evictions: g.evictions,
             len: g.map.len(),
             capacity: self.capacity,
+            bytes: g.map.values().map(|plan| plan.heap_bytes()).sum(),
         }
     }
 }
@@ -191,6 +200,11 @@ mod tests {
         assert!(cache.lookup(&keys[2]).is_some());
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.evictions, s.len), (3, 3, 1, 2));
+        // The two cached identity plans: row arrays plus one structure
+        // entry per row; the evicted one no longer counts.
+        let word = std::mem::size_of::<usize>() as u64;
+        let entry = |n: u64| 4 * n + word * (n + 1) + 4 * n;
+        assert_eq!(s.bytes, entry(8) + entry(24));
     }
 
     #[test]

@@ -1318,6 +1318,25 @@ mod tests {
     }
 
     #[test]
+    fn cache_bytes_count_row_arrays_and_host_structure() {
+        // One miss per backend: a host plan holds its rows' arrays plus
+        // its structure, 4 B per output entry; a sim plan no structure.
+        let a = rand_mat(200, 31);
+        let (m, nnz) = (a.rows() as u64, reference(&a, &a).nnz() as u64);
+        let rows = 4 * m + std::mem::size_of::<usize>() as u64 * (m + 1);
+        for (backend, want) in
+            [(Backend::Host { threads: 2 }, rows + 4 * nnz), (Backend::Sim, rows)]
+        {
+            let mut eng =
+                Engine::new(EngineConfig { workers: 1, backend, ..EngineConfig::default() });
+            eng.submit(JobSpec::new(Arc::clone(&a), Arc::clone(&a))).wait().unwrap();
+            let stats = eng.shutdown();
+            assert_eq!((stats.cache.misses, stats.cache.len), (1, 1), "{backend}");
+            assert_eq!(stats.cache.bytes, want, "{backend}");
+        }
+    }
+
+    #[test]
     fn cold_job_report_folds_the_symbolic_window_into_setup() {
         // One worker, one pattern on the sim backend: a cold job, then a
         // hit that replays its plan and runs the same numeric phase.

@@ -15,6 +15,7 @@
 //! the equivalence properties run on a narrow and on a wide `B`.
 
 use nsparse_core::host::DENSE_MAX_COLS;
+use nsparse_core::Execution;
 use nsparse_repro::prelude::*;
 use quickprop::prelude::*;
 use sparse::spgemm_ref::spgemm_gustavson;
@@ -227,22 +228,11 @@ fn edge_values_match_bitwise_on_narrow_and_wide_b() {
     }
 }
 
-#[test]
-fn one_phase_multiply_matches_plan_reuse_on_structured_inputs() {
-    let [(exact, _), (sampled, _), (adaptive, _)] = equivalence_options();
-    // Power-law rows: exact, and sampled:1, whose under-estimates replan.
-    let replans: u64 = (0..3)
-        .map(|seed| {
-            let a = matgen::generators::power_law(512, 8.0, 256, 1.1, 0.5, 32, seed);
-            assert_one_phase_matches_plan_reuse(&a, &a, &exact, "power-law, exact");
-            assert_one_phase_matches_plan_reuse(&a, &a, &sampled, "power-law, sampled:1")
-        })
-        .sum();
-    assert!(replans > 0, "test needs replanned rows");
-
-    // Adaptive policy: rows of ~64 scattered products (compression ≈ 1,
-    // ESC groups) plus four rows concatenating eight disjoint
-    // 3000-column B-rows (24 000 products, merge groups).
+/// An `A · B` whose adaptive plan has ESC and merge rows: rows of ~64
+/// scattered products (compression ≈ 1, ESC groups) plus four rows
+/// concatenating eight disjoint 3000-column B-rows (24 000 products,
+/// merge groups).
+fn esc_merge_pair(adaptive: &Options) -> (Csr<f64>, Csr<f64>) {
     let (m, k, n) = (1500usize, 1500usize, 30_000usize);
     let mut seed = 17u64;
     let mut next = |below: usize| {
@@ -267,11 +257,84 @@ fn one_phase_multiply_matches_plan_reuse_on_structured_inputs() {
     }
     let a = Csr::from_triplets(m, k, &ta).unwrap();
     let b = Csr::from_triplets(k, n, &tb).unwrap();
-    let plan = SpgemmPlan::new(&DeviceConfig::p100(), &a, &b, &adaptive).unwrap();
+    let plan = SpgemmPlan::new(&DeviceConfig::p100(), &a, &b, adaptive).unwrap();
     for algo in [AlgorithmChoice::Esc, AlgorithmChoice::Merge] {
         let used = (0..m).any(|r| plan.count.algorithm_for(r) == algo);
         assert!(used, "test needs {algo} rows");
     }
+    (a, b)
+}
+
+/// `plan`'s numeric phase on a fresh simulated P100.
+fn sim_replay(plan: &SymbolicPlan<f64>, a: &Csr<f64>, b: &Csr<f64>) -> Execution<f64> {
+    let mut gpu = Gpu::new(DeviceConfig::p100());
+    plan.execute_with(&mut SimExecutor::new(&mut gpu), a, b).unwrap()
+}
+
+/// Plans built on one backend replayed on the other: a sim plan (no
+/// structure, so the host derives one) on host:1/2/7, and host plans
+/// (with a structure) on the sim, all bitwise equal to a standalone
+/// multiply; a host plan's sim report equals the sim plan's. Returns
+/// the host plans' replans.
+fn assert_cross_backend_replay(a: &Csr<f64>, b: &Csr<f64>, opts: &Options, what: &str) -> u64 {
+    let mut gpu = Gpu::new(DeviceConfig::p100());
+    let want = nsparse_core::multiply(&mut gpu, a, b, opts).unwrap().0;
+    let sim_plan =
+        SymbolicPlan::from_executor(&mut SimExecutor::new(&mut gpu), a, b, opts).unwrap();
+    assert!(sim_plan.symbolic().structure.is_none(), "{what}: the sim records no structure");
+    let sim_report = sim_replay(&sim_plan, a, b).report;
+    let mut replans = 0;
+    for threads in [1usize, 2, 7] {
+        let what = format!("{what}, host:{threads}");
+        let mut host = HostParallelExecutor::new(threads);
+        let run = sim_plan.execute_with(&mut host, a, b).unwrap();
+        assert_bitwise_eq(&run.matrix, &want, &format!("{what}: sim plan on the host"));
+        let host_plan = SymbolicPlan::from_executor(&mut host, a, b, opts).unwrap();
+        assert_eq!(host_plan.symbolic().structure.as_deref(), Some(want.col()), "{what}");
+        replans += host_plan.symbolic().replans;
+        let run = sim_replay(&host_plan, a, b);
+        assert_bitwise_eq(&run.matrix, &want, &format!("{what}: host plan on the sim"));
+        let r = &run.report;
+        assert_eq!(r.total_time.secs().to_bits(), sim_report.total_time.secs().to_bits(), "{what}");
+        assert_eq!(r.phase_times, sim_report.phase_times, "{what}");
+        assert_eq!(r.hash_probes, sim_report.hash_probes, "{what}");
+        assert_eq!(r.peak_mem_bytes, sim_report.peak_mem_bytes, "{what}");
+    }
+    replans
+}
+
+#[test]
+fn plans_replay_across_backends() {
+    let [(exact, _), (sampled, _), (adaptive, _)] = equivalence_options();
+    let replans: u64 = (0..2)
+        .map(|seed| {
+            let a = matgen::generators::power_law(512, 8.0, 256, 1.1, 0.5, 32, seed);
+            assert_cross_backend_replay(&a, &a, &exact, "power-law, exact");
+            assert_cross_backend_replay(&a, &a, &sampled, "power-law, sampled:1")
+        })
+        .sum();
+    assert!(replans > 0, "test needs replanned rows");
+    let (a, b) = esc_merge_pair(&adaptive);
+    assert_cross_backend_replay(&a, &b, &adaptive, "adaptive ESC + merge");
+    let (a, b) = edge_value_pair(8, 1);
+    assert_cross_backend_replay(&a, &b, &exact, "edge values");
+}
+
+#[test]
+fn one_phase_multiply_matches_plan_reuse_on_structured_inputs() {
+    let [(exact, _), (sampled, _), (adaptive, _)] = equivalence_options();
+    // Power-law rows: exact, and sampled:1, whose under-estimates replan.
+    let replans: u64 = (0..3)
+        .map(|seed| {
+            let a = matgen::generators::power_law(512, 8.0, 256, 1.1, 0.5, 32, seed);
+            assert_one_phase_matches_plan_reuse(&a, &a, &exact, "power-law, exact");
+            assert_one_phase_matches_plan_reuse(&a, &a, &sampled, "power-law, sampled:1")
+        })
+        .sum();
+    assert!(replans > 0, "test needs replanned rows");
+
+    // Adaptive policy: ESC and merge rows.
+    let (a, b) = esc_merge_pair(&adaptive);
     assert_one_phase_matches_plan_reuse(&a, &b, &adaptive, "adaptive ESC + merge");
 
     // Edge values (-0.0 first products, ±inf, NaN) on narrow and wide B,
