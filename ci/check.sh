@@ -18,11 +18,8 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 echo "== build (release, offline) ==" >&2
 cargo build --release --offline
 
-echo "== tier-1 tests (offline) ==" >&2
+echo "== tier-1 tests (offline; default members cover every crate) ==" >&2
 cargo test -q --offline
-
-echo "== workspace tests (every crate's unit and integration tests) ==" >&2
-cargo test -q --offline --workspace
 
 echo "== trace smoke (telemetry exports valid + deterministic) ==" >&2
 smoke="$(mktemp -d)"

@@ -1,10 +1,10 @@
-//! Triangle counting via masked SpGEMM.
+//! Triangle counting with one SpGEMM.
 //!
 //! For an undirected simple graph with adjacency `A`, the number of
-//! triangles is `trace(A³) / 6`, computed here as `Σ (A·A) ∘ A / 6` —
-//! one SpGEMM followed by an element-wise mask, the standard
-//! linear-algebra formulation used by GraphBLAS-style frameworks (§I's
-//! graph-algorithm motivation).
+//! triangles is `trace(A³) / 6`, computed here as `Σ (A·A) ∘ A / 6`:
+//! the product `A·A` is computed in full on the device, then masked by
+//! `A` on the host — the standard linear-algebra formulation used by
+//! GraphBLAS-style frameworks (§I's graph-algorithm motivation).
 
 use crate::spgemm;
 use nsparse_core::pipeline::Result;

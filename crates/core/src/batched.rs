@@ -30,7 +30,7 @@
 //! classify identically. If a batch still fails with a recoverable
 //! error ([`Recovery::RetrySmallerBatch`], e.g. an injected OOM), the
 //! byte budget is halved — roughly halving batch rows — and the whole
-//! multiply retried, up to [`BatchedExecutor::DEFAULT_MAX_RETRIES`]
+//! multiply retried, up to [`BatchedExecutor::MAX_RETRIES`]
 //! times; after that a [`CapacityDiagnostic`] reports the estimate
 //! against the capacity. A single row whose own estimate exceeds device
 //! capacity is reported the same way without burning retries: no batch
@@ -51,7 +51,6 @@ use vgpu::{DeviceConfig, Gpu, Phase, SimTime, SpgemmReport};
 pub struct BatchedExecutor<E> {
     inner: E,
     capacity: u64,
-    max_retries: u32,
     last_batches: usize,
     last_retries: u32,
     ctl: Option<JobCtl>,
@@ -59,18 +58,11 @@ pub struct BatchedExecutor<E> {
 
 impl<E> BatchedExecutor<E> {
     /// Budget-halving retries before giving up with a diagnostic.
-    pub const DEFAULT_MAX_RETRIES: u32 = 4;
+    pub const MAX_RETRIES: u32 = 4;
 
     /// Wrap `inner`, constraining every batch to `capacity` bytes.
     pub fn new(inner: E, capacity: u64) -> Self {
-        BatchedExecutor {
-            inner,
-            capacity,
-            max_retries: Self::DEFAULT_MAX_RETRIES,
-            last_batches: 0,
-            last_retries: 0,
-            ctl: None,
-        }
+        BatchedExecutor { inner, capacity, last_batches: 0, last_retries: 0, ctl: None }
     }
 
     /// Attach cooperative job control (cancellation + deadline), polled
@@ -78,12 +70,6 @@ impl<E> BatchedExecutor<E> {
     /// the checks (the default — standalone callers pay nothing).
     pub fn set_ctl(&mut self, ctl: Option<JobCtl>) {
         self.ctl = ctl;
-    }
-
-    /// Override the retry budget.
-    pub fn with_max_retries(mut self, max_retries: u32) -> Self {
-        self.max_retries = max_retries;
-        self
     }
 
     /// The byte budget batches are sized against.
@@ -502,7 +488,7 @@ impl<T: Scalar, E: Executor<T>> Executor<T> for BatchedExecutor<E> {
                 }
                 Err(e) if e.recovery() == Recovery::RetrySmallerBatch => {
                     let detail = e.to_string();
-                    if attempts > self.max_retries {
+                    if attempts > Self::MAX_RETRIES {
                         return Err(diagnostic(attempts, budget, detail));
                     }
                     budget = (budget / 2).max(1);

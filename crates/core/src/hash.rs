@@ -241,31 +241,6 @@ impl<T: Scalar> HashTable<T> {
         Insert::Overflow
     }
 
-    /// Lookup-only accumulate: add `value` to `key`'s slot if present,
-    /// return whether it was. Never claims empty slots (masked-SpGEMM
-    /// semantics: a miss means the column is masked out). Probes are
-    /// counted like any other access.
-    #[inline]
-    pub fn lookup_accumulate(&mut self, key: u32, value: T) -> bool {
-        let p0 = self.probes;
-        let mut slot = self.slot_of(key);
-        for _ in 0..=self.mask {
-            self.probes += 1;
-            if self.stamp[slot] != self.epoch {
-                self.note_chain(p0);
-                return false; // empty slot: key not in the mask
-            }
-            if self.keys[slot] == key {
-                self.vals[slot] += value;
-                self.note_chain(p0);
-                return true;
-            }
-            slot = (slot + 1) & self.mask;
-        }
-        self.note_chain(p0);
-        false
-    }
-
     /// Distinct keys inserted since the last reset (the row's nnz).
     pub fn occupied(&self) -> usize {
         self.touched.len()

@@ -493,11 +493,6 @@ impl HostParallelExecutor {
         self.threads
     }
 
-    /// How the worker count was arrived at.
-    pub fn thread_resolution(&self) -> ThreadResolution {
-        self.resolution
-    }
-
     /// Opt into a telemetry session; records a `thread_resolution`
     /// event immediately so a degraded fall-back is visible in traces.
     /// Idempotent.
@@ -1327,7 +1322,6 @@ mod tests {
         let caps = Executor::<f64>::capabilities(&ex);
         assert!(caps.wall_clock && !caps.simulated_time);
         assert_eq!(caps.threads, ex.threads());
-        assert_eq!(ex.thread_resolution().resolved, ex.threads());
     }
 
     #[test]

@@ -56,7 +56,6 @@ pub mod groups;
 pub mod hash;
 pub mod host;
 mod kernels;
-pub mod masked;
 pub mod partition;
 pub mod pipeline;
 pub mod plan;
@@ -70,7 +69,6 @@ pub use exec::{Backend, BackendCaps, Execution, Executor, JobCtl, SymbolicOutput
 pub use groups::{build_groups, Assignment, GroupOccupancy, GroupPhase, GroupSpec, GroupTable};
 pub use hash::{HashTable, ProbeStats, HASH_SCAL};
 pub use host::{HostParallelExecutor, ThreadResolution};
-pub use masked::multiply_masked;
 pub use pipeline::{
     estimate_memory, multiply, CapacityDiagnostic, Error, ErrorKind, MemoryEstimate, Options,
     Recovery,

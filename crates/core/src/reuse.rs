@@ -111,11 +111,6 @@ impl<T: Scalar> SymbolicPlan<T> {
         &self.symbolic
     }
 
-    /// The structure fingerprints `(A, B)` the plan was built for.
-    pub fn fingerprints(&self) -> (u64, u64) {
-        (self.fingerprint_a, self.fingerprint_b)
-    }
-
     /// Guard shared by every execution path: the matrices must carry the
     /// planned patterns (values are free to differ).
     fn check_patterns(&self, a: &Csr<T>, b: &Csr<T>) -> Result<()> {
@@ -147,11 +142,6 @@ impl<T: Scalar> SymbolicPlan<T> {
     /// a plan cache pays per entry beyond the backend-neutral plan.
     pub fn heap_bytes(&self) -> u64 {
         self.symbolic.heap_bytes()
-    }
-
-    /// The output's row pointer (exact, from the symbolic phase).
-    pub fn output_rpt(&self) -> &[usize] {
-        &self.symbolic.rpt
     }
 }
 

@@ -154,32 +154,6 @@ impl<T: Scalar> BlockedMatrix<T> {
     }
 }
 
-/// Convenience: blocked SpMV pays off after this many applications of
-/// the same matrix (conversion time ÷ per-iteration saving); `None` when
-/// the blocked variant is not faster per iteration (high fill ratio).
-pub fn blocked_break_even<T: Scalar>(
-    gpu_template: &Gpu,
-    a: &Csr<T>,
-    x: &[T],
-) -> Result<Option<usize>> {
-    let mut g1 = vgpu::Gpu::with_cost_model(
-        gpu_template.config().clone(),
-        gpu_template.cost_model().clone(),
-    );
-    let (_, plain) = spmv(&mut g1, a, x)?;
-    let mut g2 = vgpu::Gpu::with_cost_model(
-        gpu_template.config().clone(),
-        gpu_template.cost_model().clone(),
-    );
-    let blocked = BlockedMatrix::new(&mut g2, a)?;
-    let (_, b) = blocked.spmv(&mut g2, x)?;
-    if b.time >= plain.time {
-        return Ok(None);
-    }
-    let saving = plain.time - b.time;
-    Ok(Some((blocked.conversion_time.secs() / saving.secs()).ceil() as usize))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -224,9 +198,10 @@ mod tests {
         // random-gather traffic and must be faster per iteration.
         let a = banded(4000, 16);
         let x: Vec<f64> = (0..4000).map(|i| i as f64).collect();
-        let gpu = Gpu::new(DeviceConfig::p100());
-        let breakeven = blocked_break_even(&gpu, &a, &x).unwrap();
-        assert!(breakeven.is_some(), "regular matrix must benefit");
+        let (_, plain) = spmv(&mut Gpu::new(DeviceConfig::p100()), &a, &x).unwrap();
+        let mut gpu = Gpu::new(DeviceConfig::p100());
+        let (_, blocked) = BlockedMatrix::new(&mut gpu, &a).unwrap().spmv(&mut gpu, &x).unwrap();
+        assert!(blocked.time < plain.time, "regular matrix must benefit");
     }
 
     #[test]

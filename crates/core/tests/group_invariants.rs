@@ -18,7 +18,6 @@ fn arb_device() -> impl Gen<Value = DeviceConfig> {
             DeviceConfig {
                 name: "quickprop".into(),
                 num_sms: sms,
-                cores_per_sm: 64,
                 clock_hz: 1.0e9,
                 warp_size: warp,
                 shared_mem_per_sm: max_shared.max(64 * 1024),

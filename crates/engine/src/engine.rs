@@ -95,9 +95,8 @@ pub struct EngineConfig {
     /// structured [`Error::Shed`]. 0 = unbounded (the pre-hardening
     /// behaviour).
     pub max_queue_depth: usize,
-    /// Default retries for transient device faults
-    /// ([`Recovery::RetryAfterBackoff`]); jobs may override via
-    /// [`JobSpec::retry_budget`]. 0 = fail on the first fault.
+    /// Retries for transient device faults
+    /// ([`Recovery::RetryAfterBackoff`]). 0 = fail on the first fault.
     pub retry_budget: u32,
     /// Backoff base in simulated µs: attempt `k` waits
     /// `base << (k-1) + jitter` with `jitter < base` (seeded, so waits
@@ -286,43 +285,6 @@ pub struct EngineStats {
 }
 
 impl EngineStats {
-    /// Export the counters into an [`obs::Registry`] (deterministic
-    /// iteration order) for JSONL/report embedding.
-    pub fn to_registry(&self) -> obs::Registry {
-        let mut r = obs::Registry::new();
-        r.counter_add("engine.jobs", self.jobs);
-        r.counter_add("engine.admitted", self.admitted);
-        r.counter_add("engine.queued", self.queued);
-        r.counter_add("engine.batched", self.batched);
-        r.counter_add("engine.fallback", self.fallback);
-        r.counter_add("engine.completed", self.completed);
-        r.counter_add("engine.failed", self.failed);
-        r.counter_add("engine.shed", self.shed);
-        r.counter_add("engine.cancelled", self.cancelled);
-        r.counter_add("engine.deadline_exceeded", self.deadline_exceeded);
-        r.counter_add("engine.panicked_jobs", self.panicked_jobs);
-        r.counter_add("engine.backoff_retries", self.backoff_retries);
-        r.counter_add("engine.breaker_open_total", self.breaker_open_total);
-        r.counter_add("engine.symbolic_runs", self.symbolic_runs);
-        r.counter_add("engine.sampled_plans", self.sampled_plans);
-        r.counter_add("engine.replanned_rows", self.replanned_rows);
-        r.counter_add("engine.cache.hit", self.cache.hits);
-        r.counter_add("engine.cache.miss", self.cache.misses);
-        r.counter_add("engine.cache.evict", self.cache.evictions);
-        r.counter_add("engine.san.reports", self.san.reports);
-        r.counter_add("engine.san.allocs", self.san.allocs);
-        r.counter_add("engine.san.bytes_checked", self.san.bytes_checked);
-        r.gauge_set("engine.budget.capacity_bytes", self.budget_capacity as f64);
-        r.gauge_set("engine.budget.peak_bytes", self.budget_peak as f64);
-        // Every completed job's sample, not three synthetic percentile
-        // values: the exported histogram now has the job count and real
-        // bucket shape.
-        r.hist_merge("engine.job_latency_us", &self.latency_hist);
-        r.hist_merge("engine.queue_wait_us", &self.queue_wait_hist);
-        r.counter_add("engine.queue_wait_us_total", self.queue_wait_hist.sum());
-        r
-    }
-
     /// The outcome-conservation invariant: every submitted job retired
     /// into exactly one class.
     pub fn conserved(&self) -> bool {
@@ -861,7 +823,7 @@ fn process_job<T: Scalar>(
     // Retry loop for transient device faults: deterministic exponential
     // backoff charged to *simulated* time (no wall sleeping — byte
     // identical across runs and worker counts).
-    let retry_budget = spec.retry_budget.unwrap_or(shared.cfg.retry_budget);
+    let retry_budget = shared.cfg.retry_budget;
     let mut base_us: f64 = 0.0;
     let mut attempt: u32 = 0;
     let dev_result = loop {
@@ -1434,26 +1396,6 @@ mod tests {
         assert_eq!(stats.cache.hits, 1);
         assert_eq!(stats.symbolic_runs, 1);
         assert!(stats.budget_drained);
-    }
-
-    #[test]
-    fn stats_registry_is_deterministic_and_complete() {
-        let a = rand_mat(100, 1);
-        let mut eng = Engine::new(EngineConfig::default());
-        eng.submit(JobSpec::new(Arc::clone(&a), Arc::clone(&a))).wait().unwrap();
-        let stats = eng.shutdown();
-        let reg = stats.to_registry();
-        assert_eq!(reg.counter("engine.jobs"), 1);
-        assert_eq!(reg.counter("engine.completed"), 1);
-        assert_eq!(reg.counter("engine.cache.miss"), 1);
-        assert_eq!(reg.counter("engine.sampled_plans"), 0);
-        assert_eq!(reg.counter("engine.replanned_rows"), 0);
-        assert_eq!(reg.counter("engine.shed"), 0);
-        assert_eq!(reg.counter("engine.cancelled"), 0);
-        assert_eq!(reg.counter("engine.deadline_exceeded"), 0);
-        assert_eq!(reg.counter("engine.panicked_jobs"), 0);
-        assert_eq!(reg.counter("engine.breaker_open_total"), 0);
-        assert!(reg.hist("engine.job_latency_us").is_some());
     }
 
     #[test]

@@ -38,9 +38,6 @@ pub struct JobSpec<T> {
     /// [`nsparse_core::Error::DeadlineExceeded`] and releases its
     /// reservation. `None` = no deadline.
     pub deadline_us: Option<u64>,
-    /// Per-job override of the engine's retry budget for transient
-    /// device faults ([`nsparse_core::Recovery::RetryAfterBackoff`]).
-    pub retry_budget: Option<u32>,
     /// Chaos knob: install [`JobSpec::faults`] only on the first `n`
     /// attempts, modelling a *transient* fault that a retry outlives.
     /// `None` installs faults on every attempt (a persistent fault that
@@ -65,7 +62,6 @@ impl<T: Scalar> JobSpec<T> {
             rows: None,
             faults: None,
             deadline_us: None,
-            retry_budget: None,
             transient_attempts: None,
             cancel_at: None,
             chaos_panic: false,
@@ -93,12 +89,6 @@ impl<T: Scalar> JobSpec<T> {
     /// Set a simulated-time deadline in microseconds.
     pub fn with_deadline_us(mut self, deadline_us: u64) -> Self {
         self.deadline_us = Some(deadline_us);
-        self
-    }
-
-    /// Override the engine's transient-fault retry budget for this job.
-    pub fn with_retry_budget(mut self, retries: u32) -> Self {
-        self.retry_budget = Some(retries);
         self
     }
 

@@ -25,7 +25,7 @@
 //! meaningless across the two domains.
 
 use crate::engine::EngineStats;
-use obs::{Event, EventLog, SpanId, Telemetry, TraceCtx, Value};
+use obs::{Event, EventLog, SpanId, Telemetry, Value};
 use std::collections::VecDeque;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
@@ -65,11 +65,6 @@ impl TraceBuilder {
         let mut tb = TraceBuilder { job, tel: Some(tel), root, seq: 1 };
         tb.emit(None, Event::new("submit"));
         tb
-    }
-
-    /// The context other layers thread: job id + root span.
-    pub fn ctx(&self) -> TraceCtx {
-        TraceCtx { job: self.job, parent: self.root }
     }
 
     /// Next logical timestamp (ticks whether or not the session is

@@ -61,19 +61,6 @@ impl SpanId {
     }
 }
 
-/// Job-scoped trace context: which job the current work belongs to and
-/// the span new spans and events should be parented under. The engine
-/// constructs one per job at worker pickup and threads it through the
-/// executor stack into device telemetry, producing one causal span tree
-/// per job (DESIGN.md §15).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceCtx {
-    /// Submission-order job id.
-    pub job: u64,
-    /// The job's root span; children parent under it by default.
-    pub parent: SpanId,
-}
-
 #[derive(Debug, Clone)]
 struct OpenSpan {
     id: u64,

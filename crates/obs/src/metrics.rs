@@ -1,7 +1,7 @@
 //! Named metrics with deterministic iteration.
 //!
 //! A [`Registry`] is a flat namespace of counters (monotone `u64`),
-//! gauges (last-write `f64`) and [`Log2Histogram`]s. Names are
+//! high-water gauges (`f64`) and [`Log2Histogram`]s. Names are
 //! dot-separated paths (`"count.g3.probe_len"`); storage is a `BTreeMap`
 //! so every export walks metrics in the same order on every run — the
 //! determinism guarantee the telemetry JSONL inherits.
@@ -51,20 +51,10 @@ impl Registry {
         *self.counters.entry(name.to_string()).or_insert(0) += delta;
     }
 
-    /// Set gauge `name` to `value`.
-    pub fn gauge_set(&mut self, name: &str, value: f64) {
-        self.gauges.insert(name.to_string(), value);
-    }
-
     /// Raise gauge `name` to at least `value` (high-water semantics).
     pub fn gauge_max(&mut self, name: &str, value: f64) {
         let g = self.gauges.entry(name.to_string()).or_insert(f64::MIN);
         *g = g.max(value);
-    }
-
-    /// Record one observation into histogram `name`.
-    pub fn hist_record(&mut self, name: &str, value: u64) {
-        self.hists.entry(name.to_string()).or_default().record(value);
     }
 
     /// Merge a locally-accumulated histogram into histogram `name`
@@ -76,11 +66,6 @@ impl Registry {
     /// Counter value (0 when absent).
     pub fn counter(&self, name: &str) -> u64 {
         self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// Gauge value.
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges.get(name).copied()
     }
 
     /// Histogram by name.
@@ -117,27 +102,21 @@ mod tests {
     }
 
     #[test]
-    fn gauges_last_write_and_max() {
+    fn gauges_keep_the_maximum() {
         let mut r = Registry::new();
-        r.gauge_set("g", 1.5);
-        r.gauge_set("g", 0.5);
-        assert_eq!(r.gauge("g"), Some(0.5));
         r.gauge_max("hw", 10.0);
         r.gauge_max("hw", 4.0);
-        assert_eq!(r.gauge("hw"), Some(10.0));
+        assert_eq!(r.summary().gauges, vec![("hw".to_string(), 10.0)]);
     }
 
     #[test]
-    fn hist_record_and_merge_agree() {
-        let mut r = Registry::new();
-        r.hist_record("h", 3);
-        r.hist_record("h", 9);
+    fn hist_merge_creates_the_histogram() {
         let mut local = Log2Histogram::new();
         local.record(3);
         local.record(9);
-        let mut r2 = Registry::new();
-        r2.hist_merge("h", &local);
-        assert_eq!(r.hist("h"), r2.hist("h"));
+        let mut r = Registry::new();
+        r.hist_merge("h", &local);
+        assert_eq!(r.hist("h"), Some(&local));
     }
 
     #[test]

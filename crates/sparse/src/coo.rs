@@ -6,7 +6,6 @@
 
 use crate::csr::Csr;
 use crate::scalar::Scalar;
-use crate::{Result, SparseError};
 
 /// A sparse matrix as unsorted `(row, col, value)` triplets.
 #[derive(Clone, Debug, PartialEq)]
@@ -20,19 +19,6 @@ impl<T: Scalar> Coo<T> {
     /// Empty matrix of the given shape.
     pub fn new(rows: usize, cols: usize) -> Self {
         Coo { rows, cols, entries: Vec::new() }
-    }
-
-    /// Build from triplets, validating bounds.
-    pub fn from_entries(rows: usize, cols: usize, entries: Vec<(u32, u32, T)>) -> Result<Self> {
-        for &(r, c, _) in &entries {
-            if r as usize >= rows {
-                return Err(SparseError::RowOutOfBounds { row: r as usize, rows });
-            }
-            if c as usize >= cols {
-                return Err(SparseError::ColumnOutOfBounds { row: r as usize, col: c, cols });
-            }
-        }
-        Ok(Coo { rows, cols, entries })
     }
 
     /// Append one entry (bounds asserted).
@@ -110,13 +96,6 @@ mod tests {
         let csr = coo.to_csr();
         assert_eq!(csr.nnz(), 2);
         assert_eq!(csr.to_dense()[0][0], 3.5);
-    }
-
-    #[test]
-    fn from_entries_bounds() {
-        assert!(Coo::<f64>::from_entries(1, 1, vec![(1, 0, 1.0)]).is_err());
-        assert!(Coo::<f64>::from_entries(1, 1, vec![(0, 1, 1.0)]).is_err());
-        assert!(Coo::<f64>::from_entries(1, 1, vec![(0, 0, 1.0)]).is_ok());
     }
 
     #[test]

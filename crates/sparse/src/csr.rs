@@ -61,20 +61,6 @@ impl<T: Scalar> Csr<T> {
         }
     }
 
-    /// Diagonal matrix from a vector of diagonal entries. Zeros on the
-    /// diagonal are stored explicitly (callers wanting pruning can call
-    /// [`Csr::pruned`]).
-    pub fn from_diagonal(diag: &[T]) -> Self {
-        let n = diag.len();
-        Csr {
-            rows: n,
-            cols: n,
-            rpt: (0..=n).collect(),
-            col: (0..dev_index(n)).collect(),
-            val: diag.to_vec(),
-        }
-    }
-
     /// Build from raw CSR arrays, validating every invariant.
     pub fn from_parts(
         rows: usize,
@@ -343,25 +329,7 @@ impl<T: Scalar> Csr<T> {
         })
     }
 
-    /// Drop explicitly-stored zeros.
-    pub fn pruned(&self) -> Self {
-        let mut rpt = vec![0usize; self.rows + 1];
-        let mut col = Vec::with_capacity(self.nnz());
-        let mut val = Vec::with_capacity(self.nnz());
-        for r in 0..self.rows {
-            let (cs, vs) = self.row(r);
-            for (&c, &v) in cs.iter().zip(vs) {
-                if v != T::ZERO {
-                    col.push(c);
-                    val.push(v);
-                }
-            }
-            rpt[r + 1] = col.len();
-        }
-        Csr { rows: self.rows, cols: self.cols, rpt, col, val }
-    }
-
-    /// Transpose (also converts CSR → CSC interpretation). O(nnz + rows + cols).
+    /// Transpose. O(nnz + rows + cols).
     pub fn transpose(&self) -> Self {
         let mut rpt = vec![0usize; self.cols + 1];
         for &c in &self.col {
@@ -586,8 +554,6 @@ mod tests {
         assert_eq!(i.nnz(), 4);
         let x = vec![1.0f32, 2.0, 3.0, 4.0];
         assert_eq!(i.spmv(&x).unwrap(), x);
-        let d = Csr::from_diagonal(&[2.0f64, 3.0]);
-        assert_eq!(d.spmv(&[1.0, 1.0]).unwrap(), vec![2.0, 3.0]);
     }
 
     #[test]
@@ -625,9 +591,8 @@ mod tests {
             s.to_dense(),
             vec![vec![1.0, 1.0, 0.0], vec![1.0, 0.0, 3.0], vec![4.0, 0.0, 0.0],]
         );
-        // Explicit zeros stay until pruned.
+        // Cancelled entries stay as explicit zeros.
         assert_eq!(s.nnz(), 7);
-        assert_eq!(s.pruned().nnz(), 5);
     }
 
     #[test]

@@ -5,7 +5,12 @@
 //! seeded synthetic analogues by default (no network), but the readers
 //! here let a user drop in the real files. Supported: `matrix coordinate
 //! {real,integer,pattern} {general,symmetric,skew-symmetric}`.
+//!
+//! The writer prints each value in Rust's shortest round-trip form, so
+//! every finite value, −0.0 and ±inf reads back bitwise. NaN reads back
+//! as NaN, but the text format keeps neither its payload nor its sign.
 
+use crate::convert::{to_u64, try_u32};
 use crate::coo::Coo;
 use crate::csr::Csr;
 use crate::scalar::Scalar;
@@ -82,6 +87,10 @@ pub fn read_matrix_market<T: Scalar, R: Read>(reader: R) -> Result<Csr<T>> {
         return Err(parse_err(format!("size line must have 3 fields: {size_line}")));
     }
     let (rows, cols, declared_nnz) = (dims[0], dims[1], dims[2]);
+    // A 0-based index must fit the 4-byte device index.
+    if to_u64(rows) > 1 << 32 || to_u64(cols) > 1 << 32 {
+        return Err(parse_err(format!("dimensions exceed 2^32: {size_line}")));
+    }
 
     let mut coo = Coo::<T>::new(rows, cols);
     let mut seen = 0usize;
@@ -114,7 +123,7 @@ pub fn read_matrix_market<T: Scalar, R: Read>(reader: R) -> Result<Csr<T>> {
                 )
             }
         };
-        let (r0, c0) = ((r - 1) as u32, (c - 1) as u32);
+        let (r0, c0) = (try_u32(r - 1)?, try_u32(c - 1)?);
         coo.push(r0, c0, v);
         match symmetry {
             Symmetry::General => {}
@@ -224,6 +233,22 @@ mod tests {
             "%%MatrixMarket matrix coordinate real general\n1 1 1\n0 1 1.0\n".as_bytes()
         )
         .is_err());
+    }
+
+    #[test]
+    fn rejects_rows_beyond_u32_indices() {
+        let src =
+            "%%MatrixMarket matrix coordinate real general\n5000000000 1 1\n4294967297 1 2.5\n";
+        let err = read_matrix_market::<f64, _>(src.as_bytes()).unwrap_err();
+        assert!(matches!(err, SparseError::Parse(_)), "{err}");
+    }
+
+    #[test]
+    fn rejects_cols_beyond_u32_indices() {
+        let src =
+            "%%MatrixMarket matrix coordinate real general\n1 5000000000 1\n1 4294967297 2.5\n";
+        let err = read_matrix_market::<f64, _>(src.as_bytes()).unwrap_err();
+        assert!(matches!(err, SparseError::Parse(_)), "{err}");
     }
 
     #[test]

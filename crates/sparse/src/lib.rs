@@ -18,9 +18,7 @@
 
 pub mod convert;
 pub mod coo;
-pub mod csc;
 pub mod csr;
-pub mod ell;
 pub mod io;
 pub mod ops;
 pub mod scalar;
@@ -29,9 +27,7 @@ pub mod stats;
 
 pub use convert::{ix, to_u64, try_u32, try_usize};
 pub use coo::Coo;
-pub use csc::Csc;
 pub use csr::{Csr, DEVICE_INDEX_BYTES};
-pub use ell::{Ell, Hyb};
 pub use scalar::Scalar;
 
 /// Errors produced when constructing or validating sparse matrices.

@@ -1,50 +1,15 @@
 //! Element-wise and structural operations around SpGEMM.
 //!
 //! The application layer (AMG, clustering, graph analytics) needs more
-//! than the product itself: Hadamard masks, diagonal extraction and
-//! scaling (Jacobi smoothers), symmetric permutations (reorderings) and
-//! pattern utilities. All operate on sorted CSR and preserve its
+//! than the product itself: differences, diagonal extraction and row
+//! scaling (Jacobi smoothers), pattern extraction, and row stacking for
+//! the batched executor. All operate on sorted CSR and preserve its
 //! invariants.
 
-use crate::convert::{ix, try_u32};
+use crate::convert::try_u32;
 use crate::csr::Csr;
 use crate::scalar::Scalar;
 use crate::{Result, SparseError};
-
-/// Element-wise (Hadamard) product `A ∘ B`: entries present in both.
-pub fn hadamard<T: Scalar>(a: &Csr<T>, b: &Csr<T>) -> Result<Csr<T>> {
-    if a.rows() != b.rows() || a.cols() != b.cols() {
-        return Err(SparseError::DimensionMismatch(format!(
-            "hadamard: {}x{} vs {}x{}",
-            a.rows(),
-            a.cols(),
-            b.rows(),
-            b.cols()
-        )));
-    }
-    let mut rpt = vec![0usize; a.rows() + 1];
-    let mut col = Vec::new();
-    let mut val = Vec::new();
-    for r in 0..a.rows() {
-        let (ac, av) = a.row(r);
-        let (bc, bv) = b.row(r);
-        let (mut i, mut j) = (0, 0);
-        while i < ac.len() && j < bc.len() {
-            match ac[i].cmp(&bc[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    col.push(ac[i]);
-                    val.push(av[i] * bv[j]);
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        rpt[r + 1] = col.len();
-    }
-    Csr::from_parts_unchecked(a.rows(), a.cols(), rpt, col, val)
-}
 
 /// Element-wise difference `A - B`.
 pub fn sub<T: Scalar>(a: &Csr<T>, b: &Csr<T>) -> Result<Csr<T>> {
@@ -84,48 +49,6 @@ pub fn scale_rows<T: Scalar>(a: &Csr<T>, s: &[T]) -> Result<Csr<T>> {
         }
     }
     Csr::from_parts_unchecked(a.rows(), a.cols(), a.rpt().to_vec(), a.col().to_vec(), vals)
-}
-
-/// Scale column `c` by `s[c]` (right-multiplication by a diagonal).
-pub fn scale_cols<T: Scalar>(a: &Csr<T>, s: &[T]) -> Result<Csr<T>> {
-    if s.len() != a.cols() {
-        return Err(SparseError::DimensionMismatch(format!(
-            "scale_cols: {} scales for {} cols",
-            s.len(),
-            a.cols()
-        )));
-    }
-    let vals: Vec<T> = a.col().iter().zip(a.val()).map(|(&c, &v)| v * s[ix(c)]).collect();
-    Csr::from_parts_unchecked(a.rows(), a.cols(), a.rpt().to_vec(), a.col().to_vec(), vals)
-}
-
-/// Symmetric permutation `P A Pᵀ`: entry `(i, j)` moves to
-/// `(perm[i], perm[j])`. `perm` must be a permutation of `0..n`.
-pub fn permute_symmetric<T: Scalar>(a: &Csr<T>, perm: &[u32]) -> Result<Csr<T>> {
-    if a.rows() != a.cols() || perm.len() != a.rows() {
-        return Err(SparseError::DimensionMismatch(format!(
-            "permute_symmetric: matrix {}x{}, perm {}",
-            a.rows(),
-            a.cols(),
-            perm.len()
-        )));
-    }
-    let mut seen = vec![false; perm.len()];
-    for &p in perm {
-        let p = ix(p);
-        if p >= perm.len() || seen[p] {
-            return Err(SparseError::Parse("perm is not a permutation".into()));
-        }
-        seen[p] = true;
-    }
-    let mut triplets = Vec::with_capacity(a.nnz());
-    for r in 0..a.rows() {
-        let (cs, vs) = a.row(r);
-        for (&c, &v) in cs.iter().zip(vs) {
-            triplets.push((ix(perm[r]), perm[ix(c)], v));
-        }
-    }
-    Csr::from_triplets(a.rows(), a.cols(), &triplets)
 }
 
 /// The pattern of `A` with all values set to 1 (adjacency extraction).
@@ -171,38 +94,6 @@ pub fn vstack<T: Scalar>(parts: &[Csr<T>]) -> Result<Csr<T>> {
     Csr::from_parts_unchecked(rows, cols, rpt, col, val)
 }
 
-/// Drop the diagonal entries.
-pub fn strip_diagonal<T: Scalar>(a: &Csr<T>) -> Csr<T> {
-    let mut rpt = vec![0usize; a.rows() + 1];
-    let mut col = Vec::with_capacity(a.nnz());
-    let mut val = Vec::with_capacity(a.nnz());
-    for r in 0..a.rows() {
-        let (cs, vs) = a.row(r);
-        for (&c, &v) in cs.iter().zip(vs) {
-            if ix(c) != r {
-                col.push(c);
-                val.push(v);
-            }
-        }
-        rpt[r + 1] = col.len();
-    }
-    Csr::from_parts_unchecked(a.rows(), a.cols(), rpt, col, val)
-        // lint:allow(no-expect) — row-filtering rebuild of a validated CSR cannot fail
-        .expect("strip_diagonal preserves the CSR shape")
-}
-
-/// Frobenius norm.
-pub fn frobenius_norm<T: Scalar>(a: &Csr<T>) -> f64 {
-    a.val().iter().map(|v| v.to_f64() * v.to_f64()).sum::<f64>().sqrt()
-}
-
-/// Infinity norm (max absolute row sum).
-pub fn inf_norm<T: Scalar>(a: &Csr<T>) -> f64 {
-    (0..a.rows())
-        .map(|r| a.row(r).1.iter().map(|v| v.to_f64().abs()).sum::<f64>())
-        .fold(0.0, f64::max)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -212,64 +103,21 @@ mod tests {
     }
 
     #[test]
-    fn hadamard_keeps_intersection() {
-        let b = Csr::from_dense(&[vec![1.0, 0.0, 7.0], vec![0.0, 2.0, 2.0], vec![0.0, 1.0, 1.0]]);
-        let h = hadamard(&m(), &b).unwrap();
-        assert_eq!(
-            h.to_dense(),
-            vec![vec![2.0, 0.0, 0.0], vec![0.0, 6.0, 8.0], vec![0.0, 0.0, 6.0],]
-        );
-        assert!(hadamard(&m(), &Csr::<f64>::zeros(2, 3)).is_err());
-    }
-
-    #[test]
     fn sub_is_add_of_negation() {
         let d = sub(&m(), &m()).unwrap();
         assert!(d.val().iter().all(|&v| v == 0.0));
     }
 
     #[test]
-    fn diagonal_and_strip() {
+    fn diagonal_of_sample() {
         assert_eq!(diagonal(&m()), vec![2.0, 3.0, 6.0]);
-        let s = strip_diagonal(&m());
-        assert_eq!(s.nnz(), 3);
-        assert_eq!(diagonal(&s), vec![0.0, 0.0, 0.0]);
     }
 
     #[test]
-    fn row_col_scaling() {
+    fn row_scaling() {
         let r = scale_rows(&m(), &[1.0, 2.0, 3.0]).unwrap();
         assert_eq!(r.to_dense()[1], vec![0.0, 6.0, 8.0]);
-        let c = scale_cols(&m(), &[1.0, 2.0, 3.0]).unwrap();
-        assert_eq!(c.to_dense()[1], vec![0.0, 6.0, 12.0]);
         assert!(scale_rows(&m(), &[1.0]).is_err());
-        assert!(scale_cols(&m(), &[1.0]).is_err());
-    }
-
-    #[test]
-    fn symmetric_permutation_preserves_spectra_proxy() {
-        // Frobenius norm and diagonal multiset are invariant.
-        let perm = [2u32, 0, 1];
-        let p = permute_symmetric(&m(), &perm).unwrap();
-        assert!((frobenius_norm(&p) - frobenius_norm(&m())).abs() < 1e-12);
-        let mut d1 = diagonal(&m());
-        let mut d2 = diagonal(&p);
-        d1.sort_by(f64::total_cmp);
-        d2.sort_by(f64::total_cmp);
-        assert_eq!(d1, d2);
-        // Round-trip with the inverse permutation.
-        let mut inv = [0u32; 3];
-        for (i, &pi) in perm.iter().enumerate() {
-            inv[pi as usize] = i as u32;
-        }
-        assert_eq!(permute_symmetric(&p, &inv).unwrap(), m());
-    }
-
-    #[test]
-    fn permutation_validated() {
-        assert!(permute_symmetric(&m(), &[0, 0, 1]).is_err());
-        assert!(permute_symmetric(&m(), &[0, 1]).is_err());
-        assert!(permute_symmetric(&m(), &[0, 1, 9]).is_err());
     }
 
     #[test]
@@ -294,13 +142,5 @@ mod tests {
         // Mismatched column counts and zero parts are rejected.
         assert!(vstack(&[top, Csr::<f64>::zeros(1, 7)]).is_err());
         assert!(vstack::<f64>(&[]).is_err());
-    }
-
-    #[test]
-    fn norms() {
-        assert!(
-            (frobenius_norm(&m()) - (4.0f64 + 1.0 + 9.0 + 16.0 + 25.0 + 36.0).sqrt()).abs() < 1e-12
-        );
-        assert_eq!(inf_norm(&m()), 11.0);
     }
 }

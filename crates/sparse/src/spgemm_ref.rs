@@ -1,13 +1,11 @@
 //! Reference CPU SpGEMM implementations (Algorithm 1 of the paper).
 //!
 //! These serve as ground truth for every GPU-simulated algorithm in the
-//! workspace. Three independent implementations are provided so the test
+//! workspace. Two independent implementations are provided so the test
 //! suite can cross-check them against each other:
 //!
 //! * [`spgemm_gustavson`] — Gustavson's algorithm with a dense sparse
 //!   accumulator (SPA); the fastest and the default oracle;
-//! * [`spgemm_hashmap`] — `HashMap` accumulator per row, structurally
-//!   closest to the paper's hash kernels;
 //! * [`spgemm_heap`] — k-way merge of sorted B-rows with a binary heap,
 //!   the method BHSPARSE uses for small bins.
 //!
@@ -17,7 +15,7 @@
 use crate::csr::Csr;
 use crate::scalar::Scalar;
 use crate::{Result, SparseError};
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
 fn check_dims<T: Scalar>(a: &Csr<T>, b: &Csr<T>) -> Result<()> {
     if a.cols() != b.rows() {
@@ -113,33 +111,6 @@ pub fn spgemm_gustavson<T: Scalar>(a: &Csr<T>, b: &Csr<T>) -> Result<Csr<T>> {
     Csr::from_parts_unchecked(a.rows(), n, rpt, col, val)
 }
 
-/// SpGEMM with a `HashMap<u32, T>` accumulator per row.
-pub fn spgemm_hashmap<T: Scalar>(a: &Csr<T>, b: &Csr<T>) -> Result<Csr<T>> {
-    check_dims(a, b)?;
-    let mut rpt = vec![0usize; a.rows() + 1];
-    let mut col = Vec::new();
-    let mut val = Vec::new();
-    let mut acc: HashMap<u32, T> = HashMap::new();
-    for i in 0..a.rows() {
-        acc.clear();
-        let (acols, avals) = a.row(i);
-        for (&k, &av) in acols.iter().zip(avals) {
-            let (bcols, bvals) = b.row(k as usize);
-            for (&j, &bv) in bcols.iter().zip(bvals) {
-                *acc.entry(j).or_insert(T::ZERO) += av * bv;
-            }
-        }
-        let mut row: Vec<(u32, T)> = acc.iter().map(|(&c, &v)| (c, v)).collect();
-        row.sort_unstable_by_key(|&(c, _)| c);
-        for (c, v) in row {
-            col.push(c);
-            val.push(v);
-        }
-        rpt[i + 1] = col.len();
-    }
-    Csr::from_parts_unchecked(a.rows(), b.cols(), rpt, col, val)
-}
-
 /// SpGEMM by k-way heap merge of the (sorted) B-rows selected by each
 /// A-row — the "heap method" of Liu & Vinter used in BHSPARSE's small
 /// bins. Produces sorted output without an accumulator array.
@@ -195,58 +166,6 @@ pub fn spgemm_heap<T: Scalar>(a: &Csr<T>, b: &Csr<T>) -> Result<Csr<T>> {
     Csr::from_parts_unchecked(a.rows(), b.cols(), rpt, col, val)
 }
 
-/// SpGEMM by explicit expansion-sorting-contraction — the CPU mirror of
-/// CUSP's ESC algorithm (§II-B): materialize every intermediate product
-/// as a `(row, col, value)` tuple, sort by the combined key, and reduce
-/// runs of equal coordinates. Exists to cross-validate the ESC baseline
-/// and to document its memory appetite (the tuple list holds *all*
-/// intermediate products at once).
-pub fn spgemm_esc<T: Scalar>(a: &Csr<T>, b: &Csr<T>) -> Result<Csr<T>> {
-    check_dims(a, b)?;
-    // Expansion.
-    let total = total_intermediate_products(a, b)? as usize;
-    let mut tuples: Vec<(u64, T)> = Vec::with_capacity(total);
-    for i in 0..a.rows() {
-        let (acols, avals) = a.row(i);
-        for (&k, &av) in acols.iter().zip(avals) {
-            let (bcols, bvals) = b.row(k as usize);
-            for (&j, &bv) in bcols.iter().zip(bvals) {
-                tuples.push((((i as u64) << 32) | j as u64, av * bv));
-            }
-        }
-    }
-    // Sorting (stable for deterministic accumulation order).
-    tuples.sort_by_key(|&(key, _)| key);
-    // Contraction.
-    let mut rpt = vec![0usize; a.rows() + 1];
-    let mut col = Vec::new();
-    let mut val = Vec::new();
-    let mut iter = tuples.into_iter();
-    if let Some((mut key, mut acc)) = iter.next() {
-        for (k, v) in iter {
-            if k == key {
-                acc += v;
-            } else {
-                rpt[(key >> 32) as usize + 1] = {
-                    col.push(key as u32);
-                    val.push(acc);
-                    col.len()
-                };
-                key = k;
-                acc = v;
-            }
-        }
-        col.push(key as u32);
-        val.push(acc);
-        rpt[(key >> 32) as usize + 1] = col.len();
-    }
-    // Fill row-pointer gaps (empty rows keep the previous offset).
-    for i in 1..rpt.len() {
-        rpt[i] = rpt[i].max(rpt[i - 1]);
-    }
-    Csr::from_parts_unchecked(a.rows(), b.cols(), rpt, col, val)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -280,27 +199,8 @@ mod tests {
     }
 
     #[test]
-    fn hashmap_matches_gustavson() {
-        assert_eq!(spgemm_hashmap(&a(), &b()).unwrap(), spgemm_gustavson(&a(), &b()).unwrap());
-    }
-
-    #[test]
     fn heap_matches_gustavson() {
         assert_eq!(spgemm_heap(&a(), &b()).unwrap(), spgemm_gustavson(&a(), &b()).unwrap());
-    }
-
-    #[test]
-    fn esc_matches_gustavson() {
-        assert_eq!(spgemm_esc(&a(), &b()).unwrap(), spgemm_gustavson(&a(), &b()).unwrap());
-        let i = Csr::<f64>::identity(5);
-        assert_eq!(spgemm_esc(&i, &i).unwrap(), i);
-        let z = Csr::<f64>::zeros(4, 4);
-        assert_eq!(spgemm_esc(&z, &z).unwrap().nnz(), 0);
-        // Empty leading and trailing rows keep a valid row pointer.
-        let m = Csr::from_dense(&[vec![0.0, 0.0], vec![1.0, 2.0]]);
-        let e = spgemm_esc(&m, &m).unwrap();
-        e.validate().unwrap();
-        assert_eq!(e, spgemm_gustavson(&m, &m).unwrap());
     }
 
     #[test]
@@ -341,7 +241,6 @@ mod tests {
         assert_eq!(spgemm_gustavson(&i, &a()).unwrap(), a());
         assert_eq!(spgemm_gustavson(&a(), &i).unwrap(), a());
         assert_eq!(spgemm_heap(&i, &a()).unwrap(), a());
-        assert_eq!(spgemm_hashmap(&a(), &i).unwrap(), a());
     }
 
     #[test]

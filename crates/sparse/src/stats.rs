@@ -2,9 +2,7 @@
 //!
 //! For each dataset the paper reports rows, nnz, average and maximum
 //! nnz/row, the number of intermediate products of `A²` and the nnz of
-//! `A²`. [`MatrixStats::for_square`] computes all of them; the row-nnz
-//! histogram is additionally useful to verify that synthetic analogues
-//! match their originals' shape.
+//! `A²`. [`MatrixStats::for_square`] computes all of them.
 
 use crate::csr::Csr;
 use crate::scalar::Scalar;
@@ -58,31 +56,6 @@ impl MatrixStats {
         s.nnz_of_square = Some(symbolic_row_nnz(a, a)?.iter().map(|&x| x as u64).sum());
         Ok(s)
     }
-
-    /// Compression ratio `intermediate products / nnz(A²)` — how much the
-    /// hash table merges; high values are where two-phase approaches save
-    /// the most memory (§IV).
-    pub fn compression_ratio(&self) -> Option<f64> {
-        match (self.intermediate_products, self.nnz_of_square) {
-            (Some(ip), Some(nnz)) if nnz > 0 => Some(ip as f64 / nnz as f64),
-            _ => None,
-        }
-    }
-}
-
-/// Histogram of row nnz in power-of-two buckets: bucket `i` counts rows
-/// with `2^(i-1) < nnz <= 2^i` (bucket 0 counts empty rows and nnz = 1).
-pub fn row_nnz_histogram<T: Scalar>(a: &Csr<T>) -> Vec<usize> {
-    let mut hist = Vec::new();
-    for r in 0..a.rows() {
-        let nnz = a.row_nnz(r);
-        let bucket = if nnz <= 1 { 0 } else { (usize::BITS - (nnz - 1).leading_zeros()) as usize };
-        if bucket >= hist.len() {
-            hist.resize(bucket + 1, 0);
-        }
-        hist[bucket] += 1;
-    }
-    hist
 }
 
 #[cfg(test)]
@@ -118,14 +91,6 @@ mod tests {
         // row 0 selects rows 0,1,2 of A: nnz 3+0+1 = 4; row 2 selects row 0: 3;
         // row 3 selects rows 1,2,3: 0+1+3 = 4. Total 11.
         assert_eq!(s.intermediate_products, Some(11));
-        assert!(s.compression_ratio().unwrap() >= 1.0);
-    }
-
-    #[test]
-    fn histogram_buckets() {
-        let h = row_nnz_histogram(&m());
-        // nnz per row: 3,0,1,3 -> bucket0: {0,1} = 2 rows; bucket2 (3..4]: 2 rows
-        assert_eq!(h, vec![2, 0, 2]);
     }
 
     #[test]
@@ -133,6 +98,5 @@ mod tests {
         let z = Csr::<f32>::zeros(0, 0);
         let s = MatrixStats::structural(&z);
         assert_eq!(s.nnz_per_row, 0.0);
-        assert_eq!(row_nnz_histogram(&z), Vec::<usize>::new());
     }
 }

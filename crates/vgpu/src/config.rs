@@ -12,8 +12,6 @@ pub struct DeviceConfig {
     pub name: String,
     /// Number of streaming multiprocessors.
     pub num_sms: usize,
-    /// CUDA cores per SM (P100: 64).
-    pub cores_per_sm: usize,
     /// SM clock in Hz (P100 boost: ~1.33 GHz).
     pub clock_hz: f64,
     /// Threads per warp (32 on every NVIDIA architecture).
@@ -40,7 +38,6 @@ impl DeviceConfig {
         DeviceConfig {
             name: "Tesla P100-PCIE-16GB (virtual)".to_string(),
             num_sms: 56,
-            cores_per_sm: 64,
             clock_hz: 1.328e9,
             warp_size: 32,
             shared_mem_per_sm: 64 * 1024,
@@ -61,7 +58,6 @@ impl DeviceConfig {
         DeviceConfig {
             name: "Tesla V100-SXM2-16GB (virtual)".to_string(),
             num_sms: 80,
-            cores_per_sm: 64,
             clock_hz: 1.53e9,
             warp_size: 32,
             shared_mem_per_sm: 96 * 1024,
@@ -83,7 +79,6 @@ impl DeviceConfig {
         DeviceConfig {
             name: "Radeon Vega 64 (virtual)".to_string(),
             num_sms: 64,
-            cores_per_sm: 64,
             clock_hz: 1.546e9,
             warp_size: 64,
             shared_mem_per_sm: 64 * 1024,
@@ -105,11 +100,6 @@ impl DeviceConfig {
     /// memory-pressure regime.
     pub fn p100_with_memory(device_mem_bytes: u64) -> Self {
         DeviceConfig { device_mem_bytes, ..Self::p100() }
-    }
-
-    /// Total CUDA cores on the device.
-    pub fn total_cores(&self) -> usize {
-        self.num_sms * self.cores_per_sm
     }
 
     /// Maximum resident warps per SM.
@@ -143,17 +133,15 @@ mod tests {
     fn p100_matches_paper_constants() {
         let c = DeviceConfig::p100();
         c.validate().unwrap();
-        // §III-D: 64 KB shared per SM, 48 KB max per block, 64 cores/SM.
+        // §III-D: 64 KB shared per SM, 48 KB max per block.
         assert_eq!(c.shared_mem_per_sm, 64 * 1024);
         assert_eq!(c.max_shared_per_block, 48 * 1024);
-        assert_eq!(c.cores_per_sm, 64);
         // §IV: 16 GB device memory, 732 GB/s.
         assert_eq!(c.device_mem_bytes, 16 << 30);
         assert_eq!(c.mem_bandwidth, 732e9);
         // §III-D: max 32 blocks per SM.
         assert_eq!(c.max_blocks_per_sm, 32);
         assert_eq!(c.max_warps_per_sm(), 64);
-        assert_eq!(c.total_cores(), 3584);
     }
 
     #[test]

@@ -120,17 +120,12 @@ pub struct Gpu {
 }
 
 impl Gpu {
-    /// New device with the given configuration and default cost model.
+    /// New device with the given configuration and the P100 cost model.
     pub fn new(cfg: DeviceConfig) -> Self {
-        Self::with_cost_model(cfg, CostModel::p100())
-    }
-
-    /// New device with an explicit cost model (ablations).
-    pub fn with_cost_model(cfg: DeviceConfig, cost: CostModel) -> Self {
         let mem = DeviceMemory::new(cfg.device_mem_bytes);
         Gpu {
             cfg,
-            cost,
+            cost: CostModel::p100(),
             mem,
             profiler: Profiler::new(),
             now: SimTime::ZERO,
@@ -174,11 +169,6 @@ impl Gpu {
     /// All sanitizer reports as deterministic JSON Lines.
     pub fn san_jsonl(&self) -> String {
         self.sanitizer.as_deref().map(Sanitizer::reports_jsonl).unwrap_or_default()
-    }
-
-    /// Detach the sanitizer (checking stops), returning its state.
-    pub fn take_sanitizer(&mut self) -> Option<Sanitizer> {
-        self.sanitizer.take().map(|b| *b)
     }
 
     /// Bump telemetry counters for reports recorded since `before`.
@@ -237,24 +227,6 @@ impl Gpu {
         self.san_account(before);
     }
 
-    /// Annotate a device→device copy; also flags overlapping
-    /// source/destination ranges within one allocation.
-    pub fn san_note_d2d(
-        &mut self,
-        src: AllocId,
-        src_off: u64,
-        dst: AllocId,
-        dst_off: u64,
-        len: u64,
-    ) {
-        let t = self.now.us();
-        let before = self.san_reports().len();
-        if let Some(s) = self.sanitizer.as_deref_mut() {
-            s.note_copy(src.0, src_off, dst.0, dst_off, len, t);
-        }
-        self.san_account(before);
-    }
-
     /// Leak checkpoint: every allocation still live is reported. Returns
     /// the number of leaks found (0 when the sanitizer is off).
     pub fn san_leak_check(&mut self) -> usize {
@@ -271,16 +243,6 @@ impl Gpu {
     /// through telemetry when enabled.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
         self.faults = if plan.is_empty() { None } else { Some(Box::new(FaultState::new(plan))) };
-    }
-
-    /// The fault plan in effect, if any.
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.faults.as_deref().map(|s| &s.plan)
-    }
-
-    /// Detach the fault plan; later calls behave normally.
-    pub fn clear_fault_plan(&mut self) -> Option<FaultPlan> {
-        self.faults.take().map(|s| s.plan)
     }
 
     /// Number of faults injected so far under the current plan.
@@ -626,17 +588,6 @@ impl Gpu {
         self.set_phase(Phase::Other);
         self.now
     }
-
-    /// Reset the timeline and profiler, keeping configuration and any
-    /// live allocations (rarely what you want — prefer a fresh `Gpu`).
-    pub fn reset_timeline(&mut self) {
-        self.sync();
-        self.now = SimTime::ZERO;
-        self.phase_start = SimTime::ZERO;
-        self.phase = Phase::Other;
-        self.stream_ready.clear();
-        self.profiler.clear();
-    }
 }
 
 #[cfg(test)]
@@ -751,7 +702,6 @@ mod tests {
 
         g.enable_telemetry();
         assert!(g.telemetry_enabled());
-        assert!(g.memory().tracking_enabled());
         g.set_phase(Phase::Count);
         let a = g.malloc(1 << 10, "buf").unwrap();
         g.launch(
@@ -833,10 +783,10 @@ mod tests {
         let s = g.telemetry_summary().unwrap();
         assert_eq!(s.counter("fault.injected"), Some(4));
         assert!(g.telemetry().unwrap().to_jsonl().contains("\"kind\":\"fault\""));
-        // Detaching the plan restores normal behaviour.
-        let plan = g.clear_fault_plan().unwrap();
-        assert_eq!(plan.seed, 9);
+        // An empty plan detaches injection.
+        g.set_fault_plan(FaultPlan::new(9));
         g.memcpy(1024, true).unwrap();
+        assert_eq!(g.injected_faults(), 0);
     }
 
     #[test]
@@ -920,19 +870,5 @@ mod tests {
         let jsonl = g.san_jsonl();
         assert!(jsonl.contains("\"kind\":\"leak\""));
         assert!(jsonl.contains("\"tag\":\"leaked\""));
-        // State survives detach for offline inspection.
-        let san = g.take_sanitizer().unwrap();
-        assert_eq!(san.reports().len(), 1);
-        assert!(!g.sanitizer_enabled());
-    }
-
-    #[test]
-    fn reset_timeline_clears_time_but_keeps_memory() {
-        let mut g = gpu();
-        let _a = g.malloc(128, "keep").unwrap();
-        g.reset_timeline();
-        assert_eq!(g.elapsed(), SimTime::ZERO);
-        assert_eq!(g.live_mem_bytes(), 128);
-        assert!(g.profiler().kernels().is_empty());
     }
 }

@@ -102,11 +102,6 @@ impl DeviceMemory {
         }
     }
 
-    /// Whether high-water tracking is on.
-    pub fn tracking_enabled(&self) -> bool {
-        self.tracking.is_some()
-    }
-
     /// The allocation timeline (empty slice when tracking is off).
     pub fn timeline(&self) -> &[MemEvent] {
         self.tracking.as_ref().map(|t| t.timeline.as_slice()).unwrap_or(&[])
@@ -285,7 +280,6 @@ mod tests {
         let mut m = DeviceMemory::new(1000);
         let a = m.malloc(100, "a").unwrap();
         m.free(a);
-        assert!(!m.tracking_enabled());
         assert!(m.timeline().is_empty());
         assert!(m.peak_breakdown().is_empty());
     }

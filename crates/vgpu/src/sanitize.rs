@@ -40,9 +40,6 @@ pub enum SanKind {
     UnknownAlloc,
     /// Access range extends past the allocation's byte length.
     OutOfBounds,
-    /// Device-to-device copy whose source and destination ranges
-    /// overlap within one allocation (undefined in `cudaMemcpy`).
-    OverlappingCopy,
     /// Read of bytes never written by any transfer or kernel.
     UninitRead,
     /// Allocation still live at a leak checkpoint.
@@ -57,7 +54,6 @@ impl SanKind {
             SanKind::DoubleFree => "double_free",
             SanKind::UnknownAlloc => "unknown_alloc",
             SanKind::OutOfBounds => "out_of_bounds",
-            SanKind::OverlappingCopy => "overlapping_copy",
             SanKind::UninitRead => "uninit_read",
             SanKind::Leak => "leak",
         }
@@ -117,9 +113,9 @@ pub struct SanStats {
     pub allocs: u64,
     /// Valid frees observed.
     pub frees: u64,
-    /// Read ranges checked (kernel reads + d2h + d2d sources).
+    /// Read ranges checked (kernel reads + d2h).
     pub reads: u64,
-    /// Write ranges recorded (kernel writes + h2d + d2d destinations).
+    /// Write ranges recorded (kernel writes + h2d + memset).
     pub writes: u64,
     /// Total bytes across all checked ranges.
     pub bytes_checked: u64,
@@ -353,41 +349,6 @@ impl Sanitizer {
         }
     }
 
-    /// Check a device-to-device copy: source read, destination write,
-    /// plus an overlap check when both ranges share one allocation.
-    pub fn note_copy(
-        &mut self,
-        src: u64,
-        src_off: u64,
-        dst: u64,
-        dst_off: u64,
-        len: u64,
-        t_us: f64,
-    ) {
-        if src == dst && len > 0 {
-            let (a0, a1) = (src_off, src_off.saturating_add(len));
-            let (b0, b1) = (dst_off, dst_off.saturating_add(len));
-            if a0 < b1 && b0 < a1 {
-                let (generation, tag) = self
-                    .live
-                    .get(&src)
-                    .map(|s| (s.generation, s.tag.clone()))
-                    .unwrap_or((0, "?".to_string()));
-                self.record(
-                    t_us,
-                    SanKind::OverlappingCopy,
-                    src,
-                    generation,
-                    &tag,
-                    "memcpy_d2d",
-                    format!("src [{a0}, {a1}) overlaps dst [{b0}, {b1})"),
-                );
-            }
-        }
-        self.note_read(src, src_off, len, "memcpy_d2d", t_us);
-        self.note_write(dst, dst_off, len, "memcpy_d2d", t_us);
-    }
-
     /// Report every still-live allocation as a leak, in ascending id
     /// order (deterministic). Shadow state is left intact so a later
     /// valid free does not also trip a false double-free.
@@ -495,24 +456,14 @@ mod tests {
     }
 
     #[test]
-    fn oob_uninit_overlap_unknown() {
+    fn oob_uninit_unknown() {
         let mut s = Sanitizer::new();
         s.on_malloc(1, 100, "buf");
         s.note_write(1, 90, 20, "h2d", 0.0); // [90,110) over 100 B
         s.note_read(1, 0, 10, "kernel", 1.0); // never written
-        s.note_copy(1, 0, 1, 5, 10, 2.0); // [0,10) vs [5,15) overlap
         s.note_write(99, 0, 4, "h2d", 3.0); // never allocated
         let kinds: Vec<SanKind> = s.reports().iter().map(|r| r.kind).collect();
-        assert_eq!(
-            kinds,
-            vec![
-                SanKind::OutOfBounds,
-                SanKind::UninitRead,
-                SanKind::OverlappingCopy,
-                SanKind::UninitRead, // the copy's source read is also uninit here
-                SanKind::UnknownAlloc,
-            ]
-        );
+        assert_eq!(kinds, vec![SanKind::OutOfBounds, SanKind::UninitRead, SanKind::UnknownAlloc]);
     }
 
     #[test]

@@ -24,11 +24,6 @@ impl SimTime {
         SimTime(us * 1e-6)
     }
 
-    /// From nanoseconds.
-    pub fn from_ns(ns: f64) -> Self {
-        SimTime(ns * 1e-9)
-    }
-
     /// Seconds as `f64`.
     pub fn secs(self) -> f64 {
         self.0
@@ -52,12 +47,6 @@ impl SimTime {
     /// Smaller of two durations.
     pub fn min(self, other: SimTime) -> SimTime {
         SimTime(self.0.min(other.0))
-    }
-
-    /// Convert to a `std::time::Duration` (used to feed Criterion's
-    /// `iter_custom`, so `cargo bench` reports simulated time).
-    pub fn to_duration(self) -> std::time::Duration {
-        std::time::Duration::from_secs_f64(self.0.max(0.0))
     }
 }
 
@@ -130,7 +119,6 @@ mod tests {
     #[test]
     fn conversions() {
         assert!((SimTime::from_us(1500.0).ms() - 1.5).abs() < 1e-12);
-        assert!((SimTime::from_ns(500.0).us() - 0.5).abs() < 1e-12);
         assert_eq!(SimTime::from_secs(2.0).secs(), 2.0);
     }
 
@@ -159,11 +147,5 @@ mod tests {
         assert_eq!(format!("{}", SimTime(2.5e-3)), "2.500 ms");
         assert_eq!(format!("{}", SimTime(2.5e-6)), "2.500 us");
         assert_eq!(format!("{}", SimTime(2.5e-9)), "2.5 ns");
-    }
-
-    #[test]
-    fn duration_conversion_clamps_negative() {
-        assert_eq!(SimTime(-1.0).to_duration(), std::time::Duration::ZERO);
-        assert_eq!(SimTime(1.5).to_duration(), std::time::Duration::from_secs_f64(1.5));
     }
 }

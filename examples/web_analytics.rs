@@ -1,6 +1,7 @@
 //! Graph analytics on a webbase-like power-law graph: triangle counting
-//! (masked SpGEMM) and multi-source BFS (frontier SpGEMM) — the §I
-//! graph-algorithm motivation ([3], Combinatorial BLAS).
+//! (the full product `A·A`, then masked by `A` on the host) and
+//! multi-source BFS (frontier SpGEMM) — the §I graph-algorithm
+//! motivation ([3], Combinatorial BLAS).
 //!
 //! ```text
 //! cargo run --release --example web_analytics [rows]
