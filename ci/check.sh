@@ -275,6 +275,13 @@ cargo run -q --release --offline -p bench --bin spgemm -- \
   --dataset Circuit --tiny --estimator exact \
   --output "$smoke/circuit-exact.mtx" >/dev/null 2>&1
 cmp "$smoke/circuit-exact.mtx" "$smoke/circuit-sampled.mtx"
+# The same forced under-estimate on the host backend, whose walk finishes
+# every under-sized row and counts it as a replan (DESIGN.md §12).
+cargo run -q --release --offline -p bench --bin spgemm -- \
+  --dataset Circuit --tiny --backend host:2 --estimator sampled:1 \
+  --output "$smoke/circuit-host-sampled.mtx" > "$smoke/circuit-host.out" 2>/dev/null
+grep -Eq "\([1-9][0-9]* replanned rows\)" "$smoke/circuit-host.out"
+cmp "$smoke/circuit-exact.mtx" "$smoke/circuit-host-sampled.mtx"
 
 echo "== estimator bench (sampled planning beats exact, CSV recorded) ==" >&2
 cargo bench -q -p bench --bench estimator >/dev/null 2>&1

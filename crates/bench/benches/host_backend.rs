@@ -46,10 +46,9 @@ fn main() {
         let run = bench::run_one_host::<f32>(&d, 1);
         if let Some(w) = run.wall {
             eprintln!(
-                "{id} host:1 total {:?} (setup {:?}, count {:?}, calc {:?}), {:.3} GFLOPS",
+                "{id} host:1 total {:?} (setup {:?}, calc {:?}), {:.3} GFLOPS",
                 w.total,
                 w.phase(vgpu::Phase::Setup),
-                w.phase(vgpu::Phase::Count),
                 w.phase(vgpu::Phase::Calc),
                 w.gflops(run.report.intermediate_products)
             );

@@ -72,11 +72,6 @@ impl<E> BatchedExecutor<E> {
         self.ctl = ctl;
     }
 
-    /// The byte budget batches are sized against.
-    pub fn capacity(&self) -> u64 {
-        self.capacity
-    }
-
     /// Number of batches the most recent successful multiply used
     /// (1 = ran unbatched; 0 = no multiply yet).
     pub fn batches_used(&self) -> usize {

@@ -126,12 +126,9 @@ impl SymbolicOutput {
 /// simulated [`SpgemmReport`] so the bench harness can track a
 /// real-hardware trajectory next to the model's predictions.
 ///
-/// The host backend's `multiply` reports `Setup` (planning), `Count`
-/// and `Calc` when it runs the two phases — its first call of a value
-/// type, whose `Count` now records and sorts every row's columns and
-/// whose `Calc` only fills values — and `Setup` and `Calc` when it
-/// walks every row once (one window that counts and accumulates, then
-/// copies into `C`). Its `execute_numeric` reports `Calc` alone.
+/// The host backend's `multiply` reports `Setup` (planning) and `Calc`:
+/// it walks every row once, so one window counts and accumulates, then
+/// copies into `C`. Its `execute_numeric` reports `Calc` alone.
 #[derive(Debug, Clone, Default)]
 pub struct WallClock {
     /// End-to-end duration of the multiply.
@@ -184,9 +181,8 @@ pub struct Execution<T> {
 /// ([`crate::SymbolicPlan`]). `multiply` runs the whole multiply and
 /// assembles the report. It is *not* a trait default: the simulator runs
 /// the three phases in sequence under its instrumentation, while the
-/// host backend, once an executor has multiplied before, walks every row
-/// once, counting and accumulating together, with the same output and
-/// `replans`.
+/// host backend walks every row once, counting and accumulating
+/// together, with the same output and `replans`.
 pub trait Executor<T: Scalar> {
     /// The backend this executor implements.
     fn backend(&self) -> Backend;
@@ -217,9 +213,8 @@ pub trait Executor<T: Scalar> {
 
     /// Run the whole multiply and report it: plan, then count, malloc
     /// and calc — as three phases on the simulator, and on the host
-    /// backend as two phases or, on a reused executor, one walk per row.
-    /// The output is bitwise identical to `plan` + `execute_symbolic` +
-    /// `execute_numeric`.
+    /// backend as one walk per row. The output is bitwise identical to
+    /// `plan` + `execute_symbolic` + `execute_numeric`.
     fn multiply(&mut self, a: &Csr<T>, b: &Csr<T>, opts: &Options) -> Result<Execution<T>>;
 
     /// The backend's telemetry session when one is attached: the sim

@@ -26,10 +26,9 @@
 //! plan-cache hit path — is a values-only pass: it accumulates each row
 //! through the dense arrays and gathers the values in the recorded
 //! column order. It builds no column list and sorts nothing; `C`'s
-//! column array is the structure, copied from a cached plan or moved in
-//! by `multiply`'s two phases. A hash row above the plan's table
-//! capacity for it (a sampled under-estimate) is complete all the same
-//! and counts as a replan.
+//! column array is the structure, copied from the symbolic result. A
+//! hash row above the plan's table capacity for it (a sampled
+//! under-estimate) is complete all the same and counts as a replan.
 //!
 //! Replay is verified, not trusted. Each row must produce exactly as
 //! many new columns as its symbolic count, and every recorded column, in
@@ -45,22 +44,17 @@
 //!
 //! The paper counts every row before computing it so it can allocate
 //! exactly enough GPU memory for `C`. The host has no such constraint,
-//! so a `multiply` can walk each row once: it counts and accumulates
+//! so `multiply` walks each row once: it counts and accumulates
 //! together and appends the sorted row to its chunk's **staging**
 //! buffers, then copies the chunks into `C` in parallel once the prefix
 //! sum of the row counts has placed them. The staging (a column and a
 //! value per output entry, grown with checked reservations) is held
-//! next to `C` until the copy, and `peak_mem_bytes` charges it.
-//!
-//! The walk only pays off on an executor that is *reused*: writing
-//! rows into freshly allocated staging faults in as many pages as the
-//! saved pass costs, so the walk needs the staging an earlier walk left
-//! behind. The executor therefore picks the path from its own history.
-//! The first `multiply` of a value type — for most callers the only one
-//! — runs the two phases, `execute_symbolic` then `execute_numeric`,
-//! and keeps no staging. Every later one walks once and keeps its
-//! emptied staging for the next, trimmed when it holds far more than the
-//! call needed. The two phases also stay for plan reuse:
+//! next to `C` until the copy, and `peak_mem_bytes` charges it. The
+//! executor keeps its emptied staging for the next `multiply` of the
+//! same value type, trimmed when it holds far more than the call
+//! needed, so a repeated multiply refills pages that are already
+//! mapped. The structure pass runs on the same row-walk driver with its
+//! own per-row arms. The two phases stay for plan reuse:
 //! `execute_symbolic` records the structure a cacheable
 //! [`crate::SymbolicPlan`] holds, and every plan-cache hit replays it.
 //!
@@ -126,22 +120,20 @@ const STAGING_SLACK: u64 = 8;
 /// kernel, whose scratch grows with the row.
 pub const DENSE_MAX_COLS: usize = 1 << 20;
 
-/// A worker thread's accumulator for the plan's hash rows: a stamp and
-/// (values passes) a value per column of `B`, allocated on the first row
-/// and reused for every later one. An epoch stamp marks the columns of
-/// the current row, so a reset is O(1). A `B` wider than
-/// [`DENSE_MAX_COLS`] gets no arrays: its rows run the ESC kernel.
+/// A worker thread's accumulator for the plan's hash rows: a stamp per
+/// column of `B`, allocated on the first row, and a value per column,
+/// allocated on the first row that accumulates values; both are reused
+/// for every later row. An epoch stamp marks the columns of the current
+/// row, so a reset is O(1). A `B` wider than [`DENSE_MAX_COLS`] gets no
+/// arrays: its rows run the ESC kernel.
 struct RowAccumulator<T> {
     /// `B` is narrow enough for the column-indexed arrays.
     dense: bool,
     /// Column count of `B` (the arrays' length).
     width: usize,
-    /// Whether values are accumulated (the values pass and the walk) or
-    /// only columns recorded (the structure pass).
-    numeric: bool,
     /// The epoch that last claimed each column.
     stamp: Vec<u32>,
-    /// Numeric only: accumulated value per column.
+    /// Accumulated value per column (empty until a row accumulates).
     vals: Vec<T>,
     /// Stamp of the current row.
     epoch: u32,
@@ -149,11 +141,10 @@ struct RowAccumulator<T> {
 
 impl<T: Scalar> RowAccumulator<T> {
     /// The accumulator rows of `C = A · B` need, given `B`'s column count.
-    fn new(b_cols: usize, numeric: bool) -> Self {
+    fn new(b_cols: usize) -> Self {
         RowAccumulator {
             dense: b_cols <= DENSE_MAX_COLS,
             width: b_cols,
-            numeric,
             stamp: Vec::new(),
             vals: Vec::new(),
             epoch: 0,
@@ -165,14 +156,11 @@ impl<T: Scalar> RowAccumulator<T> {
         (4 * self.stamp.len() + T::BYTES * self.vals.len()) as u64
     }
 
-    /// Start a dense row: allocate the arrays on first use and advance
+    /// Start a dense row: allocate the stamps on first use and advance
     /// the epoch.
     fn start_row(&mut self) {
         if self.stamp.len() < self.width {
             self.stamp = vec![0; self.width];
-            if self.numeric {
-                self.vals = vec![T::ZERO; self.width];
-            }
             self.epoch = 0;
         }
         self.epoch = self.epoch.wrapping_add(1);
@@ -219,6 +207,9 @@ impl<T: Scalar> RowAccumulator<T> {
     /// receives each column the first time it appears.
     #[inline]
     fn accumulate(&mut self, a: &Csr<T>, b: &Csr<T>, row: usize, mut new_col: impl FnMut(u32)) {
+        if self.vals.len() < self.width {
+            self.vals = vec![T::ZERO; self.width];
+        }
         self.start_row();
         let (stamp, vals, epoch) = (&mut self.stamp, &mut self.vals, self.epoch);
         let (acols, avals) = a.row(row);
@@ -271,7 +262,11 @@ impl<T: Scalar> RowAccumulator<T> {
     /// appending its sorted columns and their values to `out`; returns
     /// the row's nnz. The columns are reserved up front for the row's
     /// bound (its products, at most `B`'s width), so the walk itself
-    /// never reallocates.
+    /// never reallocates. Kept out of line: inlined into the row-walk
+    /// driver's worker loop, the accumulate loop's array bounds and
+    /// epoch were spilled to the stack (Protein `A²` 1.17× slower
+    /// single-threaded on a 2-core Xeon VM).
+    #[inline(never)]
     fn stage_row(
         &mut self,
         a: &Csr<T>,
@@ -297,10 +292,23 @@ fn replay_mismatch() -> Error {
     Error::invariant("host numeric row disagrees with its recorded structure")
 }
 
+/// An ESC or merge symbolic row kernel (`esc_symbolic_row`,
+/// `merge_symbolic_row`): the row's sorted columns, into the scratch.
+type CountKernel<T> = fn(&Csr<T>, &Csr<T>, usize, &mut RowAlgScratch<T>) -> RowAlgStats;
+
 /// An ESC or merge numeric row kernel (`esc_numeric_row`,
 /// `merge_numeric_row`).
 type RowKernel<T> =
     fn(&Csr<T>, &Csr<T>, usize, &mut RowAlgScratch<T>, &mut [u32], &mut [T]) -> RowAlgStats;
+
+/// The count and fill kernels of a row the dense arrays do not take:
+/// merge rows, ESC rows, and hash rows of a `B` too wide for the arrays.
+fn row_kernels<T: Scalar>(algorithm: AlgorithmChoice) -> (CountKernel<T>, RowKernel<T>) {
+    match algorithm {
+        AlgorithmChoice::Merge => (merge_symbolic_row, merge_numeric_row),
+        AlgorithmChoice::Hash | AlgorithmChoice::Esc => (esc_symbolic_row, esc_numeric_row),
+    }
+}
 
 /// Replay row `row` through an ESC or merge row kernel, check the
 /// columns it produces against the row's recorded `cols`, then write its
@@ -319,8 +327,7 @@ fn replay_row<T: Scalar>(
     out_vals: &mut [T],
 ) -> Result<()> {
     let mut nnz = 0;
-    buf.cols.clear();
-    buf.vals.clear();
+    buf.clear(false);
     buf.fill(exact_row_products(a, b, row), |c, v| nnz = ix(kernel(a, b, row, scratch, c, v).nnz))?;
     if buf.cols.get(..nnz) != Some(cols) {
         return Err(replay_mismatch());
@@ -329,34 +336,22 @@ fn replay_row<T: Scalar>(
     Ok(())
 }
 
-/// Append `cols` to `out`, returning how many there were.
-fn append(out: &mut Vec<u32>, cols: &[u32]) -> Result<usize> {
-    reserve(out, cols.len())?;
-    out.extend_from_slice(cols);
-    Ok(cols.len())
-}
-
-/// One chunk's rows of `C`, staged by the one-phase walk until the
-/// prefix sum of the row counts places them: the rows' sorted columns
-/// and values, back to back. Grown only through [`reserve`], so an
-/// allocation failure is an [`Error`], not an abort.
+/// One chunk's rows of `C`, staged by the walk until the prefix sum of
+/// the row counts places them: the rows' sorted columns and values, back
+/// to back. Grown only through [`reserve`], so an allocation failure is
+/// an [`Error`], not an abort.
 struct Staged<T> {
     cols: Vec<u32>,
     vals: Vec<T>,
 }
 
-impl<T: Scalar> Staged<T> {
-    fn new() -> Self {
+impl<T> Default for Staged<T> {
+    fn default() -> Self {
         Staged { cols: Vec::new(), vals: Vec::new() }
     }
+}
 
-    /// The same buffers, emptied, with their capacity kept.
-    fn emptied(mut self) -> Self {
-        self.cols.clear();
-        self.vals.clear();
-        self
-    }
-
+impl<T: Scalar> Staged<T> {
     /// Bytes of the staged entries (length, not capacity).
     fn bytes(&self) -> u64 {
         (4 * self.cols.len() + T::BYTES * self.vals.len()) as u64
@@ -367,10 +362,15 @@ impl<T: Scalar> Staged<T> {
         (4 * self.cols.capacity() + T::BYTES * self.vals.capacity()) as u64
     }
 
-    /// Release the capacity beyond the staged entries.
-    fn trim(&mut self) {
-        self.cols.shrink_to_fit();
-        self.vals.shrink_to_fit();
+    /// Empty the buffers for the next walk; with `trim`, first release
+    /// the capacity beyond the staged entries.
+    fn clear(&mut self, trim: bool) {
+        if trim {
+            self.cols.shrink_to_fit();
+            self.vals.shrink_to_fit();
+        }
+        self.cols.clear();
+        self.vals.clear();
     }
 
     /// Append a row of `nnz` entries that `write` fills in place (the
@@ -384,6 +384,13 @@ impl<T: Scalar> Staged<T> {
         write(&mut self.cols[start..], &mut self.vals[start..]);
         Ok(())
     }
+}
+
+/// Append `cols` to `out`, returning how many there were.
+fn append(out: &mut Vec<u32>, cols: &[u32]) -> Result<usize> {
+    reserve(out, cols.len())?;
+    out.extend_from_slice(cols);
+    Ok(cols.len())
 }
 
 /// Make room for `additional` more elements of `v` (amortized growth),
@@ -402,28 +409,25 @@ fn reserve<E>(v: &mut Vec<E>, additional: usize) -> Result<()> {
     })
 }
 
-/// How the backend's worker count was chosen — kept around (and logged)
-/// because `available_parallelism()` *can* fail (e.g. restricted
-/// sandboxes), and a silent fall-back to one thread looks exactly like
-/// an 8× performance regression.
+/// How a backend's worker count was chosen. `available_parallelism()`
+/// *can* fail (e.g. restricted sandboxes), and a silent fall-back to one
+/// thread looks exactly like an 8× performance regression, so the
+/// fall-back is flagged.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ThreadResolution {
-    /// The count the caller asked for (`0` = auto-detect).
-    pub requested: usize,
-    /// What `available_parallelism()` reported (`None` = detection
-    /// failed).
-    pub detected: Option<usize>,
+pub(crate) struct ThreadResolution {
     /// The worker count actually used.
     pub resolved: usize,
+    /// Auto-detection failed and the count dropped to one worker.
+    pub degraded: bool,
 }
 
 impl ThreadResolution {
     /// Pure resolution rule: an explicit request wins; `0` means the
     /// detected core count, degrading to a single worker only when
     /// detection itself fails.
-    pub fn resolve(requested: usize, detected: Option<usize>) -> Self {
+    fn resolve(requested: usize, detected: Option<usize>) -> Self {
         let resolved = if requested > 0 { requested } else { detected.unwrap_or(1) };
-        ThreadResolution { requested, detected, resolved }
+        ThreadResolution { resolved, degraded: requested == 0 && detected.is_none() }
     }
 
     /// [`ThreadResolution::resolve`] against the cores
@@ -431,41 +435,33 @@ impl ThreadResolution {
     pub(crate) fn detect(requested: usize) -> Self {
         Self::resolve(requested, std::thread::available_parallelism().ok().map(|n| n.get()))
     }
-
-    /// `true` when auto-detection failed and the backend silently-ish
-    /// dropped to one worker — the case worth surfacing loudly.
-    pub fn degraded(&self) -> bool {
-        self.requested == 0 && self.detected.is_none()
-    }
 }
 
 /// Executes SpGEMM on host threads with a dense row accumulator per
 /// thread (see the module docs). The plan is still derived from a device class — the
 /// paper's P100 by default — because it decides each row's algorithm
 /// and its count-pass overflow bound; it no longer sizes host scratch.
-/// Between calls the executor holds the staging of its last one-walk
+/// Between calls the executor holds the staging of its last
 /// `multiply`, emptied: at most [`STAGING_SLACK`] times what that call
 /// staged (a column and a value per entry of its `C`). Drop the
 /// executor to release it.
 pub struct HostParallelExecutor {
     threads: usize,
     cfg: DeviceConfig,
-    resolution: ThreadResolution,
-    /// Opt-in telemetry session (the host has no device feeding one).
+    /// The job's telemetry session, when one is installed (the host has
+    /// no device feeding one).
     telemetry: Option<Box<obs::Telemetry>>,
     /// The staging the next `multiply` of the last value type refills
     /// (`Vec<Staged<T>>`, type-erased because one executor serves every
     /// value type), so its rows land in memory that is already mapped
-    /// instead of faulting in fresh pages. `None` until a `multiply` has
-    /// run: the first one of a value type runs the two phases.
+    /// instead of faulting in fresh pages.
     spare: Option<Box<dyn Any + Send + Sync>>,
 }
 
 impl HostParallelExecutor {
     /// Backend with `threads` workers; `0` means one per available core.
     /// When core detection fails the backend runs with **one** worker
-    /// and says so on stderr (and in telemetry, when enabled) — see
-    /// [`ThreadResolution`].
+    /// and says so on stderr.
     pub fn new(threads: usize) -> Self {
         Self::with_config(threads, DeviceConfig::p100())
     }
@@ -473,41 +469,18 @@ impl HostParallelExecutor {
     /// Backend planning against a specific device class.
     pub fn with_config(threads: usize, cfg: DeviceConfig) -> Self {
         let resolution = ThreadResolution::detect(threads);
-        if resolution.degraded() {
+        if resolution.degraded {
             eprintln!(
                 "host backend: available_parallelism() failed; running with 1 worker \
                  (pass an explicit thread count to override)"
             );
         }
-        HostParallelExecutor {
-            threads: resolution.resolved,
-            cfg,
-            resolution,
-            telemetry: None,
-            spare: None,
-        }
+        HostParallelExecutor { threads: resolution.resolved, cfg, telemetry: None, spare: None }
     }
 
     /// Resolved worker thread count.
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// Opt into a telemetry session; records a `thread_resolution`
-    /// event immediately so a degraded fall-back is visible in traces.
-    /// Idempotent.
-    pub fn enable_telemetry(&mut self) {
-        if self.telemetry.is_none() {
-            let mut t = Box::<obs::Telemetry>::default();
-            t.emit(
-                obs::Event::new("thread_resolution")
-                    .u64("requested", self.resolution.requested as u64)
-                    .u64("detected", self.resolution.detected.unwrap_or(0) as u64)
-                    .u64("resolved", self.resolution.resolved as u64)
-                    .str("fallback", if self.resolution.degraded() { "degraded" } else { "ok" }),
-            );
-            self.telemetry = Some(t);
-        }
     }
 
     /// Install an existing telemetry session (the engine threads a
@@ -561,6 +534,10 @@ impl<T: Scalar> Executor<T> for HostParallelExecutor {
         Ok(symbolic)
     }
 
+    /// The values pass over `symbolic`'s structure, which becomes `C`'s
+    /// column array. A result without a structure (the simulator's) gets
+    /// one from the structure pass first, and the report then charges
+    /// that pass's staging, a column per entry, next to the dense arrays.
     fn execute_numeric(
         &mut self,
         plan: &SpgemmPlan,
@@ -571,47 +548,60 @@ impl<T: Scalar> Executor<T> for HostParallelExecutor {
         let t0 = Instant::now();
         let structure = match &symbolic.structure {
             Some(cols) => Cow::Borrowed(cols.as_slice()),
-            // A result without a structure (the simulator's): derive one.
             None => Cow::Owned(self.structure_pass(plan, a, b)?.structure.unwrap_or_default()),
         };
-        let mut run = self.replay(plan, symbolic, structure, a, b)?;
+        let (val_c, acc_bytes) = self.values_pass(plan, symbolic, &structure, a, b)?;
+        let staged = match &structure {
+            Cow::Owned(cols) => 4 * to_u64(cols.len()),
+            Cow::Borrowed(_) => 0,
+        };
+        let report = self.host_report::<T>(plan, val_c.len(), acc_bytes + staged);
+        let (rpt, col_c) = (symbolic.rpt.clone(), structure.into_owned());
+        // lint:allow(unchecked-ctor) — hot-path assembly; the values pass checked every row against its sorted structure
+        let matrix = Csr::from_parts_unchecked(plan.rows, plan.cols, rpt, col_c, val_c)
+            .map_err(|e| Error::invariant(format!("numeric phase assembled malformed C: {e}")))?;
         let calc = t0.elapsed();
-        run.wall = Some(WallClock { total: calc, phases: vec![(Phase::Calc, calc)] });
-        Ok(run)
+        let wall = WallClock { total: calc, phases: vec![(Phase::Calc, calc)] };
+        Ok(Execution { matrix, report, wall: Some(wall), replans: symbolic.replans })
     }
 
-    /// Plan, then either the two phases or — when an earlier `multiply`
-    /// of this value type left staging to refill — one walk per
-    /// intermediate product: [`Self::walk_rows`] counts and accumulates
-    /// every row at once into per-chunk staging, and [`Self::stitch`]
-    /// places the chunks once the row pointer is known. Both paths give
-    /// the output and `replans` of `execute_symbolic` followed by
-    /// `execute_numeric`.
+    /// Plan, then one walk per intermediate product: every row is
+    /// counted and accumulated at once into per-chunk staging (refilling
+    /// the staging an earlier `multiply` of this value type kept), and
+    /// [`Self::stitch`] places the chunks once the row pointer is known.
+    /// The output and `replans` are those of `execute_symbolic` followed
+    /// by `execute_numeric`.
     fn multiply(&mut self, a: &Csr<T>, b: &Csr<T>, opts: &Options) -> Result<Execution<T>> {
         let t0 = Instant::now();
         let plan = <Self as Executor<T>>::plan(self, a, b, opts)?;
         let setup = t0.elapsed();
         let spare = self.spare.take().and_then(|s| s.downcast::<Vec<Staged<T>>>().ok());
-        let Some(spare) = spare else {
-            let run = self.two_phases(&plan, a, b, t0, setup);
-            // The next multiply of this value type walks once.
-            self.spare = Some(Box::new(Vec::<Staged<T>>::new()));
-            return run;
-        };
 
         let t1 = Instant::now();
         self.mark_stage("symbolic");
-        let walk = self.walk_rows(&plan, a, b, *spare)?;
+        let walk = self.walk_rows(
+            &plan,
+            spare.map_or_else(Vec::new, |s| *s),
+            |acc, scratch, alg, r, staged: &mut Staged<T>| {
+                if alg == AlgorithmChoice::Hash && acc.dense {
+                    return acc.stage_row(a, b, r, staged);
+                }
+                let (count, fill) = row_kernels(alg);
+                let nnz = ix(count(a, b, r, scratch).nnz);
+                staged.fill(nnz, |cols, vals| {
+                    fill(a, b, r, scratch, cols, vals);
+                })?;
+                Ok(nnz)
+            },
+        )?;
         self.note_replans(&plan, walk.replans)?;
         self.mark_stage("numeric");
         let matrix = self.stitch(&plan, prefix_sum(&walk.nnz_row), &walk.chunks)?;
         let calc = t1.elapsed();
         let mut chunks = walk.chunks;
         let staged: u64 = chunks.iter().map(Staged::bytes).sum();
-        let held: u64 = chunks.iter().map(Staged::held_bytes).sum();
-        if held > STAGING_SLACK * staged {
-            chunks.iter_mut().for_each(Staged::trim);
-        }
+        let trim = chunks.iter().map(Staged::held_bytes).sum::<u64>() > STAGING_SLACK * staged;
+        chunks.iter_mut().for_each(|c| c.clear(trim));
         self.spare = Some(Box::new(chunks));
 
         let mut report = self.host_report::<T>(&plan, matrix.nnz(), walk.acc_bytes + staged);
@@ -629,11 +619,11 @@ impl<T: Scalar> Executor<T> for HostParallelExecutor {
 }
 
 /// What [`HostParallelExecutor::walk_rows`] leaves for assembly.
-struct RowWalk<T> {
+struct RowWalk<S> {
     /// nnz of each output row.
     nnz_row: Vec<u32>,
     /// Staged rows of each partition chunk, in row order.
-    chunks: Vec<Staged<T>>,
+    chunks: Vec<S>,
     /// Hash rows whose nnz exceeded the plan's table capacity.
     replans: u64,
     /// Bytes of the dense arrays the workers allocated.
@@ -641,36 +631,6 @@ struct RowWalk<T> {
 }
 
 impl HostParallelExecutor {
-    /// `multiply` as the count phase and then the numeric phase, timed
-    /// from `t0` with `setup` already spent on the plan. The structure
-    /// moves into `C`; the report charges its staging.
-    fn two_phases<T: Scalar>(
-        &mut self,
-        plan: &SpgemmPlan,
-        a: &Csr<T>,
-        b: &Csr<T>,
-        t0: Instant,
-        setup: std::time::Duration,
-    ) -> Result<Execution<T>> {
-        let t1 = Instant::now();
-        self.mark_stage("symbolic");
-        let mut symbolic = self.execute_symbolic(plan, a, b)?;
-        let count = t1.elapsed();
-
-        let t2 = Instant::now();
-        self.mark_stage("numeric");
-        let structure = Cow::Owned(symbolic.structure.take().unwrap_or_default());
-        let mut run = self.replay(plan, &symbolic, structure, a, b)?;
-        let calc = t2.elapsed();
-
-        run.report.algorithm = format!("proposal (host:{})", self.threads);
-        run.wall = Some(WallClock {
-            total: t0.elapsed(),
-            phases: vec![(Phase::Setup, setup), (Phase::Count, count), (Phase::Calc, calc)],
-        });
-        Ok(run)
-    }
-
     /// Check the hash rows whose nnz exceeded the plan's table capacity:
     /// an invariant error under the exact estimator, whose tables are
     /// sized from every row's products, else a `replan` event.
@@ -689,22 +649,32 @@ impl HostParallelExecutor {
         Ok(())
     }
 
-    /// The structure pass of `execute_symbolic`: each worker pulls a
-    /// product-weighted chunk of rows, appends every row's sorted columns
-    /// to the chunk's staging through the arm the plan's count phase
-    /// picked and writes its nnz into the chunk's slice of `nnz_row`;
-    /// the chunks are then copied in row order into one structure. A
-    /// hash row whose nnz exceeds the plan's table capacity counts as a
-    /// replan; it is already complete, so nothing is recounted.
-    fn structure_pass<T: Scalar>(
+    /// The row walk of `multiply` and of the structure pass: each worker
+    /// pulls a product-weighted chunk of rows and runs every row once
+    /// through `row`, given the arm the plan's count phase picked. `row`
+    /// appends the row to the chunk's staging and returns its nnz, which
+    /// lands in the chunk's slice of `nnz_row`. A hash row whose nnz
+    /// exceeds the plan's table capacity counts as a replan; it is
+    /// already complete, so nothing is recounted. The chunks refill
+    /// `spare`, the emptied staging of an earlier walk, before they
+    /// allocate.
+    fn walk_rows<T: Scalar, S: Default + Send>(
         &self,
         plan: &SpgemmPlan,
-        a: &Csr<T>,
-        b: &Csr<T>,
-    ) -> Result<SymbolicOutput> {
+        spare: Vec<S>,
+        row: impl Fn(
+                &mut RowAccumulator<T>,
+                &mut RowAlgScratch<T>,
+                AlgorithmChoice,
+                usize,
+                &mut S,
+            ) -> Result<usize>
+            + Sync,
+    ) -> Result<RowWalk<S>> {
         let ranges = plan.count.partition(self.threads * CHUNKS_PER_THREAD);
-        let mut nnz_row = vec![0u32; a.rows()];
-        let mut chunks: Vec<Vec<u32>> = ranges.iter().map(|_| Vec::new()).collect();
+        let mut nnz_row = vec![0u32; plan.rows];
+        let mut spare = spare.into_iter();
+        let mut chunks: Vec<S> = ranges.iter().map(|_| spare.next().unwrap_or_default()).collect();
         // Each job owns its rows' counters and its chunk's staging.
         let mut jobs = Vec::with_capacity(ranges.len());
         let mut rest: &mut [u32] = &mut nnz_row;
@@ -715,77 +685,62 @@ impl HostParallelExecutor {
         }
         let workers = self.threads.min(jobs.len());
         let queue = JobQueue::new(jobs);
-        // Each worker returns its replan count.
-        let tallies = run_workers(workers, || -> Result<u64> {
-            let mut acc = RowAccumulator::<T>::new(b.cols(), false);
+        // Each worker returns its replan count and its accumulator's bytes.
+        let tallies = run_workers(workers, || -> Result<(u64, u64)> {
+            let mut acc = RowAccumulator::<T>::new(plan.cols);
             let mut scratch = RowAlgScratch::<T>::new();
             let mut replans = 0u64;
             while let Some((range, counts, chunk)) = queue.next() {
-                // A worker-local handle, as in `walk_rows`.
-                let mut cols = std::mem::take(chunk);
+                // Grow a worker-local handle: the chunks' headers sit side
+                // by side, and a push per new column to a shared cache
+                // line would serialize the workers.
+                let mut staged = std::mem::take(chunk);
                 for (slot, r) in counts.iter_mut().zip(range) {
                     let algorithm = plan.count.algorithm_for(r);
-                    let nnz = match algorithm {
-                        AlgorithmChoice::Hash if acc.dense => {
-                            acc.structure_row(a, b, r, &mut cols)?
-                        }
-                        // Hash rows of a `B` too wide for the arrays run ESC.
-                        AlgorithmChoice::Hash | AlgorithmChoice::Esc => {
-                            esc_symbolic_row(a, b, r, &mut scratch);
-                            append(&mut cols, scratch.columns())?
-                        }
-                        AlgorithmChoice::Merge => {
-                            merge_symbolic_row(a, b, r, &mut scratch);
-                            append(&mut cols, scratch.columns())?
-                        }
-                    };
+                    let nnz = row(&mut acc, &mut scratch, algorithm, r, &mut staged)?;
                     if algorithm == AlgorithmChoice::Hash {
                         replans += u64::from(nnz > plan.count.table_size_for(r));
                     }
                     *slot = u32::try_from(nnz).map_err(|_| overflow_err("host row nnz"))?;
                 }
-                *chunk = cols;
+                *chunk = staged;
             }
-            Ok(replans)
+            Ok((replans, acc.bytes()))
         });
         drop(queue); // releases the borrows of `nnz_row` and `chunks`
-        let mut replans = 0;
+        let (mut replans, mut acc_bytes) = (0, 0);
         for tally in tallies {
-            replans += tally?;
+            let (r, bytes) = tally?;
+            replans += r;
+            acc_bytes += bytes;
         }
-        let mut structure = Vec::new();
-        reserve(&mut structure, chunks.iter().map(Vec::len).sum())?;
-        for cols in chunks {
-            structure.extend_from_slice(&cols);
-        }
-        let symbolic = SymbolicOutput::from_nnz_row(nnz_row, 0, replans);
-        Ok(SymbolicOutput { structure: Some(structure), ..symbolic })
+        Ok(RowWalk { nnz_row, chunks, replans, acc_bytes })
     }
 
-    /// The values pass and assembly of `execute_numeric`, untimed: `C`'s
-    /// column array is `structure`, borrowed from a cached result and
-    /// copied, or owned and moved in. An owned structure came from this
-    /// call's structure pass, so the report charges that pass's staging,
-    /// a column per entry, next to the dense arrays.
-    fn replay<T: Scalar>(
+    /// The structure pass of `execute_symbolic`: [`Self::walk_rows`]
+    /// stages every row's sorted columns per chunk, and the chunks are
+    /// then copied in row order into one structure.
+    fn structure_pass<T: Scalar>(
         &self,
         plan: &SpgemmPlan,
-        symbolic: &SymbolicOutput,
-        structure: Cow<'_, [u32]>,
         a: &Csr<T>,
         b: &Csr<T>,
-    ) -> Result<Execution<T>> {
-        let (val_c, acc_bytes) = self.values_pass(plan, symbolic, &structure, a, b)?;
-        let staged = match &structure {
-            Cow::Owned(cols) => 4 * to_u64(cols.len()),
-            Cow::Borrowed(_) => 0,
-        };
-        let report = self.host_report::<T>(plan, val_c.len(), acc_bytes + staged);
-        let col_c = structure.into_owned();
-        // lint:allow(unchecked-ctor) — hot-path assembly; the values pass checked every row against its sorted structure
-        let c = Csr::from_parts_unchecked(plan.rows, plan.cols, symbolic.rpt.clone(), col_c, val_c)
-            .map_err(|e| Error::invariant(format!("numeric phase assembled malformed C: {e}")))?;
-        Ok(Execution { matrix: c, report, wall: None, replans: symbolic.replans })
+    ) -> Result<SymbolicOutput> {
+        let walk =
+            self.walk_rows(plan, Vec::new(), |acc, scratch, alg, r, cols: &mut Vec<u32>| {
+                if alg == AlgorithmChoice::Hash && acc.dense {
+                    return acc.structure_row(a, b, r, cols);
+                }
+                row_kernels(alg).0(a, b, r, scratch);
+                append(cols, scratch.columns())
+            })?;
+        let mut structure = Vec::new();
+        reserve(&mut structure, walk.chunks.iter().map(Vec::len).sum())?;
+        for cols in walk.chunks {
+            structure.extend_from_slice(&cols);
+        }
+        let symbolic = SymbolicOutput::from_nnz_row(walk.nnz_row, 0, walk.replans);
+        Ok(SymbolicOutput { structure: Some(structure), ..symbolic })
     }
 
     /// The values pass: each worker pulls a product-weighted chunk of
@@ -824,24 +779,23 @@ impl HostParallelExecutor {
         let queue = JobQueue::new(jobs);
         // Each worker returns its accumulator's bytes.
         let tallies = run_workers(workers, || -> Result<u64> {
-            let mut acc = RowAccumulator::<T>::new(b.cols(), true);
+            let mut acc = RowAccumulator::<T>::new(b.cols());
             let mut scratch = RowAlgScratch::<T>::new();
-            let mut buf = Staged::new();
+            let mut buf = Staged::default();
             while let Some((range, vals)) = queue.next() {
                 let base = rpt[range.start];
                 for r in range {
                     let (lo, hi) = (rpt[r], rpt[r + 1]);
                     let (cols, vals) = (&structure[lo..hi], &mut vals[lo - base..hi - base]);
-                    let kernel: RowKernel<T> = match numeric.algorithm_for(r) {
+                    match numeric.algorithm_for(r) {
                         AlgorithmChoice::Hash if acc.dense => {
-                            acc.values_row(a, b, r, cols, vals)?;
-                            continue;
+                            acc.values_row(a, b, r, cols, vals)?
                         }
-                        // Hash rows of a `B` too wide for the arrays run ESC.
-                        AlgorithmChoice::Hash | AlgorithmChoice::Esc => esc_numeric_row,
-                        AlgorithmChoice::Merge => merge_numeric_row,
-                    };
-                    replay_row(kernel, a, b, r, &mut scratch, &mut buf, cols, vals)?;
+                        alg => {
+                            let kernel = row_kernels(alg).1;
+                            replay_row(kernel, a, b, r, &mut scratch, &mut buf, cols, vals)?;
+                        }
+                    }
                 }
             }
             Ok(acc.bytes())
@@ -852,87 +806,6 @@ impl HostParallelExecutor {
             acc_bytes += bytes?;
         }
         Ok((val_c, acc_bytes))
-    }
-
-    /// The walk of [`Executor::multiply`]: each worker pulls a
-    /// product-weighted chunk of rows, runs every row once through the
-    /// arm the plan's count phase picked, appends it to the chunk's
-    /// staging and writes its nnz into the chunk's slice of `nnz_row`.
-    /// A hash row whose nnz exceeds the plan's table capacity counts as
-    /// a replan, as in `execute_symbolic`; it is already complete, so
-    /// nothing is recounted. The chunks refill `spare`, the staging of
-    /// an earlier walk, before they allocate.
-    fn walk_rows<T: Scalar>(
-        &self,
-        plan: &SpgemmPlan,
-        a: &Csr<T>,
-        b: &Csr<T>,
-        spare: Vec<Staged<T>>,
-    ) -> Result<RowWalk<T>> {
-        let ranges = plan.count.partition(self.threads * CHUNKS_PER_THREAD);
-        let mut nnz_row = vec![0u32; a.rows()];
-        let mut spare = spare.into_iter();
-        let mut chunks: Vec<Staged<T>> =
-            ranges.iter().map(|_| spare.next().map_or_else(Staged::new, Staged::emptied)).collect();
-        // Each job owns its rows' counters and its chunk's staging.
-        let mut jobs = Vec::with_capacity(ranges.len());
-        let mut rest: &mut [u32] = &mut nnz_row;
-        for (range, staged) in ranges.into_iter().zip(&mut chunks) {
-            let (counts, tail) = rest.split_at_mut(range.len());
-            rest = tail;
-            jobs.push((range, counts, staged));
-        }
-        let workers = self.threads.min(jobs.len());
-        let queue = JobQueue::new(jobs);
-        // Each worker returns its replan count and its accumulator's bytes.
-        let tallies = run_workers(workers, || -> Result<(u64, u64)> {
-            let mut acc = RowAccumulator::<T>::new(b.cols(), true);
-            let mut scratch = RowAlgScratch::<T>::new();
-            let mut replans = 0u64;
-            while let Some((range, counts, chunk)) = queue.next() {
-                // Grow a worker-local handle: the chunks' headers sit side
-                // by side, and a push per new column to a shared cache
-                // line would serialize the workers.
-                let mut staged = std::mem::replace(chunk, Staged::new());
-                for (slot, r) in counts.iter_mut().zip(range) {
-                    let algorithm = plan.count.algorithm_for(r);
-                    let nnz = match algorithm {
-                        AlgorithmChoice::Hash if acc.dense => {
-                            acc.stage_row(a, b, r, &mut staged)?
-                        }
-                        // Hash rows of a `B` too wide for the arrays run ESC.
-                        AlgorithmChoice::Hash | AlgorithmChoice::Esc => {
-                            let nnz = ix(esc_symbolic_row(a, b, r, &mut scratch).nnz);
-                            staged.fill(nnz, |cols, vals| {
-                                esc_numeric_row(a, b, r, &mut scratch, cols, vals);
-                            })?;
-                            nnz
-                        }
-                        AlgorithmChoice::Merge => {
-                            let nnz = ix(merge_symbolic_row(a, b, r, &mut scratch).nnz);
-                            staged.fill(nnz, |cols, vals| {
-                                merge_numeric_row(a, b, r, &mut scratch, cols, vals);
-                            })?;
-                            nnz
-                        }
-                    };
-                    if algorithm == AlgorithmChoice::Hash {
-                        replans += u64::from(nnz > plan.count.table_size_for(r));
-                    }
-                    *slot = u32::try_from(nnz).map_err(|_| overflow_err("host row nnz"))?;
-                }
-                *chunk = staged;
-            }
-            Ok((replans, acc.bytes()))
-        });
-        drop(queue); // releases the borrows of `nnz_row` and `chunks`
-        let (mut replans, mut acc_bytes) = (0, 0);
-        for tally in tallies {
-            let (r, bytes) = tally?;
-            replans += r;
-            acc_bytes += bytes;
-        }
-        Ok(RowWalk { nnz_row, chunks, replans, acc_bytes })
     }
 
     /// Assemble `C` from staged chunks: the workers copy each chunk into
@@ -974,19 +847,19 @@ impl HostParallelExecutor {
 
         // lint:allow(unchecked-ctor) — hot-path assembly; rows are sorted by kernel construction
         Csr::from_parts_unchecked(plan.rows, plan.cols, rpt, col_c, val_c)
-            .map_err(|e| Error::invariant(format!("one-phase walk assembled malformed C: {e}")))
+            .map_err(|e| Error::invariant(format!("host walk assembled malformed C: {e}")))
     }
 
     /// The host backend's report: simulated fields are zero (there is no
     /// device model), counters are real, and `peak_mem_bytes` bounds the
     /// host heap a multiply holds: the output, the per-row working
     /// arrays and the `scratch` its workers actually allocated — the
-    /// dense accumulator arrays and, for the one-phase walk, the staged
-    /// entries held next to `C` until the copy, or, for a call that ran
-    /// the structure pass, its staged columns (what the call needed, not
-    /// the capacity an earlier call left, so the figure depends only on
-    /// the operands and the path). The host inspects no hash slots,
-    /// so `hash_probes` is 0.
+    /// dense accumulator arrays and, for `multiply`, the staged entries
+    /// held next to `C` until the copy, or, for a values pass that
+    /// derived its structure, that structure's staged columns (what the
+    /// call needed, not the capacity an earlier call left, so the figure
+    /// depends only on the operands and the path). The host inspects no
+    /// hash slots, so `hash_probes` is 0.
     fn host_report<T: Scalar>(
         &self,
         plan: &SpgemmPlan,
@@ -1059,8 +932,8 @@ mod tests {
     /// the (structure, values) accumulators.
     fn check_rows(a: &Csr<f64>, b: &Csr<f64>) -> (RowAccumulator<f64>, RowAccumulator<f64>) {
         let c_ref = spgemm_gustavson(a, b).unwrap();
-        let mut sym = RowAccumulator::new(b.cols(), false);
-        let mut num = RowAccumulator::new(b.cols(), true);
+        let mut sym = RowAccumulator::new(b.cols());
+        let mut num = RowAccumulator::new(b.cols());
         for r in 0..a.rows() {
             let mut cols = Vec::new();
             let nnz = sym.structure_row(a, b, r, &mut cols).unwrap();
@@ -1076,7 +949,8 @@ mod tests {
         let (a, b) = int_pair(60, 500, 5);
         let (sym, mut num) = check_rows(&a, &b);
         assert!(sym.dense && num.dense);
-        // The arrays span B's columns; only the values one holds values.
+        // The arrays span B's columns; only the one that accumulated
+        // values holds them.
         assert_eq!(sym.bytes(), 4 * 500);
         assert_eq!(num.bytes(), (4 + 8) * 500);
         // A wrapped epoch clears the stamps instead of aliasing old rows.
@@ -1106,14 +980,14 @@ mod tests {
         let (a, b) = int_pair(60, width, 9);
         let c_ref = spgemm_gustavson(&a, &b).unwrap();
         // No column-indexed arrays for a B this wide.
-        assert!(!RowAccumulator::<f64>::new(width, true).dense);
+        assert!(!RowAccumulator::<f64>::new(width).dense);
         let mut ex = HostParallelExecutor::new(2);
         let opts = Options::default();
         let plan = Executor::<f64>::plan(&ex, &a, &b, &opts).unwrap();
         let run = Executor::<f64>::multiply(&mut ex, &a, &b, &opts).unwrap();
         assert_eq!(run.matrix, c_ref);
-        // Two phases: the structure pass's staging, but no dense arrays.
-        let staged = 4 * c_ref.nnz() as u64;
+        // One walk: its staged columns and values, but no dense arrays.
+        let staged = (4 + 8) * c_ref.nnz() as u64;
         let no_arrays = ex.host_report::<f64>(&plan, c_ref.nnz(), staged);
         assert_eq!(run.report.peak_mem_bytes, no_arrays.peak_mem_bytes);
 
@@ -1201,22 +1075,22 @@ mod tests {
         assert_eq!(split.matrix.nnz() as u64, nnz);
         let two_phase = 4 * m + 8 * (m + 1) + dense + output(nnz);
         assert_eq!(split.report.peak_mem_bytes, two_phase);
-        // A first `multiply` runs the same two phases, and its structure
-        // pass stages a column per entry before the copy.
-        let first = Executor::<f64>::multiply(&mut ex, &a, &b, &opts).unwrap();
-        assert_eq!(first.report.peak_mem_bytes, two_phase + 4 * nnz);
-        assert_eq!(phases(&first), [Phase::Setup, Phase::Count, Phase::Calc]);
-        // So does a replay that derives the structure the result lacks.
+        // A replay that derives the structure the result lacks also
+        // stages a column per entry before the copy.
         let bare = SymbolicOutput { structure: None, ..sym };
         let derived = ex.execute_numeric(&plan, &bare, &a, &b).unwrap();
         assert_eq!(derived.matrix, split.matrix);
         assert_eq!(derived.report.peak_mem_bytes, two_phase + 4 * nnz);
-        // A second one walks once and holds its staging next to C until
-        // the copy: a column and a value per entry.
-        let run = Executor::<f64>::multiply(&mut ex, &a, &b, &opts).unwrap();
-        assert_eq!(run.report.peak_mem_bytes, two_phase + (4 + 8) * nnz);
-        assert_eq!(run.report.hash_probes, 0, "the host inspects no hash slots");
-        assert_eq!(phases(&run), [Phase::Setup, Phase::Calc]);
+        // `multiply` walks once and holds its staging next to C until the
+        // copy: a column and a value per entry, into fresh staging or the
+        // staging the call before kept.
+        for _ in 0..2 {
+            let run = Executor::<f64>::multiply(&mut ex, &a, &b, &opts).unwrap();
+            assert_eq!(run.matrix, split.matrix);
+            assert_eq!(run.report.peak_mem_bytes, two_phase + (4 + 8) * nnz);
+            assert_eq!(run.report.hash_probes, 0, "the host inspects no hash slots");
+            assert_eq!(phases(&run), [Phase::Setup, Phase::Calc]);
+        }
     }
 
     fn phases<T>(run: &Execution<T>) -> Vec<Phase> {
@@ -1258,15 +1132,11 @@ mod tests {
         // how many workers found a chunk. The walk on `small`, after a
         // walk on `small`...
         let mut warm = HostParallelExecutor::new(1);
-        for _ in 0..2 {
-            Executor::<f64>::multiply(&mut warm, &small, &small, &opts).unwrap();
-        }
+        Executor::<f64>::multiply(&mut warm, &small, &small, &opts).unwrap();
         let want = Executor::<f64>::multiply(&mut warm, &small, &small, &opts).unwrap();
         // ...and after one on a product sixty times larger.
         let mut ex = HostParallelExecutor::new(1);
-        for _ in 0..2 {
-            Executor::<f64>::multiply(&mut ex, &large, &large, &opts).unwrap();
-        }
+        Executor::<f64>::multiply(&mut ex, &large, &large, &opts).unwrap();
         let held_large = kept_staging(&ex);
         let run = Executor::<f64>::multiply(&mut ex, &small, &small, &opts).unwrap();
         assert_eq!(run.matrix, want.matrix);
@@ -1328,29 +1198,15 @@ mod tests {
     fn thread_resolution_rule() {
         // Explicit request always wins.
         let r = ThreadResolution::resolve(3, Some(16));
-        assert_eq!((r.resolved, r.degraded()), (3, false));
+        assert_eq!((r.resolved, r.degraded), (3, false));
         let r = ThreadResolution::resolve(3, None);
-        assert_eq!((r.resolved, r.degraded()), (3, false));
+        assert_eq!((r.resolved, r.degraded), (3, false));
         // Auto uses the detected count.
         let r = ThreadResolution::resolve(0, Some(8));
-        assert_eq!((r.resolved, r.degraded()), (8, false));
+        assert_eq!((r.resolved, r.degraded), (8, false));
         // Failed detection degrades to 1 — and flags it.
         let r = ThreadResolution::resolve(0, None);
-        assert_eq!((r.resolved, r.degraded()), (1, true));
-    }
-
-    #[test]
-    fn telemetry_records_thread_resolution() {
-        let mut ex = HostParallelExecutor::new(2);
-        assert!(Executor::<f64>::telemetry_mut(&mut ex).is_none());
-        ex.enable_telemetry();
-        ex.enable_telemetry(); // idempotent
-        assert!(Executor::<f64>::telemetry_mut(&mut ex).is_some());
-        let t = ex.take_telemetry().unwrap();
-        let jsonl = t.to_jsonl();
-        assert!(jsonl.contains("\"kind\":\"thread_resolution\""));
-        assert!(jsonl.contains("\"requested\":2"));
-        assert!(ex.take_telemetry().is_none());
+        assert_eq!((r.resolved, r.degraded), (1, true));
     }
 
     #[test]

@@ -68,7 +68,7 @@ pub use batched::BatchedExecutor;
 pub use exec::{Backend, BackendCaps, Execution, Executor, JobCtl, SymbolicOutput, WallClock};
 pub use groups::{build_groups, Assignment, GroupOccupancy, GroupPhase, GroupSpec, GroupTable};
 pub use hash::{HashTable, ProbeStats, HASH_SCAL};
-pub use host::{HostParallelExecutor, ThreadResolution};
+pub use host::HostParallelExecutor;
 pub use pipeline::{
     estimate_memory, multiply, CapacityDiagnostic, Error, ErrorKind, MemoryEstimate, Options,
     Recovery,

@@ -71,11 +71,6 @@ impl<'g> SimExecutor<'g> {
     pub fn new(gpu: &'g mut Gpu) -> Self {
         SimExecutor { gpu, threads: ThreadResolution::detect(0).resolved }
     }
-
-    /// The wrapped device (for report/telemetry access between calls).
-    pub fn gpu(&mut self) -> &mut Gpu {
-        self.gpu
-    }
 }
 
 impl<T: Scalar> Executor<T> for SimExecutor<'_> {

@@ -114,11 +114,6 @@ impl<T: Scalar> BlockedMatrix<T> {
         Ok(BlockedMatrix { a: a.clone(), conversion_time: gpu.elapsed() - t0, fill_ratio })
     }
 
-    /// Underlying matrix.
-    pub fn inner(&self) -> &Csr<T> {
-        &self.a
-    }
-
     /// Blocked SpMV: slices stream their padded block; x gathers hit
     /// cached block columns (charged as shared traffic), so the random
     /// component drops — faster per iteration than [`spmv`] whenever the

@@ -362,17 +362,11 @@ impl<T> Slot<T> {
 
 /// Waitable handle to a submitted job.
 pub struct JobTicket<T> {
-    id: u64,
     slot: Arc<Slot<T>>,
     cancel: Arc<AtomicBool>,
 }
 
 impl<T> JobTicket<T> {
-    /// Submission-order id of this job.
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-
     /// Request cooperative cancellation. Workers poll the flag at phase
     /// boundaries; a job cancelled before any work reserves nothing,
     /// one cancelled mid-flight stops at the next boundary and releases
@@ -497,7 +491,7 @@ impl<T: Scalar> Engine<T> {
                 drop(g);
                 self.shared.metrics.with(|c| c.shed += 1);
                 slot.fulfill(Err(Error::Shed { queued, limit }));
-                return JobTicket { id, slot, cancel };
+                return JobTicket { slot, cancel };
             }
             g.q.push_back(Pending {
                 id,
@@ -509,7 +503,7 @@ impl<T: Scalar> Engine<T> {
             });
         }
         self.shared.queue.ready.notify_one();
-        JobTicket { id, slot, cancel }
+        JobTicket { slot, cancel }
     }
 
     /// Release paused workers ([`EngineConfig::start_paused`]). A no-op

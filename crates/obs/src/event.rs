@@ -88,12 +88,6 @@ impl Event {
         self
     }
 
-    /// Append a signed-integer field.
-    pub fn i64(mut self, key: &str, value: i64) -> Self {
-        self.fields.push((key.to_string(), Value::I64(value)));
-        self
-    }
-
     /// Append a float field.
     pub fn f64(mut self, key: &str, value: f64) -> Self {
         self.fields.push((key.to_string(), Value::F64(value)));

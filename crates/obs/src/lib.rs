@@ -125,11 +125,6 @@ impl Telemetry {
         std::mem::replace(&mut self.parent, parent.map(|s| s.0)).map(SpanId)
     }
 
-    /// The current parent span context.
-    pub fn parent(&self) -> Option<SpanId> {
-        self.parent.map(SpanId)
-    }
-
     /// Spans begun but not yet ended — 0 after a well-formed capture
     /// (every `span_begin` matched by a `span_end`).
     pub fn open_span_count(&self) -> usize {

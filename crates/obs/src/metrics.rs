@@ -33,11 +33,6 @@ impl Summary {
     pub fn counter(&self, name: &str) -> Option<u64> {
         self.counters.iter().find(|(n, _)| n == name).map(|&(_, v)| v)
     }
-
-    /// Look up a histogram by name.
-    pub fn hist(&self, name: &str) -> Option<&Log2Histogram> {
-        self.hists.iter().find(|(n, _)| n == name).map(|(_, h)| h)
-    }
 }
 
 impl Registry {
@@ -80,11 +75,6 @@ impl Registry {
             gauges: self.gauges.iter().map(|(k, &v)| (k.clone(), v)).collect(),
             hists: self.hists.iter().map(|(k, v)| (k.clone(), v.clone())).collect(),
         }
-    }
-
-    /// True when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.gauges.is_empty() && self.hists.is_empty()
     }
 }
 

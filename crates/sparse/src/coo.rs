@@ -27,16 +27,6 @@ impl<T: Scalar> Coo<T> {
         self.entries.push((r, c, v));
     }
 
-    /// Number of rows.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
     /// Number of stored (possibly duplicate) entries.
     pub fn nnz(&self) -> usize {
         self.entries.len()

@@ -379,11 +379,6 @@ impl Gpu {
         self.phase_start = self.now;
     }
 
-    /// Current phase.
-    pub fn phase(&self) -> Phase {
-        self.phase
-    }
-
     /// Allocate device memory. Synchronizes, charges the Pascal
     /// `cudaMalloc` latency, and fails with [`GpuError::OutOfMemory`]
     /// when capacity is exceeded.

@@ -159,11 +159,6 @@ impl Sanitizer {
         self.stats
     }
 
-    /// Number of currently-live shadowed allocations.
-    pub fn live_allocs(&self) -> usize {
-        self.live.len()
-    }
-
     /// All reports as deterministic JSON Lines (empty string when clean).
     pub fn reports_jsonl(&self) -> String {
         let mut out = String::new();

@@ -81,10 +81,10 @@ fn integerize(a: &Csr<f64>) -> Csr<f64> {
 
 /// `multiply` against the plan-reuse path (`plan`, `execute_symbolic`,
 /// `execute_numeric`) on the same executor at 1, 2 and 7 workers: the
-/// same row pointer, columns, value bits and `replans`. The first
-/// `multiply` runs the two phases; the second walks every intermediate
-/// product once into fresh staging, the third refills that staging.
-/// Returns the replans.
+/// same row pointer, columns, value bits and `replans`. Every `multiply`
+/// walks each intermediate product once: the first into fresh staging,
+/// the second and third into the staging the call before kept. Returns
+/// the replans.
 fn assert_one_phase_matches_plan_reuse(
     a: &Csr<f64>,
     b: &Csr<f64>,
@@ -100,7 +100,7 @@ fn assert_one_phase_matches_plan_reuse(
         let split = exec.execute_numeric(&plan, &symbolic, a, b).unwrap();
         assert_eq!(split.replans, symbolic.replans, "{what}");
         assert_eq!(*replans.get_or_insert(split.replans), split.replans, "{what}: replans moved");
-        for call in ["two phases", "one walk, fresh staging", "one walk, reused staging"] {
+        for call in ["fresh staging", "reused", "reused"] {
             let run = exec.multiply(a, b, opts).unwrap();
             assert_bitwise_eq(&run.matrix, &split.matrix, &format!("{what}: {call}"));
             assert_eq!(run.replans, split.replans, "{what}: {call}: replans differ");
