@@ -36,7 +36,9 @@
 //! capacity is reported the same way without burning retries: no batch
 //! boundary can help it.
 
-use crate::exec::{Backend, BackendCaps, Execution, Executor, JobCtl, SymbolicOutput, WallClock};
+use crate::exec::{
+    Backend, BackendCaps, ColdRecord, Execution, Executor, JobCtl, SymbolicOutput, WallClock,
+};
 use crate::partition::weighted_ranges;
 use crate::pipeline::{CapacityDiagnostic, Error, Options, Recovery, Result};
 use crate::plan::SpgemmPlan;
@@ -354,7 +356,8 @@ impl<E> BatchedExecutor<E> {
         );
         let report = merge_reports::<T>(&reports, batches.len());
         let wall = merge_walls(&walls);
-        Ok(Execution { matrix, report, wall, replans })
+        // Split rows ran separate plans: no one plan stands for `C`.
+        Ok(Execution { matrix, report, wall, replans, record: None })
     }
 }
 
@@ -369,15 +372,6 @@ impl<T: Scalar, E: Executor<T>> Executor<T> for BatchedExecutor<E> {
 
     fn plan(&self, a: &Csr<T>, b: &Csr<T>, opts: &Options) -> Result<SpgemmPlan> {
         self.inner.plan(a, b, opts)
-    }
-
-    fn execute_symbolic(
-        &mut self,
-        plan: &SpgemmPlan,
-        a: &Csr<T>,
-        b: &Csr<T>,
-    ) -> Result<SymbolicOutput> {
-        self.inner.execute_symbolic(plan, a, b)
     }
 
     fn execute_numeric(
@@ -404,7 +398,9 @@ impl<T: Scalar, E: Executor<T>> Executor<T> for BatchedExecutor<E> {
             self.last_batches = 0;
             self.last_retries = 0;
             let matrix = Csr::zeros(0, plan.cols);
-            return Ok(Execution { matrix, report: zeroed_report::<T>(0), wall: None, replans: 0 });
+            let report = zeroed_report::<T>(0);
+            let record = Some(ColdRecord { plan, count_probes: 0 });
+            return Ok(Execution { matrix, report, wall: None, replans: 0, record });
         }
         let (fixed, weights) = row_weights(a, b, &plan)?;
         let estimate_upper = weights

@@ -12,7 +12,7 @@
 //! *report*: simulated time and device telemetry from the sim backend,
 //! wall-clock phase times from the host backend.
 
-use crate::pipeline::{Error, Options, Result};
+use crate::pipeline::{overflow_err, Error, Options, Result};
 use crate::plan::SpgemmPlan;
 use sparse::{to_u64, Csr, Scalar};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -76,35 +76,37 @@ pub struct BackendCaps {
     pub deterministic_output: bool,
 }
 
-/// Result of the symbolic (count) phase: exact per-row output sizes
-/// and, when the backend records it, the output's structure.
+/// What the numeric phase replays: exact per-row output sizes and the
+/// output's structure. A cold [`Executor::multiply`] produces it; a
+/// [`crate::SymbolicPlan`] holds one built from that run's `C`.
 #[derive(Debug, Clone)]
 pub struct SymbolicOutput {
     /// nnz of each output row.
     pub nnz_row: Vec<u32>,
     /// Exclusive scan of `nnz_row` — the output row pointer.
     pub rpt: Vec<usize>,
-    /// Hash-probe steps observed during the phase (0 on the host
-    /// backend, whose accumulators have no hash slots).
-    pub hash_probes: u64,
     /// Rows whose sampled-estimate table under-sized and were recounted
     /// with exact products (always 0 under [`crate::Estimator::Exact`];
     /// DESIGN.md §16's replan contract).
     pub replans: u64,
     /// The output's structure: every row's sorted column indices, back
-    /// to back and laid out by `rpt` — the column array `C` will have.
-    /// The patterns alone decide it, so the host backend records it in
-    /// its symbolic phase and its numeric phase (the plan-cache hit
-    /// path) only fills values, checking each row against it. `None`
-    /// from the simulator, whose numeric kernels rebuild every row; the
-    /// host derives it again when it replays such a result.
-    pub structure: Option<Vec<u32>>,
+    /// to back and laid out by `rpt` — the column array `C` has. The
+    /// patterns alone decide it, so the host backend's numeric phase
+    /// (the plan-cache hit path) only fills values, checking each row
+    /// against it; the simulator's numeric kernels rebuild every row.
+    pub structure: Vec<u32>,
 }
 
 impl SymbolicOutput {
-    pub(crate) fn from_nnz_row(nnz_row: Vec<u32>, hash_probes: u64, replans: u64) -> Self {
-        let rpt = prefix_sum(&nnz_row);
-        SymbolicOutput { nnz_row, rpt, hash_probes, replans, structure: None }
+    /// The symbolic result `c` stands for: its row pointer, the row
+    /// counts it implies and a copy of its column array.
+    pub(crate) fn of_output<T: Scalar>(c: &Csr<T>, replans: u64) -> Result<Self> {
+        let rpt = c.rpt().to_vec();
+        let nnz_row = rpt
+            .windows(2)
+            .map(|w| u32::try_from(w[1] - w[0]).map_err(|_| overflow_err("output row nnz")))
+            .collect::<Result<_>>()?;
+        Ok(SymbolicOutput { nnz_row, rpt, replans, structure: c.col().to_vec() })
     }
 
     /// Total nnz of the output matrix.
@@ -113,13 +115,24 @@ impl SymbolicOutput {
     }
 
     /// Heap bytes of the result: the row arrays (`nnz_row`, `rpt`) and
-    /// the structure, 4 B per output entry, when there is one.
+    /// the structure, 4 B per output entry.
     pub fn heap_bytes(&self) -> u64 {
         let words = |len: usize, bytes: usize| to_u64(len) * to_u64(bytes);
         words(self.nnz_row.len(), 4)
             + words(self.rpt.len(), std::mem::size_of::<usize>())
-            + words(self.structure.as_ref().map_or(0, Vec::len), 4)
+            + words(self.structure.len(), 4)
     }
+}
+
+/// What a cold [`Executor::multiply`] leaves for a plan cache besides
+/// `C`: the plan it ran and the hash probes of its count phase.
+#[derive(Debug, Clone)]
+pub struct ColdRecord {
+    /// The backend-neutral plan the multiply built and ran.
+    pub plan: SpgemmPlan,
+    /// Hash-probe steps of the count phase (0 on the host backend,
+    /// whose accumulators have no hash slots).
+    pub count_probes: u64,
 }
 
 /// Real elapsed time of a host-side execution, reported alongside the
@@ -128,7 +141,8 @@ impl SymbolicOutput {
 ///
 /// The host backend's `multiply` reports `Setup` (planning) and `Calc`:
 /// it walks every row once, so one window counts and accumulates, then
-/// copies into `C`. Its `execute_numeric` reports `Calc` alone.
+/// copies into `C`. Its `execute_numeric` (the checked values pass)
+/// reports `Calc` alone.
 #[derive(Debug, Clone, Default)]
 pub struct WallClock {
     /// End-to-end duration of the multiply.
@@ -170,19 +184,23 @@ pub struct Execution<T> {
     /// (see [`SymbolicOutput::replans`]; summed across batches by the
     /// batched executor).
     pub replans: u64,
+    /// The cold run's record, from which [`crate::SymbolicPlan`] builds
+    /// a cache entry: `Some` from `multiply`, `None` from
+    /// `execute_numeric` and from a [`crate::BatchedExecutor`] that
+    /// split the rows.
+    pub record: Option<ColdRecord>,
 }
 
 /// A backend that can execute an [`SpgemmPlan`].
 ///
-/// The phase methods mirror Figure 1's split: `plan` does the
-/// backend-neutral setup, `execute_symbolic` the count phase,
-/// `execute_numeric` the malloc + calc phases. Split, they let a caller
-/// cache the symbolic result and replay only the numeric phase
-/// ([`crate::SymbolicPlan`]). `multiply` runs the whole multiply and
-/// assembles the report. It is *not* a trait default: the simulator runs
-/// the three phases in sequence under its instrumentation, while the
-/// host backend walks every row once, counting and accumulating
-/// together, with the same output and `replans`.
+/// `multiply` is the one cold path: it plans, runs the whole multiply
+/// and assembles the report — the simulator runs Figure 1's setup,
+/// count, malloc and calc phases in sequence under its instrumentation,
+/// while the host backend walks every row once, counting and
+/// accumulating together, with the same output and `replans`. Its
+/// [`Execution::record`] is what a plan cache keeps
+/// ([`crate::SymbolicPlan`]). `execute_numeric` replays only the malloc
+/// + calc phases against such a cached symbolic result.
 pub trait Executor<T: Scalar> {
     /// The backend this executor implements.
     fn backend(&self) -> Backend;
@@ -193,14 +211,6 @@ pub trait Executor<T: Scalar> {
     /// Build the backend-neutral plan for `C = A · B` (validates
     /// dimensions; pure host work on every backend).
     fn plan(&self, a: &Csr<T>, b: &Csr<T>, opts: &Options) -> Result<SpgemmPlan>;
-
-    /// Run the symbolic (count) phase of `plan`.
-    fn execute_symbolic(
-        &mut self,
-        plan: &SpgemmPlan,
-        a: &Csr<T>,
-        b: &Csr<T>,
-    ) -> Result<SymbolicOutput>;
 
     /// Run the numeric (calc) phase of `plan` against a symbolic result.
     fn execute_numeric(
@@ -213,8 +223,9 @@ pub trait Executor<T: Scalar> {
 
     /// Run the whole multiply and report it: plan, then count, malloc
     /// and calc — as three phases on the simulator, and on the host
-    /// backend as one walk per row. The output is bitwise identical to
-    /// `plan` + `execute_symbolic` + `execute_numeric`.
+    /// backend as one walk per row — and record the plan it ran. The
+    /// output is bitwise identical to `execute_numeric` replaying that
+    /// record on any backend.
     fn multiply(&mut self, a: &Csr<T>, b: &Csr<T>, opts: &Options) -> Result<Execution<T>>;
 
     /// The backend's telemetry session when one is attached: the sim
@@ -229,8 +240,8 @@ pub trait Executor<T: Scalar> {
     /// The backend's clock in simulated microseconds, when it has one.
     /// The sim backend reports its device timeline (deterministic — a
     /// pure function of the inputs); wall-clock backends return `None`.
-    /// Callers (the engine's per-phase accounting) subtract two reads to
-    /// attribute device time to a phase that spans several trait calls.
+    /// [`crate::BatchedExecutor`] polls a job's [`JobCtl`] deadline
+    /// against it between batches.
     fn device_elapsed_us(&self) -> Option<f64> {
         None
     }
@@ -321,17 +332,23 @@ mod tests {
 
     #[test]
     fn symbolic_output_scans_counts() {
-        let s = SymbolicOutput::from_nnz_row(vec![2, 0, 3], 7, 0);
+        // Rows of 2, 0 and 3 entries.
+        let c = Csr::<f64>::from_triplets(
+            3,
+            4,
+            &[(0, 1, 1.0), (0, 3, 1.0), (2, 0, 1.0), (2, 1, 1.0), (2, 2, 1.0)],
+        )
+        .unwrap();
+        let s = SymbolicOutput::of_output(&c, 7).unwrap();
+        assert_eq!(s.nnz_row, vec![2, 0, 3]);
         assert_eq!(s.rpt, vec![0, 2, 2, 5]);
         assert_eq!(s.output_nnz(), 5);
-        assert_eq!(s.hash_probes, 7);
-        assert_eq!(s.replans, 0);
-        // Row arrays only: 3 counts and 4 row pointers.
+        assert_eq!(s.replans, 7);
+        assert_eq!(s.structure, c.col());
+        // 3 counts, 4 row pointers and 5 columns.
         let word = std::mem::size_of::<usize>() as u64;
-        assert_eq!(s.heap_bytes(), 4 * 3 + word * 4);
-        let s = SymbolicOutput { structure: Some(vec![0, 1, 0, 1, 2]), ..s };
         assert_eq!(s.heap_bytes(), 4 * 3 + word * 4 + 4 * 5);
-        let empty = SymbolicOutput::from_nnz_row(vec![], 0, 0);
+        let empty = SymbolicOutput::of_output(&Csr::<f64>::zeros(0, 3), 0).unwrap();
         assert_eq!(empty.output_nnz(), 0);
     }
 

@@ -14,33 +14,7 @@
 //! pair sort. Only a `B` wider than [`DENSE_MAX_COLS`] skips the arrays;
 //! its hash rows run the ESC row kernel instead.
 //!
-//! # Structure, then values
-//!
-//! The paper's symbolic phase sizes every output row; the host's also
-//! records it. `execute_symbolic` walks each row through the stamps
-//! alone, lists each new column as it appears, sorts the row in place
-//! and stages it per chunk, then copies the chunks in row order into the
-//! output's **structure**: its sorted column array, laid out by the row
-//! pointer ([`SymbolicOutput::structure`]). The structure depends only on
-//! the patterns, so `execute_numeric` — the numeric phase and the
-//! plan-cache hit path — is a values-only pass: it accumulates each row
-//! through the dense arrays and gathers the values in the recorded
-//! column order. It builds no column list and sorts nothing; `C`'s
-//! column array is the structure, copied from the symbolic result. A
-//! hash row above the plan's table capacity for it (a sampled
-//! under-estimate) is complete all the same and counts as a replan.
-//!
-//! Replay is verified, not trusted. Each row must produce exactly as
-//! many new columns as its symbolic count, and every recorded column, in
-//! strictly increasing order, must be one this row stamped. Together
-//! these make the two column sets equal, so a stale or corrupted
-//! structure is an [`Error::invariant`], never a wrong matrix. ESC,
-//! merge and wide-`B` rows run their own kernels and compare the columns
-//! they produce. A symbolic result without a structure (the
-//! simulator's) is replayed by deriving one first, with the same
-//! structure pass.
-//!
-//! # One walk per product
+//! # Walk, then checked values
 //!
 //! The paper counts every row before computing it so it can allocate
 //! exactly enough GPU memory for `C`. The host has no such constraint,
@@ -53,10 +27,27 @@
 //! executor keeps its emptied staging for the next `multiply` of the
 //! same value type, trimmed when it holds far more than the call
 //! needed, so a repeated multiply refills pages that are already
-//! mapped. The structure pass runs on the same row-walk driver with its
-//! own per-row arms. The two phases stay for plan reuse:
-//! `execute_symbolic` records the structure a cacheable
-//! [`crate::SymbolicPlan`] holds, and every plan-cache hit replays it.
+//! mapped. A cacheable [`crate::SymbolicPlan`] is what such a walk
+//! leaves behind: its plan and `C`'s row pointer and sorted column
+//! array, the output's **structure** ([`SymbolicOutput::structure`]).
+//!
+//! The structure depends only on the patterns, so `execute_numeric` —
+//! the numeric phase and the plan-cache hit path — is a values-only
+//! pass: it accumulates each row through the dense arrays and gathers
+//! the values in the recorded column order. It builds no column list
+//! and sorts nothing; `C`'s column array is the structure, copied from
+//! the symbolic result. A hash row above the plan's table capacity for
+//! it (a sampled under-estimate) is complete all the same and counts as
+//! a replan.
+//!
+//! Replay is verified, not trusted. Each row must produce exactly as
+//! many new columns as its symbolic count, and every recorded column, in
+//! strictly increasing order, must be one this row stamped. Together
+//! these make the two column sets equal, so a stale or corrupted
+//! structure is an [`Error::invariant`], never a wrong matrix. ESC,
+//! merge and wide-`B` rows run their own kernels and compare the columns
+//! they produce. A structure recorded by the simulator replays the same
+//! way: both backends' `C` have the same bits.
 //!
 //! # Determinism
 //!
@@ -70,9 +61,9 @@
 //! `-0.0` into `+0.0`). Every job writes only its own rows — its own
 //! staging, or its own output slice carved with `split_at_mut` at
 //! row-pointer boundaries — so scheduling decides *when* a row is
-//! computed, never *what* it computes. The structure pass and the walk
-//! dispatch each row on the count phase's arm, the values pass on the
-//! numeric phase's; all arms produce the same bits.
+//! computed, never *what* it computes. The walk dispatches each row on
+//! the count phase's arm, the values pass on the numeric phase's; all
+//! arms produce the same bits.
 //!
 //! The host inspects no hash slots, so its `hash_probes` is 0
 //! (DESIGN.md §12).
@@ -81,7 +72,7 @@
 // design (WallClock is its deliverable); determinism lives in the output, not
 // the timings.
 use crate::exec::{
-    prefix_sum, Backend, BackendCaps, Execution, Executor, SymbolicOutput, WallClock,
+    prefix_sum, Backend, BackendCaps, ColdRecord, Execution, Executor, SymbolicOutput, WallClock,
 };
 use crate::partition::{run_workers, JobQueue};
 use crate::pipeline::{overflow_err, Error, Options, Result};
@@ -92,7 +83,6 @@ use crate::rowalg::{
 };
 use sparse::{ix, to_u64, Csr, Scalar, SparseError, DEVICE_INDEX_BYTES};
 use std::any::Any;
-use std::borrow::Cow;
 use std::time::Instant;
 use vgpu::{DeviceConfig, Phase, SimTime, SpgemmReport};
 
@@ -120,9 +110,8 @@ const STAGING_SLACK: u64 = 8;
 /// kernel, whose scratch grows with the row.
 pub const DENSE_MAX_COLS: usize = 1 << 20;
 
-/// A worker thread's accumulator for the plan's hash rows: a stamp per
-/// column of `B`, allocated on the first row, and a value per column,
-/// allocated on the first row that accumulates values; both are reused
+/// A worker thread's accumulator for the plan's hash rows: a stamp and
+/// a value per column of `B`, allocated on the first row and reused
 /// for every later row. An epoch stamp marks the columns of the current
 /// row, so a reset is O(1). A `B` wider than [`DENSE_MAX_COLS`] gets no
 /// arrays: its rows run the ESC kernel.
@@ -133,7 +122,7 @@ struct RowAccumulator<T> {
     width: usize,
     /// The epoch that last claimed each column.
     stamp: Vec<u32>,
-    /// Accumulated value per column (empty until a row accumulates).
+    /// Accumulated value per column.
     vals: Vec<T>,
     /// Stamp of the current row.
     epoch: u32,
@@ -156,11 +145,17 @@ impl<T: Scalar> RowAccumulator<T> {
         (4 * self.stamp.len() + T::BYTES * self.vals.len()) as u64
     }
 
-    /// Start a dense row: allocate the stamps on first use and advance
-    /// the epoch.
-    fn start_row(&mut self) {
+    /// Walk row `row` through the dense arrays — the one accumulate loop
+    /// of the values pass and the walk — allocating them on first use
+    /// and advancing the epoch. The first product of a column *assigns*
+    /// its value, later ones `+=`, in A-row traversal order — never
+    /// `0 + x`, which would turn `-0.0` into `+0.0`. `new_col` receives
+    /// each column the first time it appears.
+    #[inline]
+    fn accumulate(&mut self, a: &Csr<T>, b: &Csr<T>, row: usize, mut new_col: impl FnMut(u32)) {
         if self.stamp.len() < self.width {
             self.stamp = vec![0; self.width];
+            self.vals = vec![T::ZERO; self.width];
             self.epoch = 0;
         }
         self.epoch = self.epoch.wrapping_add(1);
@@ -169,48 +164,6 @@ impl<T: Scalar> RowAccumulator<T> {
             self.stamp.fill(0);
             self.epoch = 1;
         }
-    }
-
-    /// Append row `row`'s distinct columns, sorted, to `out` — a walk of
-    /// the stamps alone — and return the row's nnz. The columns are
-    /// reserved up front for the row's bound (its products, at most
-    /// `B`'s width), so the walk itself never reallocates.
-    fn structure_row(
-        &mut self,
-        a: &Csr<T>,
-        b: &Csr<T>,
-        row: usize,
-        out: &mut Vec<u32>,
-    ) -> Result<usize> {
-        let start = out.len();
-        reserve(out, exact_row_products(a, b, row).min(self.width))?;
-        self.start_row();
-        let (stamp, epoch) = (&mut self.stamp, self.epoch);
-        for &k in a.row(row).0 {
-            for &j in b.row(ix(k)).0 {
-                let seen = &mut stamp[ix(j)];
-                if *seen != epoch {
-                    *seen = epoch;
-                    out.push(j);
-                }
-            }
-        }
-        let row_cols = &mut out[start..];
-        row_cols.sort_unstable();
-        Ok(row_cols.len())
-    }
-
-    /// Walk row `row` through the dense arrays — the one accumulate loop
-    /// of the values pass and the walk. The first product of a column
-    /// *assigns* its value, later ones `+=`, in A-row traversal order —
-    /// never `0 + x`, which would turn `-0.0` into `+0.0`. `new_col`
-    /// receives each column the first time it appears.
-    #[inline]
-    fn accumulate(&mut self, a: &Csr<T>, b: &Csr<T>, row: usize, mut new_col: impl FnMut(u32)) {
-        if self.vals.len() < self.width {
-            self.vals = vec![T::ZERO; self.width];
-        }
-        self.start_row();
         let (stamp, vals, epoch) = (&mut self.stamp, &mut self.vals, self.epoch);
         let (acols, avals) = a.row(row);
         for (&k, &av) in acols.iter().zip(avals) {
@@ -386,13 +339,6 @@ impl<T: Scalar> Staged<T> {
     }
 }
 
-/// Append `cols` to `out`, returning how many there were.
-fn append(out: &mut Vec<u32>, cols: &[u32]) -> Result<usize> {
-    reserve(out, cols.len())?;
-    out.extend_from_slice(cols);
-    Ok(cols.len())
-}
-
 /// Make room for `additional` more elements of `v` (amortized growth),
 /// turning an allocation failure into a structured error. It is not a
 /// `DeviceOom`: that one asks the batched fallback to retry in smaller
@@ -523,21 +469,8 @@ impl<T: Scalar> Executor<T> for HostParallelExecutor {
         SpgemmPlan::new(&self.cfg, a, b, opts)
     }
 
-    fn execute_symbolic(
-        &mut self,
-        plan: &SpgemmPlan,
-        a: &Csr<T>,
-        b: &Csr<T>,
-    ) -> Result<SymbolicOutput> {
-        let symbolic = self.structure_pass(plan, a, b)?;
-        self.note_replans(plan, symbolic.replans)?;
-        Ok(symbolic)
-    }
-
     /// The values pass over `symbolic`'s structure, which becomes `C`'s
-    /// column array. A result without a structure (the simulator's) gets
-    /// one from the structure pass first, and the report then charges
-    /// that pass's staging, a column per entry, next to the dense arrays.
+    /// column array.
     fn execute_numeric(
         &mut self,
         plan: &SpgemmPlan,
@@ -546,31 +479,23 @@ impl<T: Scalar> Executor<T> for HostParallelExecutor {
         b: &Csr<T>,
     ) -> Result<Execution<T>> {
         let t0 = Instant::now();
-        let structure = match &symbolic.structure {
-            Some(cols) => Cow::Borrowed(cols.as_slice()),
-            None => Cow::Owned(self.structure_pass(plan, a, b)?.structure.unwrap_or_default()),
-        };
-        let (val_c, acc_bytes) = self.values_pass(plan, symbolic, &structure, a, b)?;
-        let staged = match &structure {
-            Cow::Owned(cols) => 4 * to_u64(cols.len()),
-            Cow::Borrowed(_) => 0,
-        };
-        let report = self.host_report::<T>(plan, val_c.len(), acc_bytes + staged);
-        let (rpt, col_c) = (symbolic.rpt.clone(), structure.into_owned());
+        let (val_c, acc_bytes) = self.values_pass(plan, symbolic, a, b)?;
+        let report = self.host_report::<T>(plan, val_c.len(), acc_bytes);
+        let (rpt, col_c) = (symbolic.rpt.clone(), symbolic.structure.clone());
         // lint:allow(unchecked-ctor) — hot-path assembly; the values pass checked every row against its sorted structure
         let matrix = Csr::from_parts_unchecked(plan.rows, plan.cols, rpt, col_c, val_c)
             .map_err(|e| Error::invariant(format!("numeric phase assembled malformed C: {e}")))?;
         let calc = t0.elapsed();
         let wall = WallClock { total: calc, phases: vec![(Phase::Calc, calc)] };
-        Ok(Execution { matrix, report, wall: Some(wall), replans: symbolic.replans })
+        Ok(Execution { matrix, report, wall: Some(wall), replans: symbolic.replans, record: None })
     }
 
     /// Plan, then one walk per intermediate product: every row is
     /// counted and accumulated at once into per-chunk staging (refilling
     /// the staging an earlier `multiply` of this value type kept), and
     /// [`Self::stitch`] places the chunks once the row pointer is known.
-    /// The output and `replans` are those of `execute_symbolic` followed
-    /// by `execute_numeric`.
+    /// The output and `replans` equal `execute_numeric` replaying the
+    /// run's record.
     fn multiply(&mut self, a: &Csr<T>, b: &Csr<T>, opts: &Options) -> Result<Execution<T>> {
         let t0 = Instant::now();
         let plan = <Self as Executor<T>>::plan(self, a, b, opts)?;
@@ -579,21 +504,7 @@ impl<T: Scalar> Executor<T> for HostParallelExecutor {
 
         let t1 = Instant::now();
         self.mark_stage("symbolic");
-        let walk = self.walk_rows(
-            &plan,
-            spare.map_or_else(Vec::new, |s| *s),
-            |acc, scratch, alg, r, staged: &mut Staged<T>| {
-                if alg == AlgorithmChoice::Hash && acc.dense {
-                    return acc.stage_row(a, b, r, staged);
-                }
-                let (count, fill) = row_kernels(alg);
-                let nnz = ix(count(a, b, r, scratch).nnz);
-                staged.fill(nnz, |cols, vals| {
-                    fill(a, b, r, scratch, cols, vals);
-                })?;
-                Ok(nnz)
-            },
-        )?;
+        let walk = self.walk_rows(&plan, a, b, spare.map_or_else(Vec::new, |s| *s))?;
         self.note_replans(&plan, walk.replans)?;
         self.mark_stage("numeric");
         let matrix = self.stitch(&plan, prefix_sum(&walk.nnz_row), &walk.chunks)?;
@@ -610,7 +521,8 @@ impl<T: Scalar> Executor<T> for HostParallelExecutor {
             total: t0.elapsed(),
             phases: vec![(Phase::Setup, setup), (Phase::Calc, calc)],
         };
-        Ok(Execution { matrix, report, wall: Some(wall), replans: walk.replans })
+        let record = Some(ColdRecord { plan, count_probes: 0 });
+        Ok(Execution { matrix, report, wall: Some(wall), replans: walk.replans, record })
     }
 
     fn telemetry_mut(&mut self) -> Option<&mut obs::Telemetry> {
@@ -619,11 +531,11 @@ impl<T: Scalar> Executor<T> for HostParallelExecutor {
 }
 
 /// What [`HostParallelExecutor::walk_rows`] leaves for assembly.
-struct RowWalk<S> {
+struct RowWalk<T> {
     /// nnz of each output row.
     nnz_row: Vec<u32>,
     /// Staged rows of each partition chunk, in row order.
-    chunks: Vec<S>,
+    chunks: Vec<Staged<T>>,
     /// Hash rows whose nnz exceeded the plan's table capacity.
     replans: u64,
     /// Bytes of the dense arrays the workers allocated.
@@ -649,32 +561,26 @@ impl HostParallelExecutor {
         Ok(())
     }
 
-    /// The row walk of `multiply` and of the structure pass: each worker
-    /// pulls a product-weighted chunk of rows and runs every row once
-    /// through `row`, given the arm the plan's count phase picked. `row`
-    /// appends the row to the chunk's staging and returns its nnz, which
-    /// lands in the chunk's slice of `nnz_row`. A hash row whose nnz
-    /// exceeds the plan's table capacity counts as a replan; it is
-    /// already complete, so nothing is recounted. The chunks refill
-    /// `spare`, the emptied staging of an earlier walk, before they
-    /// allocate.
-    fn walk_rows<T: Scalar, S: Default + Send>(
+    /// The row walk of `multiply`: each worker pulls a product-weighted
+    /// chunk of rows and runs every row once, on the arm the plan's
+    /// count phase picked, appending its sorted columns and values to
+    /// the chunk's staging; the row's nnz lands in the chunk's slice of
+    /// `nnz_row`. A hash row whose nnz exceeds the plan's table capacity
+    /// counts as a replan; it is already complete, so nothing is
+    /// recounted. The chunks refill `spare`, the emptied staging of an
+    /// earlier walk, before they allocate.
+    fn walk_rows<T: Scalar>(
         &self,
         plan: &SpgemmPlan,
-        spare: Vec<S>,
-        row: impl Fn(
-                &mut RowAccumulator<T>,
-                &mut RowAlgScratch<T>,
-                AlgorithmChoice,
-                usize,
-                &mut S,
-            ) -> Result<usize>
-            + Sync,
-    ) -> Result<RowWalk<S>> {
+        a: &Csr<T>,
+        b: &Csr<T>,
+        spare: Vec<Staged<T>>,
+    ) -> Result<RowWalk<T>> {
         let ranges = plan.count.partition(self.threads * CHUNKS_PER_THREAD);
         let mut nnz_row = vec![0u32; plan.rows];
         let mut spare = spare.into_iter();
-        let mut chunks: Vec<S> = ranges.iter().map(|_| spare.next().unwrap_or_default()).collect();
+        let mut chunks: Vec<Staged<T>> =
+            ranges.iter().map(|_| spare.next().unwrap_or_default()).collect();
         // Each job owns its rows' counters and its chunk's staging.
         let mut jobs = Vec::with_capacity(ranges.len());
         let mut rest: &mut [u32] = &mut nnz_row;
@@ -697,7 +603,16 @@ impl HostParallelExecutor {
                 let mut staged = std::mem::take(chunk);
                 for (slot, r) in counts.iter_mut().zip(range) {
                     let algorithm = plan.count.algorithm_for(r);
-                    let nnz = row(&mut acc, &mut scratch, algorithm, r, &mut staged)?;
+                    let nnz = if algorithm == AlgorithmChoice::Hash && acc.dense {
+                        acc.stage_row(a, b, r, &mut staged)?
+                    } else {
+                        let (count, fill) = row_kernels(algorithm);
+                        let nnz = ix(count(a, b, r, &mut scratch).nnz);
+                        staged.fill(nnz, |cols, vals| {
+                            fill(a, b, r, &mut scratch, cols, vals);
+                        })?;
+                        nnz
+                    };
                     if algorithm == AlgorithmChoice::Hash {
                         replans += u64::from(nnz > plan.count.table_size_for(r));
                     }
@@ -717,32 +632,6 @@ impl HostParallelExecutor {
         Ok(RowWalk { nnz_row, chunks, replans, acc_bytes })
     }
 
-    /// The structure pass of `execute_symbolic`: [`Self::walk_rows`]
-    /// stages every row's sorted columns per chunk, and the chunks are
-    /// then copied in row order into one structure.
-    fn structure_pass<T: Scalar>(
-        &self,
-        plan: &SpgemmPlan,
-        a: &Csr<T>,
-        b: &Csr<T>,
-    ) -> Result<SymbolicOutput> {
-        let walk =
-            self.walk_rows(plan, Vec::new(), |acc, scratch, alg, r, cols: &mut Vec<u32>| {
-                if alg == AlgorithmChoice::Hash && acc.dense {
-                    return acc.structure_row(a, b, r, cols);
-                }
-                row_kernels(alg).0(a, b, r, scratch);
-                append(cols, scratch.columns())
-            })?;
-        let mut structure = Vec::new();
-        reserve(&mut structure, walk.chunks.iter().map(Vec::len).sum())?;
-        for cols in walk.chunks {
-            structure.extend_from_slice(&cols);
-        }
-        let symbolic = SymbolicOutput::from_nnz_row(walk.nnz_row, 0, walk.replans);
-        Ok(SymbolicOutput { structure: Some(structure), ..symbolic })
-    }
-
     /// The values pass: each worker pulls a product-weighted chunk of
     /// rows and fills its disjoint slice of `C`'s values, cut at the row
     /// pointer, replaying each row against its recorded columns through
@@ -752,11 +641,10 @@ impl HostParallelExecutor {
         &self,
         plan: &SpgemmPlan,
         symbolic: &SymbolicOutput,
-        structure: &[u32],
         a: &Csr<T>,
         b: &Csr<T>,
     ) -> Result<(Vec<T>, u64)> {
-        let (nnz_row, rpt) = (&symbolic.nnz_row, &symbolic.rpt);
+        let (nnz_row, rpt, structure) = (&symbolic.nnz_row, &symbolic.rpt, &symbolic.structure);
         let laid_out = nnz_row.len() == plan.rows
             && rpt.len() == plan.rows + 1
             && rpt[0] == 0
@@ -855,11 +743,10 @@ impl HostParallelExecutor {
     /// host heap a multiply holds: the output, the per-row working
     /// arrays and the `scratch` its workers actually allocated — the
     /// dense accumulator arrays and, for `multiply`, the staged entries
-    /// held next to `C` until the copy, or, for a values pass that
-    /// derived its structure, that structure's staged columns (what the
-    /// call needed, not the capacity an earlier call left, so the figure
-    /// depends only on the operands and the path). The host inspects no
-    /// hash slots, so `hash_probes` is 0.
+    /// held next to `C` until the copy (what the call needed, not the
+    /// capacity an earlier call left, so the figure depends only on the
+    /// operands and the path). The host inspects no hash slots, so
+    /// `hash_probes` is 0.
     fn host_report<T: Scalar>(
         &self,
         plan: &SpgemmPlan,
@@ -927,31 +814,32 @@ mod tests {
         (Csr::from_triplets(rows, 40, &ta).unwrap(), Csr::from_triplets(40, b_cols, &tb).unwrap())
     }
 
-    /// Record and replay every row of `A · B` through one pair of dense
-    /// accumulators, checking each row against the reference; returns
-    /// the (structure, values) accumulators.
+    /// Walk every row of `A · B` through one dense accumulator and
+    /// replay it through another, checking each row against the
+    /// reference; returns the (walk, values) accumulators.
     fn check_rows(a: &Csr<f64>, b: &Csr<f64>) -> (RowAccumulator<f64>, RowAccumulator<f64>) {
         let c_ref = spgemm_gustavson(a, b).unwrap();
-        let mut sym = RowAccumulator::new(b.cols());
+        let mut walk = RowAccumulator::new(b.cols());
         let mut num = RowAccumulator::new(b.cols());
         for r in 0..a.rows() {
-            let mut cols = Vec::new();
-            let nnz = sym.structure_row(a, b, r, &mut cols).unwrap();
+            let mut staged = Staged::default();
+            let nnz = walk.stage_row(a, b, r, &mut staged).unwrap();
+            let staged_row = (staged.cols.as_slice(), staged.vals.as_slice());
+            assert_eq!(staged_row, c_ref.row(r), "row {r}");
             let mut vals = vec![0.0; nnz];
-            num.values_row(a, b, r, &cols, &mut vals).unwrap();
-            assert_eq!((cols.as_slice(), vals.as_slice()), c_ref.row(r), "row {r}");
+            num.values_row(a, b, r, &staged.cols, &mut vals).unwrap();
+            assert_eq!(vals, staged.vals, "row {r}");
         }
-        (sym, num)
+        (walk, num)
     }
 
     #[test]
     fn dense_accumulator_rows_match_reference() {
         let (a, b) = int_pair(60, 500, 5);
-        let (sym, mut num) = check_rows(&a, &b);
-        assert!(sym.dense && num.dense);
-        // The arrays span B's columns; only the one that accumulated
-        // values holds them.
-        assert_eq!(sym.bytes(), 4 * 500);
+        let (walk, mut num) = check_rows(&a, &b);
+        assert!(walk.dense && num.dense);
+        // The arrays span B's columns: a stamp and a value per column.
+        assert_eq!(walk.bytes(), (4 + 8) * 500);
         assert_eq!(num.bytes(), (4 + 8) * 500);
         // A wrapped epoch clears the stamps instead of aliasing old rows.
         let c_ref = spgemm_gustavson(&a, &b).unwrap();
@@ -994,7 +882,7 @@ mod tests {
         // The plan's bound still decides which rows replan: power-law
         // rows of A over a B spread across `width` columns, under a
         // sampled estimate that under-sizes some of them.
-        let a = matgen::generators::power_law(512, 8.0, 256, 1.1, 0.5, 32, 0);
+        let a: Csr<f64> = matgen::generators::power_law(512, 8.0, 256, 1.1, 0.5, 32, 0);
         let stride = (width / a.cols()) as u32;
         let mut t = Vec::new();
         for r in 0..a.rows() {
@@ -1005,11 +893,11 @@ mod tests {
         let c_ref = spgemm_gustavson(&a, &b).unwrap();
         let sampled =
             Options { estimator: crate::Estimator::Sampled { sample: 1 }, ..Options::default() };
-        let plan = Executor::<f64>::plan(&ex, &a, &b, &sampled).unwrap();
-        let sym = ex.execute_symbolic(&plan, &a, &b).unwrap();
-        assert_eq!(sym.structure.as_deref(), Some(c_ref.col()));
-        let over = (0..a.rows()).filter(|&r| c_ref.row_nnz(r) > plan.count.table_size_for(r));
-        let over = over.count() as u64;
+        let plan = crate::SymbolicPlan::from_executor(&mut ex, &a, &b, &sampled).unwrap();
+        let sym = plan.symbolic();
+        assert_eq!(sym.structure, c_ref.col());
+        let bound = |r| plan.plan().count.table_size_for(r);
+        let over = (0..a.rows()).filter(|&r| c_ref.row_nnz(r) > bound(r)).count() as u64;
         assert!(over > 0, "test needs under-sized rows");
         assert_eq!(sym.replans, over);
     }
@@ -1025,7 +913,7 @@ mod tests {
     ) -> (crate::SymbolicPlan<f64>, [SymbolicOutput; 2]) {
         let plan = crate::SymbolicPlan::from_executor(ex, a, b, &Options::default()).unwrap();
         let good = plan.symbolic();
-        let structure = good.structure.as_ref().unwrap();
+        let structure = &good.structure;
         let row = |r: usize| &structure[good.rpt[r]..good.rpt[r + 1]];
         let r = (0..a.rows()).find(|&r| row(r).len() >= 2).unwrap();
         // A column strictly between the row's first and third entries (or
@@ -1034,13 +922,13 @@ mod tests {
         let hi = cols.get(2).copied().unwrap_or(b.cols() as u32);
         let col = (cols[0] + 1..hi).find(|&c| c != cols[1]).unwrap();
         let mut swapped = good.clone();
-        swapped.structure.as_mut().unwrap()[good.rpt[r] + 1] = col;
+        swapped.structure[good.rpt[r] + 1] = col;
         let mut nnz_row = good.nnz_row.clone();
         nnz_row[r] -= 1;
-        let mut short_cols = structure.clone();
-        short_cols.remove(good.rpt[r + 1] - 1);
-        let short = SymbolicOutput::from_nnz_row(nnz_row, 0, 0);
-        let short = SymbolicOutput { structure: Some(short_cols), ..short };
+        let mut structure = structure.clone();
+        structure.remove(good.rpt[r + 1] - 1);
+        let rpt = prefix_sum(&nnz_row);
+        let short = SymbolicOutput { nnz_row, rpt, replans: 0, structure };
         (plan, [swapped, short])
     }
 
@@ -1068,26 +956,20 @@ mod tests {
         let (m, nnz) = (a.rows() as u64, spgemm_gustavson(&a, &b).unwrap().nnz() as u64);
         let output = |nnz: u64| DEVICE_INDEX_BYTES * (m + 1) + (DEVICE_INDEX_BYTES + 8) * nnz;
         let dense = (4 + 8) * 500;
-        // The plan-reuse path holds the row arrays, the dense arrays and C.
-        let plan = Executor::<f64>::plan(&ex, &a, &b, &opts).unwrap();
-        let sym = ex.execute_symbolic(&plan, &a, &b).unwrap();
-        let split = ex.execute_numeric(&plan, &sym, &a, &b).unwrap();
+        // The values pass of a plan-cache hit holds the row arrays, the
+        // dense arrays and C.
+        let plan = crate::SymbolicPlan::from_executor(&mut ex, &a, &b, &opts).unwrap();
+        let split = plan.execute_with(&mut ex, &a, &b).unwrap();
         assert_eq!(split.matrix.nnz() as u64, nnz);
-        let two_phase = 4 * m + 8 * (m + 1) + dense + output(nnz);
-        assert_eq!(split.report.peak_mem_bytes, two_phase);
-        // A replay that derives the structure the result lacks also
-        // stages a column per entry before the copy.
-        let bare = SymbolicOutput { structure: None, ..sym };
-        let derived = ex.execute_numeric(&plan, &bare, &a, &b).unwrap();
-        assert_eq!(derived.matrix, split.matrix);
-        assert_eq!(derived.report.peak_mem_bytes, two_phase + 4 * nnz);
+        let values_pass = 4 * m + 8 * (m + 1) + dense + output(nnz);
+        assert_eq!(split.report.peak_mem_bytes, values_pass);
         // `multiply` walks once and holds its staging next to C until the
         // copy: a column and a value per entry, into fresh staging or the
         // staging the call before kept.
         for _ in 0..2 {
             let run = Executor::<f64>::multiply(&mut ex, &a, &b, &opts).unwrap();
             assert_eq!(run.matrix, split.matrix);
-            assert_eq!(run.report.peak_mem_bytes, two_phase + (4 + 8) * nnz);
+            assert_eq!(run.report.peak_mem_bytes, values_pass + (4 + 8) * nnz);
             assert_eq!(run.report.hash_probes, 0, "the host inspects no hash slots");
             assert_eq!(phases(&run), [Phase::Setup, Phase::Calc]);
         }

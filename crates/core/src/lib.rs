@@ -65,7 +65,9 @@ pub mod sim;
 pub mod spmv;
 
 pub use batched::BatchedExecutor;
-pub use exec::{Backend, BackendCaps, Execution, Executor, JobCtl, SymbolicOutput, WallClock};
+pub use exec::{
+    Backend, BackendCaps, ColdRecord, Execution, Executor, JobCtl, SymbolicOutput, WallClock,
+};
 pub use groups::{build_groups, Assignment, GroupOccupancy, GroupPhase, GroupSpec, GroupTable};
 pub use hash::{HashTable, ProbeStats, HASH_SCAL};
 pub use host::HostParallelExecutor;

@@ -7,24 +7,25 @@
 //! the setup + count phases (grouping, symbolic hashing, output sizing)
 //! depend only on the pattern and can be cached.
 //!
-//! [`SymbolicPlan`] (the pre-executor-split `SpgemmPlan` — that name now
-//! belongs to the backend-neutral plan in [`crate::plan`]) captures
-//! everything the numeric phase needs: the backend-neutral plan, the
-//! symbolic result (output row pointer, per-row nnz and, from the host
-//! backend, the output's sorted column structure) and the options. A
-//! host plan's numeric phase therefore only fills values: it checks
-//! every row against the recorded columns and copies them into `C`
-//! ([`crate::SymbolicOutput::structure`]).
-//! It has one constructor and one execution path, both on any
-//! [`crate::Executor`]: [`SymbolicPlan::from_executor`] runs the setup +
-//! count phases (on the sim backend, `SymbolicPlan::from_executor(&mut
-//! SimExecutor::new(&mut gpu), ..)`), and [`SymbolicPlan::execute_with`]
-//! then runs only the output malloc + numeric kernels — the same split
-//! [`crate::Executor`] draws, promoted to a cacheable object. A
-//! fingerprint of both input patterns guards against executing a plan on
-//! matrices it was not built for.
+//! [`SymbolicPlan`] captures everything the numeric phase needs: the
+//! backend-neutral plan, the symbolic result (output row pointer,
+//! per-row nnz and the output's sorted column structure) and the
+//! options. A host plan's numeric phase therefore only fills values: it
+//! checks every row against the recorded columns and copies them into
+//! `C` ([`crate::SymbolicOutput::structure`]).
+//!
+//! A plan is what a cold [`crate::Executor::multiply`] leaves behind:
+//! [`SymbolicPlan::from_run`] moves the plan out of the run's
+//! [`crate::Execution::record`] and copies the structure from its `C`,
+//! and [`SymbolicPlan::from_executor`] is one cold multiply plus that
+//! record, on any executor (on the sim backend,
+//! `SymbolicPlan::from_executor(&mut SimExecutor::new(&mut gpu), ..)`).
+//! [`SymbolicPlan::execute_with`] then runs only the output malloc +
+//! numeric kernels, on either backend. A fingerprint of both input
+//! patterns guards against executing a plan on matrices it was not
+//! built for.
 
-use crate::exec::{Execution, Executor, SymbolicOutput};
+use crate::exec::{ColdRecord, Execution, Executor, SymbolicOutput};
 use crate::pipeline::{Error, Options, Result};
 use crate::plan::SpgemmPlan;
 use sparse::{Csr, Scalar};
@@ -58,40 +59,51 @@ pub struct SymbolicPlan<T> {
     fingerprint_a: u64,
     fingerprint_b: u64,
     symbolic: SymbolicOutput,
-    /// Simulated time spent building the plan (setup + count phases).
+    /// Simulated time of the cold multiply that built the plan (its
+    /// report's total; zero on backends without a device clock).
     pub plan_time: SimTime,
-    /// Hash-probe steps spent in the planning (count) phase.
+    /// Hash-probe steps spent in that multiply's count phase.
     pub plan_hash_probes: u64,
     _marker: std::marker::PhantomData<T>,
 }
 
 impl<T: Scalar> SymbolicPlan<T> {
-    /// Build a plan by running the setup and count phases on `exec` —
-    /// the backend-neutral form the engine's plan cache uses, so a cached
-    /// symbolic result can be produced by (and later replayed on) the sim
-    /// or host backend alike. `plan_time` is the simulated time the two
-    /// phases advanced the executor's device clock by; zero on backends
-    /// without one (wall-clock backends do not charge simulated time).
+    /// Build a plan from one cold `multiply` on `exec` — the
+    /// backend-neutral form, so a plan produced by the sim or host
+    /// backend replays on either. A [`crate::BatchedExecutor`] that
+    /// splits the rows records no plan, and this is then an
+    /// [`Error::invariant`].
     pub fn from_executor<E: Executor<T>>(
         exec: &mut E,
         a: &Csr<T>,
         b: &Csr<T>,
         opts: &Options,
     ) -> Result<Self> {
-        let t0 = exec.device_elapsed_us();
-        let plan = exec.plan(a, b, opts)?;
-        let symbolic = exec.execute_symbolic(&plan, a, b)?;
-        let plan_hash_probes = symbolic.hash_probes;
+        let mut run = exec.multiply(a, b, opts)?;
+        Self::from_run(&mut run, pattern_fingerprint(a), pattern_fingerprint(b))
+    }
+
+    /// The plan a cold run leaves: its record's plan (moved out of
+    /// `run`) and a symbolic result built from its `C`, a copy of the
+    /// column array included. `fingerprint_a`/`fingerprint_b` are the
+    /// operands' [`pattern_fingerprint`]s. A run without a record (a
+    /// numeric replay, or a batched run that split the rows) is an
+    /// [`Error::invariant`].
+    pub fn from_run(
+        run: &mut Execution<T>,
+        fingerprint_a: u64,
+        fingerprint_b: u64,
+    ) -> Result<Self> {
+        let ColdRecord { plan, count_probes } = run.record.take().ok_or_else(|| {
+            Error::invariant("the run recorded no plan: it was not one cold multiply")
+        })?;
         Ok(SymbolicPlan {
             plan,
-            fingerprint_a: pattern_fingerprint(a),
-            fingerprint_b: pattern_fingerprint(b),
-            symbolic,
-            plan_time: exec
-                .device_elapsed_us()
-                .zip(t0)
-                .map_or(SimTime::ZERO, |(t1, t0)| SimTime::from_us(t1 - t0)),
-            plan_hash_probes,
+            fingerprint_a,
+            fingerprint_b,
+            symbolic: SymbolicOutput::of_output(&run.matrix, run.replans)?,
+            plan_time: run.report.total_time,
+            plan_hash_probes: count_probes,
             _marker: std::marker::PhantomData,
         })
     }
@@ -137,9 +149,9 @@ impl<T: Scalar> SymbolicPlan<T> {
         exec.execute_numeric(&self.plan, &self.symbolic, a, b)
     }
 
-    /// Heap bytes the plan's symbolic result holds: its row arrays and,
-    /// from the host backend, the structure (4 B per output entry) — what
-    /// a plan cache pays per entry beyond the backend-neutral plan.
+    /// Heap bytes the plan's symbolic result holds: its row arrays and
+    /// the structure (4 B per output entry) — what a plan cache pays per
+    /// entry beyond the backend-neutral plan.
     pub fn heap_bytes(&self) -> u64 {
         self.symbolic.heap_bytes()
     }

@@ -203,12 +203,6 @@ impl<T: Scalar> RowAlgScratch<T> {
     pub fn new() -> Self {
         RowAlgScratch { sym: Vec::new(), sym2: Vec::new(), num: Vec::new(), acc: Vec::new() }
     }
-
-    /// The sorted distinct columns of the row the last
-    /// [`esc_symbolic_row`] or [`merge_symbolic_row`] counted.
-    pub fn columns(&self) -> &[u32] {
-        &self.sym
-    }
 }
 
 /// ESC symbolic: expand the row's B columns, sort, count distinct.

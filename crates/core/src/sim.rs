@@ -9,7 +9,9 @@
 //! byte-identical to the monolithic implementation — the plan building
 //! that moved out of this file was pure host work the device never saw.
 
-use crate::exec::{prefix_sum, Backend, BackendCaps, Execution, Executor, SymbolicOutput};
+use crate::exec::{
+    prefix_sum, Backend, BackendCaps, ColdRecord, Execution, Executor, SymbolicOutput,
+};
 use crate::groups::{Assignment, GroupTable};
 use crate::hash::{HashTable, ProbeStats};
 use crate::host::ThreadResolution;
@@ -92,36 +94,6 @@ impl<T: Scalar> Executor<T> for SimExecutor<'_> {
         SpgemmPlan::new(self.gpu.config(), a, b, opts)
     }
 
-    /// Standalone symbolic phase (the planning path of
-    /// [`crate::SymbolicPlan`]): charges the setup + count device work.
-    fn execute_symbolic(
-        &mut self,
-        plan: &SpgemmPlan,
-        a: &Csr<T>,
-        b: &Csr<T>,
-    ) -> Result<SymbolicOutput> {
-        let gpu = &mut *self.gpu;
-        gpu.set_phase(Phase::Setup);
-        let d_nprod = gpu.malloc(DEVICE_INDEX_BYTES * (a.rows() as u64 + 1), "plan_nprod")?;
-        // Free the first buffer if the second allocation fails — error
-        // paths must leave zero live bytes behind.
-        let grp = match gpu.malloc(DEVICE_INDEX_BYTES * a.rows() as u64, "plan_group_rows") {
-            Ok(id) => id,
-            Err(e) => {
-                gpu.free(d_nprod);
-                gpu.set_phase(Phase::Other);
-                return Err(e.into());
-            }
-        };
-        gpu.set_phase(Phase::Count);
-        let res = run_count(gpu, a, b, plan, self.threads);
-        gpu.set_phase(Phase::Other);
-        gpu.free(d_nprod);
-        gpu.free(grp);
-        let (nnz_row, probes, replans) = res?;
-        Ok(SymbolicOutput::from_nnz_row(nnz_row, probes, replans))
-    }
-
     /// Standalone numeric phase against a cached symbolic result (the
     /// execution path of [`crate::SymbolicPlan`]): charges the output
     /// malloc + calc device work.
@@ -159,7 +131,7 @@ impl<T: Scalar> Executor<T> for SimExecutor<'_> {
         // lint:allow(unchecked-ctor) — hot-path assembly; rows are sorted by kernel construction
         let c = Csr::from_parts_unchecked(m, plan.cols, symbolic.rpt.clone(), col_c, val_c)
             .map_err(|e| Error::invariant(format!("numeric phase assembled malformed C: {e}")))?;
-        Ok(Execution { matrix: c, report, wall: None, replans: symbolic.replans })
+        Ok(Execution { matrix: c, report, wall: None, replans: symbolic.replans, record: None })
     }
 
     fn telemetry_mut(&mut self) -> Option<&mut obs::Telemetry> {
@@ -181,7 +153,7 @@ impl<T: Scalar> Executor<T> for SimExecutor<'_> {
             let span = t.span_begin("spgemm", t_run0);
             (span, t.set_parent(Some(span)))
         });
-        let res = multiply_inner(self.gpu, &plan, a, b, &mut allocs, self.threads);
+        let res = multiply_inner(self.gpu, plan, a, b, &mut allocs, self.threads);
         allocs.free_all(self.gpu);
         let t_run1 = self.gpu.elapsed().us();
         if let Some((span, prev)) = run_span {
@@ -229,7 +201,7 @@ fn report_from_delta(
 
 fn multiply_inner<T: Scalar>(
     gpu: &mut Gpu,
-    plan: &SpgemmPlan,
+    plan: SpgemmPlan,
     a: &Csr<T>,
     b: &Csr<T>,
     allocs: &mut OwnedAllocs,
@@ -296,7 +268,7 @@ fn multiply_inner<T: Scalar>(
 
     // ---------------- Count: (3) symbolic hash per group ----------------
     gpu.set_phase(Phase::Count);
-    let (nnz_row, count_probes, replans) = run_count(gpu, a, b, plan, threads)?;
+    let (nnz_row, count_probes, replans) = run_count(gpu, a, b, &plan, threads)?;
     // (4) scan row counts into the output row pointer.
     primitives::exclusive_scan(gpu, DEFAULT_STREAM, m as u64 + 1, DEVICE_INDEX_BYTES as u32)?;
     let rpt_c = prefix_sum(&nnz_row);
@@ -312,7 +284,7 @@ fn multiply_inner<T: Scalar>(
     gpu.set_phase(Phase::Calc);
     let c_range = MemRange { id: d_c, offset: 0, len: c_bytes };
     let (col_c, val_c, calc_probes) =
-        run_numeric(gpu, a, b, plan, &nnz_row, &rpt_c, Some(c_range), threads)?;
+        run_numeric(gpu, a, b, &plan, &nnz_row, &rpt_c, Some(c_range), threads)?;
     gpu.set_phase(Phase::Other);
     // Assemble the report from the profiler delta of this call.
     let report = report_from_delta(
@@ -327,7 +299,8 @@ fn multiply_inner<T: Scalar>(
     // lint:allow(unchecked-ctor) — hot-path assembly; rows are sorted by kernel construction
     let c = Csr::from_parts_unchecked(m, b.cols(), rpt_c, col_c, val_c)
         .map_err(|e| Error::invariant(format!("numeric phase assembled malformed C: {e}")))?;
-    Ok(Execution { matrix: c, report, wall: None, replans })
+    let record = Some(ColdRecord { plan, count_probes });
+    Ok(Execution { matrix: c, report, wall: None, replans, record })
 }
 
 /// The symbolic (count) phase: run the per-group row kernels (hash,
@@ -976,16 +949,15 @@ mod tests {
     }
 
     /// `A · B` on a fresh telemetry-enabled P100 with `threads` row
-    /// workers, once through `multiply` and once through the split
-    /// symbolic + numeric phases.
+    /// workers, once through `multiply` and once through the numeric
+    /// phase replaying the plan that `multiply` recorded.
     fn observe(a: &Csr<f64>, b: &Csr<f64>, opts: &Options, threads: usize) -> [Observed; 2] {
         let mut gpu = Gpu::new(DeviceConfig::p100());
         gpu.enable_telemetry();
         let mut exec = SimExecutor { gpu: &mut gpu, threads };
-        let whole = exec.multiply(a, b, opts).unwrap();
-        let plan = Executor::<f64>::plan(&exec, a, b, opts).unwrap();
-        let sym = exec.execute_symbolic(&plan, a, b).unwrap();
-        let split = exec.execute_numeric(&plan, &sym, a, b).unwrap();
+        let mut whole = exec.multiply(a, b, opts).unwrap();
+        let plan = crate::SymbolicPlan::from_run(&mut whole, 0, 0).unwrap();
+        let split = exec.execute_numeric(plan.plan(), plan.symbolic(), a, b).unwrap();
         let events_jsonl = gpu.telemetry().map(|t| t.to_jsonl()).unwrap_or_default();
         assert_eq!(gpu.live_mem_bytes(), 0);
         [whole, split].map(|run| Observed {

@@ -7,13 +7,17 @@
 //! therefore skip straight to the numeric phase. The cache key is the
 //! FNV-1a structure fingerprint of both operands
 //! ([`nsparse_core::pattern_fingerprint`]: dims + `rpt` + `col`) plus
-//! dims/nnz (cheap collision guards) and the options; a hit replays the
-//! cached plan through [`nsparse_core::SymbolicPlan::execute_with`],
-//! which re-verifies the fingerprints before touching the backend.
+//! dims/nnz (cheap collision guards) and the options. A miss runs one
+//! cold `multiply` and caches the plan it recorded
+//! ([`nsparse_core::SymbolicPlan::from_run`]), taking the fingerprints
+//! from the key. A hit replays the cached plan through
+//! `Executor::execute_numeric` directly: the matching key already holds
+//! the fingerprints that `SymbolicPlan::execute_with` would re-verify.
 //!
-//! A host-built entry holds the output's sorted column structure next to
-//! its row arrays (4 B per output entry), so a hit only fills values;
-//! [`CacheStats::bytes`] reports what the entries hold.
+//! Every entry holds the output's sorted column structure next to its
+//! row arrays (4 B per output entry), whichever backend built it, so a
+//! host hit only fills values; [`CacheStats::bytes`] reports what the
+//! entries hold.
 //!
 //! Eviction is LRU over a fixed entry capacity. Eviction can never
 //! change results — an evicted pattern just plans cold again — which
@@ -60,6 +64,11 @@ impl PlanKey {
             ),
         }
     }
+
+    /// The operands' pattern fingerprints, `(A, B)`.
+    pub(crate) fn fingerprints(&self) -> (u64, u64) {
+        (self.fp_a, self.fp_b)
+    }
 }
 
 /// Counter snapshot of a [`PlanCache`].
@@ -76,8 +85,8 @@ pub struct CacheStats {
     /// Maximum entries before eviction.
     pub capacity: usize,
     /// Heap bytes of the cached plans' symbolic results: each entry's
-    /// row arrays plus, for a host-built plan, its structure at 4 B per
-    /// output entry ([`SymbolicPlan::heap_bytes`]).
+    /// row arrays plus its structure at 4 B per output entry
+    /// ([`SymbolicPlan::heap_bytes`]).
     pub bytes: u64,
 }
 

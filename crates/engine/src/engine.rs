@@ -1105,7 +1105,7 @@ fn run_on<T: Scalar, E: Executor<T>>(
     tr: &mut Tracer,
 ) -> (Result<Attempt<T>>, E) {
     let Some(capacity) = batch else {
-        return (run_with_cache(shared, &mut exec, a, b, opts, ctl, tr), exec);
+        return (run_with_cache(shared, &mut exec, a, b, opts, tr), exec);
     };
     let mut batched = BatchedExecutor::new(exec, capacity);
     batched.set_ctl(Some(ctl.clone()));
@@ -1118,15 +1118,15 @@ fn run_on<T: Scalar, E: Executor<T>>(
 }
 
 /// The cache-aware direct multiply: hit → numeric phase only, miss →
-/// plan cold and publish the plan. Phase spans go through the
-/// executor's telemetry — the job session lives inside the backend here.
+/// one cold `multiply`, whose record becomes the published plan. Phase
+/// spans go through the executor's telemetry — the job session lives
+/// inside the backend here.
 fn run_with_cache<T: Scalar, E: Executor<T>>(
     shared: &Shared<T>,
     exec: &mut E,
     a: &Csr<T>,
     b: &Csr<T>,
     opts: &Options,
-    ctl: &JobCtl,
     tr: &mut Tracer,
 ) -> Result<Attempt<T>> {
     let key = PlanKey::new(a, b, opts);
@@ -1141,17 +1141,13 @@ fn run_with_cache<T: Scalar, E: Executor<T>>(
         return Ok((run.matrix, run.report, Route::Direct, CacheOutcome::Hit, 0));
     }
     t_emit(tr, exec.telemetry_mut(), obs::Event::new("plan_cache").str("outcome", "miss"));
-    let ss = t_begin(tr, exec.telemetry_mut(), "symbolic");
-    let plan = SymbolicPlan::from_executor(exec, a, b, opts);
-    t_end(tr, exec.telemetry_mut(), ss);
-    let plan = plan?;
-    // Symbolic/numeric phase boundary: the deterministic cooperative
-    // checkpoint for deadlines and cancellation (DESIGN.md §17).
-    ctl.check(exec.device_elapsed_us().unwrap_or(0.0))?;
+    let ms = t_begin(tr, exec.telemetry_mut(), "multiply");
+    let run = exec.multiply(a, b, opts);
+    t_end(tr, exec.telemetry_mut(), ms);
+    let mut run = run?;
     // Replans only happen while planning cold: a hit replays the
     // already-corrected table sizes, and `Execution::replans` merely
     // echoes the plan's count — so both counters move on miss only.
-    let replans = plan.symbolic().replans;
     let sampled = opts.estimator.is_sampled();
     if sampled {
         t_emit(
@@ -1159,31 +1155,16 @@ fn run_with_cache<T: Scalar, E: Executor<T>>(
             exec.telemetry_mut(),
             obs::Event::new("estimate")
                 .str("estimator", &opts.estimator.to_string())
-                .u64("replanned_rows", replans),
+                .u64("replanned_rows", run.replans),
         );
     }
     shared.metrics.with(|c| {
         c.symbolic_runs += 1;
         c.sampled_plans += u64::from(sampled);
-        c.replanned_rows += replans;
+        c.replanned_rows += run.replans;
     });
-    let ns = t_begin(tr, exec.telemetry_mut(), "numeric");
-    let run = plan.execute_with(exec, a, b);
-    t_end(tr, exec.telemetry_mut(), ns);
-    let mut run = run?;
-    // The numeric report only covers `execute_with`; on a backend with a
-    // device clock, fold the planning window (setup + count) into its
-    // `Setup` entry and its total, so the cold job reports the symbolic
-    // cost a cache hit skips.
-    if exec.device_elapsed_us().is_some() {
-        let window = plan.plan_time;
-        let phases = &mut run.report.phase_times;
-        match phases.iter_mut().find(|(p, _)| *p == vgpu::Phase::Setup) {
-            Some((_, t)) => *t += window,
-            None => phases.push((vgpu::Phase::Setup, window)),
-        }
-        run.report.total_time += window;
-    }
+    let (fp_a, fp_b) = key.fingerprints();
+    let plan = SymbolicPlan::from_run(&mut run, fp_a, fp_b)?;
     shared.cache.insert(key, Arc::new(plan));
     Ok((run.matrix, run.report, Route::Direct, CacheOutcome::Miss, 0))
 }
@@ -1274,15 +1255,13 @@ mod tests {
     }
 
     #[test]
-    fn cache_bytes_count_row_arrays_and_host_structure() {
-        // One miss per backend: a host plan holds its rows' arrays plus
-        // its structure, 4 B per output entry; a sim plan no structure.
+    fn cache_bytes_count_row_arrays_and_structure() {
+        // One miss per backend: either plan holds its rows' arrays plus
+        // its structure, 4 B per output entry.
         let a = rand_mat(200, 31);
         let (m, nnz) = (a.rows() as u64, reference(&a, &a).nnz() as u64);
-        let rows = 4 * m + std::mem::size_of::<usize>() as u64 * (m + 1);
-        for (backend, want) in
-            [(Backend::Host { threads: 2 }, rows + 4 * nnz), (Backend::Sim, rows)]
-        {
+        let want = 4 * m + std::mem::size_of::<usize>() as u64 * (m + 1) + 4 * nnz;
+        for backend in [Backend::Host { threads: 2 }, Backend::Sim] {
             let mut eng =
                 Engine::new(EngineConfig { workers: 1, backend, ..EngineConfig::default() });
             eng.submit(JobSpec::new(Arc::clone(&a), Arc::clone(&a))).wait().unwrap();
@@ -1293,9 +1272,10 @@ mod tests {
     }
 
     #[test]
-    fn cold_job_report_folds_the_symbolic_window_into_setup() {
-        // One worker, one pattern on the sim backend: a cold job, then a
-        // hit that replays its plan and runs the same numeric phase.
+    fn cold_job_report_equals_standalone_multiply() {
+        // One worker, one pattern on the sim backend: the cold job is one
+        // `multiply`, so it reports what standalone `multiply` reports on
+        // a fresh P100; the hit replays its plan's numeric phase only.
         let a = rand_mat(240, 29);
         let mut eng = Engine::new(EngineConfig { workers: 1, ..EngineConfig::default() });
         let tickets: Vec<_> =
@@ -1303,14 +1283,13 @@ mod tests {
         let outs: Vec<_> = tickets.into_iter().map(|t| t.wait().unwrap()).collect();
         let (cold, hit) = (&outs[0].report, &outs[1].report);
         assert_eq!((outs[0].cache, outs[1].cache), (CacheOutcome::Miss, CacheOutcome::Hit));
-        let setups = cold.phase_times.iter().filter(|(p, _)| *p == vgpu::Phase::Setup).count();
-        assert_eq!(setups, 1, "one Setup entry: {:?}", cold.phase_times);
-        let setup = cold.phase_time(vgpu::Phase::Setup).us();
-        assert!(setup > 0.0);
+        let mut gpu = Gpu::new(DeviceConfig::p100());
+        let want = multiply(&mut gpu, &a, &a, &Options::default()).unwrap().1;
+        assert_eq!(cold.total_time.secs().to_bits(), want.total_time.secs().to_bits());
+        assert_eq!(cold.phase_times, want.phase_times);
+        assert_eq!(cold.hash_probes, want.hash_probes);
+        assert_eq!(cold.peak_mem_bytes, want.peak_mem_bytes);
         assert_eq!(hit.phase_time(vgpu::Phase::Setup), vgpu::SimTime::ZERO);
-        // The whole difference between the jobs is the symbolic window.
-        let extra = cold.total_time.us() - hit.total_time.us();
-        assert!((extra - setup).abs() <= 1e-9 * cold.total_time.us(), "{extra} vs {setup}");
         eng.shutdown();
     }
 

@@ -205,7 +205,8 @@ pub enum Route {
 pub enum CacheOutcome {
     /// A cached symbolic plan was replayed — setup/count skipped.
     Hit,
-    /// Planned cold; the plan was inserted for future jobs.
+    /// One cold multiply; the plan it recorded was inserted for future
+    /// jobs.
     Miss,
     /// The batched route plans per batch and bypasses the cache.
     Bypass,

@@ -3,7 +3,7 @@
 //!
 //! A traced job owns one [`obs::Telemetry`] session for its whole life:
 //! the worker opens the root `job` span at pickup, the engine opens
-//! phase spans (`queue_wait`, `admission`, `symbolic`, `numeric`,
+//! phase spans (`queue_wait`, `admission`, `multiply`, `numeric`,
 //! `batched`) around its routing decisions, and the session is
 //! *installed into the backend* for each job attempt — taken from the
 //! [`TraceBuilder`] when the attempt opens and put back when it closes,

@@ -79,12 +79,12 @@ fn integerize(a: &Csr<f64>) -> Csr<f64> {
     Csr::from_triplets(a.rows(), a.cols(), &t).unwrap()
 }
 
-/// `multiply` against the plan-reuse path (`plan`, `execute_symbolic`,
-/// `execute_numeric`) on the same executor at 1, 2 and 7 workers: the
-/// same row pointer, columns, value bits and `replans`. Every `multiply`
-/// walks each intermediate product once: the first into fresh staging,
-/// the second and third into the staging the call before kept. Returns
-/// the replans.
+/// `multiply` against the plan-reuse path (`SymbolicPlan::from_executor`,
+/// then `execute_with`) at 1, 2 and 7 workers: the same row pointer,
+/// columns, value bits and `replans`. Every `multiply` walks each
+/// intermediate product once: the first into fresh staging, the second
+/// and third into the staging the call before kept. Returns the
+/// replans.
 fn assert_one_phase_matches_plan_reuse(
     a: &Csr<f64>,
     b: &Csr<f64>,
@@ -95,10 +95,10 @@ fn assert_one_phase_matches_plan_reuse(
     for threads in [1usize, 2, 7] {
         let what = format!("{what}, host:{threads}");
         let mut exec = HostParallelExecutor::new(threads);
-        let plan = Executor::<f64>::plan(&exec, a, b, opts).unwrap();
-        let symbolic = exec.execute_symbolic(&plan, a, b).unwrap();
-        let split = exec.execute_numeric(&plan, &symbolic, a, b).unwrap();
-        assert_eq!(split.replans, symbolic.replans, "{what}");
+        let mut planner = HostParallelExecutor::new(threads);
+        let plan = SymbolicPlan::from_executor(&mut planner, a, b, opts).unwrap();
+        let split = plan.execute_with(&mut exec, a, b).unwrap();
+        assert_eq!(split.replans, plan.symbolic().replans, "{what}");
         assert_eq!(*replans.get_or_insert(split.replans), split.replans, "{what}: replans moved");
         for call in ["fresh staging", "reused", "reused"] {
             let run = exec.multiply(a, b, opts).unwrap();
@@ -271,17 +271,19 @@ fn sim_replay(plan: &SymbolicPlan<f64>, a: &Csr<f64>, b: &Csr<f64>) -> Execution
     plan.execute_with(&mut SimExecutor::new(&mut gpu), a, b).unwrap()
 }
 
-/// Plans built on one backend replayed on the other: a sim plan (no
-/// structure, so the host derives one) on host:1/2/7, and host plans
-/// (with a structure) on the sim, all bitwise equal to a standalone
-/// multiply; a host plan's sim report equals the sim plan's. Returns
+/// Plans built on one backend replayed on the other: a sim plan on
+/// host:1/2/7 and host plans on the sim, all bitwise equal to a
+/// standalone multiply. Both backends record `C`'s structure, so the
+/// host replays the sim plan's record as it stands, and the two records
+/// are equal; a host plan's sim report equals the sim plan's. Returns
 /// the host plans' replans.
 fn assert_cross_backend_replay(a: &Csr<f64>, b: &Csr<f64>, opts: &Options, what: &str) -> u64 {
     let mut gpu = Gpu::new(DeviceConfig::p100());
     let want = nsparse_core::multiply(&mut gpu, a, b, opts).unwrap().0;
     let sim_plan =
         SymbolicPlan::from_executor(&mut SimExecutor::new(&mut gpu), a, b, opts).unwrap();
-    assert!(sim_plan.symbolic().structure.is_none(), "{what}: the sim records no structure");
+    let sim_sym = sim_plan.symbolic();
+    assert_eq!(sim_sym.structure, want.col(), "{what}: the sim records C's structure");
     let sim_report = sim_replay(&sim_plan, a, b).report;
     let mut replans = 0;
     for threads in [1usize, 2, 7] {
@@ -290,8 +292,11 @@ fn assert_cross_backend_replay(a: &Csr<f64>, b: &Csr<f64>, opts: &Options, what:
         let run = sim_plan.execute_with(&mut host, a, b).unwrap();
         assert_bitwise_eq(&run.matrix, &want, &format!("{what}: sim plan on the host"));
         let host_plan = SymbolicPlan::from_executor(&mut host, a, b, opts).unwrap();
-        assert_eq!(host_plan.symbolic().structure.as_deref(), Some(want.col()), "{what}");
-        replans += host_plan.symbolic().replans;
+        let host_sym = host_plan.symbolic();
+        assert_eq!(host_sym.structure, sim_sym.structure, "{what}");
+        assert_eq!((&host_sym.rpt, &host_sym.nnz_row), (&sim_sym.rpt, &sim_sym.nnz_row), "{what}");
+        assert_eq!(host_sym.replans, sim_sym.replans, "{what}");
+        replans += host_sym.replans;
         let run = sim_replay(&host_plan, a, b);
         assert_bitwise_eq(&run.matrix, &want, &format!("{what}: host plan on the sim"));
         let r = &run.report;
@@ -469,6 +474,25 @@ fn batched_fallback_agrees_across_backends() {
         assert_bitwise_eq(&c_sim_batched, &c_full, &format!("sim batched at est/{denom}"));
         assert_bitwise_eq(&run.matrix, &c_full, &format!("host batched at est/{denom}"));
     }
+}
+
+#[test]
+fn batched_runs_record_a_plan_only_unsplit() {
+    // A batched run that splits the rows ran one plan per batch, so it
+    // records none and `from_executor` reports an invariant error; one
+    // that fits runs unbatched and records the plan of its one multiply.
+    let a = matgen::generators::random_uniform(300, 6.0, 24, 5);
+    let est = nsparse_core::estimate_memory(&a, &a).unwrap().upper_bound();
+    let opts = Options::default();
+    let mut split = BatchedExecutor::host(2, DeviceConfig::p100_with_memory(est / 2));
+    assert!(split.multiply(&a, &a, &opts).unwrap().record.is_none());
+    assert!(split.batches_used() > 1, "est/2 must force batching");
+    let err = SymbolicPlan::from_executor(&mut split, &a, &a, &opts).unwrap_err();
+    assert_eq!(err.kind(), ErrorKind::Invariant);
+    let mut whole = BatchedExecutor::host(2, DeviceConfig::p100_with_memory(est));
+    let plan = SymbolicPlan::from_executor(&mut whole, &a, &a, &opts).unwrap();
+    assert_eq!(whole.batches_used(), 1);
+    assert_bitwise_eq(&plan.execute_with(&mut whole, &a, &a).unwrap().matrix, &sim(&a), "unsplit");
 }
 
 #[test]

@@ -227,11 +227,12 @@ fn host_job_traces_cover_direct_and_batched_routes_byte_identically() {
         assert!(has("\"status\":\"complete\""), "job {job} must complete");
         match job {
             0 => {
-                assert!(has("\"outcome\":\"miss\"") && span("symbolic") && span("numeric"));
+                assert!(has("\"outcome\":\"miss\"") && span("multiply"));
+                assert!(!span("symbolic") && !span("numeric"), "a miss is one multiply");
             }
             1 => {
                 assert!(has("\"outcome\":\"hit\"") && span("numeric"));
-                assert!(!span("symbolic"), "a cache hit skips the symbolic phase");
+                assert!(!span("multiply"), "a cache hit replays the numeric phase only");
             }
             _ => {
                 assert!(span("batched") && event("batch") && event("stitch"), "job {job}");
