@@ -294,6 +294,11 @@ grep -Eq "\([1-9][0-9]* replanned rows\)" "$smoke/circuit-host.out"
 cmp "$smoke/circuit-exact.mtx" "$smoke/circuit-host-sampled.mtx"
 
 echo "== estimator bench (sampled planning beats exact, CSV recorded) ==" >&2
+# The bench rewrites the tracked CSV with this machine's wall times:
+# check the fresh file, then restore the committed one (on failure too,
+# through the trap), so a passing run leaves the tree clean.
+cp results/bench_estimator.csv "$smoke/bench_estimator.csv"
+trap 'cp "$smoke/bench_estimator.csv" results/bench_estimator.csv; rm -rf "$smoke"' EXIT
 cargo bench -q -p bench --bench estimator >/dev/null 2>&1
 test -s results/bench_estimator.csv
 # For every matrix, the sampled Setup phase must be cheaper than the
@@ -315,6 +320,8 @@ awk -F, '
     if (!length(m)) { print "no planning rows found"; bad = 1 }
     exit bad
   }' results/bench_estimator.csv
+cp "$smoke/bench_estimator.csv" results/bench_estimator.csv
+trap 'rm -rf "$smoke"' EXIT
 
 echo "== invariant linter (zero findings, scanner self-test) ==" >&2
 # DESIGN.md §18: deny-by-default workspace invariants. The tree must

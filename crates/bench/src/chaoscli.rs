@@ -76,6 +76,7 @@ fn parse_chaos_args(argv: &[String]) -> (ChaosConfig, Option<String>) {
 pub fn run_chaos_cli(argv: &[String]) -> i32 {
     let (cfg, san_jsonl) = parse_chaos_args(argv);
     let rep = run_chaos(&cfg);
+    let s = &rep.stats;
     // Every line below is deterministic for a given flag set: CI
     // compares whole stdouts across runs and worker counts.
     println!(
@@ -88,16 +89,16 @@ pub fn run_chaos_cli(argv: &[String]) -> i32 {
     );
     println!(
         "outcomes    : {} completed, {} failed, {} shed, {} cancelled, {} deadline-exceeded",
-        rep.completed, rep.failed, rep.shed, rep.cancelled, rep.deadline_exceeded
+        s.completed, s.failed, s.shed, s.cancelled, s.deadline_exceeded
     );
     println!(
         "hostility   : {} panics contained, {} backoff retries, {} breaker openings",
-        rep.panicked_jobs, rep.backoff_retries, rep.breaker_open_total
+        s.panicked_jobs, s.backoff_retries, s.breaker_open_total
     );
-    println!("conservation: {}", if rep.conserved { "ok" } else { "FAILED" });
+    println!("conservation: {}", if s.conserved() { "ok" } else { "FAILED" });
     println!(
         "leak check  : {}",
-        if rep.budget_drained { "ok (budget drained)" } else { "FAILED (budget not drained)" }
+        if s.budget_drained { "ok (budget drained)" } else { "FAILED (budget not drained)" }
     );
     if cfg.verify {
         println!("verify      : bitwise vs standalone multiply for every completed job");
@@ -111,11 +112,11 @@ pub fn run_chaos_cli(argv: &[String]) -> i32 {
         // whose byte-determinism CI gates at --workers 1.
         println!(
             "sanitizer   : {} ({} reports)",
-            if rep.san.reports == 0 { "ok" } else { "FAILED" },
-            rep.san.reports
+            if s.san.reports == 0 { "ok" } else { "FAILED" },
+            s.san.reports
         );
         if let Some(path) = &san_jsonl {
-            if let Err(e) = std::fs::write(path, format!("{}\n", rep.san.to_json())) {
+            if let Err(e) = std::fs::write(path, format!("{}\n", s.san.to_json())) {
                 eprintln!("failed to write {path}: {e}");
                 return 2;
             }

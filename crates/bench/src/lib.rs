@@ -14,9 +14,11 @@
 pub mod baseline;
 pub mod benchcli;
 pub mod chaoscli;
+pub mod cli;
 pub mod experiments;
 pub mod harness;
 pub mod report;
+pub mod runcli;
 pub mod servecli;
 pub mod table;
 pub mod tracecli;

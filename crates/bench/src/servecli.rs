@@ -12,129 +12,59 @@
 //! Exit codes: 0 ok, 1 job failures or verify mismatches, 2 usage,
 //! 3 budget leak.
 
-use engine::{run_driver, DriverConfig, DriverReport};
-use nsparse_core::{Backend, Estimator};
+use crate::cli::{self, DriverArgs};
+use engine::{run_driver, DriverReport};
+use nsparse_core::Backend;
 use sparse::Scalar;
-use vgpu::DeviceConfig;
 
 struct ServeArgs {
-    driver: DriverConfig,
-    precision: String,
+    driver: DriverArgs,
     out_dir: Option<String>,
     trace_jobs: Option<String>,
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: spgemm serve [--jobs N] [--workers N] [--seed S] \
-         [--backend sim|host|host:N] [--dim N] [--nnz-per-row F] [--patterns N] \
-         [--budget BYTES[K|M|G]] [--cache N] [--precision f32|f64] \
-         [--estimator exact|sampled[:K]] \
-         [--faults] [--no-verify] [--out-dir DIR] [--trace-jobs PATH]\n\
+fn usage() -> String {
+    format!(
+        "usage: spgemm serve {} [--out-dir DIR] [--trace-jobs PATH]\n\
          Runs the deterministic multi-job driver through the SpGEMM engine:\n\
          admission control against a shared device-memory budget, plan cache\n\
          keyed on sparsity structure, batched fallback for oversized or\n\
          faulted jobs. --out-dir writes each job's product as jobNN.mtx;\n\
          verification diffs every output bitwise against standalone multiply.\n\
          --trace-jobs enables per-job span trees and writes the engine\n\
-         flight-recorder dump as JSONL to PATH (plus PATH.chrome.json)."
-    );
-    std::process::exit(2);
+         flight-recorder dump as JSONL to PATH (plus PATH.chrome.json).",
+        cli::DRIVER_FLAGS
+    )
 }
 
-fn parse_bytes(s: &str) -> Option<u64> {
-    let (digits, mult) = match s.chars().last()? {
-        'K' | 'k' => (&s[..s.len() - 1], 1u64 << 10),
-        'M' | 'm' => (&s[..s.len() - 1], 1 << 20),
-        'G' | 'g' => (&s[..s.len() - 1], 1 << 30),
-        _ => (s, 1),
-    };
-    let v: u64 = digits.parse().ok()?;
-    (v > 0).then(|| v.saturating_mul(mult))
-}
-
-fn parse_serve_args(argv: &[String]) -> ServeArgs {
-    let mut args = ServeArgs {
-        driver: DriverConfig::default(),
-        precision: "f64".into(),
-        out_dir: None,
-        trace_jobs: None,
-    };
-    let mut it = argv.iter();
-    while let Some(flag) = it.next() {
-        let mut value = || it.next().cloned().unwrap_or_else(|| usage());
-        match flag.as_str() {
-            "--jobs" => args.driver.jobs = value().parse().unwrap_or_else(|_| usage()),
-            "--workers" => args.driver.workers = value().parse().unwrap_or_else(|_| usage()),
-            "--seed" => args.driver.seed = value().parse().unwrap_or_else(|_| usage()),
-            "--backend" => {
-                let spec = value().to_ascii_lowercase();
-                args.driver.backend = Backend::parse(&spec).unwrap_or_else(|| {
-                    eprintln!("unknown backend '{spec}' (sim, host, host:N)");
-                    usage()
-                });
-            }
-            "--dim" => args.driver.dim = value().parse().unwrap_or_else(|_| usage()),
-            "--nnz-per-row" => {
-                args.driver.nnz_per_row = value().parse().unwrap_or_else(|_| usage())
-            }
-            "--patterns" => args.driver.patterns = value().parse().unwrap_or_else(|_| usage()),
-            "--budget" => {
-                let spec = value();
-                args.driver.budget_bytes = Some(parse_bytes(&spec).unwrap_or_else(|| {
-                    eprintln!("bad --budget '{spec}' (e.g. 4G, 256M, 65536)");
-                    usage()
-                }));
-            }
-            "--cache" => args.driver.cache_capacity = value().parse().unwrap_or_else(|_| usage()),
-            "--estimator" => {
-                let spec = value();
-                args.driver.opts.estimator = Estimator::parse(&spec).unwrap_or_else(|e| {
-                    eprintln!("bad --estimator '{spec}': {e}");
-                    usage()
-                });
-            }
-            "--precision" => args.precision = value().to_ascii_lowercase(),
-            "--faults" => args.driver.faults = true,
-            "--no-verify" => args.driver.verify = false,
-            "--out-dir" => args.out_dir = Some(value()),
-            "--trace-jobs" => {
-                args.trace_jobs = Some(value());
-                args.driver.trace = true;
-            }
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("unknown flag '{other}'");
-                usage()
-            }
+fn parse_serve_args(argv: &[String]) -> Result<ServeArgs, String> {
+    let (mut out_dir, mut trace_jobs) = (None, None);
+    let mut driver = cli::parse_driver_args(argv, |flag, flags| {
+        match flag {
+            "--out-dir" => out_dir = Some(flags.value(flag)?.to_string()),
+            "--trace-jobs" => trace_jobs = Some(flags.value(flag)?.to_string()),
+            _ => return Ok(false),
         }
-    }
-    if !matches!(args.precision.as_str(), "f32" | "f64") {
-        eprintln!("precision must be f32 or f64");
-        usage();
-    }
-    if args.driver.jobs == 0 || args.driver.dim < 2 {
-        eprintln!("--jobs must be > 0 and --dim at least 2");
-        usage();
-    }
-    args.driver.device = DeviceConfig::p100();
-    args
+        Ok(true)
+    })?;
+    driver.cfg.trace = trace_jobs.is_some();
+    Ok(ServeArgs { driver, out_dir, trace_jobs })
 }
 
 fn print_report<T: Scalar>(args: &ServeArgs, rep: &DriverReport<T>) -> i32 {
     let s = &rep.stats;
-    let backend = match args.driver.backend {
+    let backend = match args.driver.cfg.backend {
         Backend::Sim => "sim".to_string(),
         Backend::Host { threads } => format!("host ({threads} threads)"),
     };
     println!("backend     : {backend}");
-    println!("workers     : {}", args.driver.workers);
+    println!("workers     : {}", args.driver.cfg.workers);
     println!(
         "jobs        : {} submitted, {} failed (precision {}, faults {})",
         s.jobs,
         s.failed,
         T::PRECISION,
-        if args.driver.faults { "on" } else { "off" }
+        if args.driver.cfg.faults { "on" } else { "off" }
     );
     println!(
         "outcomes    : {} completed, {} failed, {} shed, {} cancelled, {} deadline-exceeded \
@@ -160,7 +90,7 @@ fn print_report<T: Scalar>(args: &ServeArgs, rep: &DriverReport<T>) -> i32 {
     );
     println!(
         "estimator   : {} ({} sampled plans, {} replanned rows)",
-        args.driver.opts.estimator, s.sampled_plans, s.replanned_rows
+        args.driver.cfg.opts.estimator, s.sampled_plans, s.replanned_rows
     );
     println!(
         "latency     : p50 {} us, p90 {} us, p99 {} us, max {} us over {} jobs",
@@ -171,7 +101,7 @@ fn print_report<T: Scalar>(args: &ServeArgs, rep: &DriverReport<T>) -> i32 {
         s.queue_wait.p50_us, s.queue_wait.p90_us, s.queue_wait.p99_us, s.queue_wait.max_us
     );
     println!("budget      : {} B capacity, peak {} B reserved", s.budget_capacity, s.budget_peak);
-    if args.driver.verify {
+    if args.driver.cfg.verify {
         if rep.mismatches == 0 {
             println!("verify      : ok (all outputs bitwise-identical to standalone multiply)");
         } else {
@@ -218,12 +148,32 @@ fn print_report<T: Scalar>(args: &ServeArgs, rep: &DriverReport<T>) -> i32 {
 
 /// Entry point for `spgemm serve ...`; returns the process exit code.
 pub fn run_serve(argv: &[String]) -> i32 {
-    let args = parse_serve_args(argv);
-    if args.precision == "f32" {
-        let rep = run_driver::<f32>(&args.driver);
-        print_report(&args, &rep)
+    let args = match parse_serve_args(argv) {
+        Ok(args) => args,
+        Err(msg) => return cli::usage_error(&msg, &usage()),
+    };
+    if args.driver.f64 {
+        print_report(&args, &run_driver::<f64>(&args.driver.cfg))
     } else {
-        let rep = run_driver::<f64>(&args.driver);
-        print_report(&args, &rep)
+        print_report(&args, &run_driver::<f32>(&args.driver.cfg))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn serve_adds_its_output_flags_to_the_driver_flags() {
+        let argv: Vec<String> =
+            "--jobs 3 --budget 256K --out-dir d --trace-jobs t.jsonl --precision f32"
+                .split_whitespace()
+                .map(String::from)
+                .collect();
+        let a = parse_serve_args(&argv).unwrap();
+        assert_eq!((a.driver.cfg.jobs, a.driver.cfg.budget_bytes), (3, Some(256 << 10)));
+        assert!(a.driver.cfg.trace && !a.driver.f64);
+        assert_eq!((a.out_dir.as_deref(), a.trace_jobs.as_deref()), (Some("d"), Some("t.jsonl")));
+        assert!(!parse_serve_args(&[]).unwrap().driver.cfg.trace);
     }
 }

@@ -1,165 +1,18 @@
-//! The `trace` inspection CLI: run one SpGEMM with full telemetry on
-//! the virtual device and print what the paper's analyses are built
-//! from — phase × kernel × stream tables, per-stream utilization, hash
-//! probe-length histograms, per-group row populations and peak-memory
-//! attribution — plus machine-readable exports (`--jsonl`,
-//! `--chrome-trace`).
+//! What `spgemm trace` adds to the main command's report: the phase ×
+//! kernel × stream table, per-stream utilization, per-group row
+//! populations, hash probe-length histograms and peak-memory
+//! attribution, read from the virtual device's telemetry, plus the
+//! machine-readable exports (`--jsonl`, `--chrome-trace`, `--check`).
+//! `trace --per-job` runs the seeded engine driver instead and prints a
+//! per-job stage table.
 //!
-//! Reachable as `cargo run --bin spgemm -- trace ...` (the `spgemm`
-//! binary delegates its `trace` subcommand here). The run is fully
-//! deterministic: identical arguments produce byte-identical exports.
+//! The run itself is [`crate::runcli`]'s. It is fully deterministic:
+//! identical arguments produce byte-identical exports.
 
-use baselines::Algorithm;
-use nsparse_core::{AlgorithmPolicy, Estimator, Options};
-use sparse::{Csr, Scalar};
-use vgpu::{DeviceConfig, Gpu, Phase, SimTime};
-
-/// Parsed command line of the trace subcommand.
-struct Args {
-    dataset: Option<String>,
-    matrix: Option<String>,
-    algorithm: Algorithm,
-    precision: String,
-    device: String,
-    tiny: bool,
-    jsonl: Option<String>,
-    chrome_trace: Option<String>,
-    check: bool,
-    estimator: Estimator,
-    policy: AlgorithmPolicy,
-}
-
-fn usage() -> ! {
-    eprintln!(
-        "usage: trace (--dataset NAME | --matrix FILE.mtx) \
-         [--algorithm proposal|cusparse|cusp|bhsparse] [--precision f32|f64] \
-         [--device p100|v100|vega64] [--tiny] \
-         [--estimator exact|sampled[:K]] [--policy hash|adaptive] \
-         [--jsonl OUT.jsonl] [--chrome-trace OUT.json] [--check]\n\
-         or:    trace --per-job [--jobs N] [--workers N] [--seed S] \
-         [--dim N] [--patterns N] [--faults] [--precision f32|f64]\n\
-         --per-job runs the seeded engine driver with job tracing and\n\
-         prints a per-job stage table (queue-wait, plan cache, symbolic,\n\
-         numeric, batched retries) plus p50/p90/p99 per stage.\n\
-         datasets: {}",
-        matgen::standard_datasets()
-            .iter()
-            .chain(matgen::large_datasets().iter())
-            .map(|d| d.name)
-            .collect::<Vec<_>>()
-            .join(", ")
-    );
-    std::process::exit(2);
-}
-
-fn parse_args(argv: &[String]) -> Args {
-    let mut args = Args {
-        dataset: None,
-        matrix: None,
-        algorithm: Algorithm::Proposal,
-        precision: "f32".into(),
-        device: "p100".into(),
-        tiny: false,
-        jsonl: None,
-        chrome_trace: None,
-        check: false,
-        estimator: Estimator::Exact,
-        policy: AlgorithmPolicy::HashOnly,
-    };
-    let mut it = argv.iter().cloned();
-    while let Some(flag) = it.next() {
-        let value = |it: &mut dyn Iterator<Item = String>| it.next().unwrap_or_else(|| usage());
-        match flag.as_str() {
-            "--dataset" => args.dataset = Some(value(&mut it)),
-            "--matrix" => args.matrix = Some(value(&mut it)),
-            "--algorithm" => {
-                args.algorithm = match value(&mut it).to_ascii_lowercase().as_str() {
-                    "proposal" | "nsparse" => Algorithm::Proposal,
-                    "cusparse" => Algorithm::Cusparse,
-                    "cusp" | "esc" => Algorithm::Cusp,
-                    "bhsparse" => Algorithm::Bhsparse,
-                    other => {
-                        eprintln!("unknown algorithm '{other}'");
-                        usage()
-                    }
-                }
-            }
-            "--precision" => args.precision = value(&mut it).to_ascii_lowercase(),
-            "--device" => args.device = value(&mut it).to_ascii_lowercase(),
-            "--tiny" => args.tiny = true,
-            "--jsonl" => args.jsonl = Some(value(&mut it)),
-            "--chrome-trace" => args.chrome_trace = Some(value(&mut it)),
-            "--check" => args.check = true,
-            "--estimator" => {
-                let spec = value(&mut it);
-                args.estimator = Estimator::parse(&spec).unwrap_or_else(|e| {
-                    eprintln!("bad --estimator '{spec}': {e}");
-                    usage()
-                });
-            }
-            "--policy" => {
-                let spec = value(&mut it);
-                args.policy = AlgorithmPolicy::parse(&spec).unwrap_or_else(|e| {
-                    eprintln!("bad --policy '{spec}': {e}");
-                    usage()
-                });
-            }
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("unknown flag '{other}'");
-                usage()
-            }
-        }
-    }
-    if args.dataset.is_none() == args.matrix.is_none() {
-        eprintln!("exactly one of --dataset / --matrix is required");
-        usage();
-    }
-    if !matches!(args.precision.as_str(), "f32" | "f64") {
-        eprintln!("precision must be f32 or f64");
-        usage();
-    }
-    if (args.estimator != Estimator::Exact || args.policy != AlgorithmPolicy::HashOnly)
-        && args.algorithm != Algorithm::Proposal
-    {
-        eprintln!("--estimator / --policy need --algorithm proposal (baselines plan exactly)");
-        usage();
-    }
-    args
-}
-
-fn device_config(name: &str) -> DeviceConfig {
-    match name {
-        "p100" => DeviceConfig::p100(),
-        "v100" => DeviceConfig::v100(),
-        "vega64" => DeviceConfig::vega64(),
-        other => {
-            eprintln!("unknown device '{other}' (p100, v100, vega64)");
-            std::process::exit(2);
-        }
-    }
-}
-
-fn load<T: Scalar>(args: &Args) -> Csr<T> {
-    if let Some(name) = &args.dataset {
-        let d = matgen::by_name(name).unwrap_or_else(|| {
-            eprintln!("unknown dataset '{name}'");
-            usage()
-        });
-        let scale = if args.tiny { matgen::Scale::Tiny } else { matgen::Scale::Repro };
-        eprintln!("generating '{}' ({:?} scale)...", d.name, scale);
-        d.generate::<T>(scale)
-    } else {
-        let path = args.matrix.as_ref().unwrap();
-        match sparse::io::read_matrix_market_file::<T>(path) {
-            Ok(m) => m,
-            Err(e) => {
-                eprintln!("failed to read {path}: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-}
+use crate::cli;
+use crate::runcli::RunArgs;
+use sparse::Scalar;
+use vgpu::{Gpu, SimTime, SpgemmReport};
 
 /// Scaled ASCII bar for histogram rendering.
 fn bar(count: u64, max: u64, width: usize) -> String {
@@ -186,20 +39,6 @@ fn print_histogram(name: &str, h: &obs::Log2Histogram) {
     }
 }
 
-/// Execute the traced run and print every table. Returns the process
-/// exit code (non-zero when `--check` finds invalid output).
-pub fn run_trace(argv: &[String]) -> i32 {
-    if argv.iter().any(|a| a == "--per-job") {
-        return run_per_job(argv);
-    }
-    let args = parse_args(argv);
-    if args.precision == "f64" {
-        run::<f64>(&args)
-    } else {
-        run::<f32>(&args)
-    }
-}
-
 /// Nearest-rank percentile over a sorted sample.
 fn percentile(sorted: &[f64], p: f64) -> f64 {
     if sorted.is_empty() {
@@ -212,40 +51,24 @@ fn percentile(sorted: &[f64], p: f64) -> f64 {
 /// `trace --per-job`: the seeded driver with job tracing, rendered as a
 /// per-job stage table. Queue-wait and latency are wall-clock (vary run
 /// to run); symbolic/numeric are simulated device time (deterministic).
-fn run_per_job(argv: &[String]) -> i32 {
-    let mut cfg = engine::DriverConfig { trace: true, ..engine::DriverConfig::default() };
-    let mut precision = "f64".to_string();
-    let mut it = argv.iter();
-    while let Some(flag) = it.next() {
-        let mut value = || it.next().cloned().unwrap_or_else(|| usage());
-        match flag.as_str() {
-            "--per-job" => {}
-            "--jobs" => cfg.jobs = value().parse().unwrap_or_else(|_| usage()),
-            "--workers" => cfg.workers = value().parse().unwrap_or_else(|_| usage()),
-            "--seed" => cfg.seed = value().parse().unwrap_or_else(|_| usage()),
-            "--dim" => cfg.dim = value().parse().unwrap_or_else(|_| usage()),
-            "--patterns" => cfg.patterns = value().parse().unwrap_or_else(|_| usage()),
-            "--faults" => cfg.faults = true,
-            "--precision" => precision = value().to_ascii_lowercase(),
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("unknown flag '{other}' in --per-job mode");
-                usage()
-            }
-        }
+/// Takes the driver flags `serve` takes; returns the exit code.
+pub fn run_per_job(argv: &[String]) -> i32 {
+    let args = match parse_per_job(argv) {
+        Ok(args) => args,
+        Err(msg) => return cli::usage_error(&msg, &crate::runcli::usage()),
+    };
+    if args.f64 {
+        per_job_report(&engine::run_driver::<f64>(&args.cfg), &args.cfg)
+    } else {
+        per_job_report(&engine::run_driver::<f32>(&args.cfg), &args.cfg)
     }
-    if cfg.jobs == 0 || cfg.dim < 2 {
-        eprintln!("--jobs must be > 0 and --dim at least 2");
-        usage();
-    }
-    match precision.as_str() {
-        "f64" => per_job_report(&engine::run_driver::<f64>(&cfg), &cfg),
-        "f32" => per_job_report(&engine::run_driver::<f32>(&cfg), &cfg),
-        _ => {
-            eprintln!("precision must be f32 or f64");
-            usage()
-        }
-    }
+}
+
+/// `trace --per-job ...`: the driver flags `serve` takes, with tracing on.
+fn parse_per_job(argv: &[String]) -> Result<cli::DriverArgs, String> {
+    let mut args = cli::parse_driver_args(argv, |flag, _| Ok(flag == "--per-job"))?;
+    args.cfg.trace = true;
+    Ok(args)
 }
 
 fn per_job_report<T: Scalar>(rep: &engine::DriverReport<T>, cfg: &engine::DriverConfig) -> i32 {
@@ -316,48 +139,11 @@ fn per_job_report<T: Scalar>(rep: &engine::DriverReport<T>, cfg: &engine::Driver
     }
 }
 
-fn run<T: Scalar>(args: &Args) -> i32 {
-    let a = load::<T>(args);
-    if a.rows() != a.cols() {
-        eprintln!("matrix must be square to compute A^2 ({}x{})", a.rows(), a.cols());
-        return 1;
-    }
-    let mut gpu = Gpu::new(device_config(&args.device));
-    gpu.enable_telemetry();
-    let opts = Options { estimator: args.estimator, policy: args.policy, ..Options::default() };
-    let (c, report) = match args.algorithm.run_with_opts::<T>(&mut gpu, &a, &a, &opts) {
-        Ok(out) => out,
-        Err(e) => {
-            eprintln!("{} failed: {e}", args.algorithm.name());
-            return 1;
-        }
-    };
-
-    println!("== run ==");
-    println!("device      : {}", gpu.config().name);
-    println!("algorithm   : {} ({})", args.algorithm.name(), report.precision);
-    if args.algorithm == Algorithm::Proposal {
-        println!("planner     : {} estimator, {} policy", args.estimator, args.policy);
-    }
-    println!("matrix      : {} rows, {} nnz", a.rows(), a.nnz());
-    println!("output nnz  : {}", c.nnz());
-    println!("kernel time : {}", report.total_time);
-    println!("performance : {:.3} GFLOPS", report.gflops());
-    println!("peak memory : {:.1} MB", report.peak_mem_bytes as f64 / (1 << 20) as f64);
-    println!("hash probes : {}", report.hash_probes);
-
-    println!("\n== phases ==");
-    for (phase, t) in &report.phase_times {
-        if *phase != Phase::Other && t.secs() > 0.0 {
-            println!(
-                "  {:10} {:>14}  {:5.1}%",
-                phase.label(),
-                t.to_string(),
-                100.0 * report.phase_fraction(*phase)
-            );
-        }
-    }
-
+/// The trace tables, printed after the report of a successful run.
+/// Emits a `peak_holder` event per peak-memory holder into the
+/// telemetry, so the JSONL export carries the attribution too.
+pub fn print_tables(gpu: &mut Gpu, report: &SpgemmReport) {
+    println!("\nhash probes : {}", report.hash_probes);
     println!("\n== kernels (phase x kernel x stream) ==");
     println!(
         "  {:10} {:24} {:>6} {:>8} {:>8} {:>14}",
@@ -391,19 +177,19 @@ fn run<T: Scalar>(args: &Args) -> i32 {
         );
     }
 
-    let summary = gpu.telemetry_summary().expect("telemetry enabled");
-    println!("\n== group populations ==");
-    println!("  {:24} {:>10}", "group", "rows");
-    for (name, v) in &summary.counters {
-        if name.ends_with(".rows") {
-            println!("  {:24} {:>10}", name.trim_end_matches(".rows"), v);
+    if let Some(summary) = gpu.telemetry_summary() {
+        println!("\n== group populations ==");
+        println!("  {:24} {:>10}", "group", "rows");
+        for (name, v) in &summary.counters {
+            if let Some(group) = name.strip_suffix(".rows") {
+                println!("  {group:24} {v:>10}");
+            }
         }
-    }
-
-    println!("\n== histograms ==");
-    for (name, h) in &summary.hists {
-        if name.ends_with(".probe_len") || name.ends_with(".row_metric") {
-            print_histogram(name, h);
+        println!("\n== histograms ==");
+        for (name, h) in &summary.hists {
+            if name.ends_with(".probe_len") || name.ends_with(".row_metric") {
+                print_histogram(name, h);
+            }
         }
     }
 
@@ -422,18 +208,22 @@ fn run<T: Scalar>(args: &Args) -> i32 {
             t.emit(obs::Event::new("peak_holder").str("tag", tag).u64("bytes", *bytes));
         }
     }
+}
 
-    // Exports (deterministic: identical runs produce identical bytes).
+/// Write the run's exports — the Chrome trace (`--trace` /
+/// `--chrome-trace`) and, under `trace`, the JSONL event log — and with
+/// `--check` validate both. Exports are deterministic: identical runs
+/// write identical bytes. Returns `false` when a check fails.
+pub fn export(gpu: &Gpu, args: &RunArgs) -> bool {
     let mut ok = true;
-    let jsonl = gpu.telemetry().expect("telemetry enabled").to_jsonl();
+    let jsonl = gpu.telemetry().map(obs::Telemetry::to_jsonl).unwrap_or_default();
     let chrome = gpu.profiler().chrome_trace();
     if args.check {
-        for (what, text) in [("jsonl", &jsonl), ("chrome-trace", &chrome)] {
-            let result = if what == "jsonl" {
-                jsonl.lines().try_for_each(obs::json::validate)
-            } else {
-                obs::json::validate(text)
-            };
+        let checks = [
+            ("jsonl", jsonl.lines().try_for_each(obs::json::validate)),
+            ("chrome-trace", obs::json::validate(&chrome)),
+        ];
+        for (what, result) in checks {
             match result {
                 Ok(()) => println!("check {what}: ok"),
                 Err(pos) => {
@@ -449,11 +239,35 @@ fn run<T: Scalar>(args: &Args) -> i32 {
     }
     if let Some(path) = &args.chrome_trace {
         std::fs::write(path, &chrome).expect("write chrome trace");
-        println!("chrome trace: {path} (open at chrome://tracing or ui.perfetto.dev)");
+        println!("trace       : {path} (open at chrome://tracing or ui.perfetto.dev)");
     }
-    if ok {
-        0
-    } else {
-        1
+    ok
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn argv(s: &str) -> Vec<String> {
+        s.split_whitespace().map(String::from).collect()
+    }
+
+    #[test]
+    fn per_job_takes_the_driver_flags_serve_takes() {
+        let a = parse_per_job(&argv(
+            "--per-job --jobs 6 --workers 3 --seed 9 --backend host:2 --dim 64 \
+             --nnz-per-row 4 --patterns 2 --budget 64K --cache 4 --estimator sampled:8 \
+             --precision f32 --faults --no-verify",
+        ))
+        .unwrap();
+        let c = &a.cfg;
+        assert!(c.trace && c.faults && !c.verify && !a.f64);
+        assert_eq!((c.jobs, c.workers, c.seed, c.dim, c.patterns), (6, 3, 9, 64, 2));
+        assert_eq!((c.budget_bytes, c.cache_capacity), (Some(64 << 10), 4));
+        assert!(parse_per_job(&argv("--per-job")).unwrap().f64, "f64 is the default");
+        for serve_only in ["--out-dir d", "--trace-jobs t.jsonl", "--dataset QCD"] {
+            let line = format!("--per-job {serve_only}");
+            assert!(parse_per_job(&argv(&line)).is_err(), "{line:?} must be rejected");
+        }
     }
 }

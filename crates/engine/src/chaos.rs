@@ -87,35 +87,14 @@ impl Default for ChaosConfig {
 /// What the soak observed, plus every invariant violation it found.
 #[derive(Debug, Clone)]
 pub struct ChaosReport {
-    /// Jobs submitted (== `ChaosConfig::jobs`).
-    pub jobs: u64,
-    /// Outcome-class counts, straight from the engine.
-    pub completed: u64,
-    /// Jobs that failed with a classified error.
-    pub failed: u64,
-    /// Submissions shed at the bounded queue.
-    pub shed: u64,
-    /// Jobs cancelled cooperatively.
-    pub cancelled: u64,
-    /// Jobs that blew their simulated deadline.
-    pub deadline_exceeded: u64,
-    /// Contained worker panics (subset of `failed`).
-    pub panicked_jobs: u64,
-    /// Transient-fault retries consumed.
-    pub backoff_retries: u64,
-    /// Circuit-breaker openings (0 in deterministic soaks).
-    pub breaker_open_total: u64,
+    /// The engine's counters at shutdown: outcome classes, hostility
+    /// counters, the budget drain and the sanitizer totals (all-zero
+    /// unless [`ChaosConfig::sanitize`] was set).
+    pub stats: EngineStats,
     /// FNV-1a digest over every job's `(id, outcome class, output
     /// bits)` in id order — byte-identical across runs and worker
     /// counts for the same config.
     pub digest: u64,
-    /// The admission budget drained to zero.
-    pub budget_drained: bool,
-    /// The outcome-conservation invariant held.
-    pub conserved: bool,
-    /// Device-sanitizer totals (all-zero unless
-    /// [`ChaosConfig::sanitize`] was set).
-    pub san: crate::SanTotals,
     /// Human-readable invariant violations (empty on a clean soak).
     pub violations: Vec<String>,
 }
@@ -480,22 +459,7 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
         push(&mut violations, format!("submitted {} != requested {total}", stats.jobs));
     }
 
-    ChaosReport {
-        jobs: stats.jobs,
-        completed: stats.completed,
-        failed: stats.failed,
-        shed: stats.shed,
-        cancelled: stats.cancelled,
-        deadline_exceeded: stats.deadline_exceeded,
-        panicked_jobs: stats.panicked_jobs,
-        backoff_retries: stats.backoff_retries,
-        breaker_open_total: stats.breaker_open_total,
-        digest,
-        budget_drained: stats.budget_drained,
-        conserved: stats.conserved(),
-        san: stats.san,
-        violations,
-    }
+    ChaosReport { stats, digest, violations }
 }
 
 #[cfg(test)]
@@ -507,15 +471,20 @@ mod tests {
         let base = ChaosConfig { jobs: 60, rows: 48, seed: 42, ..ChaosConfig::default() };
         let r1 = run_chaos(&ChaosConfig { workers: 1, ..base.clone() });
         assert!(r1.ok(), "violations: {:?}", r1.violations);
-        assert!(r1.conserved && r1.budget_drained);
+        assert!(r1.stats.conserved() && r1.stats.budget_drained);
         let r4 = run_chaos(&ChaosConfig { workers: 4, ..base.clone() });
         assert!(r4.ok(), "violations: {:?}", r4.violations);
         assert_eq!(r1.digest, r4.digest, "digest must not depend on worker count");
-        assert_eq!(r1.completed, r4.completed);
-        assert_eq!(r1.shed, r4.shed);
-        assert_eq!(r1.backoff_retries, r4.backoff_retries);
+        assert_eq!(r1.stats.completed, r4.stats.completed);
+        assert_eq!(r1.stats.shed, r4.stats.shed);
+        assert_eq!(r1.stats.backoff_retries, r4.stats.backoff_retries);
         // The mix actually exercised the hostile paths.
-        assert!(r1.shed > 0 && r1.cancelled > 0 && r1.deadline_exceeded > 0 && r1.failed > 0);
+        assert!(
+            r1.stats.shed > 0
+                && r1.stats.cancelled > 0
+                && r1.stats.deadline_exceeded > 0
+                && r1.stats.failed > 0
+        );
     }
 
     #[test]
@@ -529,9 +498,12 @@ mod tests {
         let san = run_chaos(&ChaosConfig { sanitize: true, ..base });
         assert!(san.ok(), "violations: {:?}", san.violations);
         assert_eq!(plain.digest, san.digest, "sanitizer must not change any output byte");
-        assert!(san.san.allocs > 0 && san.san.bytes_checked > 0, "sanitizer saw no traffic");
-        assert_eq!(san.san.reports, 0);
-        assert_eq!(plain.san, crate::SanTotals::default(), "off ⇒ all-zero totals");
+        assert!(
+            san.stats.san.allocs > 0 && san.stats.san.bytes_checked > 0,
+            "sanitizer saw no traffic"
+        );
+        assert_eq!(san.stats.san.reports, 0);
+        assert_eq!(plain.stats.san, crate::SanTotals::default(), "off ⇒ all-zero totals");
     }
 
     #[test]
@@ -557,7 +529,7 @@ mod tests {
         assert!(r.ok(), "violations: {:?}", r.violations);
         // On the healthy host failover, injected device faults and past
         // deadlines stop mattering: only cancellations remain hostile.
-        assert_eq!(r.failed, 0);
-        assert_eq!(r.deadline_exceeded, 0);
+        assert_eq!(r.stats.failed, 0);
+        assert_eq!(r.stats.deadline_exceeded, 0);
     }
 }

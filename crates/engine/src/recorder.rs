@@ -253,29 +253,26 @@ impl FlightRecorder {
         let g = self.lock();
         let mut traces: Vec<&JobTrace> = g.ring.iter().collect();
         traces.sort_by_key(|t| t.job);
-        let mut parts = Vec::new();
+        let us = |e: &Event, key: &str| match e.field(key) {
+            Some(Value::F64(v)) => *v,
+            _ => 0.0,
+        };
+        let mut trace = obs::chrome::Trace::default();
         for t in traces {
-            for e in t.events.events() {
-                if e.kind() != "span" {
-                    continue;
-                }
+            for e in t.events.events().iter().filter(|e| e.kind() == "span") {
                 let Some(Value::Str(name)) = e.field("name") else { continue };
-                let ts = match e.field("t_us") {
-                    Some(Value::F64(v)) => *v,
-                    _ => 0.0,
-                };
-                let dur = match e.field("dur_us") {
-                    Some(Value::F64(v)) => *v,
-                    _ => 0.0,
-                };
-                parts.push(format!(
-                    "{{\"name\":{},\"ph\":\"X\",\"ts\":{ts},\"dur\":{dur},\"pid\":{},\"tid\":0}}",
-                    obs::json::quote(name),
-                    t.job
-                ));
+                trace.span(&obs::chrome::Span {
+                    name,
+                    cat: None,
+                    ts_us: us(e, "t_us"),
+                    dur_us: us(e, "dur_us"),
+                    pid: t.job,
+                    tid: 0,
+                    args: &[],
+                });
             }
         }
-        format!("[{}]", parts.join(","))
+        trace.finish()
     }
 }
 

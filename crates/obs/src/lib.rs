@@ -19,13 +19,14 @@
 //!
 //! [`json`] holds the escaping and the minimal well-formedness validator
 //! the trace CLI and CI smoke tests use — again so no external JSON
-//! crate is needed.
+//! crate is needed — and [`chrome`] the one Chrome trace-event writer.
 //!
 //! Everything is designed around one rule: **when telemetry is off,
 //! nothing in this crate runs.** Producers hold an `Option<Telemetry>`
 //! and skip all capture when it is `None`, so the uninstrumented path
 //! pays nothing.
 
+pub mod chrome;
 pub mod event;
 pub mod hist;
 pub mod json;

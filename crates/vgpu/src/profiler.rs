@@ -190,29 +190,23 @@ impl Profiler {
     /// names are JSON-escaped verbatim (quotes, backslashes and control
     /// characters included).
     pub fn chrome_trace(&self) -> String {
-        let mut out = String::from("[");
-        for (i, k) in self.records.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                concat!(
-                    "{{\"name\":{},\"cat\":\"{}\",\"ph\":\"X\",",
-                    "\"ts\":{:.3},\"dur\":{:.3},\"pid\":0,\"tid\":{},",
-                    "\"args\":{{\"blocks\":{},\"dram_bytes\":{:.0},\"efficiency\":{:.3}}}}}"
-                ),
-                obs::json::quote(&k.name),
-                k.phase.label(),
-                k.start.us(),
-                (k.end - k.start).us(),
-                k.stream,
-                k.blocks,
-                k.dram_bytes,
-                k.efficiency,
-            ));
+        let mut trace = obs::chrome::Trace::default();
+        for k in &self.records {
+            trace.span(&obs::chrome::Span {
+                name: &k.name,
+                cat: Some(k.phase.label()),
+                ts_us: k.start.us(),
+                dur_us: (k.end - k.start).us(),
+                pid: 0,
+                tid: k.stream as u64,
+                args: &[
+                    ("blocks", k.blocks as f64, 0),
+                    ("dram_bytes", k.dram_bytes, 0),
+                    ("efficiency", k.efficiency, 3),
+                ],
+            });
         }
-        out.push(']');
-        out
+        trace.finish()
     }
 }
 

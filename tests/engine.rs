@@ -311,8 +311,8 @@ quickprop! {
         };
         let rep = run_chaos(&cfg);
         prop_assert!(rep.ok(), "violations: {:?}", rep.violations);
-        prop_assert!(rep.budget_drained, "hostile jobs leaked budget");
-        prop_assert!(rep.conserved, "outcome conservation violated");
+        prop_assert!(rep.stats.budget_drained, "hostile jobs leaked budget");
+        prop_assert!(rep.stats.conserved(), "outcome conservation violated");
         let single = run_chaos(&ChaosConfig { workers: 1, ..cfg });
         prop_assert_eq!(rep.digest, single.digest, "digest depends on worker count");
     }
@@ -323,13 +323,13 @@ fn chaos_soak_reaches_every_outcome_class_and_stays_deterministic() {
     let cfg = ChaosConfig { seed: 99, jobs: 120, workers: 4, rows: 48, ..ChaosConfig::default() };
     let r1 = run_chaos(&cfg);
     assert!(r1.ok(), "violations: {:?}", r1.violations);
-    assert!(r1.completed > 0 && r1.failed > 0, "mix must complete and fail jobs");
-    assert!(r1.shed > 0 && r1.cancelled > 0 && r1.deadline_exceeded > 0);
-    assert!(r1.backoff_retries > 0, "persistent faults must consume retries");
+    assert!(r1.stats.completed > 0 && r1.stats.failed > 0, "mix must complete and fail jobs");
+    assert!(r1.stats.shed > 0 && r1.stats.cancelled > 0 && r1.stats.deadline_exceeded > 0);
+    assert!(r1.stats.backoff_retries > 0, "persistent faults must consume retries");
     let r2 = run_chaos(&cfg);
     assert_eq!(r1.digest, r2.digest, "same config must reproduce byte-identically");
-    assert_eq!(r1.completed, r2.completed);
-    assert_eq!(r1.backoff_retries, r2.backoff_retries);
+    assert_eq!(r1.stats.completed, r2.stats.completed);
+    assert_eq!(r1.stats.backoff_retries, r2.stats.backoff_retries);
 }
 
 #[test]
@@ -366,8 +366,8 @@ fn panic_canary_drains_budget_and_dumps_the_flight_recorder() {
     };
     let rep = run_chaos(&cfg);
     assert!(rep.ok(), "violations: {:?}", rep.violations);
-    assert_eq!(rep.panicked_jobs, 1, "the canary panic must be contained and counted");
-    assert!(rep.budget_drained, "the panicked job's reservation must be released");
+    assert_eq!(rep.stats.panicked_jobs, 1, "the canary panic must be contained and counted");
+    assert!(rep.stats.budget_drained, "the panicked job's reservation must be released");
 
     // The same containment path through a raw engine, checking the
     // recorder trigger directly.
