@@ -323,6 +323,12 @@ awk -F, '
 cp "$smoke/bench_estimator.csv" results/bench_estimator.csv
 trap 'rm -rf "$smoke"' EXIT
 
+echo "== repro regenerates the committed data (table1, fig5) ==" >&2
+# repro is the one writer of every figure CSV; two of them are rebuilt
+# from source and must equal the committed files byte for byte.
+cargo run -q --release --offline -p bench --bin repro -- table1 fig5 > /dev/null
+git diff --exit-code -- results/table1.csv results/fig5.csv
+
 echo "== invariant linter (zero findings, scanner self-test) ==" >&2
 # DESIGN.md §18: deny-by-default workspace invariants. The tree must
 # lint clean (inline lint:allow + the ci/lint-allow.txt ratchet are the

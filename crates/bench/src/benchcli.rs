@@ -12,7 +12,9 @@
 //! 2 usage or unreadable baseline.
 
 use crate::baseline::{self, Baseline, Delta, Entry};
+use crate::cli::{self, Flags};
 
+#[derive(Debug, PartialEq)]
 struct BenchArgs {
     check: bool,
     update: bool,
@@ -20,8 +22,8 @@ struct BenchArgs {
     tolerance: Option<f64>,
 }
 
-fn usage() -> ! {
-    eprintln!(
+fn usage() -> String {
+    format!(
         "usage: spgemm bench [--check-regression] [--update-baseline] \
          [--baseline PATH] [--tolerance PCT]\n\
          Measures the perf observatory (proposal, f32, sim backend —\n\
@@ -29,39 +31,31 @@ fn usage() -> ! {
          --update-baseline snapshots medians into results/baseline.json;\n\
          --check-regression fails (exit 1) on >tolerance slowdowns.",
         baseline::OBSERVATORY_DATASETS.join(", ")
-    );
-    std::process::exit(2);
+    )
 }
 
-fn parse_bench_args(argv: &[String]) -> BenchArgs {
+fn parse_bench_args(argv: &[String]) -> Result<BenchArgs, String> {
     let mut args = BenchArgs { check: false, update: false, path: None, tolerance: None };
-    let mut it = argv.iter();
-    while let Some(flag) = it.next() {
-        let mut value = || it.next().cloned().unwrap_or_else(|| usage());
-        match flag.as_str() {
+    let mut flags = Flags::new(argv);
+    while let Some(flag) = flags.next_flag() {
+        match flag {
             "--check-regression" => args.check = true,
             "--update-baseline" => args.update = true,
-            "--baseline" => args.path = Some(value()),
+            "--baseline" => args.path = Some(flags.value(flag)?.to_string()),
             "--tolerance" => {
-                let t: f64 = value().parse().unwrap_or_else(|_| usage());
+                let t: f64 = flags.parse(flag)?;
                 if t.is_nan() || t < 0.0 {
-                    eprintln!("--tolerance must be a non-negative percentage");
-                    usage();
+                    return Err("--tolerance must be a non-negative percentage".into());
                 }
                 args.tolerance = Some(t);
             }
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("unknown flag '{other}'");
-                usage()
-            }
+            other => return Err(cli::unknown(other)),
         }
     }
     if args.check && args.update {
-        eprintln!("--check-regression and --update-baseline are mutually exclusive");
-        usage();
+        return Err("--check-regression and --update-baseline are mutually exclusive".into());
     }
-    args
+    Ok(args)
 }
 
 fn baseline_path(args: &BenchArgs) -> std::path::PathBuf {
@@ -97,7 +91,10 @@ fn print_deltas(deltas: &[Delta], tolerance: f64) {
 
 /// Entry point for `spgemm bench ...`; returns the process exit code.
 pub fn run_bench(argv: &[String]) -> i32 {
-    let args = parse_bench_args(argv);
+    let args = match parse_bench_args(argv) {
+        Ok(args) => args,
+        Err(msg) => return cli::usage_error(&msg, &usage()),
+    };
     let path = baseline_path(&args);
     println!("== perf observatory (proposal, f32, sim backend) ==");
     let fresh = baseline::measure_observatory();
@@ -154,4 +151,46 @@ pub fn run_bench(argv: &[String]) -> i32 {
 
     print_measurements(&fresh);
     0
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(s: &str) -> Result<BenchArgs, String> {
+        parse_bench_args(&s.split_whitespace().map(String::from).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn modes_and_values_parse() {
+        let none = BenchArgs { check: false, update: false, path: None, tolerance: None };
+        assert_eq!(parse("").unwrap(), none);
+        let a = parse("--check-regression --baseline b.json --tolerance 2.5").unwrap();
+        assert_eq!(
+            a,
+            BenchArgs { check: true, path: Some("b.json".into()), tolerance: Some(2.5), ..none }
+        );
+        assert!(parse("--update-baseline --tolerance 0").unwrap().update);
+    }
+
+    #[test]
+    fn bad_input_is_an_error_not_an_exit() {
+        for bad in [
+            "--bogus",
+            "--baseline",
+            "--tolerance",
+            "--tolerance five",
+            "--tolerance -1",
+            "--tolerance NaN",
+            "--check-regression --update-baseline",
+            "--help",
+        ] {
+            assert!(parse(bad).is_err(), "{bad:?} must be rejected");
+        }
+        assert_eq!(
+            parse("--tolerance -1").unwrap_err(),
+            "--tolerance must be a non-negative percentage"
+        );
+        assert_eq!(parse("--help").unwrap_err(), "");
+    }
 }

@@ -12,69 +12,63 @@
 //!
 //! Exit codes: 0 all invariants held, 1 violations, 2 usage.
 
+use crate::cli::{self, Flags};
 use engine::{run_chaos, ChaosConfig};
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: spgemm chaos [--seed S] [--jobs N] [--workers N] [--dim N] \
-         [--queue-depth N] [--shed-jobs N] [--retry-budget N] \
-         [--force-open] [--panic-at JOB] [--no-verify] \
-         [--sanitize] [--san-jsonl PATH]\n\
-         Seeded chaos soak against the SpGEMM job engine: hostile job mixes\n\
-         (device faults, expired deadlines, cancellations, queue overflow,\n\
-         optional worker panic) with every invariant checked after the run.\n\
-         Deterministic: same flags => byte-identical stdout, at any --workers.\n\
-         --force-open pins the circuit breaker open so every job runs on the\n\
-         host failover backend (bitwise-identical outputs, faults ignored);\n\
-         --panic-at J injects a contained worker panic into job J;\n\
-         --sanitize runs every sim job under the device-memory sanitizer\n\
-         (any violation fails its job and the soak);\n\
-         --san-jsonl PATH writes the sanitizer activity totals as JSONL\n\
-         (byte-deterministic at --workers 1)."
-    );
-    std::process::exit(2);
+fn usage() -> &'static str {
+    "usage: spgemm chaos [--seed S] [--jobs N] [--workers N] [--dim N] \
+     [--queue-depth N] [--shed-jobs N] [--retry-budget N] \
+     [--force-open] [--panic-at JOB] [--no-verify] \
+     [--sanitize] [--san-jsonl PATH]\n\
+     Seeded chaos soak against the SpGEMM job engine: hostile job mixes\n\
+     (device faults, expired deadlines, cancellations, queue overflow,\n\
+     optional worker panic) with every invariant checked after the run.\n\
+     Deterministic: same flags => byte-identical stdout, at any --workers.\n\
+     --force-open pins the circuit breaker open so every job runs on the\n\
+     host failover backend (bitwise-identical outputs, faults ignored);\n\
+     --panic-at J injects a contained worker panic into job J;\n\
+     --sanitize runs every sim job under the device-memory sanitizer\n\
+     (any violation fails its job and the soak);\n\
+     --san-jsonl PATH writes the sanitizer activity totals as JSONL\n\
+     (byte-deterministic at --workers 1)."
 }
 
-fn parse_chaos_args(argv: &[String]) -> (ChaosConfig, Option<String>) {
+fn parse_chaos_args(argv: &[String]) -> Result<(ChaosConfig, Option<String>), String> {
     let mut cfg = ChaosConfig::default();
     let mut san_jsonl = None;
-    let mut it = argv.iter();
-    while let Some(flag) = it.next() {
-        let mut value = || it.next().cloned().unwrap_or_else(|| usage());
-        match flag.as_str() {
+    let mut flags = Flags::new(argv);
+    while let Some(flag) = flags.next_flag() {
+        match flag {
             "--sanitize" => cfg.sanitize = true,
-            "--san-jsonl" => san_jsonl = Some(value()),
-            "--seed" => cfg.seed = value().parse().unwrap_or_else(|_| usage()),
-            "--jobs" => cfg.jobs = value().parse().unwrap_or_else(|_| usage()),
-            "--workers" => cfg.workers = value().parse().unwrap_or_else(|_| usage()),
-            "--dim" => cfg.rows = value().parse().unwrap_or_else(|_| usage()),
-            "--queue-depth" => cfg.max_queue_depth = value().parse().unwrap_or_else(|_| usage()),
-            "--shed-jobs" => cfg.shed_jobs = value().parse().unwrap_or_else(|_| usage()),
-            "--retry-budget" => cfg.retry_budget = value().parse().unwrap_or_else(|_| usage()),
-            "--panic-at" => cfg.panic_at = Some(value().parse().unwrap_or_else(|_| usage())),
+            "--san-jsonl" => san_jsonl = Some(flags.value(flag)?.to_string()),
+            "--seed" => cfg.seed = flags.parse(flag)?,
+            "--jobs" => cfg.jobs = flags.parse(flag)?,
+            "--workers" => cfg.workers = flags.parse(flag)?,
+            "--dim" => cfg.rows = flags.parse(flag)?,
+            "--queue-depth" => cfg.max_queue_depth = flags.parse(flag)?,
+            "--shed-jobs" => cfg.shed_jobs = flags.parse(flag)?,
+            "--retry-budget" => cfg.retry_budget = flags.parse(flag)?,
+            "--panic-at" => cfg.panic_at = Some(flags.parse(flag)?),
             "--force-open" => cfg.force_open = true,
             "--no-verify" => cfg.verify = false,
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("unknown flag '{other}'");
-                usage()
-            }
+            other => return Err(cli::unknown(other)),
         }
     }
     if cfg.jobs == 0 || cfg.workers == 0 || cfg.rows < 2 {
-        eprintln!("--jobs and --workers must be > 0, --dim at least 2");
-        usage();
+        return Err("--jobs and --workers must be > 0, --dim at least 2".into());
     }
     if san_jsonl.is_some() && !cfg.sanitize {
-        eprintln!("--san-jsonl requires --sanitize");
-        usage();
+        return Err("--san-jsonl requires --sanitize".into());
     }
-    (cfg, san_jsonl)
+    Ok((cfg, san_jsonl))
 }
 
 /// Entry point for `spgemm chaos ...`; returns the process exit code.
 pub fn run_chaos_cli(argv: &[String]) -> i32 {
-    let (cfg, san_jsonl) = parse_chaos_args(argv);
+    let (cfg, san_jsonl) = match parse_chaos_args(argv) {
+        Ok(parsed) => parsed,
+        Err(msg) => return cli::usage_error(&msg, usage()),
+    };
     let rep = run_chaos(&cfg);
     let s = &rep.stats;
     // Every line below is deterministic for a given flag set: CI
@@ -132,5 +126,50 @@ pub fn run_chaos_cli(argv: &[String]) -> i32 {
             println!("  - {v}");
         }
         1
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(s: &str) -> Result<(ChaosConfig, Option<String>), String> {
+        parse_chaos_args(&s.split_whitespace().map(String::from).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn values_parse_into_the_config() {
+        let (c, san) = parse(
+            "--seed 5 --jobs 1000 --workers 4 --dim 64 --queue-depth 32 --shed-jobs 8 \
+             --retry-budget 2 --panic-at 5 --force-open --no-verify --sanitize --san-jsonl s.jsonl",
+        )
+        .unwrap();
+        assert_eq!((c.seed, c.jobs, c.workers, c.rows), (5, 1000, 4, 64));
+        assert_eq!((c.max_queue_depth, c.shed_jobs, c.retry_budget), (32, 8, 2));
+        assert_eq!(c.panic_at, Some(5));
+        assert!(c.force_open && !c.verify && c.sanitize);
+        assert_eq!(san.as_deref(), Some("s.jsonl"));
+        let (d, san) = parse("").unwrap();
+        assert_eq!((d.seed, d.jobs, d.panic_at, san), (1, 200, None, None));
+    }
+
+    #[test]
+    fn bad_input_is_an_error_not_an_exit() {
+        for bad in [
+            "--bogus",
+            "--seed",
+            "--jobs many",
+            "--panic-at -1",
+            "--jobs 0",
+            "--workers 0",
+            "--dim 1",
+            "--san-jsonl s.jsonl",
+            "--help",
+        ] {
+            assert!(parse(bad).is_err(), "{bad:?} must be rejected");
+        }
+        assert_eq!(parse("--bogus").unwrap_err(), "unknown flag '--bogus'");
+        assert_eq!(parse("--seed").unwrap_err(), "--seed needs a value");
+        assert_eq!(parse("--help").unwrap_err(), "");
     }
 }

@@ -1,19 +1,17 @@
 //! In-repo timing harness — the `cargo bench` entry points' replacement
 //! for Criterion, so the workspace resolves fully offline (DESIGN.md §7).
 //!
-//! Two measurement kinds, mirroring how the old benches used Criterion:
+//! Two measurement kinds:
 //!
 //! * [`Group::bench_sim`] records a *simulated-device* duration from the
-//!   virtual GPU (`iter_custom` before). The simulation is
-//!   deterministic, so one sample is exact — near-zero variance was
-//!   already the norm.
-//! * [`Group::bench_wall`] measures real host code (the `micro` bench):
-//!   auto-calibrated batch size, median of N samples, min/max spread.
+//!   virtual GPU. The simulation is deterministic, so one sample is
+//!   exact.
+//! * [`Group::bench_wall`] measures real host code: auto-calibrated
+//!   batch size, median of N samples, min/max spread.
 //!
 //! Every group writes `results/bench_<group>.csv`
-//! (`id,kind,median_s,min_s,max_s,samples`) next to the figure CSVs the
-//! experiment runners emit, so `cargo bench` output lands on disk in a
-//! stable schema.
+//! (`id,kind,median_s,min_s,max_s,samples`). The paper's tables and
+//! figures are not benches: the `repro` binary writes their CSVs.
 
 use std::time::Instant;
 use vgpu::SimTime;
@@ -39,17 +37,11 @@ pub struct Group {
     name: String,
     samples: usize,
     records: Vec<Record>,
-    telemetry_lines: Vec<String>,
 }
 
 /// Open a benchmark group; call [`Group::finish`] to write its CSV.
 pub fn group(name: &str) -> Group {
-    Group {
-        name: name.to_string(),
-        samples: DEFAULT_SAMPLES,
-        records: Vec::new(),
-        telemetry_lines: Vec::new(),
-    }
+    Group { name: name.to_string(), samples: DEFAULT_SAMPLES, records: Vec::new() }
 }
 
 impl Group {
@@ -110,22 +102,6 @@ impl Group {
         });
     }
 
-    /// Attach a run's telemetry event log under `id`. Each JSONL line
-    /// gains a leading `"bench_id"` field so several runs can share one
-    /// file; [`Group::finish`] writes them all to
-    /// `results/bench_<group>_telemetry.jsonl`.
-    pub fn record_telemetry(&mut self, id: &str, telemetry: &obs::Telemetry) {
-        for line in telemetry.to_jsonl().lines() {
-            // Every event line starts with `{"kind":...`, so splicing a
-            // bench_id field after the opening brace keeps it valid JSON.
-            self.telemetry_lines.push(format!(
-                "{{\"bench_id\":{},{}",
-                obs::json::quote(id),
-                &line[1..]
-            ));
-        }
-    }
-
     /// Write `results/bench_<group>.csv` and return its path.
     pub fn finish(self) -> std::path::PathBuf {
         let rows: Vec<String> = self
@@ -143,13 +119,6 @@ impl Group {
             "id,kind,median_s,min_s,max_s,samples",
             &rows,
         );
-        if !self.telemetry_lines.is_empty() {
-            let tpath = crate::results_dir().join(format!("bench_{}_telemetry.jsonl", self.name));
-            let mut body = self.telemetry_lines.join("\n");
-            body.push('\n');
-            std::fs::write(&tpath, body).expect("write telemetry jsonl");
-            println!("{} telemetry -> {}", self.name, tpath.display());
-        }
         println!("{} -> {}", self.name, path.display());
         path
     }
@@ -191,20 +160,6 @@ mod tests {
         assert!(r.min_s <= r.median_s && r.median_s <= r.max_s);
         assert!(r.median_s > 0.0);
         assert_eq!(r.samples, 5);
-    }
-
-    #[test]
-    fn record_telemetry_tags_lines_with_bench_id() {
-        let mut g = group("harness_selftest_telemetry");
-        let mut t = obs::Telemetry::default();
-        t.emit(obs::Event::new("kernel").str("name", "k0").u64("blocks", 4));
-        t.emit(obs::Event::new("alloc").u64("bytes", 128));
-        g.record_telemetry("fig5/QCD", &t);
-        assert_eq!(g.telemetry_lines.len(), 2);
-        for line in &g.telemetry_lines {
-            assert!(line.starts_with("{\"bench_id\":\"fig5/QCD\",\"kind\":"));
-            obs::json::validate(line).expect("tagged line stays valid JSON");
-        }
     }
 
     #[test]

@@ -2,10 +2,12 @@
 //!
 //! Each experiment has a function returning structured rows; the `repro`
 //! binary prints them as text tables, and the [`report`] module writes
-//! the per-figure CSVs shared by `repro` and the `cargo bench` entry
-//! points. The benches record durations through the in-repo [`harness`]
-//! (no external Criterion dependency — see DESIGN.md §7), so
-//! `cargo bench` output is directly comparable with the paper's figures.
+//! the per-figure CSVs, so `repro` is the one producer of every paper
+//! number. The four `cargo bench` entry points (`micro`, `host_backend`,
+//! `batched_fallback`, `estimator`) time host code and the fallback and
+//! estimator paths through the in-repo [`harness`] (no external
+//! Criterion dependency — see DESIGN.md §7). The `spgemm` binary's
+//! subcommands live in the `*cli` modules.
 //!
 //! Dataset matrices are generated once per process and cached
 //! ([`matrix_f32`]/[`matrix_f64`]) — generation is seeded and
@@ -119,28 +121,6 @@ pub fn run_one<T: CachedMatrix>(alg: Algorithm, d: &Dataset) -> EvalResult {
     EvalResult { dataset: d.name.to_string(), algorithm: alg, precision: T::PRECISION, report }
 }
 
-/// Like [`run_one`], but with device telemetry enabled; returns the
-/// detached [`obs::Telemetry`] alongside the result (still `Some` on
-/// OOM — the events up to the failure are often the interesting part).
-pub fn run_one_traced<T: CachedMatrix>(
-    alg: Algorithm,
-    d: &Dataset,
-) -> (EvalResult, Option<obs::Telemetry>) {
-    let a = T::matrix(d);
-    let mut gpu = device_for(d);
-    gpu.enable_telemetry();
-    let report = match alg.run::<T>(&mut gpu, &a, &a) {
-        Ok((_, r)) => Some(r),
-        Err(nsparse_core::pipeline::Error::DeviceOom(_)) => None,
-        Err(e) => panic!("{} on {} failed: {e}", alg.name(), d.name),
-    };
-    let telemetry = gpu.take_telemetry();
-    (
-        EvalResult { dataset: d.name.to_string(), algorithm: alg, precision: T::PRECISION, report },
-        telemetry,
-    )
-}
-
 /// Run the proposal for real on the host backend (squaring the dataset's
 /// matrix like [`run_one`]) and return the finished execution, including
 /// wall-clock phase times. `threads == 0` means all available cores.
@@ -173,7 +153,7 @@ pub fn results_dir() -> std::path::PathBuf {
 
 /// Write rows as CSV into `results/<name>.csv` (creating the directory),
 /// returning the path. Used by the `repro` binary and the bench entry
-/// points so every figure's data lands on disk.
+/// points so every figure's and bench's data lands on disk.
 pub fn write_csv(name: &str, header: &str, rows: &[String]) -> std::path::PathBuf {
     let dir = results_dir();
     std::fs::create_dir_all(&dir).expect("create results dir");

@@ -62,7 +62,6 @@ pub mod plan;
 pub mod reuse;
 pub mod rowalg;
 pub mod sim;
-pub mod spmv;
 
 pub use batched::BatchedExecutor;
 pub use exec::{
@@ -79,4 +78,3 @@ pub use plan::{global_table_size_checked, Estimator, PhasePlan, SpgemmPlan};
 pub use reuse::{pattern_fingerprint, SymbolicPlan};
 pub use rowalg::{AlgorithmChoice, AlgorithmPolicy};
 pub use sim::SimExecutor;
-pub use spmv::{spmv, BlockedMatrix};

@@ -444,32 +444,6 @@ impl<T: Scalar> Csr<T> {
             && self.val.iter().zip(&other.val).all(|(&a, &b)| approx_eq(a, b, rtol, atol))
     }
 
-    /// Frobenius norm of the difference `||A - B||_F` (patterns may differ).
-    pub fn diff_norm(&self, other: &Self) -> f64 {
-        assert_eq!((self.rows, self.cols), (other.rows, other.cols));
-        let mut acc = 0.0f64;
-        for r in 0..self.rows {
-            let (ac, av) = self.row(r);
-            let (bc, bv) = other.row(r);
-            let (mut i, mut j) = (0, 0);
-            while i < ac.len() || j < bc.len() {
-                let d = if j >= bc.len() || (i < ac.len() && ac[i] < bc[j]) {
-                    i += 1;
-                    av[i - 1].to_f64()
-                } else if i >= ac.len() || bc[j] < ac[i] {
-                    j += 1;
-                    -bv[j - 1].to_f64()
-                } else {
-                    i += 1;
-                    j += 1;
-                    av[i - 1].to_f64() - bv[j - 1].to_f64()
-                };
-                acc += d * d;
-            }
-        }
-        acc.sqrt()
-    }
-
     /// Convert values to another precision (used to run the same dataset
     /// in single and double precision).
     pub fn cast<U: Scalar>(&self) -> Csr<U> {
@@ -601,16 +575,6 @@ mod tests {
         assert_eq!(m.device_bytes(), 76);
         let m32: Csr<f32> = m.cast();
         assert_eq!(m32.device_bytes(), 16 + 8 * 5);
-    }
-
-    #[test]
-    fn diff_norm_zero_for_equal() {
-        let m = sample();
-        assert_eq!(m.diff_norm(&m), 0.0);
-        let z = Csr::<f64>::zeros(3, 3);
-        let n = m.diff_norm(&z);
-        let expect = (1.0f64 + 4.0 + 9.0 + 16.0 + 25.0).sqrt();
-        assert!((n - expect).abs() < 1e-12);
     }
 
     #[test]

@@ -1,12 +1,7 @@
-//! Element-wise and structural operations around SpGEMM.
-//!
-//! The application layer (AMG, clustering, graph analytics) needs more
-//! than the product itself: differences, diagonal extraction and row
-//! scaling (Jacobi smoothers), pattern extraction, and row stacking for
-//! the batched executor. All operate on sorted CSR and preserve its
-//! invariants.
+//! Element-wise and structural operations around SpGEMM: differences,
+//! pattern extraction, and row stacking for the batched executor. All
+//! operate on sorted CSR and preserve its invariants.
 
-use crate::convert::try_u32;
 use crate::csr::Csr;
 use crate::scalar::Scalar;
 use crate::{Result, SparseError};
@@ -14,41 +9,6 @@ use crate::{Result, SparseError};
 /// Element-wise difference `A - B`.
 pub fn sub<T: Scalar>(a: &Csr<T>, b: &Csr<T>) -> Result<Csr<T>> {
     a.add(&b.scaled(-T::ONE))
-}
-
-/// Extract the main diagonal as a dense vector (absent entries → 0).
-pub fn diagonal<T: Scalar>(a: &Csr<T>) -> Vec<T> {
-    let n = a.rows().min(a.cols());
-    let mut d = vec![T::ZERO; n];
-    for (r, slot) in d.iter_mut().enumerate() {
-        let (cs, vs) = a.row(r);
-        // A row index beyond the 4-byte device index cannot have a
-        // stored diagonal entry (columns are u32), so Err(_) → zero.
-        if let Ok(r32) = try_u32(r) {
-            if let Ok(p) = cs.binary_search(&r32) {
-                *slot = vs[p];
-            }
-        }
-    }
-    d
-}
-
-/// Scale row `r` by `s[r]` (left-multiplication by a diagonal matrix).
-pub fn scale_rows<T: Scalar>(a: &Csr<T>, s: &[T]) -> Result<Csr<T>> {
-    if s.len() != a.rows() {
-        return Err(SparseError::DimensionMismatch(format!(
-            "scale_rows: {} scales for {} rows",
-            s.len(),
-            a.rows()
-        )));
-    }
-    let mut vals: Vec<T> = a.val().to_vec();
-    for r in 0..a.rows() {
-        for v in &mut vals[a.rpt()[r]..a.rpt()[r + 1]] {
-            *v = *v * s[r];
-        }
-    }
-    Csr::from_parts_unchecked(a.rows(), a.cols(), a.rpt().to_vec(), a.col().to_vec(), vals)
 }
 
 /// The pattern of `A` with all values set to 1 (adjacency extraction).
@@ -106,18 +66,6 @@ mod tests {
     fn sub_is_add_of_negation() {
         let d = sub(&m(), &m()).unwrap();
         assert!(d.val().iter().all(|&v| v == 0.0));
-    }
-
-    #[test]
-    fn diagonal_of_sample() {
-        assert_eq!(diagonal(&m()), vec![2.0, 3.0, 6.0]);
-    }
-
-    #[test]
-    fn row_scaling() {
-        let r = scale_rows(&m(), &[1.0, 2.0, 3.0]).unwrap();
-        assert_eq!(r.to_dense()[1], vec![0.0, 6.0, 8.0]);
-        assert!(scale_rows(&m(), &[1.0]).is_err());
     }
 
     #[test]

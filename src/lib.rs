@@ -14,9 +14,8 @@
 //! * [`sparse`] — CSR/COO formats, reference SpGEMM, Matrix Market I/O;
 //! * [`matgen`] — seeded synthetic analogues of the paper's datasets;
 //! * [`vgpu`] — the virtual Pascal P100;
-//! * [`nsparse_core`] — the paper's grouped hash-table SpGEEM algorithm;
-//! * [`baselines`] — CUSP (ESC), cuSPARSE-like and BHSPARSE-like;
-//! * [`apps`] — AMG, Markov clustering, triangles, BFS on top of SpGEMM.
+//! * [`nsparse_core`] — the paper's grouped hash-table SpGEMM algorithm;
+//! * [`baselines`] — CUSP (ESC), cuSPARSE-like and BHSPARSE-like.
 //!
 //! # Quick start
 //!
@@ -30,7 +29,6 @@
 //! assert_eq!(c.nnz() as u64, report.output_nnz);
 //! ```
 
-pub use apps;
 pub use baselines;
 pub use matgen;
 pub use nsparse_core;
