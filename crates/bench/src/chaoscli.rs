@@ -14,23 +14,27 @@
 
 use crate::cli::{self, Flags};
 use engine::{run_chaos, ChaosConfig};
+use nsparse_core::Backend;
 
 fn usage() -> &'static str {
     "usage: spgemm chaos [--seed S] [--jobs N] [--workers N] [--dim N] \
      [--queue-depth N] [--shed-jobs N] [--retry-budget N] \
-     [--force-open] [--panic-at JOB] [--no-verify] \
-     [--sanitize] [--san-jsonl PATH]\n\
+     [--backend sim|host|host:N] [--panic-at JOB] [--no-verify] \
+     [--sanitize] [--san-jsonl PATH] [--san-canary KIND]\n\
      Seeded chaos soak against the SpGEMM job engine: hostile job mixes\n\
      (device faults, expired deadlines, cancellations, queue overflow,\n\
      optional worker panic) with every invariant checked after the run.\n\
      Deterministic: same flags => byte-identical stdout, at any --workers.\n\
-     --force-open pins the circuit breaker open so every job runs on the\n\
-     host failover backend (bitwise-identical outputs, faults ignored);\n\
+     --backend host[:N] runs the soak on the host backend: no device, so\n\
+     no device faults and no simulated deadline expires (outputs stay\n\
+     bitwise identical to the sim);\n\
      --panic-at J injects a contained worker panic into job J;\n\
-     --sanitize runs every sim job under the device-memory sanitizer\n\
-     (any violation fails its job and the soak);\n\
+     --sanitize runs every job under the device-memory sanitizer (sim\n\
+     backend only; any violation fails its job and the soak);\n\
      --san-jsonl PATH writes the sanitizer activity totals as JSONL\n\
-     (byte-deterministic at --workers 1)."
+     (byte-deterministic at --workers 1);\n\
+     --san-canary KIND makes every sanitized job commit one violation\n\
+     (leak, double-free, uaf, oob, uninit), so the soak must fail."
 }
 
 fn parse_chaos_args(argv: &[String]) -> Result<(ChaosConfig, Option<String>), String> {
@@ -41,6 +45,7 @@ fn parse_chaos_args(argv: &[String]) -> Result<(ChaosConfig, Option<String>), St
         match flag {
             "--sanitize" => cfg.sanitize = true,
             "--san-jsonl" => san_jsonl = Some(flags.value(flag)?.to_string()),
+            "--san-canary" => cfg.san_canary = Some(flags.value(flag)?.parse()?),
             "--seed" => cfg.seed = flags.parse(flag)?,
             "--jobs" => cfg.jobs = flags.parse(flag)?,
             "--workers" => cfg.workers = flags.parse(flag)?,
@@ -49,7 +54,7 @@ fn parse_chaos_args(argv: &[String]) -> Result<(ChaosConfig, Option<String>), St
             "--shed-jobs" => cfg.shed_jobs = flags.parse(flag)?,
             "--retry-budget" => cfg.retry_budget = flags.parse(flag)?,
             "--panic-at" => cfg.panic_at = Some(flags.parse(flag)?),
-            "--force-open" => cfg.force_open = true,
+            "--backend" => cfg.backend = cli::parse_backend(flags.value(flag)?)?,
             "--no-verify" => cfg.verify = false,
             other => return Err(cli::unknown(other)),
         }
@@ -59,6 +64,12 @@ fn parse_chaos_args(argv: &[String]) -> Result<(ChaosConfig, Option<String>), St
     }
     if san_jsonl.is_some() && !cfg.sanitize {
         return Err("--san-jsonl requires --sanitize".into());
+    }
+    if cfg.san_canary.is_some() && !cfg.sanitize {
+        return Err("--san-canary requires --sanitize".into());
+    }
+    if cfg.sanitize && cfg.backend != Backend::Sim {
+        return Err("--sanitize requires the sim backend (the host has no device)".into());
     }
     Ok((cfg, san_jsonl))
 }
@@ -77,17 +88,14 @@ pub fn run_chaos_cli(argv: &[String]) -> i32 {
         "chaos       : seed {}, {} jobs, {} workers, queue depth {}, retry budget {}",
         cfg.seed, cfg.jobs, cfg.workers, cfg.max_queue_depth, cfg.retry_budget
     );
-    println!(
-        "backend     : {}",
-        if cfg.force_open { "host (breaker forced open)" } else { "sim (primary)" }
-    );
+    println!("backend     : {}", cfg.backend);
     println!(
         "outcomes    : {} completed, {} failed, {} shed, {} cancelled, {} deadline-exceeded",
         s.completed, s.failed, s.shed, s.cancelled, s.deadline_exceeded
     );
     println!(
-        "hostility   : {} panics contained, {} backoff retries, {} breaker openings",
-        s.panicked_jobs, s.backoff_retries, s.breaker_open_total
+        "hostility   : {} panics contained, {} backoff retries",
+        s.panicked_jobs, s.backoff_retries
     );
     println!("conservation: {}", if s.conserved() { "ok" } else { "FAILED" });
     println!(
@@ -132,6 +140,7 @@ pub fn run_chaos_cli(argv: &[String]) -> i32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use engine::SanCanary;
 
     fn parse(s: &str) -> Result<(ChaosConfig, Option<String>), String> {
         parse_chaos_args(&s.split_whitespace().map(String::from).collect::<Vec<_>>())
@@ -141,16 +150,21 @@ mod tests {
     fn values_parse_into_the_config() {
         let (c, san) = parse(
             "--seed 5 --jobs 1000 --workers 4 --dim 64 --queue-depth 32 --shed-jobs 8 \
-             --retry-budget 2 --panic-at 5 --force-open --no-verify --sanitize --san-jsonl s.jsonl",
+             --retry-budget 2 --panic-at 5 --no-verify --sanitize --san-jsonl s.jsonl \
+             --san-canary uaf",
         )
         .unwrap();
         assert_eq!((c.seed, c.jobs, c.workers, c.rows), (5, 1000, 4, 64));
         assert_eq!((c.max_queue_depth, c.shed_jobs, c.retry_budget), (32, 8, 2));
         assert_eq!(c.panic_at, Some(5));
-        assert!(c.force_open && !c.verify && c.sanitize);
+        assert!(!c.verify && c.sanitize);
+        assert_eq!(c.san_canary, Some(SanCanary::Uaf));
         assert_eq!(san.as_deref(), Some("s.jsonl"));
+        let (h, _) = parse("--backend host:2").unwrap();
+        assert_eq!(h.backend, Backend::Host { threads: 2 });
         let (d, san) = parse("").unwrap();
         assert_eq!((d.seed, d.jobs, d.panic_at, san), (1, 200, None, None));
+        assert_eq!((d.backend, d.san_canary), (Backend::Sim, None));
     }
 
     #[test]
@@ -164,10 +178,19 @@ mod tests {
             "--workers 0",
             "--dim 1",
             "--san-jsonl s.jsonl",
+            "--san-canary leak",
+            "--sanitize --san-canary bogus",
+            "--backend gpu",
+            "--backend host:2 --sanitize",
             "--help",
         ] {
             assert!(parse(bad).is_err(), "{bad:?} must be rejected");
         }
+        assert_eq!(parse("--san-canary leak").unwrap_err(), "--san-canary requires --sanitize");
+        assert_eq!(
+            parse("--sanitize --san-canary bogus").unwrap_err(),
+            "unknown canary 'bogus' (leak, double-free, uaf, oob, uninit)"
+        );
         assert_eq!(parse("--bogus").unwrap_err(), "unknown flag '--bogus'");
         assert_eq!(parse("--seed").unwrap_err(), "--seed needs a value");
         assert_eq!(parse("--help").unwrap_err(), "");

@@ -9,8 +9,8 @@
 //! each job's product as Matrix Market so CI can `cmp` runs at
 //! different worker counts.
 //!
-//! Exit codes: 0 ok, 1 job failures or verify mismatches, 2 usage,
-//! 3 budget leak.
+//! Exit codes: 0 ok, 1 job failures or verify mismatches, 2 usage or
+//! an unwritable output path, 3 budget leak.
 
 use crate::cli::{self, DriverArgs};
 use engine::{run_driver, DriverReport};
@@ -109,12 +109,9 @@ fn print_report<T: Scalar>(args: &ServeArgs, rep: &DriverReport<T>) -> i32 {
         }
     }
     if let Some(dir) = &args.out_dir {
-        std::fs::create_dir_all(dir).expect("create --out-dir");
-        for (i, r) in rep.records.iter().enumerate() {
-            if let Ok(c) = &r.output {
-                let path = format!("{dir}/job{i:02}.mtx");
-                sparse::io::write_matrix_market_file(c, &path).expect("write job output");
-            }
+        if let Err((path, e)) = write_outputs(dir, rep) {
+            eprintln!("failed to write {path}: {e}");
+            return 2;
         }
         println!("outputs     : {dir}/jobNN.mtx");
     }
@@ -124,11 +121,15 @@ fn print_report<T: Scalar>(args: &ServeArgs, rep: &DriverReport<T>) -> i32 {
             obs::json::validate(line)
                 .unwrap_or_else(|e| panic!("flight dump line {} is not valid JSON: {e}", i + 1));
         }
-        std::fs::write(path, dump).expect("write --trace-jobs dump");
         let chrome_path = format!("{path}.chrome.json");
         let chrome = rep.flight_chrome.as_deref().expect("trace enabled but no chrome export");
         obs::json::validate(chrome).expect("chrome export is not valid JSON");
-        std::fs::write(&chrome_path, chrome).expect("write chrome trace");
+        for (p, contents) in [(path, dump), (&chrome_path, chrome)] {
+            if let Err(e) = std::fs::write(p, contents) {
+                eprintln!("failed to write {p}: {e}");
+                return 2;
+            }
+        }
         println!("job traces  : {path} ({} jobs), chrome trace {chrome_path}", s.jobs);
         if let Some(t) = &rep.flight_trigger {
             println!("flight trig : {t}");
@@ -144,6 +145,22 @@ fn print_report<T: Scalar>(args: &ServeArgs, rep: &DriverReport<T>) -> i32 {
         return 1;
     }
     0
+}
+
+/// Write each completed job's product as `DIR/jobNN.mtx`. On failure,
+/// the path that could not be written and why.
+fn write_outputs<T: Scalar>(
+    dir: &str,
+    rep: &DriverReport<T>,
+) -> Result<(), (String, std::io::Error)> {
+    std::fs::create_dir_all(dir).map_err(|e| (dir.to_string(), e))?;
+    for (i, r) in rep.records.iter().enumerate() {
+        if let Ok(c) = &r.output {
+            let path = format!("{dir}/job{i:02}.mtx");
+            sparse::io::write_matrix_market_file(c, &path).map_err(|e| (path, e))?;
+        }
+    }
+    Ok(())
 }
 
 /// Entry point for `spgemm serve ...`; returns the process exit code.
@@ -175,5 +192,21 @@ mod tests {
         assert!(a.driver.cfg.trace && !a.driver.f64);
         assert_eq!((a.out_dir.as_deref(), a.trace_jobs.as_deref()), (Some("d"), Some("t.jsonl")));
         assert!(!parse_serve_args(&[]).unwrap().driver.cfg.trace);
+    }
+
+    #[test]
+    fn unwritable_output_paths_exit_2_instead_of_panicking() {
+        let file = std::env::temp_dir().join(format!("serve-not-a-dir-{}", std::process::id()));
+        std::fs::write(&file, "a regular file").unwrap();
+        let below = file.join("sub");
+        let below = below.to_str().unwrap();
+        for flag in ["--out-dir", "--trace-jobs"] {
+            let argv: Vec<String> = format!("--jobs 2 --dim 32 --no-verify {flag} {below}")
+                .split_whitespace()
+                .map(String::from)
+                .collect();
+            assert_eq!(run_serve(&argv), 2, "{flag} below a regular file");
+        }
+        std::fs::remove_file(&file).unwrap();
     }
 }

@@ -261,7 +261,7 @@ pub trait Executor<T: Scalar> {
 /// deadline compares against the job's whole simulated life. Backends
 /// without a simulated clock ([`Executor::device_elapsed_us`] = `None`)
 /// report 0 elapsed; deadlines are then only enforced against
-/// `base_us`, i.e. the host failover path does not expire mid-job —
+/// `base_us`, i.e. a job on the host backend does not expire mid-job —
 /// documented behaviour, not an accident.
 #[derive(Debug, Clone, Default)]
 pub struct JobCtl {

@@ -155,8 +155,7 @@ pub enum Recovery {
     /// scrubs, driver resets), so the engine retries these under a
     /// bounded per-job budget with deterministic exponential backoff.
     /// Injected faults replay identically per attempt, so retries
-    /// exhaust deterministically — exactly the signal the circuit
-    /// breaker consumes (DESIGN.md §17).
+    /// exhaust deterministically (DESIGN.md §17).
     RetryAfterBackoff,
     /// The job never ran (queue full); resubmit when load drops.
     Resubmit,

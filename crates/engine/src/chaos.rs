@@ -7,11 +7,19 @@
 //! one degenerate zero-row window), across any worker count. Every
 //! ingredient is a *pure function of the seed and job id* — faults are
 //! seeded [`FaultPlan`]s, deadlines live on the simulated clock,
-//! cancellation fires at fixed [`CancelPoint`]s rather than from a
-//! racing thread, and shedding is exercised against a paused engine so
-//! exactly the overflow submissions shed. The result: two runs with the
-//! same [`ChaosConfig`] — at *any* worker count — produce the same
-//! outcome for every job and the same [`ChaosReport::digest`].
+//! cancellation fires at fixed points rather than from a racing thread,
+//! and shedding is exercised against a paused engine so exactly the
+//! overflow submissions shed. The result: two runs with the same
+//! [`ChaosConfig`] — at *any* worker count — produce the same outcome
+//! for every job and the same [`ChaosReport::digest`].
+//!
+//! The per-job hooks behind that mix (transient faults, self-cancel
+//! points, the injected panic, the sanitizer canary) are a crate-private
+//! `Hooks` value that this module hands to `Engine::submit_with`; no
+//! public type carries them. On a host backend there is no device,
+//! so the soak attaches no device faults, and the oracle expects the
+//! jobs that would have faulted or missed a simulated deadline to
+//! complete.
 //!
 //! After the soak the harness asserts the engine's safety contract:
 //!
@@ -22,11 +30,11 @@
 //!   spec alone predicts;
 //! - **bitwise fidelity** — every completed job's product is bitwise
 //!   identical to standalone [`nsparse_core::multiply`] on a fresh
-//!   device, including jobs the breaker failed over to the host.
+//!   device, on either backend.
 
-use crate::job::{CancelPoint, JobOutput, JobSpec};
+use crate::job::{JobOutput, JobSpec};
 use crate::{Engine, EngineConfig, EngineStats, JobTicket};
-use nsparse_core::{multiply, ErrorKind, Options};
+use nsparse_core::{multiply, Backend, ErrorKind, Options};
 use sparse::Csr;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -50,9 +58,9 @@ pub struct ChaosConfig {
     pub shed_jobs: usize,
     /// Engine-level retry budget for transient faults.
     pub retry_budget: u32,
-    /// Pin the circuit breaker open: every job runs on the host
-    /// failover backend (the deterministic failover gate).
-    pub force_open: bool,
+    /// The engine's backend. A host backend has no device: its jobs
+    /// carry no device faults and no simulated deadline expires.
+    pub backend: Backend,
     /// Inject a worker panic into this job id (the panic-containment
     /// canary).
     pub panic_at: Option<u64>,
@@ -64,6 +72,9 @@ pub struct ChaosConfig {
     /// ([`EngineConfig::sanitize`]): any violation fails its job and
     /// therefore trips the outcome oracle.
     pub sanitize: bool,
+    /// Make every sanitized sim job commit this violation after its
+    /// real work — the proof that a sanitized soak rejects broken jobs.
+    pub san_canary: Option<SanCanary>,
 }
 
 impl Default for ChaosConfig {
@@ -75,11 +86,113 @@ impl Default for ChaosConfig {
             max_queue_depth: 32,
             shed_jobs: 8,
             retry_budget: 2,
-            force_open: false,
+            backend: Backend::Sim,
             panic_at: None,
             rows: 96,
             verify: true,
             sanitize: false,
+            san_canary: None,
+        }
+    }
+}
+
+/// Deterministic fault hooks on one job, handed to the engine with
+/// [`Engine::submit_with`] by this harness and the engine's unit tests.
+/// The default hooks nothing.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Hooks {
+    /// Install the job's faults only on its first `n` attempts: a
+    /// transient fault that a retry outlives. `None` installs them on
+    /// every attempt (a persistent fault that exhausts the retry
+    /// budget).
+    pub(crate) transient_attempts: Option<u32>,
+    /// The worker flips the job's cancel flag at this point: the
+    /// cooperative-cancellation path of [`JobTicket::cancel`] without a
+    /// racing thread.
+    pub(crate) cancel_at: Option<CancelPoint>,
+    /// Panic inside the worker after admission: exercises panic
+    /// containment and the RAII reservation guard.
+    pub(crate) panic: bool,
+    /// Violate the device-memory contract after the job's real work
+    /// (sanitized sim jobs only).
+    pub(crate) san_canary: Option<SanCanary>,
+}
+
+/// Where a self-cancelling job flips its cancel flag.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum CancelPoint {
+    /// Before any work: the job dies at the pickup check, reserving
+    /// nothing.
+    Pickup,
+    /// After the admission reservation: the job dies at the first
+    /// post-admission boundary, exercising reservation release.
+    Admitted,
+}
+
+/// A device-memory violation a sanitized job commits on purpose
+/// (`spgemm chaos --san-canary KIND`). The canary runs after the job's
+/// real work, so the only divergence from a clean run is the violation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SanCanary {
+    /// Allocate and never free: tripped by the job leak checkpoint.
+    Leak,
+    /// Free one allocation twice.
+    DoubleFree,
+    /// Read an allocation after freeing it.
+    Uaf,
+    /// Write past the end of a 64 B allocation.
+    Oob,
+    /// Read bytes no transfer or kernel ever wrote.
+    Uninit,
+}
+
+impl std::str::FromStr for SanCanary {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        match s {
+            "leak" => Ok(SanCanary::Leak),
+            "double-free" => Ok(SanCanary::DoubleFree),
+            "uaf" => Ok(SanCanary::Uaf),
+            "oob" => Ok(SanCanary::Oob),
+            "uninit" => Ok(SanCanary::Uninit),
+            other => Err(format!("unknown canary '{other}' (leak, double-free, uaf, oob, uninit)")),
+        }
+    }
+}
+
+impl SanCanary {
+    /// Commit the violation on `gpu`.
+    pub(crate) fn violate(self, gpu: &mut Gpu) {
+        match self {
+            SanCanary::Leak => {
+                let _ = gpu.malloc(64, "san_canary_leak");
+            }
+            SanCanary::DoubleFree => {
+                if let Ok(id) = gpu.malloc(64, "san_canary_double_free") {
+                    gpu.free(id);
+                    gpu.free(id);
+                }
+            }
+            SanCanary::Uaf => {
+                if let Ok(id) = gpu.malloc(64, "san_canary_uaf") {
+                    gpu.san_note_h2d(id, 0, 64);
+                    gpu.free(id);
+                    gpu.san_note_d2h(id, 0, 8);
+                }
+            }
+            SanCanary::Oob => {
+                if let Ok(id) = gpu.malloc(64, "san_canary_oob") {
+                    gpu.san_note_h2d(id, 32, 64);
+                    gpu.free(id);
+                }
+            }
+            SanCanary::Uninit => {
+                if let Ok(id) = gpu.malloc(64, "san_canary_uninit") {
+                    gpu.san_note_d2h(id, 0, 64);
+                    gpu.free(id);
+                }
+            }
         }
     }
 }
@@ -175,7 +288,8 @@ fn flavor_of(cfg: &ChaosConfig, id: u64) -> Flavor {
     }
 }
 
-fn spec_of(cfg: &ChaosConfig, id: u64, pool: &[Arc<Csr<f64>>]) -> JobSpec<f64> {
+/// Job `id`'s spec and hooks, a pure function of the config and the id.
+fn spec_of(cfg: &ChaosConfig, id: u64, pool: &[Arc<Csr<f64>>]) -> (JobSpec<f64>, Hooks) {
     // lint:allow(slice-index) — index reduced modulo pool.len() on this and the next line
     let a = Arc::clone(&pool[(rng(cfg.seed, id, 0xA) % pool.len() as u64) as usize]);
     // lint:allow(slice-index) — same modulo bound
@@ -189,22 +303,35 @@ fn spec_of(cfg: &ChaosConfig, id: u64, pool: &[Arc<Csr<f64>>]) -> JobSpec<f64> {
         let len = 1 + (rng(cfg.seed, id, 0xE) % (n - start) as u64) as usize;
         spec = spec.with_rows(start..start + len);
     }
+    let mut hooks = Hooks { san_canary: cfg.san_canary, ..Hooks::default() };
     let fault_seed = rng(cfg.seed, id, 0xF) % 1000;
-    match flavor {
+    let on_device = cfg.backend == Backend::Sim;
+    let spec = match flavor {
         Flavor::Clean => spec,
-        Flavor::MallocOom => spec.with_faults(FaultPlan::new(fault_seed).malloc_oom(1)),
-        Flavor::TransientKernel => spec
-            .with_faults(FaultPlan::new(fault_seed).kernel_fail("grouping"))
-            .with_transient_attempts(1),
-        Flavor::PersistentKernel => {
+        Flavor::MallocOom if on_device => {
+            spec.with_faults(FaultPlan::new(fault_seed).malloc_oom(1))
+        }
+        Flavor::TransientKernel if on_device => {
+            hooks.transient_attempts = Some(1);
             spec.with_faults(FaultPlan::new(fault_seed).kernel_fail("grouping"))
         }
+        Flavor::PersistentKernel if on_device => {
+            spec.with_faults(FaultPlan::new(fault_seed).kernel_fail("grouping"))
+        }
+        Flavor::MallocOom | Flavor::TransientKernel | Flavor::PersistentKernel => spec,
         Flavor::PastDeadline => spec.with_deadline_us(0),
-        Flavor::Cancel(point) => spec.with_cancel_at(point),
+        Flavor::Cancel(point) => {
+            hooks.cancel_at = Some(point);
+            spec
+        }
         Flavor::WideDeadline => spec.with_deadline_us(1_000_000_000),
         Flavor::ZeroRows => spec.with_rows(0..0),
-        Flavor::Panic => spec.with_chaos_panic(),
-    }
+        Flavor::Panic => {
+            hooks.panic = true;
+            spec
+        }
+    };
+    (spec, hooks)
 }
 
 /// The oracle: what class must this job retire into, given only its
@@ -213,28 +340,29 @@ fn expected_tag(cfg: &ChaosConfig, flavor: Flavor, is_shed_slot: bool) -> Tag {
     if is_shed_slot {
         return Tag::Shed;
     }
+    // A host backend has no device: no device faults are attached, and
+    // host multiplies consume no simulated time, so past deadlines are
+    // met trivially.
+    let no_device = cfg.backend != Backend::Sim;
     match flavor {
         Flavor::Panic => Tag::Panicked,
         Flavor::Cancel(_) => Tag::Cancelled,
-        // A forced-open breaker runs jobs on the healthy host: injected
-        // device faults don't apply, and host multiplies consume no
-        // simulated time, so past deadlines are met trivially.
         Flavor::PastDeadline => {
-            if cfg.force_open {
+            if no_device {
                 Tag::Completed
             } else {
                 Tag::Deadline
             }
         }
         Flavor::PersistentKernel => {
-            if cfg.force_open {
+            if no_device {
                 Tag::Completed
             } else {
                 Tag::Failed
             }
         }
         Flavor::TransientKernel => {
-            if cfg.force_open || cfg.retry_budget >= 1 {
+            if no_device || cfg.retry_budget >= 1 {
                 Tag::Completed
             } else {
                 Tag::Failed
@@ -318,7 +446,7 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
         max_queue_depth: depth,
         start_paused: depth > 0,
         retry_budget: cfg.retry_budget,
-        breaker_force_open: cfg.force_open,
+        backend: cfg.backend,
         sanitize: cfg.sanitize,
         ..EngineConfig::default()
     });
@@ -346,7 +474,8 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
     let mut wave: Vec<(u64, JobTicket<f64>)> = Vec::new();
 
     for id in 0..phase1 {
-        let ticket = engine.submit(spec_of(cfg, id, &pool));
+        let (spec, hooks) = spec_of(cfg, id, &pool);
+        let ticket = engine.submit_with(spec, hooks);
         wave.push((id, ticket));
     }
     engine.resume();
@@ -358,7 +487,8 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
     let mut id = phase1;
     while id < total {
         while id < total && wave.len() < wave_size {
-            let ticket = engine.submit(spec_of(cfg, id, &pool));
+            let (spec, hooks) = spec_of(cfg, id, &pool);
+            let ticket = engine.submit_with(spec, hooks);
             wave.push((id, ticket));
             id += 1;
         }
@@ -402,7 +532,7 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
         if let Ok(out) = result {
             digest_matrix(&mut digest, &out.matrix);
             if cfg.verify {
-                let spec = spec_of(cfg, id, &pool);
+                let (spec, _) = spec_of(cfg, id, &pool);
                 let key = (
                     (rng(cfg.seed, id, 0xA) % pool.len() as u64) as usize,
                     (rng(cfg.seed, id, 0xB) % pool.len() as u64) as usize,
@@ -516,19 +646,19 @@ mod tests {
     }
 
     #[test]
-    fn forced_open_soak_completes_every_non_hostile_job_on_host() {
+    fn host_soak_completes_every_non_hostile_job() {
         let cfg = ChaosConfig {
             jobs: 30,
             rows: 32,
             workers: 2,
-            force_open: true,
+            backend: Backend::Host { threads: 2 },
             seed: 11,
             ..ChaosConfig::default()
         };
         let r = run_chaos(&cfg);
         assert!(r.ok(), "violations: {:?}", r.violations);
-        // On the healthy host failover, injected device faults and past
-        // deadlines stop mattering: only cancellations remain hostile.
+        // With no device, injected faults and past simulated deadlines
+        // stop mattering: only cancellations remain hostile.
         assert_eq!(r.stats.failed, 0);
         assert_eq!(r.stats.deadline_exceeded, 0);
     }

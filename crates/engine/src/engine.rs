@@ -26,10 +26,7 @@
 //!    fall back to the batched route instead of failing; transient
 //!    device faults ([`Recovery::RetryAfterBackoff`]) are retried under
 //!    a per-job budget with deterministic exponential backoff charged
-//!    to *simulated* time. A per-backend circuit breaker
-//!    ([`crate::breaker::Breaker`]) routes jobs away from a
-//!    persistently faulting device to the host backend, whose output is
-//!    bitwise identical.
+//!    to *simulated* time.
 //! 5. The reservation is released (the budget must drain to zero by
 //!    shutdown — the no-leak gate), latency is recorded, and the
 //!    ticket is fulfilled.
@@ -48,9 +45,9 @@
 //! engine output bitwise identical to standalone `multiply` at any
 //! worker count.
 
-use crate::breaker::{Breaker, Transition};
 use crate::cache::{CacheStats, PlanCache, PlanKey};
-use crate::job::{CacheOutcome, CancelPoint, EffectiveA, JobOutput, JobSpec, Route};
+use crate::chaos::{CancelPoint, Hooks, SanCanary};
+use crate::job::{CacheOutcome, EffectiveA, JobOutput, JobSpec, Route};
 use crate::recorder::{FlightRecorder, PhaseSpan, TraceBuilder};
 use crate::Result;
 use nsparse_core::{
@@ -72,6 +69,14 @@ use vgpu::{DeviceConfig, FaultPlan, Gpu, SharedBudget, SpgemmReport};
 /// `None` when tracing is off (the untraced path pays nothing).
 type Tracer = Option<TraceBuilder>;
 
+/// Flight-recorder ring capacity: the recent job traces a dump keeps.
+const FLIGHT_CAPACITY: usize = 64;
+
+/// Backoff base in simulated µs: retry `k` of job `id` waits
+/// `base << (k-1)` plus a jitter `split_mix64(id ^ k) % base`, so waits
+/// are byte-identical across runs and worker counts.
+const BACKOFF_BASE_US: u64 = 100;
+
 /// Engine construction parameters.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
@@ -89,8 +94,6 @@ pub struct EngineConfig {
     /// recorder (DESIGN.md §15). Off by default: tracing allocates a
     /// telemetry session per job.
     pub trace: bool,
-    /// Flight-recorder ring capacity (recent job traces retained).
-    pub flight_capacity: usize,
     /// Bounded-queue depth; submissions past it are shed with a
     /// structured [`Error::Shed`]. 0 = unbounded (the pre-hardening
     /// behaviour).
@@ -98,23 +101,6 @@ pub struct EngineConfig {
     /// Retries for transient device faults
     /// ([`Recovery::RetryAfterBackoff`]). 0 = fail on the first fault.
     pub retry_budget: u32,
-    /// Backoff base in simulated µs: attempt `k` waits
-    /// `base << (k-1) + jitter` with `jitter < base` (seeded, so waits
-    /// are byte-identical across runs and worker counts).
-    pub backoff_base_us: u64,
-    /// Seed for the deterministic backoff jitter.
-    pub backoff_seed: u64,
-    /// Consecutive terminal device faults that open the circuit
-    /// breaker. 0 disables breaker routing entirely.
-    pub breaker_threshold: u32,
-    /// Jobs served on the failover backend before the breaker half-opens
-    /// and probes the primary again.
-    pub breaker_cooldown: u32,
-    /// Pin the breaker open: every job runs on the failover host
-    /// backend (deterministic — the chaos harness's failover gate).
-    pub breaker_force_open: bool,
-    /// Host threads of the failover backend the breaker routes to.
-    pub failover_threads: usize,
     /// Start with the workers paused: jobs accumulate in the queue until
     /// [`Engine::resume`]. Lets tests and the chaos harness make
     /// shedding deterministic (fill the bounded queue, then release).
@@ -136,15 +122,8 @@ impl Default for EngineConfig {
             budget_bytes: None,
             cache_capacity: 64,
             trace: false,
-            flight_capacity: 64,
             max_queue_depth: 0,
             retry_budget: 0,
-            backoff_base_us: 100,
-            backoff_seed: 0,
-            breaker_threshold: 0,
-            breaker_cooldown: 4,
-            breaker_force_open: false,
-            failover_threads: 2,
             start_paused: false,
             sanitize: false,
         }
@@ -247,8 +226,6 @@ pub struct EngineStats {
     pub panicked_jobs: u64,
     /// Transient-fault retry attempts consumed across all jobs.
     pub backoff_retries: u64,
-    /// Times the circuit breaker opened (Closed/HalfOpen → Open).
-    pub breaker_open_total: u64,
     /// Cold symbolic (setup + count) phases actually run — cache hits
     /// skip these, so `symbolic_runs + cache.hits` ≈ direct jobs.
     pub symbolic_runs: u64,
@@ -391,6 +368,7 @@ impl<T> JobTicket<T> {
 struct Pending<T> {
     id: u64,
     spec: JobSpec<T>,
+    hooks: Hooks,
     slot: Arc<Slot<T>>,
     cancel: Arc<AtomicBool>,
     submitted: Instant,
@@ -423,7 +401,6 @@ struct Shared<T> {
     cache: PlanCache<T>,
     metrics: Metrics,
     recorder: Arc<FlightRecorder>,
-    breaker: Breaker,
 }
 
 /// The SpGEMM job engine. See the [crate docs](crate) for the model.
@@ -437,7 +414,6 @@ impl<T: Scalar> Engine<T> {
     /// Start the worker pool (at least one worker).
     pub fn new(cfg: EngineConfig) -> Self {
         let budget_bytes = cfg.budget_bytes.unwrap_or(cfg.device.device_mem_bytes).max(1);
-        let failover = Backend::Host { threads: cfg.failover_threads };
         let shared = Arc::new(Shared {
             budget: SharedBudget::new(budget_bytes),
             cache: PlanCache::new(cfg.cache_capacity),
@@ -450,14 +426,7 @@ impl<T: Scalar> Engine<T> {
                 }),
                 ready: Condvar::new(),
             },
-            recorder: Arc::new(FlightRecorder::new(cfg.flight_capacity)),
-            breaker: Breaker::new(
-                cfg.breaker_threshold,
-                cfg.breaker_cooldown,
-                cfg.breaker_force_open,
-                cfg.backend,
-                failover,
-            ),
+            recorder: Arc::new(FlightRecorder::new(FLIGHT_CAPACITY)),
             cfg,
         });
         let workers = (0..shared.cfg.workers.max(1))
@@ -478,6 +447,12 @@ impl<T: Scalar> Engine<T> {
     /// shed: the returned ticket resolves immediately with
     /// [`Error::Shed`].
     pub fn submit(&mut self, spec: JobSpec<T>) -> JobTicket<T> {
+        self.submit_with(spec, Hooks::default())
+    }
+
+    /// [`Engine::submit`] with deterministic fault hooks attached (the
+    /// chaos harness and this module's tests).
+    pub(crate) fn submit_with(&mut self, spec: JobSpec<T>, hooks: Hooks) -> JobTicket<T> {
         let id = self.next_id;
         self.next_id += 1;
         self.shared.metrics.with(|c| c.jobs += 1);
@@ -496,6 +471,7 @@ impl<T: Scalar> Engine<T> {
             g.q.push_back(Pending {
                 id,
                 spec,
+                hooks,
                 slot: Arc::clone(&slot),
                 cancel: Arc::clone(&cancel),
                 // lint:allow(wallclock) — queue-wait observability only; never enters results
@@ -573,7 +549,6 @@ fn stats_of<T: Scalar>(shared: &Shared<T>) -> EngineStats {
         deadline_exceeded: c.deadline_exceeded,
         panicked_jobs: c.panicked_jobs,
         backoff_retries: c.backoff_retries,
-        breaker_open_total: shared.breaker.open_total(),
         symbolic_runs: c.symbolic_runs,
         sampled_plans: c.sampled_plans,
         replanned_rows: c.replanned_rows,
@@ -633,16 +608,15 @@ fn worker_loop<T: Scalar>(shared: &Shared<T>) {
         t_end(&mut tracer, None, qs);
         // Deterministic self-cancellation (chaos harness): flip the flag
         // at the same point the submitter's `JobTicket::cancel` targets.
-        if job.spec.cancel_at == Some(CancelPoint::Pickup) {
+        if job.hooks.cancel_at == Some(CancelPoint::Pickup) {
             job.cancel.store(true, Ordering::SeqCst);
         }
         // Panic containment: a job that unwinds is converted into a
         // structured failure. The RAII reservation guard inside
         // `process_job` released any budget during the unwind, and every
         // shared lock recovers from poisoning, so the pool survives.
-        let result = match catch_unwind(AssertUnwindSafe(|| {
-            process_job(shared, job.id, &job.spec, &job.cancel, &mut tracer)
-        })) {
+        let result = match catch_unwind(AssertUnwindSafe(|| process_job(shared, &job, &mut tracer)))
+        {
             Ok(r) => r,
             Err(payload) => Err(Error::Panicked(panic_message(payload.as_ref()))),
         };
@@ -696,7 +670,6 @@ fn worker_loop<T: Scalar>(shared: &Shared<T>) {
             latency,
             queue_wait,
             batched_retries: fin.batched_retries,
-            backend: fin.backend,
             attempts: fin.attempts,
         });
         job.slot.fulfill(output);
@@ -709,7 +682,6 @@ struct Finished<T> {
     route: Route,
     cache: CacheOutcome,
     batched_retries: u32,
-    backend: Backend,
     attempts: u32,
 }
 
@@ -744,22 +716,14 @@ impl<T: Scalar> Drop for Reservation<'_, T> {
     }
 }
 
-fn emit_breaker(tr: &mut Tracer, t: Transition) {
-    t_emit(
-        tr,
-        None,
-        obs::Event::new("breaker").str("from", &t.from.to_string()).str("to", &t.to.to_string()),
-    );
-}
-
 fn process_job<T: Scalar>(
     shared: &Shared<T>,
-    job_id: u64,
-    spec: &JobSpec<T>,
-    cancel: &Arc<AtomicBool>,
+    job: &Pending<T>,
     tr: &mut Tracer,
 ) -> Result<Finished<T>> {
-    spec.validate(&shared.cfg.backend)?;
+    let (spec, cancel, hooks) = (&job.spec, &job.cancel, &job.hooks);
+    let backend = shared.cfg.backend;
+    spec.validate(&backend)?;
     // Pickup boundary: a job cancelled before any work reserves nothing.
     JobCtl { cancel: Some(Arc::clone(cancel)), deadline_us: spec.deadline_us, base_us: 0.0 }
         .check(0.0)?;
@@ -768,17 +732,6 @@ fn process_job<T: Scalar>(
     let b = spec.b.as_ref();
     let est = estimate_memory(a, b)?.upper_bound();
     let capacity = shared.budget.capacity();
-
-    // Circuit-breaker routing: a sick primary device sends this job to
-    // the (bitwise-identical) host failover backend.
-    let decision = shared.breaker.route();
-    if let Some(t) = decision.transition {
-        emit_breaker(tr, t);
-    }
-    let backend = decision.backend;
-    if decision.failed_over {
-        t_emit(tr, None, obs::Event::new("failover").str("backend", &backend.to_string()));
-    }
 
     // Admission. A forecast over the whole budget can never run in one
     // piece: the batched route owns the full budget while it runs (its
@@ -806,12 +759,12 @@ fn process_job<T: Scalar>(
     // Deterministic chaos hooks, post-admission: both exercise the
     // reservation-release paths (cooperative cancellation at the next
     // boundary; panic containment through the RAII guard).
-    if spec.cancel_at == Some(CancelPoint::Admitted) {
+    if hooks.cancel_at == Some(CancelPoint::Admitted) {
         cancel.store(true, Ordering::SeqCst);
     }
-    if spec.chaos_panic {
+    if hooks.panic {
         // lint:allow(no-panic) — deliberate fault injection; the containment guard catches it
-        panic!("chaos: injected worker panic (job {job_id})");
+        panic!("chaos: injected worker panic (job {})", job.id);
     }
 
     // Retry loop for transient device faults: deterministic exponential
@@ -829,20 +782,17 @@ fn process_job<T: Scalar>(
         if let Err(e) = ctl.check(0.0) {
             break Err(e);
         }
-        // Injected faults describe the *primary* device; a failed-over
-        // job runs on healthy host hardware, so they do not apply. A
-        // transient fault is only installed on its first N attempts.
-        let faults = if decision.failed_over {
-            None
-        } else {
-            match spec.transient_attempts {
-                Some(n) if attempt > n => None,
-                _ => spec.faults.as_ref(),
-            }
+        // A transient fault is only installed on its first N attempts.
+        let faults = match hooks.transient_attempts {
+            Some(n) if attempt > n => None,
+            _ => spec.faults.as_ref(),
         };
+        let canary = hooks.san_canary;
         let attempt_on = |batched: bool, tr: &mut Tracer| {
             let reserve = if batched { capacity } else { est };
-            run_attempt(shared, &spec.opts, a, b, backend, reserve, batched, faults, &ctl, tr)
+            run_attempt(
+                shared, &spec.opts, a, b, backend, reserve, batched, faults, canary, &ctl, tr,
+            )
         };
         let r = match attempt_on(on_batched, tr) {
             Err(e) if !on_batched && e.recovery() == Recovery::RetrySmallerBatch => {
@@ -870,10 +820,8 @@ fn process_job<T: Scalar>(
                 // Deterministic backoff: exponential in the attempt,
                 // seeded sub-`base` jitter, charged against the job's
                 // simulated elapsed time (so deadlines see it).
-                let base = shared.cfg.backoff_base_us.max(1);
-                let exp = base << (attempt - 1).min(16);
-                let jitter =
-                    split_mix64(shared.cfg.backoff_seed ^ job_id ^ u64::from(attempt)) % base;
+                let exp = BACKOFF_BASE_US << (attempt - 1).min(16);
+                let jitter = split_mix64(job.id ^ u64::from(attempt)) % BACKOFF_BASE_US;
                 let wait_us = exp + jitter;
                 base_us += wait_us as f64;
                 shared.metrics.with(|c| c.backoff_retries += 1);
@@ -890,32 +838,13 @@ fn process_job<T: Scalar>(
     };
     drop(reservation);
 
-    // Breaker accounting: only jobs that actually ran on the primary
-    // move the state machine; terminal device faults extend the streak,
-    // successes reset it, everything else is neutral.
-    if shared.breaker.enabled() && !decision.failed_over {
-        let transition = match &dev_result {
-            Ok(_) => shared.breaker.on_primary_success(decision.trial),
-            Err(e) if e.kind() == ErrorKind::Kernel => {
-                shared.breaker.on_primary_fault(decision.trial)
-            }
-            Err(_) => {
-                shared.breaker.on_primary_neutral(decision.trial);
-                None
-            }
-        };
-        if let Some(t) = transition {
-            emit_breaker(tr, t);
-        }
-    }
-
     let (matrix, report, route, cache, batched_retries) = dev_result?;
     // Post-run deadline check against the job's whole simulated life
     // (backoff waits + the successful attempt's device time). Cancel is
     // deliberately absent: completed work is delivered.
     JobCtl { cancel: None, deadline_us: spec.deadline_us, base_us }
         .check(report.total_time.us())?;
-    Ok(Finished { matrix, report, route, cache, batched_retries, backend, attempts: attempt })
+    Ok(Finished { matrix, report, route, cache, batched_retries, attempts: attempt })
 }
 
 // ---- tracer helpers ----
@@ -942,59 +871,21 @@ fn t_emit(tr: &mut Tracer, installed: Option<&mut Telemetry>, event: obs::Event)
     }
 }
 
-/// Deliberately violate the device-memory contract when the
-/// `NSPARSE_SAN_CANARY` environment variable names a violation class —
-/// CI's proof that a sanitized run actually rejects broken jobs. The
-/// canary runs after the job's real work, so the only divergence from a
-/// clean run is the violation itself.
-fn san_canary(gpu: &mut Gpu) {
-    let Ok(kind) = std::env::var("NSPARSE_SAN_CANARY") else { return };
-    match kind.as_str() {
-        // Allocate and never free: tripped by the job leak checkpoint.
-        "leak" => {
-            let _ = gpu.malloc(64, "san_canary_leak");
-        }
-        "double-free" => {
-            if let Ok(id) = gpu.malloc(64, "san_canary_double_free") {
-                gpu.free(id);
-                gpu.free(id);
-            }
-        }
-        // Read an allocation after freeing it.
-        "uaf" => {
-            if let Ok(id) = gpu.malloc(64, "san_canary_uaf") {
-                gpu.san_note_h2d(id, 0, 64);
-                gpu.free(id);
-                gpu.san_note_d2h(id, 0, 8);
-            }
-        }
-        // Write past the end of a 64 B allocation.
-        "oob" => {
-            if let Ok(id) = gpu.malloc(64, "san_canary_oob") {
-                gpu.san_note_h2d(id, 32, 64);
-                gpu.free(id);
-            }
-        }
-        // Read bytes no transfer or kernel ever wrote.
-        "uninit" => {
-            if let Ok(id) = gpu.malloc(64, "san_canary_uninit") {
-                gpu.san_note_d2h(id, 0, 64);
-                gpu.free(id);
-            }
-        }
-        _ => {}
-    }
-}
-
-/// Job-end sanitizer gate: run the CI canary (if armed), take the leak
-/// checkpoint, fold activity totals into the engine counters, and fail
-/// the job with an `Invariant` error when any violation was recorded.
-/// No-op when the sanitizer is off.
-fn san_finalize<T: Scalar>(shared: &Shared<T>, gpu: &mut Gpu) -> Result<()> {
+/// Job-end sanitizer gate: run the chaos canary (if armed), take the
+/// leak checkpoint, fold activity totals into the engine counters, and
+/// fail the job with an `Invariant` error when any violation was
+/// recorded. No-op when the sanitizer is off.
+fn san_finalize<T: Scalar>(
+    shared: &Shared<T>,
+    gpu: &mut Gpu,
+    canary: Option<SanCanary>,
+) -> Result<()> {
     if !gpu.sanitizer_enabled() {
         return Ok(());
     }
-    san_canary(gpu);
+    if let Some(canary) = canary {
+        canary.violate(gpu);
+    }
     gpu.san_leak_check();
     let reports = gpu.san_reports();
     let n = reports.len() as u64;
@@ -1044,6 +935,7 @@ fn run_attempt<T: Scalar>(
     reserve: u64,
     batched: bool,
     faults: Option<&FaultPlan>,
+    canary: Option<SanCanary>,
     ctl: &JobCtl,
     tr: &mut Tracer,
 ) -> Result<Attempt<T>> {
@@ -1066,7 +958,7 @@ fn run_attempt<T: Scalar>(
             let (out, _) = run_on(shared, SimExecutor::new(&mut gpu), a, b, opts, batch, ctl, tr);
             let tel = gpu.take_telemetry();
             let out = out.and_then(|out| {
-                san_finalize(shared, &mut gpu)?;
+                san_finalize(shared, &mut gpu, canary)?;
                 match gpu.live_mem_bytes() {
                     0 => Ok(out),
                     live => Err(Error::invariant(format!("job leaked {live} B of device memory"))),
@@ -1434,11 +1326,14 @@ mod tests {
     fn cooperative_cancellation_classifies_and_drains() {
         let a = rand_mat(150, 11);
         let mut eng = Engine::new(EngineConfig { workers: 1, ..EngineConfig::default() });
-        let t1 = eng.submit(
-            JobSpec::new(Arc::clone(&a), Arc::clone(&a)).with_cancel_at(CancelPoint::Pickup),
+        let cancel_at = |point| Hooks { cancel_at: Some(point), ..Hooks::default() };
+        let t1 = eng.submit_with(
+            JobSpec::new(Arc::clone(&a), Arc::clone(&a)),
+            cancel_at(CancelPoint::Pickup),
         );
-        let t2 = eng.submit(
-            JobSpec::new(Arc::clone(&a), Arc::clone(&a)).with_cancel_at(CancelPoint::Admitted),
+        let t2 = eng.submit_with(
+            JobSpec::new(Arc::clone(&a), Arc::clone(&a)),
+            cancel_at(CancelPoint::Admitted),
         );
         let t3 = eng.submit(JobSpec::new(Arc::clone(&a), Arc::clone(&a)));
         assert_eq!(t1.wait().unwrap_err().kind(), ErrorKind::Cancelled);
@@ -1496,10 +1391,9 @@ mod tests {
         let mut eng =
             Engine::new(EngineConfig { workers: 1, retry_budget: 2, ..EngineConfig::default() });
         // Transient: the fault is only installed on attempt 1.
-        let t = eng.submit(
-            JobSpec::new(Arc::clone(&a), Arc::clone(&a))
-                .with_faults(faults.clone())
-                .with_transient_attempts(1),
+        let t = eng.submit_with(
+            JobSpec::new(Arc::clone(&a), Arc::clone(&a)).with_faults(faults.clone()),
+            Hooks { transient_attempts: Some(1), ..Hooks::default() },
         );
         let out = t.wait().unwrap();
         assert_eq!(out.attempts, 2, "attempt 1 faults, attempt 2 runs clean");
@@ -1518,58 +1412,15 @@ mod tests {
     }
 
     #[test]
-    fn breaker_opens_after_consecutive_faults_and_fails_over() {
-        let a = rand_mat(160, 53);
-        let faults = FaultPlan::parse("seed=3;kernel-fail=grouping").unwrap();
-        let mut eng = Engine::new(EngineConfig {
-            workers: 1,
-            breaker_threshold: 2,
-            breaker_cooldown: 100, // stay open for the rest of the test
-            ..EngineConfig::default()
-        });
-        for _ in 0..2 {
-            let t = eng
-                .submit(JobSpec::new(Arc::clone(&a), Arc::clone(&a)).with_faults(faults.clone()));
-            assert_eq!(t.wait().unwrap_err().kind(), ErrorKind::Kernel);
-        }
-        // Breaker is open: clean jobs now run on the host failover,
-        // bitwise identical to the sim reference.
-        let t = eng.submit(JobSpec::new(Arc::clone(&a), Arc::clone(&a)));
-        let out = t.wait().unwrap();
-        assert!(matches!(out.backend, Backend::Host { .. }), "job must fail over");
-        assert_eq!(bits(&out.matrix), bits(&reference(&a, &a)));
-        let stats = eng.shutdown();
-        assert_eq!(stats.breaker_open_total, 1);
-        assert!(stats.budget_drained);
-    }
-
-    #[test]
-    fn forced_open_breaker_runs_everything_on_host_bitwise() {
-        let a = rand_mat(170, 61);
-        let mut eng = Engine::new(EngineConfig {
-            workers: 2,
-            breaker_force_open: true,
-            ..EngineConfig::default()
-        });
-        let tickets: Vec<_> =
-            (0..4).map(|_| eng.submit(JobSpec::new(Arc::clone(&a), Arc::clone(&a)))).collect();
-        let want = reference(&a, &a);
-        for t in tickets {
-            let out = t.wait().unwrap();
-            assert!(matches!(out.backend, Backend::Host { .. }));
-            assert_eq!(bits(&out.matrix), bits(&want));
-        }
-        let stats = eng.shutdown();
-        assert_eq!(stats.completed, 4);
-        assert!(stats.budget_drained);
-    }
-
-    #[test]
     fn worker_panic_is_contained_and_the_pool_survives() {
         let a = rand_mat(130, 71);
-        let mut eng = Engine::new(EngineConfig { workers: 1, ..EngineConfig::default() });
+        let mut eng =
+            Engine::new(EngineConfig { workers: 1, trace: true, ..EngineConfig::default() });
         let flight = eng.flight();
-        let t1 = eng.submit(JobSpec::new(Arc::clone(&a), Arc::clone(&a)).with_chaos_panic());
+        let t1 = eng.submit_with(
+            JobSpec::new(Arc::clone(&a), Arc::clone(&a)),
+            Hooks { panic: true, ..Hooks::default() },
+        );
         let err = t1.wait().unwrap_err();
         assert_eq!(err.kind(), ErrorKind::Panic);
         assert!(err.to_string().contains("chaos: injected worker panic"));
@@ -1584,5 +1435,6 @@ mod tests {
         assert!(stats.budget_drained, "the RAII guard must release the panicked reservation");
         let trigger = flight.triggered().expect("a contained panic trips the recorder");
         assert!(trigger.contains("worker panic"), "{trigger}");
+        assert!(flight.dump(&stats).contains("\"trigger\""));
     }
 }

@@ -38,34 +38,12 @@ pub struct JobSpec<T> {
     /// [`nsparse_core::Error::DeadlineExceeded`] and releases its
     /// reservation. `None` = no deadline.
     pub deadline_us: Option<u64>,
-    /// Chaos knob: install [`JobSpec::faults`] only on the first `n`
-    /// attempts, modelling a *transient* fault that a retry outlives.
-    /// `None` installs faults on every attempt (a persistent fault that
-    /// deterministically exhausts the retry budget).
-    pub transient_attempts: Option<u32>,
-    /// Chaos knob: the worker flips the job's cancel flag at this
-    /// deterministic point, exercising the same cooperative-cancellation
-    /// path as [`crate::JobTicket::cancel`] without a racing thread.
-    pub cancel_at: Option<CancelPoint>,
-    /// Chaos knob: panic inside the worker after admission — exercises
-    /// panic containment and the RAII reservation guard.
-    pub chaos_panic: bool,
 }
 
 impl<T: Scalar> JobSpec<T> {
     /// A job with default options over whole matrices.
     pub fn new(a: Arc<Csr<T>>, b: Arc<Csr<T>>) -> Self {
-        JobSpec {
-            a,
-            b,
-            opts: Options::default(),
-            rows: None,
-            faults: None,
-            deadline_us: None,
-            transient_attempts: None,
-            cancel_at: None,
-            chaos_panic: false,
-        }
+        JobSpec { a, b, opts: Options::default(), rows: None, faults: None, deadline_us: None }
     }
 
     /// Replace the multiply options.
@@ -89,25 +67,6 @@ impl<T: Scalar> JobSpec<T> {
     /// Set a simulated-time deadline in microseconds.
     pub fn with_deadline_us(mut self, deadline_us: u64) -> Self {
         self.deadline_us = Some(deadline_us);
-        self
-    }
-
-    /// Make the job's faults transient: installed only on the first
-    /// `attempts` attempts, so a retry eventually runs clean.
-    pub fn with_transient_attempts(mut self, attempts: u32) -> Self {
-        self.transient_attempts = Some(attempts);
-        self
-    }
-
-    /// Deterministically self-cancel at `point` (chaos harness).
-    pub fn with_cancel_at(mut self, point: CancelPoint) -> Self {
-        self.cancel_at = Some(point);
-        self
-    }
-
-    /// Panic inside the worker after admission (chaos harness).
-    pub fn with_chaos_panic(mut self) -> Self {
-        self.chaos_panic = true;
         self
     }
 
@@ -177,19 +136,6 @@ impl<T> AsRef<Csr<T>> for EffectiveA<'_, T> {
     }
 }
 
-/// Deterministic self-cancellation points for the chaos harness — the
-/// worker flips the job's cancel flag exactly here, so the outcome is a
-/// pure function of the spec instead of a race with the submitter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CancelPoint {
-    /// Before any work: the job dies at the pickup check, reserving
-    /// nothing.
-    Pickup,
-    /// After the admission reservation: the job dies at the first
-    /// post-admission boundary, exercising reservation release.
-    Admitted,
-}
-
 /// How the engine executed a job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Route {
@@ -231,9 +177,6 @@ pub struct JobOutput<T> {
     /// Budget-halving retries the batched route consumed (0 on the
     /// direct route or when the first batched attempt succeeded).
     pub batched_retries: u32,
-    /// The backend the job actually ran on — differs from the engine's
-    /// primary when the circuit breaker failed it over (DESIGN.md §17).
-    pub backend: Backend,
     /// Execution attempts consumed (1 = first try succeeded; >1 means
     /// transient-fault retries with backoff ran).
     pub attempts: u32,

@@ -42,11 +42,10 @@
 //! Under hostile load (DESIGN.md §17) the engine adds per-job deadlines
 //! on the simulated clock, bounded-queue load shedding, cooperative
 //! cancellation ([`JobTicket::cancel`]), deterministic retry/backoff
-//! for transient device faults, a per-backend circuit [`breaker`] that
-//! fails over to the (bitwise-identical) host backend, and worker
-//! panic containment. The [`chaos`] module soaks all of it with seeded
-//! hostile job mixes and asserts conservation, no budget leaks, and
-//! bitwise fidelity after every run.
+//! for transient device faults, and worker panic containment. The
+//! [`chaos`] module soaks all of it with seeded hostile job mixes and
+//! asserts conservation, no budget leaks, and bitwise fidelity after
+//! every run.
 //!
 //! ```
 //! use engine::{Engine, EngineConfig, JobSpec};
@@ -62,7 +61,6 @@
 //! assert!(stats.budget_drained);
 //! ```
 
-pub mod breaker;
 pub mod cache;
 pub mod chaos;
 pub mod driver;
@@ -70,12 +68,11 @@ mod engine;
 pub mod job;
 pub mod recorder;
 
-pub use breaker::{Breaker, BreakerState};
 pub use cache::{CacheStats, PlanCache, PlanKey};
-pub use chaos::{run_chaos, ChaosConfig, ChaosReport};
+pub use chaos::{run_chaos, ChaosConfig, ChaosReport, SanCanary};
 pub use driver::{run_driver, DriverConfig, DriverReport, JobRecord};
 pub use engine::{Engine, EngineConfig, EngineStats, JobTicket, LatencySummary, SanTotals};
-pub use job::{CacheOutcome, CancelPoint, JobOutput, JobSpec, Route};
+pub use job::{CacheOutcome, JobOutput, JobSpec, Route};
 pub use recorder::{FlightRecorder, JobTrace, TraceBuilder};
 
 /// Jobs fail with the core pipeline's classified error taxonomy.

@@ -319,7 +319,6 @@ mod tests {
             deadline_exceeded: 0,
             panicked_jobs: 0,
             backoff_retries: 0,
-            breaker_open_total: 0,
             symbolic_runs: 1,
             sampled_plans: 0,
             replanned_rows: 0,

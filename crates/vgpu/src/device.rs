@@ -270,7 +270,8 @@ impl Gpu {
 
     /// Opt into structured telemetry: device events (allocs, frees,
     /// copies, kernels, phases) are logged, and the allocator records
-    /// its high-water timeline. Idempotent; off by default.
+    /// which allocations make up its high-water mark. Idempotent; off by
+    /// default.
     pub fn enable_telemetry(&mut self) {
         if self.telemetry.is_none() {
             self.telemetry = Some(Box::default());

@@ -40,10 +40,8 @@ pub enum FaultRule {
 
 /// A serializable, seeded set of faults to inject into one run.
 ///
-/// The `seed` is carried for provenance (it names the plan in traces
-/// and lets sweeps derive plans reproducibly via
-/// [`FaultPlan::seeded_malloc_oom`]); matching itself is purely
-/// deterministic in the rules.
+/// The `seed` is carried for provenance (it names the plan in traces);
+/// matching itself is purely deterministic in the rules.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FaultPlan {
     /// Provenance seed (0 when the plan was built by hand).
@@ -74,14 +72,6 @@ impl FaultPlan {
     pub fn memcpy_fail(mut self, nth: u64) -> Self {
         self.rules.push(FaultRule::MemcpyFail { nth });
         self
-    }
-
-    /// Derive a single-OOM plan from a seed: fails malloc
-    /// `1 + split_mix64(seed) % span` — the sweep primitive used by the
-    /// resilience suite and the CI fault gate.
-    pub fn seeded_malloc_oom(seed: u64, span: u64) -> Self {
-        let nth = 1 + split_mix64(seed) % span.max(1);
-        FaultPlan::new(seed).malloc_oom(nth)
     }
 
     /// Whether the plan injects nothing.
@@ -220,26 +210,5 @@ mod tests {
         assert!(FaultPlan::parse("malloc-oom=x").is_err());
         assert!(FaultPlan::parse("kernel-fail=").is_err());
         assert!(FaultPlan::parse("").unwrap().is_empty());
-    }
-
-    #[test]
-    fn seeded_derivation_is_deterministic_and_in_range() {
-        for seed in 0..64u64 {
-            let a = FaultPlan::seeded_malloc_oom(seed, 10);
-            let b = FaultPlan::seeded_malloc_oom(seed, 10);
-            assert_eq!(a, b);
-            match &a.rules[..] {
-                [FaultRule::MallocOom { nth }] => assert!((1..=10).contains(nth)),
-                other => panic!("unexpected rules {other:?}"),
-            }
-        }
-        // Different seeds spread over the span.
-        let hits: std::collections::HashSet<u64> = (0..64)
-            .map(|s| match FaultPlan::seeded_malloc_oom(s, 10).rules[0] {
-                FaultRule::MallocOom { nth } => nth,
-                _ => unreachable!(),
-            })
-            .collect();
-        assert!(hits.len() > 3, "seeded ordinals collapsed: {hits:?}");
     }
 }

@@ -47,7 +47,7 @@ pub use config::DeviceConfig;
 pub use cost::{BlockCost, BlockCostBuilder, CostModel};
 pub use device::{Gpu, KernelDesc, MemRange, StreamId};
 pub use fault::{FaultPlan, FaultRule};
-pub use memory::{AllocId, DeviceMemory, MemEvent, OutOfDeviceMemory};
+pub use memory::{AllocId, DeviceMemory, OutOfDeviceMemory};
 pub use profiler::{KernelAgg, Phase, Profiler, StreamUtil};
 pub use report::SpgemmReport;
 pub use sanitize::{SanKind, SanReport, SanStats, Sanitizer};

@@ -45,22 +45,6 @@ impl std::fmt::Display for OutOfDeviceMemory {
 
 impl std::error::Error for OutOfDeviceMemory {}
 
-/// One step of the allocation timeline (only recorded when high-water
-/// tracking is enabled — see [`DeviceMemory::enable_tracking`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MemEvent {
-    /// Monotone sequence number (allocation order).
-    pub seq: u64,
-    /// `true` for an allocation, `false` for a free.
-    pub is_alloc: bool,
-    /// Allocation tag.
-    pub tag: String,
-    /// Size of the allocation touched.
-    pub bytes: u64,
-    /// Live bytes after this step.
-    pub live_after: u64,
-}
-
 /// Tracks device allocations, live bytes and the high-water mark.
 #[derive(Debug, Clone)]
 pub struct DeviceMemory {
@@ -69,16 +53,10 @@ pub struct DeviceMemory {
     peak: u64,
     next_id: u64,
     allocs: HashMap<u64, (u64, String)>,
-    /// High-water telemetry: allocation timeline plus the live breakdown
-    /// captured the last time `peak` rose. `None` (the default) records
-    /// nothing, so the uninstrumented path pays nothing.
-    tracking: Option<Box<Tracking>>,
-}
-
-#[derive(Debug, Clone, Default)]
-struct Tracking {
-    timeline: Vec<MemEvent>,
-    peak_holders: Vec<(String, u64)>,
+    /// High-water telemetry: the live breakdown captured the last time
+    /// `peak` rose. `None` (the default) records nothing, so the
+    /// uninstrumented path pays nothing.
+    peak_holders: Option<Vec<(String, u64)>>,
 }
 
 impl DeviceMemory {
@@ -90,21 +68,16 @@ impl DeviceMemory {
             peak: 0,
             next_id: 0,
             allocs: HashMap::new(),
-            tracking: None,
+            peak_holders: None,
         }
     }
 
-    /// Start recording the allocation timeline and peak attribution
-    /// (telemetry; off by default). Idempotent.
+    /// Start recording peak attribution (telemetry; off by default).
+    /// Idempotent.
     pub fn enable_tracking(&mut self) {
-        if self.tracking.is_none() {
-            self.tracking = Some(Box::default());
+        if self.peak_holders.is_none() {
+            self.peak_holders = Some(Vec::new());
         }
-    }
-
-    /// The allocation timeline (empty slice when tracking is off).
-    pub fn timeline(&self) -> &[MemEvent] {
-        self.tracking.as_ref().map(|t| t.timeline.as_slice()).unwrap_or(&[])
     }
 
     /// The live breakdown `(tag, bytes)` captured when the high-water
@@ -112,7 +85,7 @@ impl DeviceMemory {
     /// the Figure 4 peak. Empty when tracking is off or nothing was
     /// allocated.
     pub fn peak_breakdown(&self) -> &[(String, u64)] {
-        self.tracking.as_ref().map(|t| t.peak_holders.as_slice()).unwrap_or(&[])
+        self.peak_holders.as_deref().unwrap_or(&[])
     }
 
     /// Allocate `bytes`, tagged for diagnostics. Fails with
@@ -132,19 +105,10 @@ impl DeviceMemory {
         self.next_id += 1;
         self.allocs.insert(id, (bytes, tag.to_string()));
         self.live += bytes;
-        let new_peak = self.live > self.peak;
-        self.peak = self.peak.max(self.live);
-        let holders = (new_peak && self.tracking.is_some()).then(|| self.live_breakdown());
-        if let Some(t) = &mut self.tracking {
-            t.timeline.push(MemEvent {
-                seq: t.timeline.len() as u64,
-                is_alloc: true,
-                tag: tag.to_string(),
-                bytes,
-                live_after: self.live,
-            });
-            if let Some(h) = holders {
-                t.peak_holders = h;
+        if self.live > self.peak {
+            self.peak = self.live;
+            if self.peak_holders.is_some() {
+                self.peak_holders = Some(self.live_breakdown());
             }
         }
         Ok(AllocId(id))
@@ -156,21 +120,12 @@ impl DeviceMemory {
     /// Panics on double-free / unknown id (a bug in the calling
     /// algorithm, not a recoverable device condition).
     pub fn free(&mut self, id: AllocId) -> u64 {
-        let (bytes, tag) = self
+        let (bytes, _) = self
             .allocs
             .remove(&id.0)
             // lint:allow(no-panic) — panic documented above; the sanitizer intercepts first
             .unwrap_or_else(|| panic!("free of non-live allocation {}", id.0));
         self.live -= bytes;
-        if let Some(t) = self.tracking.as_mut() {
-            t.timeline.push(MemEvent {
-                seq: t.timeline.len() as u64,
-                is_alloc: false,
-                tag,
-                bytes,
-                live_after: self.live,
-            });
-        }
         bytes
     }
 
@@ -280,30 +235,7 @@ mod tests {
         let mut m = DeviceMemory::new(1000);
         let a = m.malloc(100, "a").unwrap();
         m.free(a);
-        assert!(m.timeline().is_empty());
         assert!(m.peak_breakdown().is_empty());
-    }
-
-    #[test]
-    fn timeline_records_allocs_and_frees() {
-        let mut m = DeviceMemory::new(1000);
-        m.enable_tracking();
-        m.enable_tracking(); // idempotent
-        let a = m.malloc(100, "a").unwrap();
-        let b = m.malloc(200, "b").unwrap();
-        m.free(a);
-        m.free(b);
-        let tl = m.timeline();
-        assert_eq!(tl.len(), 4);
-        assert_eq!(
-            tl[0],
-            MemEvent { seq: 0, is_alloc: true, tag: "a".into(), bytes: 100, live_after: 100 }
-        );
-        assert!(!tl[2].is_alloc);
-        assert_eq!(tl[2].tag, "a");
-        assert_eq!(tl[3].live_after, 0);
-        // Live-after trace reaches the recorded peak exactly once here.
-        assert_eq!(tl.iter().map(|e| e.live_after).max(), Some(m.peak_bytes()));
     }
 
     #[test]
@@ -315,6 +247,7 @@ mod tests {
         m.free(a);
         // Peak (500) was big+small; the later free does not change it.
         m.malloc(50, "later").unwrap();
+        m.enable_tracking(); // idempotent: the attribution survives
         let bd = m.peak_breakdown();
         assert_eq!(bd.len(), 2);
         assert_eq!(bd[0], ("big".to_string(), 400));

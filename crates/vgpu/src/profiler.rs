@@ -110,12 +110,6 @@ impl Profiler {
         self.phase_acc.iter().map(|&(_, dt)| dt).sum()
     }
 
-    /// Reset all records (reusing the device for another run).
-    pub fn clear(&mut self) {
-        self.records.clear();
-        self.phase_acc.clear();
-    }
-
     /// Busy/idle utilization of every stream that ran a kernel, sorted
     /// by stream id. Kernels on one stream serialize on the device, so a
     /// stream's busy time is the plain sum of its span durations and can
@@ -280,25 +274,6 @@ mod tests {
         let mut p = Profiler::new();
         p.add_phase_time(Phase::Setup, SimTime::ZERO);
         p.add_phase_time(Phase::Setup, SimTime(-1.0));
-        assert_eq!(p.total_time(), SimTime::ZERO);
-    }
-
-    #[test]
-    fn clear_resets() {
-        let mut p = Profiler::new();
-        p.add_phase_time(Phase::Calc, SimTime(1.0));
-        p.record_kernel(KernelRecord {
-            name: "k".into(),
-            phase: Phase::Calc,
-            stream: 0,
-            start: SimTime::ZERO,
-            end: SimTime(1.0),
-            blocks: 1,
-            dram_bytes: 0.0,
-            efficiency: 1.0,
-        });
-        p.clear();
-        assert!(p.kernels().is_empty());
         assert_eq!(p.total_time(), SimTime::ZERO);
     }
 
