@@ -21,6 +21,16 @@ cargo build --release --offline
 echo "== tier-1 tests (offline; default members cover every crate) ==" >&2
 cargo test -q --offline
 
+echo "== repository benchmark (its tests, then a smoke run of each workload) ==" >&2
+# benchmark/ is a package of its own on the library's public API, so a
+# deleted item it calls fails here instead of in the next benchmark
+# run. Its build directory and outputs are ignored: the tree stays clean.
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+for workload in paper-sim host-square serve-reuse serve-pressure; do
+  cargo run -q --release --offline --manifest-path benchmark/Cargo.toml -- \
+    --workload "$workload" --smoke --trace 0 > /dev/null
+done
+
 echo "== trace smoke (telemetry exports valid + deterministic) ==" >&2
 smoke="$(mktemp -d)"
 trap 'rm -rf "$smoke"' EXIT

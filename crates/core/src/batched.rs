@@ -36,14 +36,12 @@
 //! capacity is reported the same way without burning retries: no batch
 //! boundary can help it.
 
-use crate::exec::{
-    Backend, BackendCaps, ColdRecord, Execution, Executor, JobCtl, SymbolicOutput, WallClock,
-};
+use crate::exec::{Backend, ColdRecord, Execution, Executor, JobCtl, SymbolicOutput, WallClock};
 use crate::partition::weighted_ranges;
-use crate::pipeline::{CapacityDiagnostic, Error, Options, Recovery, Result};
+use crate::pipeline::{estimate_memory, CapacityDiagnostic, Error, Options, Recovery, Result};
 use crate::plan::SpgemmPlan;
 use crate::sim::SimExecutor;
-use sparse::{ops, to_u64, Csr, Scalar, DEVICE_INDEX_BYTES};
+use sparse::{ops, to_u64, Csr, Scalar};
 use std::ops::Range;
 use vgpu::{DeviceConfig, Gpu, Phase, SimTime, SpgemmReport};
 
@@ -116,67 +114,6 @@ impl BatchedExecutor<crate::HostParallelExecutor> {
         let capacity = cfg.device_mem_bytes;
         Self::new(crate::HostParallelExecutor::with_config(threads, cfg), capacity)
     }
-}
-
-/// Per-row byte weights plus the row-independent fixed cost, chosen so
-/// that `fixed + Σ weights[range]` equals
-/// `estimate_memory(a.slice_rows(range), b).upper_bound()` exactly —
-/// the batch gate and the published forecast can never disagree.
-///
-/// Overflow-checked end to end: a per-row weight that exceeds `u64`
-/// bytes is an adversarial input, reported as a `Planning` error
-/// (DESIGN.md §13) rather than wrapped.
-fn row_weights<T: Scalar>(a: &Csr<T>, b: &Csr<T>, plan: &SpgemmPlan) -> Result<(u64, Vec<u64>)> {
-    let ix = DEVICE_INDEX_BYTES;
-    let entry = ix + to_u64(T::BYTES);
-    let overflow = || crate::pipeline::overflow_err("per-row byte weight");
-    // Rows above the largest shared table need a per-row global table.
-    // Derive the threshold exactly as `estimate_memory` does (fixed P100
-    // count-phase groups) so the batch gate and the forecast agree.
-    let groups = crate::groups::build_groups(
-        &DeviceConfig::p100(),
-        T::BYTES,
-        crate::groups::GroupPhase::Count,
-        4,
-        true,
-    );
-    let shared_max = groups.groups[0].lower - 1;
-    // Batch gating is a *memory* forecast, so it always uses exact
-    // products — a sampled plan's padded metric would inflate (or, after
-    // clamping, wreck) the byte estimate the budget is checked against.
-    let exact_nprod: Vec<usize>;
-    let nprod: &[usize] = if plan.opts.estimator.is_sampled() {
-        exact_nprod = crate::plan::Estimator::Exact.row_products(a, b)?;
-        &exact_nprod
-    } else {
-        plan.nprod()
-    };
-    let weights = (0..a.rows())
-        .map(|r| {
-            let p = nprod[r];
-            let input = entry * to_u64(a.row_nnz(r)) + ix; // A entries + rpt slot
-            let working = 3 * ix; // d_nprod + group_rows + rpt_c slots
-                                  // C rpt slot + entries upper bound.
-            let output = entry
-                .checked_mul(to_u64(p))
-                .and_then(|o| o.checked_add(ix))
-                .ok_or_else(overflow)?;
-            let table = if p > shared_max {
-                let size = crate::plan::global_table_size_checked(p).ok_or_else(overflow)?;
-                ix.checked_mul(to_u64(size)).ok_or_else(overflow)?
-            } else {
-                0
-            };
-            input
-                .checked_add(working)
-                .and_then(|w| w.checked_add(output))
-                .and_then(|w| w.checked_add(table))
-                .ok_or_else(overflow)
-        })
-        .collect::<Result<Vec<u64>>>()?;
-    // B, plus the `+1` slots of the four per-row arrays (A rpt, d_nprod,
-    // count scan, C rpt).
-    Ok((b.device_bytes() + 4 * ix, weights))
 }
 
 /// Plan row batches whose estimates fit `budget`. A multi-row range
@@ -347,8 +284,8 @@ impl<E> BatchedExecutor<E> {
             walls.push(run.wall);
             replans += run.replans;
         }
-        let matrix = ops::vstack(&mats)
-            .map_err(|e| Error::invariant(format!("batch stitch failed: {e}")))?;
+        let matrix =
+            ops::vstack(mats).map_err(|e| Error::invariant(format!("batch stitch failed: {e}")))?;
         self.emit::<T>(
             obs::Event::new("stitch")
                 .u64("batches", to_u64(batches.len()))
@@ -364,10 +301,6 @@ impl<E> BatchedExecutor<E> {
 impl<T: Scalar, E: Executor<T>> Executor<T> for BatchedExecutor<E> {
     fn backend(&self) -> Backend {
         self.inner.backend()
-    }
-
-    fn capabilities(&self) -> BackendCaps {
-        self.inner.capabilities()
     }
 
     fn plan(&self, a: &Csr<T>, b: &Csr<T>, opts: &Options) -> Result<SpgemmPlan> {
@@ -389,12 +322,12 @@ impl<T: Scalar, E: Executor<T>> Executor<T> for BatchedExecutor<E> {
     }
 
     fn multiply(&mut self, a: &Csr<T>, b: &Csr<T>, opts: &Options) -> Result<Execution<T>> {
-        let plan = self.inner.plan(a, b, opts)?;
-        if plan.rows == 0 {
+        if a.rows() == 0 {
             // Zero-row A: the batch plan would be empty. Return the
             // empty product with a zeroed report instead of reaching the
             // report merge with no batches (the old panic), and without
             // touching the device at all — there is nothing to compute.
+            let plan = self.inner.plan(a, b, opts)?;
             self.last_batches = 0;
             self.last_retries = 0;
             let matrix = Csr::zeros(0, plan.cols);
@@ -402,11 +335,8 @@ impl<T: Scalar, E: Executor<T>> Executor<T> for BatchedExecutor<E> {
             let record = Some(ColdRecord { plan, count_probes: 0 });
             return Ok(Execution { matrix, report, wall: None, replans: 0, record });
         }
-        let (fixed, weights) = row_weights(a, b, &plan)?;
-        let estimate_upper = weights
-            .iter()
-            .try_fold(fixed, |acc, &w| acc.checked_add(w))
-            .ok_or_else(|| crate::pipeline::overflow_err("whole-multiply byte estimate"))?;
+        let forecast = estimate_memory(a, b)?;
+        let estimate_upper = forecast.upper_bound();
         let capacity = self.capacity;
         self.last_batches = 0;
         self.last_retries = 0;
@@ -440,14 +370,15 @@ impl<T: Scalar, E: Executor<T>> Executor<T> for BatchedExecutor<E> {
                     detail,
                 })
             };
-            let batches =
-                plan_batches(&weights, fixed, budget, capacity).map_err(|(row, need)| {
+            let batches = plan_batches(&forecast.rows, forecast.fixed, budget, capacity).map_err(
+                |(row, need)| {
                     diagnostic(
                         attempts,
                         budget,
                         format!("row {row} alone needs {need} B of device memory"),
                     )
-                })?;
+                },
+            )?;
             // One span per attempt so the per-batch runs (and every
             // device event they produce) nest under the retry that
             // issued them. The attempt index doubles as the logical
@@ -499,7 +430,7 @@ impl<T: Scalar, E: Executor<T>> Executor<T> for BatchedExecutor<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::estimate_memory;
+    use crate::pipeline::ErrorKind;
     use sparse::spgemm_ref::spgemm_gustavson;
 
     fn rand_mat(n: usize, deg: usize, seed: u64) -> Csr<f64> {
@@ -512,26 +443,6 @@ mod tests {
             }
         }
         Csr::from_triplets(n, n, &t).unwrap()
-    }
-
-    #[test]
-    fn row_weights_reproduce_estimate_memory() {
-        let a = rand_mat(300, 6, 5);
-        let plan = SpgemmPlan::new(&DeviceConfig::p100(), &a, &a, &Options::default()).unwrap();
-        let (fixed, weights) = row_weights(&a, &a, &plan).unwrap();
-        // Whole matrix.
-        let est = estimate_memory(&a, &a).unwrap().upper_bound();
-        assert_eq!(fixed + weights.iter().sum::<u64>(), est);
-        // Arbitrary sub-ranges.
-        for range in [0..1, 0..300, 17..93, 150..300, 42..42] {
-            let sub = a.slice_rows(range.clone());
-            let est_sub = estimate_memory(&sub, &a).unwrap().upper_bound();
-            assert_eq!(
-                fixed + weights[range.clone()].iter().sum::<u64>(),
-                est_sub,
-                "range {range:?}"
-            );
-        }
     }
 
     #[test]
@@ -631,6 +542,10 @@ mod tests {
         assert_eq!(run.matrix, c_ref);
         assert_eq!(run.report.output_nnz, 0);
         assert_eq!(run.report.intermediate_products, 0);
+        // The one case that still plans: its record stands for `C`.
+        let record = run.record.expect("a zero-row multiply leaves its plan");
+        assert_eq!((record.plan.rows, record.plan.cols), (0, 48));
+        assert_eq!(exec.batches_used(), 0);
         assert_eq!(g.live_mem_bytes(), 0);
 
         // Host backend under the same byte contract.
@@ -657,5 +572,36 @@ mod tests {
             Err(e) => assert!(matches!(e, Error::CapacityExhausted(_) | Error::DeviceOom(_))),
         }
         assert_eq!(g.live_mem_bytes(), 0);
+    }
+
+    #[test]
+    fn mismatched_shapes_are_a_planning_error() {
+        let a = rand_mat(20, 3, 1);
+        let b = Csr::<f64>::zeros(21, 20);
+        let mut g = Gpu::new(DeviceConfig::p100());
+        let mut exec = BatchedExecutor::sim(&mut g);
+        let err = Executor::<f64>::multiply(&mut exec, &a, &b, &Options::default()).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::Planning);
+        let zero_rows = Csr::<f64>::zeros(0, 20);
+        let err =
+            Executor::<f64>::multiply(&mut exec, &zero_rows, &b, &Options::default()).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::Planning);
+        assert_eq!(g.live_mem_bytes(), 0);
+    }
+
+    #[test]
+    fn forecast_exactly_at_capacity_runs_unbatched() {
+        let a = rand_mat(150, 4, 8);
+        let est = estimate_memory(&a, &a).unwrap().upper_bound();
+        let mut host = BatchedExecutor::host(2, DeviceConfig::p100_with_memory(est));
+        let run = Executor::<f64>::multiply(&mut host, &a, &a, &Options::default()).unwrap();
+        assert_eq!(host.batches_used(), 1);
+        assert!(run.record.is_some(), "an unsplit run keeps its plan");
+        // One byte less and the same multiply splits.
+        let mut host = BatchedExecutor::host(2, DeviceConfig::p100_with_memory(est - 1));
+        let split = Executor::<f64>::multiply(&mut host, &a, &a, &Options::default()).unwrap();
+        assert!(host.batches_used() > 1);
+        assert!(split.record.is_none());
+        assert_eq!(split.matrix, run.matrix);
     }
 }

@@ -12,7 +12,7 @@
 //! *report*: simulated time and device telemetry from the sim backend,
 //! wall-clock phase times from the host backend.
 
-use crate::pipeline::{overflow_err, Error, Options, Result};
+use crate::pipeline::{Error, Options, Result};
 use crate::plan::SpgemmPlan;
 use sparse::{to_u64, Csr, Scalar};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -59,31 +59,13 @@ impl std::fmt::Display for Backend {
     }
 }
 
-/// What a backend can and cannot report (the DESIGN.md §12 capability
-/// matrix, queryable at runtime).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BackendCaps {
-    /// Reports simulated device time (phase breakdown of Figures 5/6).
-    pub simulated_time: bool,
-    /// Reports real wall-clock time.
-    pub wall_clock: bool,
-    /// Models concurrent per-group streams (§IV-C overlap).
-    pub concurrent_streams: bool,
-    /// Worker threads that execute row kernels.
-    pub threads: usize,
-    /// Output is independent of scheduling (always true today; a future
-    /// backend with atomic accumulation would clear it).
-    pub deterministic_output: bool,
-}
-
-/// What the numeric phase replays: exact per-row output sizes and the
-/// output's structure. A cold [`Executor::multiply`] produces it; a
+/// What the numeric phase replays: the output's row pointer, which
+/// holds every row's exact size, and its structure. A cold [`Executor::multiply`] produces it; a
 /// [`crate::SymbolicPlan`] holds one built from that run's `C`.
 #[derive(Debug, Clone)]
 pub struct SymbolicOutput {
-    /// nnz of each output row.
-    pub nnz_row: Vec<u32>,
-    /// Exclusive scan of `nnz_row` — the output row pointer.
+    /// The output row pointer: row `r` holds `rpt[r + 1] - rpt[r]`
+    /// entries.
     pub rpt: Vec<usize>,
     /// Rows whose sampled-estimate table under-sized and were recounted
     /// with exact products (always 0 under [`crate::Estimator::Exact`];
@@ -98,15 +80,10 @@ pub struct SymbolicOutput {
 }
 
 impl SymbolicOutput {
-    /// The symbolic result `c` stands for: its row pointer, the row
-    /// counts it implies and a copy of its column array.
-    pub(crate) fn of_output<T: Scalar>(c: &Csr<T>, replans: u64) -> Result<Self> {
-        let rpt = c.rpt().to_vec();
-        let nnz_row = rpt
-            .windows(2)
-            .map(|w| u32::try_from(w[1] - w[0]).map_err(|_| overflow_err("output row nnz")))
-            .collect::<Result<_>>()?;
-        Ok(SymbolicOutput { nnz_row, rpt, replans, structure: c.col().to_vec() })
+    /// The symbolic result `c` stands for: copies of its row pointer
+    /// and column array.
+    pub(crate) fn of_output<T: Scalar>(c: &Csr<T>, replans: u64) -> Self {
+        SymbolicOutput { rpt: c.rpt().to_vec(), replans, structure: c.col().to_vec() }
     }
 
     /// Total nnz of the output matrix.
@@ -114,13 +91,11 @@ impl SymbolicOutput {
         *self.rpt.last().unwrap_or(&0)
     }
 
-    /// Heap bytes of the result: the row arrays (`nnz_row`, `rpt`) and
-    /// the structure, 4 B per output entry.
+    /// Heap bytes of the result: the row pointer and the structure,
+    /// 4 B per output entry.
     pub fn heap_bytes(&self) -> u64 {
         let words = |len: usize, bytes: usize| to_u64(len) * to_u64(bytes);
-        words(self.nnz_row.len(), 4)
-            + words(self.rpt.len(), std::mem::size_of::<usize>())
-            + words(self.structure.len(), 4)
+        words(self.rpt.len(), std::mem::size_of::<usize>()) + words(self.structure.len(), 4)
     }
 }
 
@@ -204,9 +179,6 @@ pub struct Execution<T> {
 pub trait Executor<T: Scalar> {
     /// The backend this executor implements.
     fn backend(&self) -> Backend;
-
-    /// What this backend can report.
-    fn capabilities(&self) -> BackendCaps;
 
     /// Build the backend-neutral plan for `C = A · B` (validates
     /// dimensions; pure host work on every backend).
@@ -339,16 +311,15 @@ mod tests {
             &[(0, 1, 1.0), (0, 3, 1.0), (2, 0, 1.0), (2, 1, 1.0), (2, 2, 1.0)],
         )
         .unwrap();
-        let s = SymbolicOutput::of_output(&c, 7).unwrap();
-        assert_eq!(s.nnz_row, vec![2, 0, 3]);
+        let s = SymbolicOutput::of_output(&c, 7);
         assert_eq!(s.rpt, vec![0, 2, 2, 5]);
         assert_eq!(s.output_nnz(), 5);
         assert_eq!(s.replans, 7);
         assert_eq!(s.structure, c.col());
-        // 3 counts, 4 row pointers and 5 columns.
+        // 4 row pointers and 5 columns.
         let word = std::mem::size_of::<usize>() as u64;
-        assert_eq!(s.heap_bytes(), 4 * 3 + word * 4 + 4 * 5);
-        let empty = SymbolicOutput::of_output(&Csr::<f64>::zeros(0, 3), 0).unwrap();
+        assert_eq!(s.heap_bytes(), word * 4 + 4 * 5);
+        let empty = SymbolicOutput::of_output(&Csr::<f64>::zeros(0, 3), 0);
         assert_eq!(empty.output_nnz(), 0);
     }
 

@@ -72,7 +72,7 @@
 // design (WallClock is its deliverable); determinism lives in the output, not
 // the timings.
 use crate::exec::{
-    prefix_sum, Backend, BackendCaps, ColdRecord, Execution, Executor, SymbolicOutput, WallClock,
+    prefix_sum, Backend, ColdRecord, Execution, Executor, SymbolicOutput, WallClock,
 };
 use crate::partition::{run_workers, JobQueue};
 use crate::pipeline::{overflow_err, Error, Options, Result};
@@ -455,16 +455,6 @@ impl<T: Scalar> Executor<T> for HostParallelExecutor {
         Backend::Host { threads: self.threads }
     }
 
-    fn capabilities(&self) -> BackendCaps {
-        BackendCaps {
-            simulated_time: false,
-            wall_clock: true,
-            concurrent_streams: false,
-            threads: self.threads,
-            deterministic_output: true,
-        }
-    }
-
     fn plan(&self, a: &Csr<T>, b: &Csr<T>, opts: &Options) -> Result<SpgemmPlan> {
         SpgemmPlan::new(&self.cfg, a, b, opts)
     }
@@ -644,16 +634,12 @@ impl HostParallelExecutor {
         a: &Csr<T>,
         b: &Csr<T>,
     ) -> Result<(Vec<T>, u64)> {
-        let (nnz_row, rpt, structure) = (&symbolic.nnz_row, &symbolic.rpt, &symbolic.structure);
-        let laid_out = nnz_row.len() == plan.rows
-            && rpt.len() == plan.rows + 1
-            && rpt[0] == 0
-            && rpt.windows(2).zip(nnz_row).all(|(w, &n)| w[0].checked_add(ix(n)) == Some(w[1]))
-            && structure.len() == symbolic.output_nnz();
-        if !laid_out {
-            return Err(Error::invariant("symbolic row arrays disagree with the structure"));
+        let (rpt, structure) = (&symbolic.rpt, &symbolic.structure);
+        // `numeric_phase` checks the row pointer against the plan's rows.
+        let numeric = plan.numeric_phase(rpt)?;
+        if rpt[0] != 0 || structure.len() != symbolic.output_nnz() {
+            return Err(Error::invariant("symbolic row pointer disagrees with the structure"));
         }
-        let numeric = plan.numeric_phase(nnz_row)?;
         let mut val_c = vec![T::ZERO; structure.len()];
         // Disjoint output slices per range, cut at row-pointer bounds.
         let mut jobs = Vec::new();
@@ -923,12 +909,10 @@ mod tests {
         let col = (cols[0] + 1..hi).find(|&c| c != cols[1]).unwrap();
         let mut swapped = good.clone();
         swapped.structure[good.rpt[r] + 1] = col;
-        let mut nnz_row = good.nnz_row.clone();
-        nnz_row[r] -= 1;
         let mut structure = structure.clone();
         structure.remove(good.rpt[r + 1] - 1);
-        let rpt = prefix_sum(&nnz_row);
-        let short = SymbolicOutput { nnz_row, rpt, replans: 0, structure };
+        let rpt = good.rpt.iter().enumerate().map(|(i, &p)| p - usize::from(i > r)).collect();
+        let short = SymbolicOutput { rpt, replans: 0, structure };
         (plan, [swapped, short])
     }
 
@@ -1071,9 +1055,8 @@ mod tests {
     fn zero_threads_resolves_to_available_cores() {
         let ex = HostParallelExecutor::new(0);
         assert!(ex.threads() >= 1);
-        let caps = Executor::<f64>::capabilities(&ex);
-        assert!(caps.wall_clock && !caps.simulated_time);
-        assert_eq!(caps.threads, ex.threads());
+        let backend = Executor::<f64>::backend(&ex);
+        assert_eq!(backend, Backend::Host { threads: ex.threads() });
     }
 
     #[test]

@@ -64,9 +64,7 @@ pub mod rowalg;
 pub mod sim;
 
 pub use batched::BatchedExecutor;
-pub use exec::{
-    Backend, BackendCaps, ColdRecord, Execution, Executor, JobCtl, SymbolicOutput, WallClock,
-};
+pub use exec::{Backend, ColdRecord, Execution, Executor, JobCtl, SymbolicOutput, WallClock};
 pub use groups::{build_groups, Assignment, GroupOccupancy, GroupPhase, GroupSpec, GroupTable};
 pub use hash::{HashTable, ProbeStats, HASH_SCAL};
 pub use host::HostParallelExecutor;

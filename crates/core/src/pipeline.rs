@@ -26,7 +26,7 @@ use crate::exec::Executor;
 use crate::groups::{build_groups, GroupPhase};
 use crate::sim::SimExecutor;
 use sparse::spgemm_ref::row_intermediate_products;
-use sparse::{Csr, Scalar, DEVICE_INDEX_BYTES};
+use sparse::{to_u64, Csr, Scalar, DEVICE_INDEX_BYTES};
 use vgpu::{Gpu, GpuError, OutOfDeviceMemory, SpgemmReport};
 
 /// Tunables of the proposal. Defaults reproduce the paper's
@@ -515,27 +515,32 @@ mod tests {
 /// before committing a matrix to a device (the paper's headline concern:
 /// "the applicable matrix data is limited by the capacity of GPU's
 /// device memory", §I).
+///
+/// It is Alg. 2's product count turned into bytes, row by row: the
+/// engine admits a job on [`MemoryEstimate::upper_bound`] and
+/// [`crate::BatchedExecutor`] cuts its row batches on the same per-row
+/// bytes, so the forecast of any row range is `fixed` plus the sum of
+/// its rows, and the batch gate and the published forecast cannot
+/// disagree.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MemoryEstimate {
-    /// Bytes of the two input matrices.
-    pub inputs: u64,
-    /// Working memory: product counts, group row arrays, row pointer.
-    pub working: u64,
-    /// Upper bound on the output (one entry per intermediate product).
-    pub output_upper: u64,
-    /// Upper bound on the count-phase global overflow tables.
-    pub global_tables_upper: u64,
+    /// Bytes no row split divides: `B`, plus the `+1` slots of the four
+    /// per-row arrays (`A`'s row pointer, the product counts, the count
+    /// scan and `C`'s row pointer).
+    pub(crate) fixed: u64,
+    /// Bytes of each row of `A`: its entries and row-pointer slot, three
+    /// working slots (product count, group row, `C` row pointer), one
+    /// output entry per intermediate product plus its `C` row-pointer
+    /// slot, and, above the largest shared table, its global count table.
+    pub(crate) rows: Vec<u64>,
+    /// `fixed` plus every row.
+    upper: u64,
 }
 
 impl MemoryEstimate {
     /// Total upper bound: allocation of this many bytes always succeeds.
-    /// Saturating: a forecast near `u64::MAX` clamps instead of wrapping
-    /// (it already exceeds any real device either way).
     pub fn upper_bound(&self) -> u64 {
-        self.inputs
-            .saturating_add(self.working)
-            .saturating_add(self.output_upper)
-            .saturating_add(self.global_tables_upper)
+        self.upper
     }
 }
 
@@ -549,40 +554,41 @@ pub(crate) fn overflow_err(what: &str) -> Error {
 }
 
 /// Estimate peak device memory for `multiply(a, b)` without running the
-/// numeric phase (host-side, O(nnz(A))).
+/// numeric phase (host-side, O(nnz(A))). Always from exact products:
+/// a sampled estimator's padded counts size hash tables, not memory.
 pub fn estimate_memory<T: Scalar>(a: &Csr<T>, b: &Csr<T>) -> Result<MemoryEstimate> {
     let nprod = row_intermediate_products(a, b)?;
-    let m = a.rows() as u64;
     let ix = DEVICE_INDEX_BYTES;
-    let entry = ix + T::BYTES as u64;
+    let entry = ix + to_u64(T::BYTES);
+    let overflow = || overflow_err("per-row byte weight");
     // Count-phase overflow tables exist for rows beyond the largest
     // shared table (threshold depends only on device class; use P100's).
     let groups = build_groups(&vgpu::DeviceConfig::p100(), T::BYTES, GroupPhase::Count, 4, true);
     let shared_max = groups.groups[0].lower - 1;
-    let mut tables: u64 = 0;
-    let mut products: u64 = 0;
-    for &p in &nprod {
-        products =
-            products.checked_add(p as u64).ok_or_else(|| overflow_err("intermediate products"))?;
-        if p > shared_max {
-            let size = crate::plan::global_table_size_checked(p)
-                .ok_or_else(|| overflow_err("global hash table size"))?;
-            tables = (size as u64)
-                .checked_mul(ix)
-                .and_then(|t| tables.checked_add(t))
-                .ok_or_else(|| overflow_err("global table bytes"))?;
-        }
-    }
-    let output_upper = entry
-        .checked_mul(products)
-        .and_then(|bytes| bytes.checked_add(ix * (m + 1)))
-        .ok_or_else(|| overflow_err("output upper bound"))?;
-    Ok(MemoryEstimate {
-        inputs: a.device_bytes() + b.device_bytes(),
-        working: ix * (m + 1) + ix * m + ix * (m + 1),
-        output_upper,
-        global_tables_upper: tables,
-    })
+    let rows = nprod
+        .iter()
+        .enumerate()
+        .map(|(r, &p)| {
+            let input = entry * to_u64(a.row_nnz(r)) + ix;
+            let output = entry.checked_mul(to_u64(p)).and_then(|o| o.checked_add(ix));
+            let table = if p > shared_max {
+                crate::plan::global_table_size_checked(p)
+                    .and_then(|size| ix.checked_mul(to_u64(size)))
+            } else {
+                Some(0)
+            };
+            output
+                .zip(table)
+                .and_then(|(o, t)| (input + 3 * ix).checked_add(o)?.checked_add(t))
+                .ok_or_else(overflow)
+        })
+        .collect::<Result<Vec<u64>>>()?;
+    let fixed = b.device_bytes() + 4 * ix;
+    let upper = rows
+        .iter()
+        .try_fold(fixed, |acc, &w| acc.checked_add(w))
+        .ok_or_else(|| overflow_err("whole-multiply byte estimate"))?;
+    Ok(MemoryEstimate { fixed, rows, upper })
 }
 
 #[cfg(test)]
@@ -620,11 +626,26 @@ mod estimate_tests {
     fn estimate_components_consistent() {
         let a = mat(200, 5);
         let est = estimate_memory(&a, &a).unwrap();
-        assert_eq!(est.inputs, 2 * a.device_bytes());
-        assert!(est.output_upper > 0);
-        assert!(est.upper_bound() >= est.inputs + est.working);
-        // Small regular matrix: no global tables expected.
-        assert_eq!(est.global_tables_upper, 0);
+        assert_eq!(est.fixed, a.device_bytes() + 4 * DEVICE_INDEX_BYTES);
+        assert_eq!(est.upper_bound(), est.fixed + est.rows.iter().sum::<u64>());
+        // Small regular matrix, no global tables: each row holds its 5
+        // entries of `A`, 25 product entries and five index slots.
+        let (ix, entry) = (DEVICE_INDEX_BYTES, DEVICE_INDEX_BYTES + 8);
+        assert!(est.rows.iter().all(|&w| w == entry * (5 + 25) + 5 * ix));
+    }
+
+    #[test]
+    fn rows_sum_to_every_row_range_forecast() {
+        let a = mat(300, 6);
+        let est = estimate_memory(&a, &a).unwrap();
+        for range in [0..1, 0..300, 17..93, 150..300, 42..42] {
+            let sub = a.slice_rows(range.clone());
+            assert_eq!(
+                est.fixed + est.rows[range.clone()].iter().sum::<u64>(),
+                estimate_memory(&sub, &a).unwrap().upper_bound(),
+                "range {range:?}"
+            );
+        }
     }
 
     #[test]
@@ -634,18 +655,10 @@ mod estimate_tests {
     }
 
     #[test]
-    fn overflow_is_a_planning_error_and_bound_saturates() {
+    fn overflow_is_a_planning_error() {
         let e = overflow_err("byte weights");
         assert_eq!(e.kind(), ErrorKind::Planning);
         assert_eq!(e.recovery(), Recovery::Fatal);
         assert!(e.to_string().contains("size overflow"));
-        // A forecast whose components sum past u64::MAX clamps.
-        let est = MemoryEstimate {
-            inputs: u64::MAX - 1,
-            working: 7,
-            output_upper: 9,
-            global_tables_upper: 3,
-        };
-        assert_eq!(est.upper_bound(), u64::MAX);
     }
 }

@@ -16,7 +16,7 @@
 //! only as each row's overflow bound and sizes its own accumulators.
 
 use crate::groups::{build_groups, Assignment, GroupPhase, GroupTable};
-use crate::pipeline::{overflow_err, Options, Result};
+use crate::pipeline::{overflow_err, Error, Options, Result};
 use crate::rowalg::AlgorithmChoice;
 use sparse::spgemm_ref::row_intermediate_products;
 use sparse::{ix, to_u64, try_usize, Csr, Scalar};
@@ -291,12 +291,19 @@ impl SpgemmPlan {
     }
 
     /// Derive the numeric-phase bucketing from the symbolic result
-    /// (per-row output nnz), regrouping rows by their output size —
-    /// step (6) of Figure 1. The metric here is always *exact* (the
-    /// symbolic pass counted real output rows, whatever the estimator),
-    /// so numeric tables can never under-size.
-    pub fn numeric_phase(&self, nnz_row: &[u32]) -> Result<PhasePlan> {
-        let metric: Vec<usize> = nnz_row.iter().map(|&n| ix(n)).collect();
+    /// (the output row pointer `rpt`), regrouping rows by their output
+    /// size — step (6) of Figure 1. The metric here is always *exact*
+    /// (the symbolic pass counted real output rows, whatever the
+    /// estimator), so numeric tables can never under-size. A row
+    /// pointer that is not one non-decreasing entry per row plus one is
+    /// an [`Error::invariant`].
+    pub fn numeric_phase(&self, rpt: &[usize]) -> Result<PhasePlan> {
+        let metric = rpt
+            .windows(2)
+            .map(|w| w[1].checked_sub(w[0]))
+            .collect::<Option<Vec<usize>>>()
+            .filter(|m| m.len() == self.rows)
+            .ok_or_else(|| Error::invariant("symbolic row pointer does not fit the plan"))?;
         let mut phase = PhasePlan::new(self.numeric_groups.clone(), metric)?;
         crate::rowalg::select_numeric(self.opts.policy, &mut phase, self.nprod());
         Ok(phase)
@@ -435,8 +442,8 @@ mod tests {
     fn numeric_phase_buckets_by_nnz() {
         let a = mat(200, 4);
         let plan = SpgemmPlan::new(&DeviceConfig::p100(), &a, &a, &Options::default()).unwrap();
-        let nnz_row = vec![3u32; 200];
-        let numeric = plan.numeric_phase(&nnz_row).unwrap();
+        let rpt: Vec<usize> = (0..=200).map(|r| 3 * r).collect();
+        let numeric = plan.numeric_phase(&rpt).unwrap();
         assert_eq!(numeric.metric, vec![3usize; 200]);
         let total: usize = numeric.rows_by_group.iter().map(|v| v.len()).sum();
         assert_eq!(total, 200);

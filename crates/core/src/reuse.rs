@@ -101,7 +101,7 @@ impl<T: Scalar> SymbolicPlan<T> {
             plan,
             fingerprint_a,
             fingerprint_b,
-            symbolic: SymbolicOutput::of_output(&run.matrix, run.replans)?,
+            symbolic: SymbolicOutput::of_output(&run.matrix, run.replans),
             plan_time: run.report.total_time,
             plan_hash_probes: count_probes,
             _marker: std::marker::PhantomData,

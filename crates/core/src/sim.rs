@@ -9,9 +9,7 @@
 //! byte-identical to the monolithic implementation — the plan building
 //! that moved out of this file was pure host work the device never saw.
 
-use crate::exec::{
-    prefix_sum, Backend, BackendCaps, ColdRecord, Execution, Executor, SymbolicOutput,
-};
+use crate::exec::{prefix_sum, Backend, ColdRecord, Execution, Executor, SymbolicOutput};
 use crate::groups::{Assignment, GroupTable};
 use crate::hash::{HashTable, ProbeStats};
 use crate::host::ThreadResolution;
@@ -80,16 +78,6 @@ impl<T: Scalar> Executor<T> for SimExecutor<'_> {
         Backend::Sim
     }
 
-    fn capabilities(&self) -> BackendCaps {
-        BackendCaps {
-            simulated_time: true,
-            wall_clock: false,
-            concurrent_streams: true,
-            threads: self.threads,
-            deterministic_output: true,
-        }
-    }
-
     fn plan(&self, a: &Csr<T>, b: &Csr<T>, opts: &Options) -> Result<SpgemmPlan> {
         SpgemmPlan::new(self.gpu.config(), a, b, opts)
     }
@@ -114,8 +102,7 @@ impl<T: Scalar> Executor<T> for SimExecutor<'_> {
         let c_buf = gpu.malloc(c_bytes, "C")?;
         gpu.set_phase(Phase::Calc);
         let d_c = MemRange { id: c_buf, offset: 0, len: c_bytes };
-        let res =
-            run_numeric(gpu, a, b, plan, &symbolic.nnz_row, &symbolic.rpt, Some(d_c), self.threads);
+        let res = run_numeric(gpu, a, b, plan, &symbolic.rpt, Some(d_c), self.threads);
         gpu.set_phase(Phase::Other);
         gpu.free(c_buf);
         let (col_c, val_c, calc_probes) = res?;
@@ -284,7 +271,7 @@ fn multiply_inner<T: Scalar>(
     gpu.set_phase(Phase::Calc);
     let c_range = MemRange { id: d_c, offset: 0, len: c_bytes };
     let (col_c, val_c, calc_probes) =
-        run_numeric(gpu, a, b, &plan, &nnz_row, &rpt_c, Some(c_range), threads)?;
+        run_numeric(gpu, a, b, &plan, &rpt_c, Some(c_range), threads)?;
     gpu.set_phase(Phase::Other);
     // Assemble the report from the profiler delta of this call.
     let report = report_from_delta(
@@ -551,7 +538,6 @@ pub(crate) fn run_numeric<T: Scalar>(
     a: &Csr<T>,
     b: &Csr<T>,
     plan: &SpgemmPlan,
-    nnz_row: &[u32],
     rpt_c: &[usize],
     d_c: Option<MemRange>,
     threads: usize,
@@ -560,7 +546,7 @@ pub(crate) fn run_numeric<T: Scalar>(
     let nnz_c = rpt_c.last().copied().unwrap_or(0);
     let mut runner = RowRunner::new(gpu, plan, threads);
     let mut total_probes = 0u64;
-    let numeric: PhasePlan = plan.numeric_phase(nnz_row)?;
+    let numeric: PhasePlan = plan.numeric_phase(rpt_c)?;
     emit_group_summary(gpu, &numeric.groups, &numeric.metric, "calc");
     grouping_kernel(gpu, m, None)?;
     // Each numeric group kernel scatters into its rows' slice of C;
@@ -605,7 +591,9 @@ pub(crate) fn run_numeric<T: Scalar>(
                 let buf_bytes: u64 = rows
                     .iter()
                     .map(|&r| {
-                        (DEVICE_INDEX_BYTES + T::BYTES as u64) * 2 * nnz_row[r as usize] as u64
+                        (DEVICE_INDEX_BYTES + T::BYTES as u64)
+                            * 2
+                            * numeric.metric[r as usize] as u64
                     })
                     .sum();
                 let gt = gpu.malloc(buf_bytes, "numeric_merge_buffers")?;
@@ -727,8 +715,12 @@ pub(crate) fn run_numeric<T: Scalar>(
 /// Intermediate products each worker needs before a group's rows are
 /// split across threads: below `threads × PRODUCTS_PER_WORKER` products
 /// a group runs on fewer workers, and below two workers' worth on the
-/// calling thread, so small jobs spawn no threads. A few hundred
-/// microseconds of row walks per worker amortize a spawn.
+/// calling thread, so small jobs spawn no threads. On one core of a
+/// 2-core Xeon VM a whole sim multiply costs 15–86 ns per product
+/// (`A²` of the five Table II analogues at repro scale), so a worker's
+/// 2^16 products stand for about 1–6 ms, while a scoped spawn and join
+/// of one or two workers took 27–65 µs: a spawn costs at most a few
+/// percent of the work it carries.
 #[cfg(not(test))]
 const PRODUCTS_PER_WORKER: usize = 1 << 16;
 /// Unit tests split every group that has work, so small inputs drive the
@@ -1075,8 +1067,7 @@ mod tests {
         let opts = Options { policy: AlgorithmPolicy::Adaptive, ..Options::default() };
         let plan = SpgemmPlan::new(&DeviceConfig::p100(), &a, &b, &opts).unwrap();
         let c_ref = sparse::spgemm_ref::spgemm_gustavson(&a, &b).unwrap();
-        let nnz_row: Vec<u32> = (0..m).map(|r| c_ref.row_nnz(r) as u32).collect();
-        let numeric = plan.numeric_phase(&nnz_row).unwrap();
+        let numeric = plan.numeric_phase(c_ref.rpt()).unwrap();
         for (phase, groups) in [("count", &plan.count), ("calc", &numeric)] {
             for algo in [AlgorithmChoice::Esc, AlgorithmChoice::Merge] {
                 let used = groups

@@ -209,10 +209,10 @@ mod tests {
         assert!(cache.lookup(&keys[2]).is_some());
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.evictions, s.len), (3, 3, 1, 2));
-        // The two cached identity plans: row arrays plus one structure
-        // entry per row; the evicted one no longer counts.
+        // The two cached identity plans: a row pointer plus one
+        // structure entry per row; the evicted one no longer counts.
         let word = std::mem::size_of::<usize>() as u64;
-        let entry = |n: u64| 4 * n + word * (n + 1) + 4 * n;
+        let entry = |n: u64| word * (n + 1) + 4 * n;
         assert_eq!(s.bytes, entry(8) + entry(24));
     }
 

@@ -212,13 +212,6 @@ pub struct ChaosReport {
     pub violations: Vec<String>,
 }
 
-impl ChaosReport {
-    /// `true` iff every invariant held.
-    pub fn ok(&self) -> bool {
-        self.violations.is_empty()
-    }
-}
-
 /// Outcome classes for the oracle and the digest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Tag {
@@ -600,10 +593,10 @@ mod tests {
     fn soak_is_clean_and_deterministic_across_worker_counts() {
         let base = ChaosConfig { jobs: 60, rows: 48, seed: 42, ..ChaosConfig::default() };
         let r1 = run_chaos(&ChaosConfig { workers: 1, ..base.clone() });
-        assert!(r1.ok(), "violations: {:?}", r1.violations);
+        assert!(r1.violations.is_empty(), "violations: {:?}", r1.violations);
         assert!(r1.stats.conserved() && r1.stats.budget_drained);
         let r4 = run_chaos(&ChaosConfig { workers: 4, ..base.clone() });
-        assert!(r4.ok(), "violations: {:?}", r4.violations);
+        assert!(r4.violations.is_empty(), "violations: {:?}", r4.violations);
         assert_eq!(r1.digest, r4.digest, "digest must not depend on worker count");
         assert_eq!(r1.stats.completed, r4.stats.completed);
         assert_eq!(r1.stats.shed, r4.stats.shed);
@@ -626,7 +619,7 @@ mod tests {
         let base = ChaosConfig { jobs: 40, rows: 48, workers: 2, seed: 42, ..Default::default() };
         let plain = run_chaos(&base);
         let san = run_chaos(&ChaosConfig { sanitize: true, ..base });
-        assert!(san.ok(), "violations: {:?}", san.violations);
+        assert!(san.violations.is_empty(), "violations: {:?}", san.violations);
         assert_eq!(plain.digest, san.digest, "sanitizer must not change any output byte");
         assert!(
             san.stats.san.allocs > 0 && san.stats.san.bytes_checked > 0,
@@ -641,7 +634,7 @@ mod tests {
         let base = ChaosConfig { jobs: 40, rows: 32, workers: 2, ..ChaosConfig::default() };
         let r1 = run_chaos(&ChaosConfig { seed: 7, ..base.clone() });
         let r2 = run_chaos(&ChaosConfig { seed: 8, ..base });
-        assert!(r1.ok() && r2.ok());
+        assert!(r1.violations.is_empty() && r2.violations.is_empty());
         assert_ne!(r1.digest, r2.digest);
     }
 
@@ -656,7 +649,7 @@ mod tests {
             ..ChaosConfig::default()
         };
         let r = run_chaos(&cfg);
-        assert!(r.ok(), "violations: {:?}", r.violations);
+        assert!(r.violations.is_empty(), "violations: {:?}", r.violations);
         // With no device, injected faults and past simulated deadlines
         // stop mattering: only cancellations remain hostile.
         assert_eq!(r.stats.failed, 0);

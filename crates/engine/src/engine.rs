@@ -196,7 +196,7 @@ pub struct LatencySummary {
 /// soak): `jobs == completed + failed + shed + cancelled +
 /// deadline_exceeded` — every submitted job retires into exactly one
 /// outcome class.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct EngineStats {
     /// Jobs submitted.
     pub jobs: u64,
@@ -270,32 +270,18 @@ impl EngineStats {
     }
 }
 
-#[derive(Debug, Default, Clone)]
-struct Counters {
-    jobs: u64,
-    admitted: u64,
-    queued: u64,
-    batched: u64,
-    fallback: u64,
-    completed: u64,
-    failed: u64,
-    shed: u64,
-    cancelled: u64,
-    deadline_exceeded: u64,
-    panicked_jobs: u64,
-    backoff_retries: u64,
-    symbolic_runs: u64,
-    sampled_plans: u64,
-    replanned_rows: u64,
+/// What the workers count: the stats record itself, whose cache,
+/// percentile and budget fields [`stats_of`] fills at snapshot time,
+/// plus every job's latency and queue wait for those percentiles.
+#[derive(Debug, Default)]
+struct Tally {
+    stats: EngineStats,
     latencies_us: Vec<u64>,
     queue_waits_us: Vec<u64>,
-    latency_hist: obs::Log2Histogram,
-    queue_wait_hist: obs::Log2Histogram,
-    san: SanTotals,
 }
 
 #[derive(Debug, Default)]
-struct Metrics(Mutex<Counters>);
+struct Metrics(Mutex<Tally>);
 
 fn summarize(mut us: Vec<u64>) -> LatencySummary {
     if us.is_empty() {
@@ -320,8 +306,12 @@ impl Metrics {
     /// Counter updates recover from lock poisoning: a panicked worker
     /// mid-update leaves at worst one stale integer, never a wedged
     /// stats snapshot (DESIGN.md §17).
-    fn with<R>(&self, f: impl FnOnce(&mut Counters) -> R) -> R {
-        f(&mut self.0.lock().unwrap_or_else(PoisonError::into_inner))
+    fn lock(&self) -> MutexGuard<'_, Tally> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn with<R>(&self, f: impl FnOnce(&mut EngineStats) -> R) -> R {
+        f(&mut self.lock().stats)
     }
 }
 
@@ -535,32 +525,18 @@ impl<T: Scalar> Engine<T> {
 /// Snapshot the counters (shared by [`Engine::stats`] and the worker
 /// threads, which need stats at flight-recorder trigger time).
 fn stats_of<T: Scalar>(shared: &Shared<T>) -> EngineStats {
-    let c = shared.metrics.with(|c| c.clone());
+    let (stats, latencies_us, queue_waits_us) = {
+        let t = shared.metrics.lock();
+        (t.stats.clone(), t.latencies_us.clone(), t.queue_waits_us.clone())
+    };
     EngineStats {
-        jobs: c.jobs,
-        admitted: c.admitted,
-        queued: c.queued,
-        batched: c.batched,
-        fallback: c.fallback,
-        completed: c.completed,
-        failed: c.failed,
-        shed: c.shed,
-        cancelled: c.cancelled,
-        deadline_exceeded: c.deadline_exceeded,
-        panicked_jobs: c.panicked_jobs,
-        backoff_retries: c.backoff_retries,
-        symbolic_runs: c.symbolic_runs,
-        sampled_plans: c.sampled_plans,
-        replanned_rows: c.replanned_rows,
         cache: shared.cache.stats(),
-        latency: summarize(c.latencies_us),
-        queue_wait: summarize(c.queue_waits_us),
-        latency_hist: c.latency_hist,
-        queue_wait_hist: c.queue_wait_hist,
+        latency: summarize(latencies_us),
+        queue_wait: summarize(queue_waits_us),
         budget_capacity: shared.budget.capacity(),
         budget_peak: shared.budget.peak_reserved(),
         budget_drained: shared.budget.drained(),
-        san: c.san,
+        ..stats
     }
 }
 
@@ -622,10 +598,12 @@ fn worker_loop<T: Scalar>(shared: &Shared<T>) {
         };
         let latency = t0.elapsed();
         let us = |d: Duration| d.as_micros().min(u64::MAX as u128) as u64;
-        shared.metrics.with(|c| {
-            c.latencies_us.push(us(latency));
+        {
+            let mut t = shared.metrics.lock();
+            t.latencies_us.push(us(latency));
+            t.queue_waits_us.push(us(queue_wait));
+            let c = &mut t.stats;
             c.latency_hist.record(us(latency));
-            c.queue_waits_us.push(us(queue_wait));
             c.queue_wait_hist.record(us(queue_wait));
             match &result {
                 Ok(_) => c.completed += 1,
@@ -643,7 +621,7 @@ fn worker_loop<T: Scalar>(shared: &Shared<T>) {
                     | ErrorKind::Rejected => c.failed += 1,
                 },
             }
-        });
+        }
         if let Some(tb) = tracer.take() {
             let err = result.as_ref().err().map(|e| e.to_string());
             shared.recorder.record(tb.finish(err.as_deref()));
@@ -1148,11 +1126,11 @@ mod tests {
 
     #[test]
     fn cache_bytes_count_row_arrays_and_structure() {
-        // One miss per backend: either plan holds its rows' arrays plus
+        // One miss per backend: either plan holds its row pointer plus
         // its structure, 4 B per output entry.
         let a = rand_mat(200, 31);
         let (m, nnz) = (a.rows() as u64, reference(&a, &a).nnz() as u64);
-        let want = 4 * m + std::mem::size_of::<usize>() as u64 * (m + 1) + 4 * nnz;
+        let want = std::mem::size_of::<usize>() as u64 * (m + 1) + 4 * nnz;
         for backend in [Backend::Host { threads: 2 }, Backend::Sim] {
             let mut eng =
                 Engine::new(EngineConfig { workers: 1, backend, ..EngineConfig::default() });

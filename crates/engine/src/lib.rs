@@ -8,7 +8,7 @@
 //!
 //! * [`JobSpec`] — one `C = A × B` request over [`std::sync::Arc`]'d
 //!   inputs, validated at the submission boundary (shape, row ranges,
-//!   backend capabilities) so untrusted inputs surface
+//!   sim-only faults) so untrusted inputs surface
 //!   [`nsparse_core::Error`]s instead of panics;
 //! * [`Engine`] — a fixed pool of worker threads consuming a FIFO job
 //!   queue. Each job is *admitted* against a shared device-memory

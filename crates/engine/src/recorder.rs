@@ -309,28 +309,13 @@ mod tests {
         EngineStats {
             jobs: 2,
             admitted: 1,
-            queued: 0,
             batched: 1,
-            fallback: 0,
             completed: 2,
-            failed: 0,
-            shed: 0,
-            cancelled: 0,
-            deadline_exceeded: 0,
-            panicked_jobs: 0,
-            backoff_retries: 0,
             symbolic_runs: 1,
-            sampled_plans: 0,
-            replanned_rows: 0,
-            cache: Default::default(),
-            latency: Default::default(),
-            queue_wait: Default::default(),
-            latency_hist: Default::default(),
-            queue_wait_hist: Default::default(),
             budget_capacity: 1024,
             budget_peak: 512,
             budget_drained: true,
-            san: Default::default(),
+            ..EngineStats::default()
         }
     }
 

@@ -19,8 +19,6 @@ pub enum Value {
     F64(f64),
     /// String (escaped on output).
     Str(String),
-    /// Homogeneous-or-not array.
-    Arr(Vec<Value>),
 }
 
 impl Value {
@@ -31,16 +29,6 @@ impl Value {
             Value::F64(v) if v.is_finite() => out.push_str(&format_f64(*v)),
             Value::F64(_) => out.push_str("null"),
             Value::Str(s) => out.push_str(&json::quote(s)),
-            Value::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.write_into(out);
-                }
-                out.push(']');
-            }
         }
     }
 }
@@ -94,12 +82,6 @@ impl Event {
         self
     }
 
-    /// Append an array field.
-    pub fn arr(mut self, key: &str, items: Vec<Value>) -> Self {
-        self.fields.push((key.to_string(), Value::Arr(items)));
-        self
-    }
-
     /// Serialize as one JSON object (`kind` first, then fields in
     /// insertion order).
     pub fn to_json(&self) -> String {
@@ -136,16 +118,6 @@ impl EventLog {
     /// Events in emission order.
     pub fn events(&self) -> &[Event] {
         &self.events
-    }
-
-    /// Number of events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// True when no events were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
     }
 
     /// Serialize as JSON Lines (trailing newline when non-empty).
@@ -187,22 +159,14 @@ mod tests {
     }
 
     #[test]
-    fn arrays_serialize() {
-        let e = Event::new("h").arr("buckets", vec![Value::U64(1), Value::U64(2)]);
-        assert_eq!(e.to_json(), "{\"kind\":\"h\",\"buckets\":[1,2]}");
-    }
-
-    #[test]
     fn jsonl_one_line_per_event() {
         let mut log = EventLog::new();
-        assert!(log.is_empty());
         assert_eq!(log.to_jsonl(), "");
         log.push(Event::new("a"));
         log.push(Event::new("b").u64("n", 1));
         let s = log.to_jsonl();
         assert_eq!(s.lines().count(), 2);
         assert!(s.ends_with('\n'));
-        assert_eq!(log.len(), 2);
         for line in s.lines() {
             crate::json::validate(line).unwrap();
         }

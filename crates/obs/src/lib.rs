@@ -55,13 +55,6 @@ pub struct Telemetry {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpanId(u64);
 
-impl SpanId {
-    /// The raw span id (the `id` field of the emitted `span` event).
-    pub fn raw(self) -> u64 {
-        self.0
-    }
-}
-
 #[derive(Debug, Clone)]
 struct OpenSpan {
     id: u64,
@@ -180,12 +173,12 @@ mod tests {
         let text = t.to_jsonl();
         let lines: Vec<&str> = text.lines().map(str::trim).collect::<Vec<_>>();
         // The alloc event carries the numeric span's id as parent.
-        assert!(lines[0].contains(&format!("\"parent\":{}", child.raw())), "{}", lines[0]);
+        assert!(lines[0].contains(&format!("\"parent\":{}", child.0)), "{}", lines[0]);
         // The numeric span is parented under the root; the root has no
         // parent field (it was begun with no context set).
-        assert!(lines[1].contains(&format!("\"id\":{}", child.raw())));
-        assert!(lines[1].contains(&format!("\"parent\":{}", root.raw())));
-        assert!(lines[2].contains(&format!("\"id\":{}", root.raw())));
+        assert!(lines[1].contains(&format!("\"id\":{}", child.0)));
+        assert!(lines[1].contains(&format!("\"parent\":{}", root.0)));
+        assert!(lines[2].contains(&format!("\"id\":{}", root.0)));
         assert!(!lines[2].contains("\"parent\""));
         assert_eq!(t.open_span_count(), 0);
         for line in &lines {
@@ -204,7 +197,7 @@ mod tests {
         t.set_parent(None);
         t.span_end(b, 2.0);
         let jsonl = t.to_jsonl();
-        assert!(jsonl.contains(&format!("\"parent\":{}", a.raw())));
+        assert!(jsonl.contains(&format!("\"parent\":{}", a.0)));
         assert_eq!(t.open_span_count(), 1);
     }
 

@@ -36,11 +36,6 @@ impl Summary {
 }
 
 impl Registry {
-    /// Empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Add `delta` to counter `name` (creating it at 0).
     pub fn counter_add(&mut self, name: &str, delta: u64) {
         *self.counters.entry(name.to_string()).or_insert(0) += delta;
@@ -56,16 +51,6 @@ impl Registry {
     /// (avoids a map lookup per observation on hot paths).
     pub fn hist_merge(&mut self, name: &str, h: &Log2Histogram) {
         self.hists.entry(name.to_string()).or_default().merge(h);
-    }
-
-    /// Counter value (0 when absent).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// Histogram by name.
-    pub fn hist(&self, name: &str) -> Option<&Log2Histogram> {
-        self.hists.get(name)
     }
 
     /// Name-sorted snapshot of everything.
@@ -84,16 +69,16 @@ mod tests {
 
     #[test]
     fn counters_accumulate() {
-        let mut r = Registry::new();
+        let mut r = Registry::default();
         r.counter_add("a.b", 2);
         r.counter_add("a.b", 3);
-        assert_eq!(r.counter("a.b"), 5);
-        assert_eq!(r.counter("missing"), 0);
+        assert_eq!(r.summary().counter("a.b"), Some(5));
+        assert_eq!(r.summary().counter("missing"), None);
     }
 
     #[test]
     fn gauges_keep_the_maximum() {
-        let mut r = Registry::new();
+        let mut r = Registry::default();
         r.gauge_max("hw", 10.0);
         r.gauge_max("hw", 4.0);
         assert_eq!(r.summary().gauges, vec![("hw".to_string(), 10.0)]);
@@ -104,14 +89,14 @@ mod tests {
         let mut local = Log2Histogram::new();
         local.record(3);
         local.record(9);
-        let mut r = Registry::new();
+        let mut r = Registry::default();
         r.hist_merge("h", &local);
-        assert_eq!(r.hist("h"), Some(&local));
+        assert_eq!(r.summary().hists, vec![("h".to_string(), local)]);
     }
 
     #[test]
     fn summary_is_name_sorted() {
-        let mut r = Registry::new();
+        let mut r = Registry::default();
         r.counter_add("z", 1);
         r.counter_add("a", 1);
         r.counter_add("m", 1);

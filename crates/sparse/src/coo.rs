@@ -57,12 +57,6 @@ impl<T: Scalar> Coo<T> {
         }
         Coo { rows: m.rows(), cols: m.cols(), entries }
     }
-
-    /// Device footprint under 4-byte indices: `(4 + 4 + T::BYTES) * nnz`.
-    /// This is what makes the ESC baseline memory-hungry (§II-B).
-    pub fn device_bytes(&self) -> u64 {
-        (8 + T::BYTES as u64) * self.entries.len() as u64
-    }
 }
 
 #[cfg(test)]
@@ -93,16 +87,5 @@ mod tests {
     fn push_bounds_panics() {
         let mut coo = Coo::<f64>::new(1, 1);
         coo.push(0, 3, 1.0);
-    }
-
-    #[test]
-    fn device_bytes_counts_tuples() {
-        let mut coo = Coo::<f64>::new(4, 4);
-        coo.push(0, 0, 1.0);
-        coo.push(1, 1, 1.0);
-        assert_eq!(coo.device_bytes(), 2 * 16);
-        let mut coo32 = Coo::<f32>::new(4, 4);
-        coo32.push(0, 0, 1.0);
-        assert_eq!(coo32.device_bytes(), 12);
     }
 }

@@ -294,6 +294,11 @@ impl<T: Scalar> Csr<T> {
             + (DEVICE_INDEX_BYTES + to_u64(T::BYTES)) * to_u64(self.nnz())
     }
 
+    /// The row pointer, columns and values, moved out.
+    pub(crate) fn into_arrays(self) -> (Vec<usize>, Vec<u32>, Vec<T>) {
+        (self.rpt, self.col, self.val)
+    }
+
     /// The sub-matrix of rows `range` (same column space): row pointers
     /// rebased to 0, entries copied. Used by the batched executor to
     /// carve `A` into row ranges whose working set fits the device.

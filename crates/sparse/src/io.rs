@@ -91,6 +91,10 @@ pub fn read_matrix_market<T: Scalar, R: Read>(reader: R) -> Result<Csr<T>> {
     if to_u64(rows) > 1 << 32 || to_u64(cols) > 1 << 32 {
         return Err(parse_err(format!("dimensions exceed 2^32: {size_line}")));
     }
+    // Mirrored entries land at (col, row): symmetric storage is square.
+    if symmetry != Symmetry::General && rows != cols {
+        return Err(parse_err(format!("symmetric storage of a non-square matrix: {size_line}")));
+    }
 
     let mut coo = Coo::<T>::new(rows, cols);
     let mut seen = 0usize;

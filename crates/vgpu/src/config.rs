@@ -106,33 +106,33 @@ impl DeviceConfig {
     pub fn max_warps_per_sm(&self) -> usize {
         self.max_threads_per_sm / self.warp_size
     }
-
-    /// Sanity-check internal consistency (used by constructors in tests).
-    pub fn validate(&self) -> Result<(), String> {
-        if self.num_sms == 0 || self.warp_size == 0 || self.clock_hz <= 0.0 {
-            return Err("num_sms, warp_size and clock_hz must be positive".into());
-        }
-        if self.max_shared_per_block > self.shared_mem_per_sm {
-            return Err("per-block shared memory exceeds per-SM shared memory".into());
-        }
-        if self.max_threads_per_block > self.max_threads_per_sm {
-            return Err("per-block threads exceed per-SM threads".into());
-        }
-        if !self.max_threads_per_sm.is_multiple_of(self.warp_size) {
-            return Err("max_threads_per_sm must be a warp multiple".into());
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The presets' internal consistency.
+    fn validate(c: &DeviceConfig) -> Result<(), String> {
+        if c.num_sms == 0 || c.warp_size == 0 || c.clock_hz <= 0.0 {
+            return Err("num_sms, warp_size and clock_hz must be positive".into());
+        }
+        if c.max_shared_per_block > c.shared_mem_per_sm {
+            return Err("per-block shared memory exceeds per-SM shared memory".into());
+        }
+        if c.max_threads_per_block > c.max_threads_per_sm {
+            return Err("per-block threads exceed per-SM threads".into());
+        }
+        if !c.max_threads_per_sm.is_multiple_of(c.warp_size) {
+            return Err("max_threads_per_sm must be a warp multiple".into());
+        }
+        Ok(())
+    }
+
     #[test]
     fn p100_matches_paper_constants() {
         let c = DeviceConfig::p100();
-        c.validate().unwrap();
+        validate(&c).unwrap();
         // §III-D: 64 KB shared per SM, 48 KB max per block.
         assert_eq!(c.shared_mem_per_sm, 64 * 1024);
         assert_eq!(c.max_shared_per_block, 48 * 1024);
@@ -147,7 +147,7 @@ mod tests {
     #[test]
     fn alternative_devices_are_consistent() {
         for c in [DeviceConfig::v100(), DeviceConfig::vega64()] {
-            c.validate().unwrap();
+            validate(&c).unwrap();
         }
         // Volta: more SMs and shared memory than Pascal.
         let (v, p) = (DeviceConfig::v100(), DeviceConfig::p100());
@@ -165,18 +165,5 @@ mod tests {
         let c = DeviceConfig::p100_with_memory(1 << 30);
         assert_eq!(c.device_mem_bytes, 1 << 30);
         assert_eq!(c.num_sms, DeviceConfig::p100().num_sms);
-    }
-
-    #[test]
-    fn validation_catches_inconsistency() {
-        let mut c = DeviceConfig::p100();
-        c.max_shared_per_block = c.shared_mem_per_sm + 1;
-        assert!(c.validate().is_err());
-        let mut c = DeviceConfig::p100();
-        c.max_threads_per_sm = 2047;
-        assert!(c.validate().is_err());
-        let mut c = DeviceConfig::p100();
-        c.num_sms = 0;
-        assert!(c.validate().is_err());
     }
 }

@@ -45,14 +45,6 @@ impl SpgemmReport {
     pub fn phase_time(&self, phase: Phase) -> SimTime {
         self.phase_times.iter().find(|(p, _)| *p == phase).map(|&(_, t)| t).unwrap_or(SimTime::ZERO)
     }
-
-    /// Fraction of total time in one phase.
-    pub fn phase_fraction(&self, phase: Phase) -> f64 {
-        if self.total_time <= SimTime::ZERO {
-            return 0.0;
-        }
-        self.phase_time(phase) / self.total_time
-    }
 }
 
 #[cfg(test)]
@@ -88,7 +80,6 @@ mod tests {
         let mut r = report();
         r.total_time = SimTime::ZERO;
         assert_eq!(r.gflops(), 0.0);
-        assert_eq!(r.phase_fraction(Phase::Count), 0.0);
     }
 
     #[test]
@@ -96,6 +87,5 @@ mod tests {
         let r = report();
         assert_eq!(r.phase_time(Phase::Count), SimTime(0.0004));
         assert_eq!(r.phase_time(Phase::Malloc), SimTime::ZERO);
-        assert!((r.phase_fraction(Phase::Calc) - 0.5).abs() < 1e-12);
     }
 }

@@ -29,11 +29,6 @@ impl SimTime {
         self.0
     }
 
-    /// Milliseconds as `f64`.
-    pub fn ms(self) -> f64 {
-        self.0 * 1e3
-    }
-
     /// Microseconds as `f64`.
     pub fn us(self) -> f64 {
         self.0 * 1e6
@@ -118,7 +113,7 @@ mod tests {
 
     #[test]
     fn conversions() {
-        assert!((SimTime::from_us(1500.0).ms() - 1.5).abs() < 1e-12);
+        assert!((SimTime::from_us(1500.0).secs() - 1.5e-3).abs() < 1e-15);
         assert_eq!(SimTime::from_secs(2.0).secs(), 2.0);
     }
 

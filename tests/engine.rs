@@ -310,7 +310,7 @@ quickprop! {
             ..ChaosConfig::default()
         };
         let rep = run_chaos(&cfg);
-        prop_assert!(rep.ok(), "violations: {:?}", rep.violations);
+        prop_assert!(rep.violations.is_empty(), "violations: {:?}", rep.violations);
         prop_assert!(rep.stats.budget_drained, "hostile jobs leaked budget");
         prop_assert!(rep.stats.conserved(), "outcome conservation violated");
         let single = run_chaos(&ChaosConfig { workers: 1, ..cfg });
@@ -322,7 +322,7 @@ quickprop! {
 fn chaos_soak_reaches_every_outcome_class_and_stays_deterministic() {
     let cfg = ChaosConfig { seed: 99, jobs: 120, workers: 4, rows: 48, ..ChaosConfig::default() };
     let r1 = run_chaos(&cfg);
-    assert!(r1.ok(), "violations: {:?}", r1.violations);
+    assert!(r1.violations.is_empty(), "violations: {:?}", r1.violations);
     assert!(r1.stats.completed > 0 && r1.stats.failed > 0, "mix must complete and fail jobs");
     assert!(r1.stats.shed > 0 && r1.stats.cancelled > 0 && r1.stats.deadline_exceeded > 0);
     assert!(r1.stats.backoff_retries > 0, "persistent faults must consume retries");
@@ -344,7 +344,7 @@ fn panic_canary_drains_budget_and_dumps_the_flight_recorder() {
         ..ChaosConfig::default()
     };
     let rep = run_chaos(&cfg);
-    assert!(rep.ok(), "violations: {:?}", rep.violations);
+    assert!(rep.violations.is_empty(), "violations: {:?}", rep.violations);
     assert_eq!(rep.stats.panicked_jobs, 1, "the canary panic must be contained and counted");
     assert!(rep.stats.budget_drained, "the panicked job's reservation must be released");
     // The recorder trigger and dump of a contained panic are checked on
