@@ -1,13 +1,13 @@
-//! Benchmark harness: runners for every table and figure of the paper.
+//! Runners for every table and figure of the paper, and the `spgemm`
+//! command line.
 //!
 //! Each experiment has a function returning structured rows; the `repro`
 //! binary prints them as text tables, and the [`report`] module writes
 //! the per-figure CSVs, so `repro` is the one producer of every paper
-//! number. The four `cargo bench` entry points (`micro`, `host_backend`,
-//! `batched_fallback`, `estimator`) time host code and the fallback and
-//! estimator paths through the in-repo [`harness`] (no external
-//! Criterion dependency — see DESIGN.md §7). The `spgemm` binary's
-//! subcommands live in the `*cli` modules.
+//! number. `spgemm bench --check-regression` gates the proposal's
+//! simulated times against `results/baseline.json`; wall time is
+//! measured by the repository benchmark (`benchmark/`), not here. The
+//! `spgemm` binary's subcommands live in the `*cli` modules.
 //!
 //! Dataset matrices are generated once per process and cached
 //! ([`matrix_f32`]/[`matrix_f64`]) — generation is seeded and
@@ -18,7 +18,6 @@ pub mod benchcli;
 pub mod chaoscli;
 pub mod cli;
 pub mod experiments;
-pub mod harness;
 pub mod report;
 pub mod runcli;
 pub mod servecli;
@@ -121,17 +120,6 @@ pub fn run_one<T: CachedMatrix>(alg: Algorithm, d: &Dataset) -> EvalResult {
     EvalResult { dataset: d.name.to_string(), algorithm: alg, precision: T::PRECISION, report }
 }
 
-/// Run the proposal for real on the host backend (squaring the dataset's
-/// matrix like [`run_one`]) and return the finished execution, including
-/// wall-clock phase times. `threads == 0` means all available cores.
-pub fn run_one_host<T: CachedMatrix>(d: &Dataset, threads: usize) -> nsparse_core::Execution<T> {
-    use nsparse_core::Executor;
-    let a = T::matrix(d);
-    let mut exec = nsparse_core::HostParallelExecutor::new(threads);
-    exec.multiply(&a, &a, &nsparse_core::Options::default())
-        .unwrap_or_else(|e| panic!("host backend on {} failed: {e}", d.name))
-}
-
 /// Evaluate all four algorithms over the given datasets.
 pub fn eval_matrix_set<T: CachedMatrix>(datasets: &[Dataset]) -> Vec<EvalResult> {
     let mut out = Vec::new();
@@ -143,17 +131,16 @@ pub fn eval_matrix_set<T: CachedMatrix>(datasets: &[Dataset]) -> Vec<EvalResult>
     out
 }
 
-/// The workspace-root `results/` directory. Anchored via the crate's
-/// manifest path so `cargo bench` (which runs with the crate directory
-/// as cwd) and `cargo run` (invocation cwd) write the same files.
+/// The workspace-root `results/` directory, anchored via the crate's
+/// manifest path so it is the same from any working directory.
 pub fn results_dir() -> std::path::PathBuf {
     let manifest = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
     manifest.ancestors().nth(2).unwrap_or(manifest).join("results")
 }
 
 /// Write rows as CSV into `results/<name>.csv` (creating the directory),
-/// returning the path. Used by the `repro` binary and the bench entry
-/// points so every figure's and bench's data lands on disk.
+/// returning the path. The `repro` binary writes every figure's data
+/// through it.
 pub fn write_csv(name: &str, header: &str, rows: &[String]) -> std::path::PathBuf {
     let dir = results_dir();
     std::fs::create_dir_all(&dir).expect("create results dir");

@@ -1,6 +1,5 @@
-//! Shared CSV emission for every table/figure, used by both the `repro`
-//! binary and the `cargo bench` entry points so each writes the same
-//! `results/*.csv` schemas.
+//! CSV emission for every table/figure the `repro` binary writes, one
+//! `results/*.csv` schema each.
 
 use crate::experiments::{AblationRow, BreakdownRow, MemoryRow};
 use crate::table::gflops_cell;

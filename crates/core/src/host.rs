@@ -71,11 +71,9 @@
 // lint:allow-file(wallclock) — the host backend measures real elapsed time by
 // design (WallClock is its deliverable); determinism lives in the output, not
 // the timings.
-use crate::exec::{
-    prefix_sum, Backend, ColdRecord, Execution, Executor, SymbolicOutput, WallClock,
-};
+use crate::exec::{Backend, ColdRecord, Execution, Executor, SymbolicOutput, WallClock};
 use crate::partition::{run_workers, JobQueue};
-use crate::pipeline::{overflow_err, Error, Options, Result};
+use crate::pipeline::{Error, Options, Result};
 use crate::plan::{exact_row_products, SpgemmPlan};
 use crate::rowalg::{
     esc_numeric_row, esc_symbolic_row, merge_numeric_row, merge_symbolic_row, AlgorithmChoice,
@@ -497,7 +495,7 @@ impl<T: Scalar> Executor<T> for HostParallelExecutor {
         let walk = self.walk_rows(&plan, a, b, spare.map_or_else(Vec::new, |s| *s))?;
         self.note_replans(&plan, walk.replans)?;
         self.mark_stage("numeric");
-        let matrix = self.stitch(&plan, prefix_sum(&walk.nnz_row), &walk.chunks)?;
+        let matrix = self.stitch(&plan, walk.rpt, &walk.chunks)?;
         let calc = t1.elapsed();
         let mut chunks = walk.chunks;
         let staged: u64 = chunks.iter().map(Staged::bytes).sum();
@@ -522,8 +520,8 @@ impl<T: Scalar> Executor<T> for HostParallelExecutor {
 
 /// What [`HostParallelExecutor::walk_rows`] leaves for assembly.
 struct RowWalk<T> {
-    /// nnz of each output row.
-    nnz_row: Vec<u32>,
+    /// `C`'s row pointer.
+    rpt: Vec<usize>,
     /// Staged rows of each partition chunk, in row order.
     chunks: Vec<Staged<T>>,
     /// Hash rows whose nnz exceeded the plan's table capacity.
@@ -555,10 +553,11 @@ impl HostParallelExecutor {
     /// chunk of rows and runs every row once, on the arm the plan's
     /// count phase picked, appending its sorted columns and values to
     /// the chunk's staging; the row's nnz lands in the chunk's slice of
-    /// `nnz_row`. A hash row whose nnz exceeds the plan's table capacity
-    /// counts as a replan; it is already complete, so nothing is
-    /// recounted. The chunks refill `spare`, the emptied staging of an
-    /// earlier walk, before they allocate.
+    /// `rpt[1..]`, which a scan then turns into `C`'s row pointer. A
+    /// hash row whose nnz exceeds the plan's table capacity counts as a
+    /// replan; it is already complete, so nothing is recounted. The
+    /// chunks refill `spare`, the emptied staging of an earlier walk,
+    /// before they allocate.
     fn walk_rows<T: Scalar>(
         &self,
         plan: &SpgemmPlan,
@@ -567,13 +566,13 @@ impl HostParallelExecutor {
         spare: Vec<Staged<T>>,
     ) -> Result<RowWalk<T>> {
         let ranges = plan.count.partition(self.threads * CHUNKS_PER_THREAD);
-        let mut nnz_row = vec![0u32; plan.rows];
+        let mut rpt = vec![0usize; plan.rows + 1];
         let mut spare = spare.into_iter();
         let mut chunks: Vec<Staged<T>> =
             ranges.iter().map(|_| spare.next().unwrap_or_default()).collect();
         // Each job owns its rows' counters and its chunk's staging.
         let mut jobs = Vec::with_capacity(ranges.len());
-        let mut rest: &mut [u32] = &mut nnz_row;
+        let mut rest: &mut [usize] = &mut rpt[1..];
         for (range, staged) in ranges.into_iter().zip(&mut chunks) {
             let (counts, tail) = rest.split_at_mut(range.len());
             rest = tail;
@@ -606,20 +605,25 @@ impl HostParallelExecutor {
                     if algorithm == AlgorithmChoice::Hash {
                         replans += u64::from(nnz > plan.count.table_size_for(r));
                     }
-                    *slot = u32::try_from(nnz).map_err(|_| overflow_err("host row nnz"))?;
+                    *slot = nnz;
                 }
                 *chunk = staged;
             }
             Ok((replans, acc.bytes()))
         });
-        drop(queue); // releases the borrows of `nnz_row` and `chunks`
+        drop(queue); // releases the borrows of `rpt` and `chunks`
         let (mut replans, mut acc_bytes) = (0, 0);
         for tally in tallies {
             let (r, bytes) = tally?;
             replans += r;
             acc_bytes += bytes;
         }
-        Ok(RowWalk { nnz_row, chunks, replans, acc_bytes })
+        let mut total = 0;
+        for end in &mut rpt {
+            total += *end;
+            *end = total;
+        }
+        Ok(RowWalk { rpt, chunks, replans, acc_bytes })
     }
 
     /// The values pass: each worker pulls a product-weighted chunk of
@@ -726,8 +730,8 @@ impl HostParallelExecutor {
 
     /// The host backend's report: simulated fields are zero (there is no
     /// device model), counters are real, and `peak_mem_bytes` bounds the
-    /// host heap a multiply holds: the output, the per-row working
-    /// arrays and the `scratch` its workers actually allocated — the
+    /// host heap a multiply holds: the output, the row pointer and the
+    /// `scratch` its workers actually allocated — the
     /// dense accumulator arrays and, for `multiply`, the staged entries
     /// held next to `C` until the copy (what the call needed, not the
     /// capacity an earlier call left, so the figure depends only on the
@@ -742,9 +746,7 @@ impl HostParallelExecutor {
         let m = plan.rows as u64;
         let nnz_c = to_u64(nnz_c);
         let inputs: u64 = 0; // inputs are borrowed, not copied
-        let working = 4 * m // nnz_row
-            + 8 * (m + 1) // rpt (usize)
-            + scratch;
+        let working = 8 * (m + 1) + scratch; // rpt (usize)
         let output = DEVICE_INDEX_BYTES * (m + 1) + (DEVICE_INDEX_BYTES + T::BYTES as u64) * nnz_c;
         SpgemmReport {
             algorithm: format!("proposal (host:{} numeric)", self.threads),
@@ -940,12 +942,12 @@ mod tests {
         let (m, nnz) = (a.rows() as u64, spgemm_gustavson(&a, &b).unwrap().nnz() as u64);
         let output = |nnz: u64| DEVICE_INDEX_BYTES * (m + 1) + (DEVICE_INDEX_BYTES + 8) * nnz;
         let dense = (4 + 8) * 500;
-        // The values pass of a plan-cache hit holds the row arrays, the
+        // The values pass of a plan-cache hit holds the row pointer, the
         // dense arrays and C.
         let plan = crate::SymbolicPlan::from_executor(&mut ex, &a, &b, &opts).unwrap();
         let split = plan.execute_with(&mut ex, &a, &b).unwrap();
         assert_eq!(split.matrix.nnz() as u64, nnz);
-        let values_pass = 4 * m + 8 * (m + 1) + dense + output(nnz);
+        let values_pass = 8 * (m + 1) + dense + output(nnz);
         assert_eq!(split.report.peak_mem_bytes, values_pass);
         // `multiply` walks once and holds its staging next to C until the
         // copy: a column and a value per entry, into fresh staging or the

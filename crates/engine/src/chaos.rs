@@ -434,10 +434,9 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
         .collect();
 
     let depth = cfg.max_queue_depth;
-    let mut engine: Engine<f64> = Engine::new(EngineConfig {
+    let mut engine: Engine<f64> = Engine::new_paused(EngineConfig {
         workers: cfg.workers.max(1),
         max_queue_depth: depth,
-        start_paused: depth > 0,
         retry_budget: cfg.retry_budget,
         backend: cfg.backend,
         sanitize: cfg.sanitize,

@@ -101,10 +101,6 @@ pub struct EngineConfig {
     /// Retries for transient device faults
     /// ([`Recovery::RetryAfterBackoff`]). 0 = fail on the first fault.
     pub retry_budget: u32,
-    /// Start with the workers paused: jobs accumulate in the queue until
-    /// [`Engine::resume`]. Lets tests and the chaos harness make
-    /// shedding deterministic (fill the bounded queue, then release).
-    pub start_paused: bool,
     /// Run every sim-backend job under the vgpu device-memory sanitizer
     /// (DESIGN.md §18): use-after-free, double-free, out-of-bounds,
     /// uninitialized reads and leaks become structured reports, and any
@@ -124,7 +120,6 @@ impl Default for EngineConfig {
             trace: false,
             max_queue_depth: 0,
             retry_budget: 0,
-            start_paused: false,
             sanitize: false,
         }
     }
@@ -244,11 +239,6 @@ pub struct EngineStats {
     /// Per-job queue-wait percentiles (submit → worker pickup) — the
     /// admission wait that job latency alone never showed.
     pub queue_wait: LatencySummary,
-    /// Every completed job's latency, bucketed (not synthetic samples —
-    /// the histogram the registry export merges).
-    pub latency_hist: obs::Log2Histogram,
-    /// Every completed job's queue wait, bucketed.
-    pub queue_wait_hist: obs::Log2Histogram,
     /// Admission budget capacity in bytes.
     pub budget_capacity: u64,
     /// High-water mark of concurrent reservations.
@@ -403,17 +393,24 @@ pub struct Engine<T: Scalar> {
 impl<T: Scalar> Engine<T> {
     /// Start the worker pool (at least one worker).
     pub fn new(cfg: EngineConfig) -> Self {
+        Self::start(cfg, false)
+    }
+
+    /// [`Engine::new`] with the workers paused: jobs accumulate in the
+    /// queue until [`Engine::resume`], so the chaos harness and this
+    /// module's tests can fill a bounded queue and shed deterministically.
+    pub(crate) fn new_paused(cfg: EngineConfig) -> Self {
+        Self::start(cfg, true)
+    }
+
+    fn start(cfg: EngineConfig, paused: bool) -> Self {
         let budget_bytes = cfg.budget_bytes.unwrap_or(cfg.device.device_mem_bytes).max(1);
         let shared = Arc::new(Shared {
             budget: SharedBudget::new(budget_bytes),
             cache: PlanCache::new(cfg.cache_capacity),
             metrics: Metrics::default(),
             queue: Queue {
-                state: Mutex::new(QueueState {
-                    q: VecDeque::new(),
-                    closed: false,
-                    paused: cfg.start_paused,
-                }),
+                state: Mutex::new(QueueState { q: VecDeque::new(), closed: false, paused }),
                 ready: Condvar::new(),
             },
             recorder: Arc::new(FlightRecorder::new(FLIGHT_CAPACITY)),
@@ -472,9 +469,9 @@ impl<T: Scalar> Engine<T> {
         JobTicket { slot, cancel }
     }
 
-    /// Release paused workers ([`EngineConfig::start_paused`]). A no-op
-    /// when already running.
-    pub fn resume(&self) {
+    /// Release the workers of [`Engine::new_paused`]. A no-op when
+    /// already running.
+    pub(crate) fn resume(&self) {
         self.shared.queue.lock().paused = false;
         self.shared.queue.ready.notify_all();
     }
@@ -603,8 +600,6 @@ fn worker_loop<T: Scalar>(shared: &Shared<T>) {
             t.latencies_us.push(us(latency));
             t.queue_waits_us.push(us(queue_wait));
             let c = &mut t.stats;
-            c.latency_hist.record(us(latency));
-            c.queue_wait_hist.record(us(queue_wait));
             match &result {
                 Ok(_) => c.completed += 1,
                 Err(e) => match e.kind() {
@@ -1269,10 +1264,9 @@ mod tests {
     #[test]
     fn bounded_queue_sheds_deterministically_when_paused() {
         let a = rand_mat(120, 7);
-        let mut eng = Engine::new(EngineConfig {
+        let mut eng = Engine::new_paused(EngineConfig {
             workers: 2,
             max_queue_depth: 2,
-            start_paused: true,
             ..EngineConfig::default()
         });
         // Paused workers: exactly the submissions past the depth shed.
@@ -1327,8 +1321,7 @@ mod tests {
     #[test]
     fn ticket_cancel_reaches_a_queued_job() {
         let a = rand_mat(140, 23);
-        let mut eng =
-            Engine::new(EngineConfig { workers: 1, start_paused: true, ..EngineConfig::default() });
+        let mut eng = Engine::new_paused(EngineConfig { workers: 1, ..EngineConfig::default() });
         let t = eng.submit(JobSpec::new(Arc::clone(&a), Arc::clone(&a)));
         t.cancel();
         eng.resume();

@@ -67,7 +67,7 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: "wallclock",
         summary: "no Instant::now/SystemTime in deterministic code — use the simulated clock",
-        scope: "all library crates except the bench harness",
+        scope: "all library crates except `bench` and `xtask`",
     },
     RuleInfo {
         id: "lock-unwrap",

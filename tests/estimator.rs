@@ -11,6 +11,10 @@
 //!    both backends (sim and host), across seeded R-MAT / power-law
 //!    matrices and sample budgets, with the adaptive algorithm policy
 //!    riding along.
+//!
+//! One fixed-matrix test pins what the sampled estimator is for: on
+//! dense hub-heavy rows its planning pass costs less simulated time than
+//! the exact count pass.
 
 use nsparse_core::host::DENSE_MAX_COLS;
 use nsparse_repro::prelude::*;
@@ -48,6 +52,38 @@ fn sim_multiply(a: &Csr<f64>, b: &Csr<f64>, opts: &Options) -> Csr<f64> {
     let (c, _) = nsparse_core::multiply(&mut gpu, a, b, opts).unwrap();
     assert_eq!(gpu.live_mem_bytes(), 0, "multiply leaked device memory");
     c
+}
+
+/// Row sampling truncates the planning pass to `sample` draws per row,
+/// so on rows far longer than the sample it must be cheaper than the
+/// exact count, while the product stays bitwise identical. Alg. 2's
+/// Setup charge reads only A's row lengths, so `B = I` keeps the
+/// multiplies cheap without changing it.
+#[test]
+fn sampled_planning_is_cheaper_than_exact_on_hub_heavy_rows() {
+    let matrices: [(&str, Csr<f64>); 2] = [
+        ("rmat_16k", matgen::generators::rmat(1 << 14, 1 << 22, 8192, (0.7, 0.15, 0.1, 0.05), 42)),
+        ("powlaw_8k", matgen::generators::power_law(1 << 13, 96.0, 4096, 1.1, 0.5, 64, 3)),
+    ];
+    for (name, a) in matrices {
+        let b = Csr::identity(a.cols());
+        let run = |estimator| {
+            let mut gpu = Gpu::new(DeviceConfig::p100());
+            let opts = Options { estimator, ..Options::default() };
+            nsparse_core::multiply(&mut gpu, &a, &b, &opts).unwrap()
+        };
+        let (exact, exact_report) = run(Estimator::Exact);
+        let (sampled, sampled_report) = run(Estimator::Sampled { sample: 64 });
+        let (t_exact, t_sampled) =
+            (exact_report.phase_time(Phase::Setup), sampled_report.phase_time(Phase::Setup));
+        assert!(
+            t_sampled < t_exact,
+            "{name}: sampled planning {t_sampled} not below exact {t_exact}"
+        );
+        assert_eq!(sampled.rpt(), exact.rpt(), "{name}");
+        assert_eq!(sampled.col(), exact.col(), "{name}");
+        assert_eq!(bits(&sampled), bits(&exact), "{name}");
+    }
 }
 
 quickprop! {
