@@ -256,13 +256,21 @@ grep -q "^invariants  : ok (0 violations)$" "$smoke/chaos-panic.out"
 
 echo "== perf observatory (baseline holds, slowdown canary trips) ==" >&2
 # The committed baseline must pass against a fresh sim-backend run, and
-# a deliberately slowed run (test-only multiplier) must fail exit 1 —
-# proving the regression gate actually rejects.
+# a check against a copy of it with every median halved (so the fresh
+# run reads as a 2x slowdown) must fail exit 1 — proving the regression
+# gate actually rejects.
 cargo run -q --release --offline -p bench --bin spgemm -- \
   bench --check-regression > "$smoke/bench.out"
 grep -q "^regression  : none" "$smoke/bench.out"
-if NSPARSE_BENCH_SLOWDOWN=2.0 cargo run -q --release --offline -p bench \
-  --bin spgemm -- bench --check-regression > "$smoke/bench-slow.out"; then
+awk '{
+  if (match($0, /"median_s":[-+.0-9eE]+/)) {
+    v = substr($0, RSTART + 11, RLENGTH - 11)
+    printf "%s\"median_s\":%.17g%s\n", substr($0, 1, RSTART - 1), v / 2, substr($0, RSTART + RLENGTH)
+  } else print
+}' results/baseline.json > "$smoke/baseline-halved.json"
+if cargo run -q --release --offline -p bench --bin spgemm -- \
+  bench --check-regression --baseline "$smoke/baseline-halved.json" \
+  > "$smoke/bench-slow.out"; then
   echo "regression gate failed to trip on a 2x slowdown" >&2
   exit 1
 fi

@@ -60,9 +60,8 @@ impl Algorithm {
     }
 
     /// Run this algorithm under explicit multiply options. Only the
-    /// proposal consumes them (estimator mode, algorithm policy, hash
-    /// variant); the baselines model fixed published algorithms and
-    /// ignore `opts`.
+    /// proposal consumes them (estimator mode, hash variant); the
+    /// baselines model fixed published algorithms and ignore `opts`.
     pub fn run_with_opts<T: sparse::Scalar>(
         self,
         gpu: &mut vgpu::Gpu,

@@ -73,14 +73,8 @@ pub const OBSERVATORY_DATASETS: [&str; 5] =
     ["Protein", "QCD", "Economics", "Circuit", "Epidemiology"];
 
 /// Measure the observatory set: proposal algorithm, f32, sim backend.
-/// Simulated time is deterministic, so one sample *is* the median; the
-/// `NSPARSE_BENCH_SLOWDOWN` multiplier (a test-only hook, see
-/// `ci/check.sh`) lets CI prove the gate trips without slowing code.
+/// Simulated time is deterministic, so one sample *is* the median.
 pub fn measure_observatory() -> Vec<Entry> {
-    let slowdown = std::env::var("NSPARSE_BENCH_SLOWDOWN")
-        .ok()
-        .and_then(|s| s.parse::<f64>().ok())
-        .unwrap_or(1.0);
     OBSERVATORY_DATASETS
         .iter()
         .map(|name| {
@@ -90,7 +84,7 @@ pub fn measure_observatory() -> Vec<Entry> {
             Entry {
                 group: "observatory".into(),
                 id: format!("{name}/sim"),
-                median_s: report.total_time.secs() * slowdown,
+                median_s: report.total_time.secs(),
             }
         })
         .collect()

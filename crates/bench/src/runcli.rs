@@ -13,8 +13,8 @@
 use crate::cli::{self, Flags, Size};
 use baselines::Algorithm;
 use nsparse_core::{
-    AlgorithmPolicy, Backend, BatchedExecutor, Error, Estimator, Execution, Executor,
-    HostParallelExecutor, Options, SimExecutor,
+    Backend, BatchedExecutor, Error, Estimator, Execution, Executor, HostParallelExecutor, Options,
+    SimExecutor,
 };
 use sparse::{Csr, Scalar};
 use vgpu::{DeviceConfig, FaultPlan, Gpu, Phase, SimTime};
@@ -43,7 +43,7 @@ pub struct RunArgs {
     pub max_device_mem: Option<Size>,
     /// `--faults`.
     pub faults: Option<FaultPlan>,
-    /// `--estimator` and `--policy`.
+    /// `--estimator`.
     pub opts: Options,
     /// `--trace` / `--chrome-trace`: the Chrome trace-event export.
     pub chrome_trace: Option<String>,
@@ -70,14 +70,14 @@ pub fn usage() -> String {
          [--precision f32|f64] [--device p100|v100|vega64] [--tiny] \
          [--trace OUT.json] [--output OUT.mtx] [--include-transfers] \
          [--max-device-mem BYTES[K|M|G]|FRACx] [--faults SPEC] \
-         [--estimator exact|sampled[:K]] [--policy hash|adaptive]\n\
+         [--estimator exact|sampled[:K]]\n\
          --max-device-mem caps device memory (e.g. 256M, or 0.25x = a quarter\n\
          of the memory estimate) and runs the proposal through the row-batched\n\
          fallback; --faults injects deterministic device faults\n\
          (e.g. 'seed=7;malloc-oom=3;kernel-fail=NAME;memcpy-fail=2', sim only)\n\
          --estimator sampled[:K] plans from K sampled rows instead of an exact\n\
-         count pass; --policy adaptive picks hash/ESC/merge per row group.\n\
-         Both change planning cost only — the product stays bitwise identical\n\
+         count pass: it changes planning cost only — the product stays bitwise\n\
+         identical\n\
        spgemm trace ... [--chrome-trace OUT.json] [--jsonl OUT.jsonl] [--check]\n\
          the same run with device telemetry (sim only), then phase x kernel x\n\
          stream, stream, group, histogram and peak-memory tables;\n\
@@ -164,11 +164,6 @@ pub fn parse_run_args(argv: &[String]) -> Result<RunArgs, String> {
                 args.faults = Some(plan);
             }
             "--estimator" => args.opts.estimator = cli::parse_estimator(flags.value(flag)?)?,
-            "--policy" => {
-                let spec = flags.value(flag)?;
-                args.opts.policy = AlgorithmPolicy::parse(spec)
-                    .map_err(|e| format!("bad --policy '{spec}': {e}"))?;
-            }
             "--trace" | "--chrome-trace" => args.chrome_trace = Some(flags.value(flag)?.into()),
             "--jsonl" => args.jsonl = Some(flags.value(flag)?.into()),
             "--check" => args.check = true,
@@ -216,11 +211,8 @@ fn check_run_args(args: &RunArgs) -> Result<(), String> {
                     .into(),
             );
         }
-        if args.opts.estimator != Estimator::Exact || args.opts.policy != AlgorithmPolicy::HashOnly
-        {
-            return Err(
-                "--estimator / --policy need --algorithm proposal (baselines plan exactly)".into(),
-            );
+        if args.opts.estimator != Estimator::Exact {
+            return Err("--estimator needs --algorithm proposal (baselines plan exactly)".into());
         }
     }
     Ok(())
@@ -389,8 +381,8 @@ fn print_report<T: Scalar>(args: &RunArgs, outcome: &Result<Outcome<T>, Error>) 
     let run = &out.run;
     if args.algorithm == Algorithm::Proposal {
         println!(
-            "planner     : {} estimator ({} replanned rows), {} policy",
-            args.opts.estimator, run.replans, args.opts.policy
+            "planner     : {} estimator ({} replanned rows)",
+            args.opts.estimator, run.replans
         );
     }
     if let Some(batches) = out.batches {
@@ -465,15 +457,10 @@ mod tests {
     #[test]
     fn baselines_reject_batching_and_planner_flags() {
         assert!(parse("--dataset QCD --algorithm cusp").is_ok());
-        for extra in [
-            "--max-device-mem 256M",
-            "--faults seed=1",
-            "--estimator sampled:4",
-            "--policy adaptive",
-        ] {
+        for extra in ["--max-device-mem 256M", "--faults seed=1", "--estimator sampled:4"] {
             rejected(&format!("--dataset QCD --algorithm cusp {extra}"));
         }
-        assert!(parse("--dataset QCD --estimator sampled:4 --policy adaptive").is_ok());
+        assert!(parse("--dataset QCD --estimator sampled:4").is_ok());
     }
 
     #[test]
@@ -520,7 +507,6 @@ mod tests {
             "--max-device-mem 4Q",
             "--faults bogus",
             "--estimator nope",
-            "--policy nope",
             "--output",
             "--frobnicate",
             "--help",

@@ -19,7 +19,6 @@
 //! 4. Rows exceeding the group-1 table go to group 0: same launch shape
 //!    as group 1 but with the hash table spilled to global memory.
 
-use crate::rowalg::AlgorithmChoice;
 use vgpu::occupancy::occupancy;
 use vgpu::DeviceConfig;
 
@@ -57,11 +56,6 @@ pub struct GroupSpec {
     pub table_size: usize,
     /// Shared memory bytes per block this group's kernel declares.
     pub shared_bytes: usize,
-    /// The row algorithm this group's kernels run. `build_groups`
-    /// always assigns [`AlgorithmChoice::Hash`] (the paper's pipeline);
-    /// the adaptive policy (DESIGN.md §16) may rewrite it after the
-    /// rows are bucketed — selection never affects bucketing.
-    pub algorithm: AlgorithmChoice,
 }
 
 /// The phase a grouping is built for; determines entry width and
@@ -143,7 +137,6 @@ pub fn build_groups(
             GroupPhase::Count => t_numeric_max * table_scale * entry_bytes,
             GroupPhase::Numeric => 0, // numeric group 0 works in global memory
         },
-        algorithm: AlgorithmChoice::Hash,
     });
 
     // TB/ROW groups: halve table and block size until 32 blocks/SM.
@@ -160,7 +153,6 @@ pub fn build_groups(
             block_threads,
             table_size,
             shared_bytes: table_size * entry_bytes,
-            algorithm: AlgorithmChoice::Hash,
         });
         // Stop once the *count-phase* residency hits the per-SM block cap
         // (§III-D; the paper derives the group count from the count-phase
@@ -209,7 +201,6 @@ pub fn build_groups(
             block_threads,
             table_size: per_row_table,
             shared_bytes: rows_per_block * per_row_table * entry_bytes,
-            algorithm: AlgorithmChoice::Hash,
         });
     }
     GroupTable { groups, phase }

@@ -4,15 +4,16 @@
 //! Nagasaka's follow-up work (KNL/multicore, PAPERS.md) shows the
 //! row-grouped hash design maps directly onto CPU threads. This backend
 //! keeps the paper's plan — the same [`SpgemmPlan`] the simulation
-//! consumes decides the row algorithm, each row's overflow bound and the
-//! work partition; `std::thread::scope` workers pull contiguous row
-//! ranges from a [`JobQueue`] — but accumulates rows the way a CPU wants
-//! to, not the way shared memory forces a GPU to. Every worker owns a
-//! **dense accumulator** for the plan's hash rows: a stamp and a value
-//! per column of `B`, reset between rows in O(1) by bumping an epoch:
-//! no per-row allocation, no scan over empty slots, no `(column, value)`
-//! pair sort. Only a `B` wider than [`DENSE_MAX_COLS`] skips the arrays;
-//! its hash rows run the ESC row kernel instead.
+//! consumes decides each row's overflow bound and the work partition;
+//! `std::thread::scope` workers pull contiguous row ranges from a
+//! [`JobQueue`] — but accumulates rows the way a CPU wants to, not the
+//! way shared memory forces a GPU to. The kernel follows from one
+//! property of the input, the width of `B`: every worker owns a **dense
+//! accumulator**, a stamp and a value per column of `B`, reset between
+//! rows in O(1) by bumping an epoch: no per-row allocation, no scan over
+//! empty slots, no `(column, value)` pair sort. Only a `B` wider than
+//! [`DENSE_MAX_COLS`] skips the arrays; its rows run the ESC row kernel
+//! (expand, sort, compress) instead.
 //!
 //! # Walk, then checked values
 //!
@@ -44,10 +45,10 @@
 //! many new columns as its symbolic count, and every recorded column, in
 //! strictly increasing order, must be one this row stamped. Together
 //! these make the two column sets equal, so a stale or corrupted
-//! structure is an [`Error::invariant`], never a wrong matrix. ESC,
-//! merge and wide-`B` rows run their own kernels and compare the columns
-//! they produce. A structure recorded by the simulator replays the same
-//! way: both backends' `C` have the same bits.
+//! structure is an [`Error::invariant`], never a wrong matrix. Rows of
+//! a wide `B` run the ESC kernel and compare the columns it produces. A
+//! structure recorded by the simulator replays the same way: both
+//! backends' `C` have the same bits.
 //!
 //! # Determinism
 //!
@@ -61,9 +62,8 @@
 //! `-0.0` into `+0.0`). Every job writes only its own rows — its own
 //! staging, or its own output slice carved with `split_at_mut` at
 //! row-pointer boundaries — so scheduling decides *when* a row is
-//! computed, never *what* it computes. The walk dispatches each row on
-//! the count phase's arm, the values pass on the numeric phase's; all
-//! arms produce the same bits.
+//! computed, never *what* it computes. The dense arrays and the ESC
+//! kernel produce the same bits.
 //!
 //! The host inspects no hash slots, so its `hash_probes` is 0
 //! (DESIGN.md §12).
@@ -75,10 +75,6 @@ use crate::exec::{Backend, ColdRecord, Execution, Executor, SymbolicOutput, Wall
 use crate::partition::{run_workers, JobQueue};
 use crate::pipeline::{Error, Options, Result};
 use crate::plan::{exact_row_products, SpgemmPlan};
-use crate::rowalg::{
-    esc_numeric_row, esc_symbolic_row, merge_numeric_row, merge_symbolic_row, AlgorithmChoice,
-    RowAlgScratch, RowAlgStats,
-};
 use sparse::{ix, to_u64, Csr, Scalar, SparseError, DEVICE_INDEX_BYTES};
 use std::any::Any;
 use std::time::Instant;
@@ -95,7 +91,7 @@ const CHUNKS_PER_THREAD: usize = 8;
 /// after a large one releases the excess.
 const STAGING_SLACK: u64 = 8;
 
-/// Widest `B`, in columns, whose hash rows use the dense accumulator.
+/// Widest `B`, in columns, whose rows use the dense accumulator.
 ///
 /// Measured on a 2-core Xeon (2 MiB L2 per core, 300 MiB shared L3),
 /// `A²` at 1 and 2 threads: the dense arrays beat a linear-probing hash
@@ -104,14 +100,13 @@ const STAGING_SLACK: u64 = 8;
 /// time. So this bound is set by memory, not speed: per worker the
 /// arrays take `4 + size_of::<T>()` bytes a column (12 MiB in f64 at
 /// this width) whatever the rows hold. For a wider `B` the accumulator, not the
-/// work, would set the host's footprint, and its hash rows run the ESC
+/// work, would set the host's footprint, and its rows run the ESC
 /// kernel, whose scratch grows with the row.
 pub const DENSE_MAX_COLS: usize = 1 << 20;
 
-/// A worker thread's accumulator for the plan's hash rows: a stamp and
-/// a value per column of `B`, allocated on the first row and reused
-/// for every later row. An epoch stamp marks the columns of the current
-/// row, so a reset is O(1). A `B` wider than [`DENSE_MAX_COLS`] gets no
+/// A worker thread's row accumulator: a stamp and a value per column of
+/// `B`, allocated on the first row and reused for every later row. An
+/// epoch stamp marks the columns of the current row, so a reset is O(1). A `B` wider than [`DENSE_MAX_COLS`] gets no
 /// arrays: its rows run the ESC kernel.
 struct RowAccumulator<T> {
     /// `B` is narrow enough for the column-indexed arrays.
@@ -243,48 +238,43 @@ fn replay_mismatch() -> Error {
     Error::invariant("host numeric row disagrees with its recorded structure")
 }
 
-/// An ESC or merge symbolic row kernel (`esc_symbolic_row`,
-/// `merge_symbolic_row`): the row's sorted columns, into the scratch.
-type CountKernel<T> = fn(&Csr<T>, &Csr<T>, usize, &mut RowAlgScratch<T>) -> RowAlgStats;
-
-/// An ESC or merge numeric row kernel (`esc_numeric_row`,
-/// `merge_numeric_row`).
-type RowKernel<T> =
-    fn(&Csr<T>, &Csr<T>, usize, &mut RowAlgScratch<T>, &mut [u32], &mut [T]) -> RowAlgStats;
-
-/// The count and fill kernels of a row the dense arrays do not take:
-/// merge rows, ESC rows, and hash rows of a `B` too wide for the arrays.
-fn row_kernels<T: Scalar>(algorithm: AlgorithmChoice) -> (CountKernel<T>, RowKernel<T>) {
-    match algorithm {
-        AlgorithmChoice::Merge => (merge_symbolic_row, merge_numeric_row),
-        AlgorithmChoice::Hash | AlgorithmChoice::Esc => (esc_symbolic_row, esc_numeric_row),
-    }
-}
-
-/// Replay row `row` through an ESC or merge row kernel, check the
-/// columns it produces against the row's recorded `cols`, then write its
-/// values to `out_vals`. The kernel writes into `buf`, sized to the
-/// row's products (a bound on its nnz), so a wrong record cannot
-/// overrun it.
-#[allow(clippy::too_many_arguments)]
-fn replay_row<T: Scalar>(
-    kernel: RowKernel<T>,
+/// The ESC row kernel (expand, sort, compress) for a `B` too wide for
+/// the dense arrays: expand row `row`'s `(column, a_ik · b_kj)` products
+/// into `scratch` in A-row traversal order, stable-sort them by column
+/// (ties keep traversal order) and reduce each run left to right,
+/// appending the row's sorted columns and values to `out`; returns the
+/// row's nnz. The first product of a column starts its sum and later
+/// ones add in traversal order: the addition order of the dense arrays
+/// and of the simulated hash kernels, so all three agree bitwise.
+fn esc_row<T: Scalar>(
     a: &Csr<T>,
     b: &Csr<T>,
     row: usize,
-    scratch: &mut RowAlgScratch<T>,
-    buf: &mut Staged<T>,
-    cols: &[u32],
-    out_vals: &mut [T],
-) -> Result<()> {
-    let mut nnz = 0;
-    buf.clear(false);
-    buf.fill(exact_row_products(a, b, row), |c, v| nnz = ix(kernel(a, b, row, scratch, c, v).nnz))?;
-    if buf.cols.get(..nnz) != Some(cols) {
-        return Err(replay_mismatch());
+    scratch: &mut Vec<(u32, T)>,
+    out: &mut Staged<T>,
+) -> Result<usize> {
+    scratch.clear();
+    let (acols, avals) = a.row(row);
+    for (&k, &av) in acols.iter().zip(avals) {
+        let (bcols, bvals) = b.row(ix(k));
+        scratch.extend(bcols.iter().zip(bvals).map(|(&j, &bv)| (j, av * bv)));
     }
-    out_vals.copy_from_slice(&buf.vals[..nnz]);
-    Ok(())
+    scratch.sort_by_key(|&(j, _)| j);
+    reserve(&mut out.cols, scratch.len())?;
+    reserve(&mut out.vals, scratch.len())?;
+    let start = out.cols.len();
+    let mut i = 0;
+    while i < scratch.len() {
+        let (j, mut sum) = scratch[i];
+        i += 1;
+        while i < scratch.len() && scratch[i].0 == j {
+            sum += scratch[i].1;
+            i += 1;
+        }
+        out.cols.push(j);
+        out.vals.push(sum);
+    }
+    Ok(out.cols.len() - start)
 }
 
 /// One chunk's rows of `C`, staged by the walk until the prefix sum of
@@ -322,18 +312,6 @@ impl<T: Scalar> Staged<T> {
         }
         self.cols.clear();
         self.vals.clear();
-    }
-
-    /// Append a row of `nnz` entries that `write` fills in place (the
-    /// ESC and merge kernels, which count first and then fill).
-    fn fill(&mut self, nnz: usize, write: impl FnOnce(&mut [u32], &mut [T])) -> Result<()> {
-        let start = self.cols.len();
-        reserve(&mut self.cols, nnz)?;
-        reserve(&mut self.vals, nnz)?;
-        self.cols.resize(start + nnz, 0);
-        self.vals.resize(start + nnz, T::ZERO);
-        write(&mut self.cols[start..], &mut self.vals[start..]);
-        Ok(())
     }
 }
 
@@ -383,8 +361,8 @@ impl ThreadResolution {
 
 /// Executes SpGEMM on host threads with a dense row accumulator per
 /// thread (see the module docs). The plan is still derived from a device class — the
-/// paper's P100 by default — because it decides each row's algorithm
-/// and its count-pass overflow bound; it no longer sizes host scratch.
+/// paper's P100 by default — because it decides each row's count-pass
+/// overflow bound and the work partition; it does not size host scratch.
 /// Between calls the executor holds the staging of its last
 /// `multiply`, emptied: at most [`STAGING_SLACK`] times what that call
 /// staged (a column and a value per entry of its `C`). Drop the
@@ -531,7 +509,7 @@ struct RowWalk<T> {
 }
 
 impl HostParallelExecutor {
-    /// Check the hash rows whose nnz exceeded the plan's table capacity:
+    /// Check the rows whose nnz exceeded the plan's table capacity:
     /// an invariant error under the exact estimator, whose tables are
     /// sized from every row's products, else a `replan` event.
     fn note_replans(&mut self, plan: &SpgemmPlan, replans: u64) -> Result<()> {
@@ -550,14 +528,14 @@ impl HostParallelExecutor {
     }
 
     /// The row walk of `multiply`: each worker pulls a product-weighted
-    /// chunk of rows and runs every row once, on the arm the plan's
-    /// count phase picked, appending its sorted columns and values to
-    /// the chunk's staging; the row's nnz lands in the chunk's slice of
-    /// `rpt[1..]`, which a scan then turns into `C`'s row pointer. A
-    /// hash row whose nnz exceeds the plan's table capacity counts as a
-    /// replan; it is already complete, so nothing is recounted. The
-    /// chunks refill `spare`, the emptied staging of an earlier walk,
-    /// before they allocate.
+    /// chunk of rows and runs every row once, through the dense arrays
+    /// or, for a wide `B`, the ESC kernel, appending its sorted columns
+    /// and values to the chunk's staging; the row's nnz lands in the
+    /// chunk's slice of `rpt[1..]`, which a scan then turns into `C`'s
+    /// row pointer. A row whose nnz exceeds the plan's table capacity
+    /// counts as a replan; it is already complete, so nothing is
+    /// recounted. The chunks refill `spare`, the emptied staging of an
+    /// earlier walk, before they allocate.
     fn walk_rows<T: Scalar>(
         &self,
         plan: &SpgemmPlan,
@@ -583,7 +561,7 @@ impl HostParallelExecutor {
         // Each worker returns its replan count and its accumulator's bytes.
         let tallies = run_workers(workers, || -> Result<(u64, u64)> {
             let mut acc = RowAccumulator::<T>::new(plan.cols);
-            let mut scratch = RowAlgScratch::<T>::new();
+            let mut esc = Vec::new();
             let mut replans = 0u64;
             while let Some((range, counts, chunk)) = queue.next() {
                 // Grow a worker-local handle: the chunks' headers sit side
@@ -591,20 +569,12 @@ impl HostParallelExecutor {
                 // line would serialize the workers.
                 let mut staged = std::mem::take(chunk);
                 for (slot, r) in counts.iter_mut().zip(range) {
-                    let algorithm = plan.count.algorithm_for(r);
-                    let nnz = if algorithm == AlgorithmChoice::Hash && acc.dense {
+                    let nnz = if acc.dense {
                         acc.stage_row(a, b, r, &mut staged)?
                     } else {
-                        let (count, fill) = row_kernels(algorithm);
-                        let nnz = ix(count(a, b, r, &mut scratch).nnz);
-                        staged.fill(nnz, |cols, vals| {
-                            fill(a, b, r, &mut scratch, cols, vals);
-                        })?;
-                        nnz
+                        esc_row(a, b, r, &mut esc, &mut staged)?
                     };
-                    if algorithm == AlgorithmChoice::Hash {
-                        replans += u64::from(nnz > plan.count.table_size_for(r));
-                    }
+                    replans += u64::from(nnz > plan.count.table_size_for(r));
                     *slot = nnz;
                 }
                 *chunk = staged;
@@ -629,8 +599,8 @@ impl HostParallelExecutor {
     /// The values pass: each worker pulls a product-weighted chunk of
     /// rows and fills its disjoint slice of `C`'s values, cut at the row
     /// pointer, replaying each row against its recorded columns through
-    /// the arm the plan's numeric phase picked. Returns the values and
-    /// the bytes of the dense arrays the workers allocated.
+    /// the dense arrays or, for a wide `B`, the ESC kernel. Returns the
+    /// values and the bytes of the dense arrays the workers allocated.
     fn values_pass<T: Scalar>(
         &self,
         plan: &SpgemmPlan,
@@ -639,9 +609,11 @@ impl HostParallelExecutor {
         b: &Csr<T>,
     ) -> Result<(Vec<T>, u64)> {
         let (rpt, structure) = (&symbolic.rpt, &symbolic.structure);
-        // `numeric_phase` checks the row pointer against the plan's rows.
-        let numeric = plan.numeric_phase(rpt)?;
-        if rpt[0] != 0 || structure.len() != symbolic.output_nnz() {
+        if rpt.len() != plan.rows + 1
+            || rpt[0] != 0
+            || rpt.windows(2).any(|w| w[0] > w[1])
+            || structure.len() != symbolic.output_nnz()
+        {
             return Err(Error::invariant("symbolic row pointer disagrees with the structure"));
         }
         let mut val_c = vec![T::ZERO; structure.len()];
@@ -658,21 +630,23 @@ impl HostParallelExecutor {
         // Each worker returns its accumulator's bytes.
         let tallies = run_workers(workers, || -> Result<u64> {
             let mut acc = RowAccumulator::<T>::new(b.cols());
-            let mut scratch = RowAlgScratch::<T>::new();
-            let mut buf = Staged::default();
+            let (mut esc, mut buf) = (Vec::new(), Staged::default());
             while let Some((range, vals)) = queue.next() {
                 let base = rpt[range.start];
                 for r in range {
                     let (lo, hi) = (rpt[r], rpt[r + 1]);
                     let (cols, vals) = (&structure[lo..hi], &mut vals[lo - base..hi - base]);
-                    match numeric.algorithm_for(r) {
-                        AlgorithmChoice::Hash if acc.dense => {
-                            acc.values_row(a, b, r, cols, vals)?
+                    if acc.dense {
+                        acc.values_row(a, b, r, cols, vals)?;
+                    } else {
+                        // The ESC kernel runs into `buf`; its columns must
+                        // be the recorded ones.
+                        buf.clear(false);
+                        esc_row(a, b, r, &mut esc, &mut buf)?;
+                        if buf.cols != cols {
+                            return Err(replay_mismatch());
                         }
-                        alg => {
-                            let kernel = row_kernels(alg).1;
-                            replay_row(kernel, a, b, r, &mut scratch, &mut buf, cols, vals)?;
-                        }
+                        vals.copy_from_slice(&buf.vals);
                     }
                 }
             }
@@ -847,6 +821,25 @@ mod tests {
             let mut vals = vec![0.0; bad.len()];
             let err = num.values_row(&a, &b, 0, bad, &mut vals).unwrap_err();
             assert_eq!(err.kind(), crate::ErrorKind::Invariant);
+        }
+    }
+
+    #[test]
+    fn esc_rows_are_bitwise_equal_to_hash() {
+        // Values in steps of 0.1 round their sums, so the order shows.
+        let (a, b) = (rand_mat(160, 7, 3).scaled(0.1), rand_mat(160, 6, 11).scaled(0.1));
+        let c_ref = spgemm_gustavson(&a, &b).unwrap();
+        let mut table = crate::hash::HashTable::<f64>::new(4096, true);
+        let (mut esc, mut staged) = (Vec::new(), Staged::default());
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for row in 0..a.rows() {
+            let nnz = c_ref.row_nnz(row);
+            let (mut hc, mut hv) = (vec![0u32; nnz], vec![0.0f64; nnz]);
+            crate::kernels::tb_numeric_row(&a, &b, row, 4096, &mut table, &mut hc, &mut hv);
+            staged.clear(false);
+            assert_eq!(esc_row(&a, &b, row, &mut esc, &mut staged).unwrap(), nnz, "row {row}");
+            assert_eq!(staged.cols, hc, "esc cols row {row}");
+            assert_eq!(bits(&staged.vals), bits(&hv), "esc vals row {row}");
         }
     }
 

@@ -60,7 +60,6 @@ pub mod partition;
 pub mod pipeline;
 pub mod plan;
 pub mod reuse;
-pub mod rowalg;
 pub mod sim;
 
 pub use batched::BatchedExecutor;
@@ -74,5 +73,4 @@ pub use pipeline::{
 };
 pub use plan::{global_table_size_checked, Estimator, PhasePlan, SpgemmPlan};
 pub use reuse::{pattern_fingerprint, SymbolicPlan};
-pub use rowalg::{AlgorithmChoice, AlgorithmPolicy};
 pub use sim::SimExecutor;

@@ -51,10 +51,6 @@ pub struct Options {
     /// pipeline; a sampled estimator trades table-sizing accuracy for
     /// planning cost, with per-row replans absorbing under-estimates.
     pub estimator: crate::plan::Estimator,
-    /// Per-group row-algorithm selection (DESIGN.md §16). The default
-    /// runs the paper's hash kernels everywhere; `Adaptive` may pick
-    /// ESC or merge per group. Output is bitwise identical either way.
-    pub policy: crate::rowalg::AlgorithmPolicy,
 }
 
 impl Default for Options {
@@ -65,7 +61,6 @@ impl Default for Options {
             pwarp_width: 4,
             use_mul_hash: true,
             estimator: crate::plan::Estimator::Exact,
-            policy: crate::rowalg::AlgorithmPolicy::HashOnly,
         }
     }
 }

@@ -10,14 +10,13 @@
 //! backends that execute on real threads. Both the simulated-device
 //! backend ([`crate::SimExecutor`]) and the host thread-pool backend
 //! ([`crate::HostParallelExecutor`]) consume the same plan: every
-//! decision that could make their outputs diverge (the row algorithm,
-//! which rows replan) is made exactly once, here. The simulation sizes
+//! decision that could make their outputs diverge (which rows replan)
+//! is made exactly once, here. The simulation sizes
 //! its hash tables from the plan; the host treats the count-phase sizes
 //! only as each row's overflow bound and sizes its own accumulators.
 
 use crate::groups::{build_groups, Assignment, GroupPhase, GroupTable};
 use crate::pipeline::{overflow_err, Error, Options, Result};
-use crate::rowalg::AlgorithmChoice;
 use sparse::spgemm_ref::row_intermediate_products;
 use sparse::{ix, to_u64, try_usize, Csr, Scalar};
 use std::ops::Range;
@@ -216,13 +215,6 @@ impl PhasePlan {
         }
     }
 
-    /// The row algorithm a backend must dispatch for `row` in this
-    /// phase (the per-group choice of DESIGN.md §16; `Hash` unless the
-    /// adaptive policy selected otherwise).
-    pub fn algorithm_for(&self, row: usize) -> AlgorithmChoice {
-        self.groups.groups[self.groups.group_of(self.metric[row])].algorithm
-    }
-
     /// Split `0..rows` into at most `parts` contiguous ranges of roughly
     /// equal total metric weight (for thread-parallel backends).
     pub fn partition(&self, parts: usize) -> Vec<Range<usize>> {
@@ -271,8 +263,7 @@ impl SpgemmPlan {
             build_groups(cfg, T::BYTES, GroupPhase::Count, opts.pwarp_width, opts.use_pwarp);
         let numeric_groups =
             build_groups(cfg, T::BYTES, GroupPhase::Numeric, opts.pwarp_width, opts.use_pwarp);
-        let mut count = PhasePlan::new(count_groups, nprod)?;
-        crate::rowalg::select_count(opts.policy, &mut count);
+        let count = PhasePlan::new(count_groups, nprod)?;
         Ok(SpgemmPlan {
             rows: a.rows(),
             cols: b.cols(),
@@ -282,12 +273,6 @@ impl SpgemmPlan {
             count,
             numeric_groups,
         })
-    }
-
-    /// Per-row intermediate products (the count-phase metric; an upper
-    /// -bound estimate under a sampled [`Estimator`]).
-    pub fn nprod(&self) -> &[usize] {
-        &self.count.metric
     }
 
     /// Derive the numeric-phase bucketing from the symbolic result
@@ -304,9 +289,7 @@ impl SpgemmPlan {
             .collect::<Option<Vec<usize>>>()
             .filter(|m| m.len() == self.rows)
             .ok_or_else(|| Error::invariant("symbolic row pointer does not fit the plan"))?;
-        let mut phase = PhasePlan::new(self.numeric_groups.clone(), metric)?;
-        crate::rowalg::select_numeric(self.opts.policy, &mut phase, self.nprod());
-        Ok(phase)
+        PhasePlan::new(self.numeric_groups.clone(), metric)
     }
 
     /// The CUDA stream group `gi` launches on (§IV-C): its own stream

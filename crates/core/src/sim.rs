@@ -22,10 +22,6 @@ use crate::pipeline::{overflow_err, Error, Options, Result};
 use crate::plan::{
     exact_row_products, global_table_size_checked, Estimator, PhasePlan, SpgemmPlan,
 };
-use crate::rowalg::{
-    esc_block_cost, esc_numeric_row, esc_symbolic_row, merge_block_cost, merge_numeric_row,
-    merge_symbolic_row, AlgorithmChoice, RowAlgScratch,
-};
 use sparse::{Csr, Scalar, DEVICE_INDEX_BYTES};
 use std::ops::Range;
 use vgpu::device::DEFAULT_STREAM;
@@ -290,10 +286,10 @@ fn multiply_inner<T: Scalar>(
     Ok(Execution { matrix: c, report, wall: None, replans, record })
 }
 
-/// The symbolic (count) phase: run the per-group row kernels (hash,
-/// ESC or merge per the plan's [`AlgorithmChoice`]) from the count-phase
-/// bucketing, handle global-table overflow rows, and — under a sampled
-/// estimator — replan rows whose padded table still under-sized.
+/// The symbolic (count) phase: run the per-group hash row kernels from
+/// the count-phase bucketing, handle global-table overflow rows, and —
+/// under a sampled estimator — replan rows whose padded table still
+/// under-sized.
 /// Returns the exact nnz of every output row, the total hash-probe
 /// steps observed, and the replanned-row count. The caller sets the
 /// device phase. The row walks run on up to `threads` workers; every
@@ -320,42 +316,6 @@ pub(crate) fn run_count<T: Scalar>(
         }
         let stream = plan.stream_for(gi);
         match spec.assignment {
-            // ESC rows expand into shared memory and sort — no table,
-            // no overflow, exact counts on the first pass.
-            Assignment::TbRow if spec.algorithm == AlgorithmChoice::Esc => {
-                let stats = runner
-                    .map::<T, _>(rows, None, |w, _, r, _| esc_symbolic_row(a, b, r, &mut w.alg));
-                let mut blocks = Vec::with_capacity(rows.len());
-                for (&r, s) in rows.iter().zip(&stats) {
-                    nnz_row[r as usize] = s.nnz;
-                    blocks.push(esc_block_cost(gpu, spec.block_threads, s, None));
-                }
-                gpu.launch(
-                    KernelDesc::new(
-                        format!("symbolic_esc_g{gi}"),
-                        stream,
-                        spec.block_threads,
-                        spec.shared_bytes,
-                    ),
-                    blocks,
-                )?;
-            }
-            // Merge rows fold B-rows into a global sorted accumulator —
-            // they skip both the doomed shared attempt and the global
-            // hash fallback entirely.
-            Assignment::TbRowGlobal if spec.algorithm == AlgorithmChoice::Merge => {
-                let stats = runner
-                    .map::<T, _>(rows, None, |w, _, r, _| merge_symbolic_row(a, b, r, &mut w.alg));
-                let mut blocks = Vec::with_capacity(rows.len());
-                for (&r, s) in rows.iter().zip(&stats) {
-                    nnz_row[r as usize] = s.nnz;
-                    blocks.push(merge_block_cost(gpu, s, None));
-                }
-                gpu.launch(
-                    KernelDesc::new(format!("symbolic_merge_g{gi}"), stream, spec.block_threads, 0),
-                    blocks,
-                )?;
-            }
             Assignment::TbRow | Assignment::TbRowGlobal => {
                 let stats = runner.map::<T, _>(rows, None, |w, _, r, _| {
                     tb_symbolic_row(a, b, r, spec.table_size, &mut w.table)
@@ -417,55 +377,16 @@ pub(crate) fn run_count<T: Scalar>(
     // per-row global tables sized from their intermediate products.
     let mut replans = 0u64;
     if !count_overflow.is_empty() {
-        // Capacities up front (the `?` must run before the malloc).
-        let mut caps = Vec::with_capacity(count_overflow.len());
-        for &r in &count_overflow {
-            caps.push(
-                global_table_size_checked(nprod[r as usize])
-                    .ok_or_else(|| overflow_err("global hash-table size"))?,
-            );
-        }
-        let table_bytes: u64 = caps.iter().map(|&c| DEVICE_INDEX_BYTES * c as u64).sum();
-        let gt = gpu.malloc(table_bytes, "count_global_tables")?;
-        // From here the table must be freed on *every* exit — an
-        // injected memset/launch fault must not leak it.
-        let memset_res = primitives::memset(gpu, DEFAULT_STREAM, table_bytes);
-        if memset_res.is_ok() {
-            gpu.san_note_memset(gt, 0, table_bytes);
-        }
-        let stats = runner.map::<T, _>(&count_overflow, None, |w, i, r, _| {
-            tb_symbolic_row(a, b, r, caps[i], &mut w.table)
-        });
-        let mut blocks = Vec::with_capacity(count_overflow.len());
-        let mut replan_rows: Vec<u32> = Vec::new();
-        for ((&r, &cap), s) in count_overflow.iter().zip(&caps).zip(&stats) {
-            total_probes += s.probes;
-            if s.overflowed {
-                // Only possible when `cap` came from a sampled estimate
-                // that under-shot the row's true products.
-                replan_rows.push(r);
-            } else {
-                nnz_row[r as usize] = s.nnz;
-            }
-            blocks.push(tb_global_block_cost(gpu, s, cap, None));
-        }
-        let launch_res = memset_res.and_then(|()| {
-            gpu.launch(
-                KernelDesc::new(
-                    "symbolic_global",
-                    DEFAULT_STREAM,
-                    gpu.config().max_threads_per_block,
-                    0,
-                )
-                .reading(gt, 0, table_bytes)
-                .writing(gt, 0, table_bytes),
-                blocks,
-            )
-        });
-        gpu.free(gt); // synchronizes; table only lives through the pass
-        launch_res?;
-        // The second pass re-runs group-0 rows with global tables.
-        drain_probe_stats(gpu, &mut runner, "count", 0);
+        let (replan_rows, probes) = global_count_pass(
+            gpu,
+            &mut runner,
+            (a, b),
+            &count_overflow,
+            |r| nprod[r],
+            ("symbolic_global", "count_global_tables"),
+            &mut nnz_row,
+        )?;
+        total_probes += probes;
 
         // Third pass (DESIGN.md §16's replan contract): recount the
         // under-estimated rows with tables sized from *exact* products.
@@ -478,52 +399,85 @@ pub(crate) fn run_count<T: Scalar>(
                 ));
             }
             replans = replan_rows.len() as u64;
-            let mut exact_caps = Vec::with_capacity(replan_rows.len());
-            for &r in &replan_rows {
-                let prod = exact_row_products(a, b, r as usize);
-                exact_caps.push(
-                    global_table_size_checked(prod)
-                        .ok_or_else(|| overflow_err("global hash-table size"))?,
-                );
+            let (overflowed, probes) = global_count_pass(
+                gpu,
+                &mut runner,
+                (a, b),
+                &replan_rows,
+                |r| exact_row_products(a, b, r),
+                ("symbolic_replan", "replan_global_tables"),
+                &mut nnz_row,
+            )?;
+            total_probes += probes;
+            if !overflowed.is_empty() {
+                return Err(Error::invariant("exact-cap replan table overflowed"));
             }
-            let replan_bytes: u64 = exact_caps.iter().map(|&c| DEVICE_INDEX_BYTES * c as u64).sum();
-            let gt = gpu.malloc(replan_bytes, "replan_global_tables")?;
-            let memset_res = primitives::memset(gpu, DEFAULT_STREAM, replan_bytes);
-            if memset_res.is_ok() {
-                gpu.san_note_memset(gt, 0, replan_bytes);
-            }
-            let stats = runner.map::<T, _>(&replan_rows, None, |w, i, r, _| {
-                tb_symbolic_row(a, b, r, exact_caps[i], &mut w.table)
-            });
-            let mut blocks = Vec::with_capacity(replan_rows.len());
-            for ((&r, &cap), s) in replan_rows.iter().zip(&exact_caps).zip(&stats) {
-                total_probes += s.probes;
-                debug_assert!(!s.overflowed, "exact-cap replan table cannot overflow");
-                nnz_row[r as usize] = s.nnz;
-                blocks.push(tb_global_block_cost(gpu, s, cap, None));
-            }
-            let launch_res = memset_res.and_then(|()| {
-                gpu.launch(
-                    KernelDesc::new(
-                        "symbolic_replan",
-                        DEFAULT_STREAM,
-                        gpu.config().max_threads_per_block,
-                        0,
-                    )
-                    .reading(gt, 0, replan_bytes)
-                    .writing(gt, 0, replan_bytes),
-                    blocks,
-                )
-            });
-            gpu.free(gt);
-            launch_res?;
-            drain_probe_stats(gpu, &mut runner, "count", 0);
             if let Some(t) = gpu.telemetry_mut() {
                 t.emit(obs::Event::new("replan").str("phase", "count").u64("rows", replans));
             }
         }
     }
     Ok((nnz_row, total_probes, replans))
+}
+
+/// One global-table pass of the count phase: `rows` each get a table
+/// sized from `products(row)` — checked capacities, then malloc under
+/// `tag`, memset, row walk, launch of `kernel`, free and probe drain.
+/// The table is freed on every exit, so an injected memset or launch
+/// fault cannot leak it. Every row that fits its table gets its nnz in
+/// `nnz_row`; returns the rows that still overflowed (only possible
+/// when `products` is a sampled under-estimate) and the probe steps
+/// observed. The group-0 overflow pass and the sampled replan pass are
+/// this one sequence with different capacities and names.
+fn global_count_pass<T: Scalar>(
+    gpu: &mut Gpu,
+    runner: &mut RowRunner<'_>,
+    (a, b): (&Csr<T>, &Csr<T>),
+    rows: &[u32],
+    products: impl Fn(usize) -> usize,
+    (kernel, tag): (&str, &str),
+    nnz_row: &mut [u32],
+) -> Result<(Vec<u32>, u64)> {
+    // Capacities up front (the `?` must run before the malloc).
+    let mut caps = Vec::with_capacity(rows.len());
+    for &r in rows {
+        caps.push(
+            global_table_size_checked(products(r as usize))
+                .ok_or_else(|| overflow_err("global hash-table size"))?,
+        );
+    }
+    let table_bytes: u64 = caps.iter().map(|&c| DEVICE_INDEX_BYTES * c as u64).sum();
+    let gt = gpu.malloc(table_bytes, tag)?;
+    let memset_res = primitives::memset(gpu, DEFAULT_STREAM, table_bytes);
+    if memset_res.is_ok() {
+        gpu.san_note_memset(gt, 0, table_bytes);
+    }
+    let stats = runner
+        .map::<T, _>(rows, None, |w, i, r, _| tb_symbolic_row(a, b, r, caps[i], &mut w.table));
+    let mut blocks = Vec::with_capacity(rows.len());
+    let (mut overflowed, mut probes) = (Vec::new(), 0u64);
+    for ((&r, &cap), s) in rows.iter().zip(&caps).zip(&stats) {
+        probes += s.probes;
+        if s.overflowed {
+            overflowed.push(r);
+        } else {
+            nnz_row[r as usize] = s.nnz;
+        }
+        blocks.push(tb_global_block_cost(gpu, s, cap, None));
+    }
+    let launch_res = memset_res.and_then(|()| {
+        gpu.launch(
+            KernelDesc::new(kernel, DEFAULT_STREAM, gpu.config().max_threads_per_block, 0)
+                .reading(gt, 0, table_bytes)
+                .writing(gt, 0, table_bytes),
+            blocks,
+        )
+    });
+    gpu.free(gt); // synchronizes; the table only lives through the pass
+    launch_res?;
+    // Both passes re-run group-0-scale rows with global tables.
+    drain_probe_stats(gpu, runner, "count", 0);
+    Ok((overflowed, probes))
 }
 
 /// The numeric (calc) phase: regroup rows by output nnz via the plan,
@@ -567,54 +521,6 @@ pub(crate) fn run_numeric<T: Scalar>(
         let stream = plan.stream_for(gi);
         let out = Some((rpt_c, &mut col_c[..], &mut val_c[..]));
         match spec.assignment {
-            Assignment::TbRow if spec.algorithm == AlgorithmChoice::Esc => {
-                let stats = runner.map(rows, out, |w, _, r, (cols, vals)| {
-                    esc_numeric_row(a, b, r, &mut w.alg, cols, vals)
-                });
-                let blocks = stats
-                    .iter()
-                    .map(|s| esc_block_cost(gpu, spec.block_threads, s, Some(T::BYTES)))
-                    .collect();
-                gpu.launch(
-                    write_c(KernelDesc::new(
-                        format!("numeric_esc_g{gi}"),
-                        stream,
-                        spec.block_threads,
-                        spec.shared_bytes,
-                    )),
-                    blocks,
-                )?;
-            }
-            Assignment::TbRowGlobal if spec.algorithm == AlgorithmChoice::Merge => {
-                // Ping-pong accumulator buffers in global memory, sized
-                // from the (exact) output nnz of the group's rows.
-                let buf_bytes: u64 = rows
-                    .iter()
-                    .map(|&r| {
-                        (DEVICE_INDEX_BYTES + T::BYTES as u64)
-                            * 2
-                            * numeric.metric[r as usize] as u64
-                    })
-                    .sum();
-                let gt = gpu.malloc(buf_bytes, "numeric_merge_buffers")?;
-                let stats = runner.map(rows, out, |w, _, r, (cols, vals)| {
-                    merge_numeric_row(a, b, r, &mut w.alg, cols, vals)
-                });
-                let blocks =
-                    stats.iter().map(|s| merge_block_cost(gpu, s, Some(T::BYTES))).collect();
-                let launch_res = gpu.launch(
-                    write_c(KernelDesc::new(
-                        format!("numeric_merge_g{gi}"),
-                        stream,
-                        spec.block_threads,
-                        0,
-                    ))
-                    .writing(gt, 0, buf_bytes),
-                    blocks,
-                );
-                gpu.free(gt);
-                launch_res?;
-            }
             Assignment::TbRow => {
                 let stats = runner.map(rows, out, |w, _, r, (cols, vals)| {
                     tb_numeric_row(a, b, r, spec.table_size, &mut w.table, cols, vals)
@@ -733,10 +639,9 @@ const PRODUCTS_PER_WORKER: usize = 1;
 const CHUNKS_PER_WORKER: usize = 8;
 
 /// A worker's row-kernel state, reused across the rows it pulls: its own
-/// hash table (probe observer included) and scratch buffers.
+/// hash table (probe observer included) and PWARP lane counts.
 struct RowWorker<T> {
     table: HashTable<T>,
-    alg: RowAlgScratch<T>,
     /// PWARP per-lane step counts.
     lanes: Vec<u64>,
 }
@@ -819,11 +724,7 @@ impl<'p> RowRunner<'p> {
         }
         let queue = JobQueue::new(jobs);
         let work = || {
-            let mut w = RowWorker {
-                table: HashTable::new(1024, self.scramble),
-                alg: RowAlgScratch::new(),
-                lanes: Vec::new(),
-            };
+            let mut w = RowWorker { table: HashTable::new(1024, self.scramble), lanes: Vec::new() };
             w.table.observe_probes(self.observe);
             while let Some((range, st, cols, vals, base)) = queue.next() {
                 for (slot, i) in st.iter_mut().zip(range) {
@@ -878,7 +779,6 @@ fn emit_group_summary(gpu: &mut Gpu, groups: &GroupTable, metric: &[usize], phas
             t.emit(
                 obs::Event::new("group")
                     .str("phase", phase)
-                    .str("algo", &groups.groups[o.id].algorithm.to_string())
                     .u64("group", o.id as u64)
                     .u64("rows", o.rows)
                     .u64("metric_total", o.metric_total),
@@ -922,7 +822,6 @@ pub(crate) fn grouping_kernel(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rowalg::AlgorithmPolicy;
     use vgpu::DeviceConfig;
 
     /// Everything a run exposes that must not depend on the worker count.
@@ -1033,52 +932,5 @@ mod tests {
             })
             .sum();
         assert!(replans > 0, "test needs replanned rows");
-    }
-
-    #[test]
-    fn adaptive_policy_is_thread_count_invariant() {
-        // Rows of ~64 scattered products (compression ≈ 1: ESC groups)
-        // plus four rows that concatenate eight disjoint 3000-column
-        // B-rows (24 000 products, no duplicates: merge groups).
-        let (m, k, n) = (1500usize, 1500usize, 30_000usize);
-        let mut seed = 17u64;
-        let mut next = |below: usize| {
-            seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            (seed >> 33) as usize % below
-        };
-        let mut ta = Vec::new();
-        for r in 0..m {
-            if r < 4 {
-                ta.extend((0..8u32).map(|c| (r, c, 1.0 + c as f64)));
-            } else {
-                ta.extend((0..8).map(|_| (r, (8 + next(k - 8)) as u32, 0.5 + next(4) as f64)));
-            }
-        }
-        let mut tb = Vec::new();
-        for r in 0..k {
-            if r < 8 {
-                tb.extend((r * 3000..(r + 1) * 3000).map(|c| (r, c as u32, 1.0 - (c % 5) as f64)));
-            } else {
-                tb.extend((0..8).map(|_| (r, next(n) as u32, 1.5)));
-            }
-        }
-        let a = Csr::from_triplets(m, k, &ta).unwrap();
-        let b = Csr::from_triplets(k, n, &tb).unwrap();
-        let opts = Options { policy: AlgorithmPolicy::Adaptive, ..Options::default() };
-        let plan = SpgemmPlan::new(&DeviceConfig::p100(), &a, &b, &opts).unwrap();
-        let c_ref = sparse::spgemm_ref::spgemm_gustavson(&a, &b).unwrap();
-        let numeric = plan.numeric_phase(c_ref.rpt()).unwrap();
-        for (phase, groups) in [("count", &plan.count), ("calc", &numeric)] {
-            for algo in [AlgorithmChoice::Esc, AlgorithmChoice::Merge] {
-                let used = groups
-                    .groups
-                    .groups
-                    .iter()
-                    .zip(&groups.rows_by_group)
-                    .any(|(g, rows)| g.algorithm == algo && !rows.is_empty());
-                assert!(used, "test needs {algo} rows in the {phase} phase");
-            }
-        }
-        assert_thread_invariant("adaptive", &a, &b, &opts);
     }
 }

@@ -23,7 +23,7 @@
 //! change results — an evicted pattern just plans cold again — which
 //! `tests/cache_props.rs` asserts property-style.
 
-use nsparse_core::{pattern_fingerprint, AlgorithmPolicy, Estimator, Options, SymbolicPlan};
+use nsparse_core::{pattern_fingerprint, Estimator, Options, SymbolicPlan};
 use sparse::{Csr, Scalar};
 use std::collections::HashMap;
 use std::collections::VecDeque;
@@ -37,13 +37,12 @@ pub struct PlanKey {
     shape: (usize, usize, usize),
     nnz: (usize, usize),
     // (use_streams, use_pwarp, pwarp_width, use_mul_hash). The
-    // estimator and algorithm policy are part of the fingerprint too:
-    // a sampled plan's table sizes and a policy's per-group algorithm
-    // choices both live inside the cached SymbolicPlan, so plans built
-    // under different planning modes must never be conflated (outputs
-    // would still be bitwise identical, but replayed cost/telemetry
-    // would silently belong to the wrong mode).
-    opts: (bool, bool, usize, bool, Estimator, AlgorithmPolicy),
+    // estimator is part of the fingerprint too: a sampled plan's table
+    // sizes live inside the cached SymbolicPlan, so plans built under
+    // different estimators must never be conflated (outputs would still
+    // be bitwise identical, but replayed cost/telemetry would silently
+    // belong to the wrong mode).
+    opts: (bool, bool, usize, bool, Estimator),
 }
 
 impl PlanKey {
@@ -60,7 +59,6 @@ impl PlanKey {
                 opts.pwarp_width,
                 opts.use_mul_hash,
                 opts.estimator,
-                opts.policy,
             ),
         }
     }
@@ -225,12 +223,10 @@ mod tests {
         // Different options must not share a plan.
         let no_pwarp = Options { use_pwarp: false, ..Options::default() };
         assert_ne!(PlanKey::new(&a, &a, &opts), PlanKey::new(&a, &a, &no_pwarp));
-        // Planning mode is part of the fingerprint: sampled-estimator
-        // and adaptive-policy plans never alias the default's entry.
+        // The estimator is part of the fingerprint: sampled-estimator
+        // plans never alias the default's entry.
         let sampled = Options { estimator: Estimator::sampled(), ..Options::default() };
         assert_ne!(PlanKey::new(&a, &a, &opts), PlanKey::new(&a, &a, &sampled));
-        let adaptive = Options { policy: AlgorithmPolicy::Adaptive, ..Options::default() };
-        assert_ne!(PlanKey::new(&a, &a, &opts), PlanKey::new(&a, &a, &adaptive));
     }
 
     #[test]

@@ -52,8 +52,8 @@ pub struct DriverConfig {
     /// Build per-job span trees and a flight-recorder dump
     /// ([`DriverReport::flight_dump`], DESIGN.md §15).
     pub trace: bool,
-    /// Multiply options applied to every job (estimator mode, algorithm
-    /// policy, hash variant — DESIGN.md §16). Verification always
+    /// Multiply options applied to every job (estimator mode, hash
+    /// variant — DESIGN.md §16). Verification always
     /// compares against standalone `multiply` under the *same* options,
     /// so a sampled run still has to match its own exact-cost reference
     /// bitwise.

@@ -1038,6 +1038,7 @@ fn run_with_cache<T: Scalar, E: Executor<T>>(
 mod tests {
     use super::*;
     use nsparse_core::{multiply, ErrorKind, Options};
+    use quickprop::{prop_assert, prop_assert_eq, quickprop, sparse_gen};
     use vgpu::FaultPlan;
 
     fn rand_mat(n: usize, seed: u64) -> Arc<Csr<f64>> {
@@ -1194,24 +1195,88 @@ mod tests {
         assert!(stats.budget_drained);
     }
 
-    #[test]
-    fn invalid_jobs_fail_with_planning_errors_not_panics() {
-        let a = rand_mat(64, 2);
-        let b = rand_mat(96, 2);
-        let mut eng = Engine::new(EngineConfig::default());
-        let bad_shape = eng.submit(JobSpec::new(Arc::clone(&a), Arc::clone(&b)));
-        let bad_range = eng.submit(JobSpec::new(Arc::clone(&a), Arc::clone(&a)).with_rows(60..80));
-        let ok = eng.submit(JobSpec::new(Arc::clone(&a), Arc::clone(&a)).with_rows(0..0));
-        assert_eq!(bad_shape.wait().unwrap_err().kind(), ErrorKind::Planning);
-        assert_eq!(bad_range.wait().unwrap_err().kind(), ErrorKind::Planning);
-        // Zero-row window: a valid empty product, not a panic.
-        let empty = ok.wait().unwrap();
-        assert_eq!(empty.matrix.rows(), 0);
-        assert_eq!(empty.matrix.nnz(), 0);
-        let stats = eng.shutdown();
-        assert_eq!(stats.failed, 2);
-        assert!(stats.conserved());
-        assert!(stats.budget_drained);
+    /// `m` with flaw `flaw` planted in the first row that can hold it:
+    /// 0 a column past the last, 1 an unsorted row, 2 a duplicate
+    /// column, 3 a row pointer that overshoots nnz and falls back. Built
+    /// through `Csr::from_parts_unchecked`, which checks only the row
+    /// pointer's ends — and, in debug builds, the whole structure, so
+    /// there no flawed matrix can be built (`None`).
+    fn flawed(m: &Csr<f64>, flaw: usize) -> Option<Csr<f64>> {
+        if cfg!(debug_assertions) {
+            return None;
+        }
+        let (mut rpt, mut col) = (m.rpt().to_vec(), m.col().to_vec());
+        // Offset of the first row holding two entries.
+        let pair = (0..m.rows()).find(|&r| m.row_nnz(r) >= 2).map(|r| m.rpt()[r]);
+        match flaw {
+            0 => *col.last_mut()? = u32::try_from(m.cols()).ok()?,
+            1 => col.swap(pair?, pair? + 1),
+            2 => col[pair? + 1] = col[pair?],
+            _ => rpt[1] = col.len() + 1,
+        }
+        Csr::from_parts_unchecked(m.rows(), m.cols(), rpt, col, m.val().to_vec()).ok()
+    }
+
+    quickprop! {
+        #![config(cases = 48)]
+
+        /// Hostile `JobSpec`s at the trust boundary: mismatched shapes,
+        /// row windows drawn from `0..rows + 8` (reversed ones included),
+        /// flawed structures and faults on the host backend. A valid job
+        /// equals standalone `multiply` bitwise; every other one fails
+        /// with a planning error, never a panic, and the engine still
+        /// conserves its outcomes and drains its budget.
+        #[test]
+        fn invalid_jobs_fail_with_planning_errors_not_panics(
+            (mut a, mut b) in sparse_gen::csr_chain(24, 96),
+            mismatch in 0usize..4,
+            (windowed, lo, hi) in (0usize..3, 0usize..64, 0usize..64),
+            (flaw, on_b) in (0usize..8, 0usize..2),
+            (on_host, faults) in (0usize..2, 0usize..2),
+        ) {
+            // One job in four gets a `B` with a row too many.
+            if mismatch == 0 {
+                b = Csr::zeros(b.rows() + 1, b.cols());
+            }
+            let target = if on_b == 1 { &mut b } else { &mut a };
+            let planted = match flaw {
+                0..=3 => flawed(target, flaw).map(|m| *target = m).is_some(),
+                _ => false,
+            };
+            let rows = (windowed > 0).then(|| lo % (a.rows() + 8)..hi % (a.rows() + 8));
+            let faults = on_host == 1 && faults == 1;
+            let mut spec = JobSpec::new(Arc::new(a.clone()), Arc::new(b.clone()));
+            if let Some(r) = rows.clone() {
+                spec = spec.with_rows(r);
+            }
+            if faults {
+                spec = spec.with_faults(FaultPlan::parse("seed=1;malloc-oom=1").unwrap());
+            }
+            let valid = !planted
+                && a.cols() == b.rows()
+                && rows.as_ref().is_none_or(|r| r.start <= r.end && r.end <= a.rows())
+                && !faults;
+            let backend = if on_host == 1 { Backend::Host { threads: 2 } } else { Backend::Sim };
+            let mut eng = Engine::new(EngineConfig { workers: 1, backend, ..EngineConfig::default() });
+            let result = eng.submit(spec).wait();
+            let stats = eng.shutdown();
+            prop_assert!(stats.conserved(), "outcomes not conserved");
+            prop_assert!(stats.budget_drained, "budget not drained");
+            match result {
+                Ok(out) => {
+                    prop_assert!(valid, "an invalid job completed");
+                    let a = rows.map_or(a.clone(), |r| a.slice_rows(r));
+                    let want = reference(&a, &b);
+                    prop_assert_eq!(out.matrix.rpt(), want.rpt());
+                    prop_assert_eq!(out.matrix.col(), want.col());
+                    prop_assert_eq!(bits(&out.matrix), bits(&want));
+                }
+                Err(e) => {
+                    prop_assert_eq!(e.kind(), ErrorKind::Planning, "{e}");
+                    prop_assert!(!valid, "a valid job failed: {e}");
+                }
+            }
+        }
     }
 
     #[test]

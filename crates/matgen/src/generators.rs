@@ -75,30 +75,43 @@ fn value<T: Scalar>(rng: &mut Rng64) -> T {
     T::from_f64(0.5 + rng.unit())
 }
 
-/// Assemble a CSR matrix from per-row column lists (sorted + deduped
-/// here), attaching random values.
-fn assemble<T: Scalar>(
-    rows: usize,
-    cols: usize,
-    row_cols: Vec<Vec<u32>>,
-    rng: &mut Rng64,
-) -> Csr<T> {
-    let mut rpt = vec![0usize; rows + 1];
-    let mut col = Vec::new();
-    let mut val = Vec::new();
-    for (i, mut cs) in row_cols.into_iter().enumerate() {
-        cs.sort_unstable();
-        cs.dedup();
-        for c in cs {
-            debug_assert!((c as usize) < cols);
-            col.push(c);
-            val.push(value::<T>(rng));
+/// A generated sparsity pattern and the generator's RNG, which draws the
+/// values next. Every generator builds it in non-generic code, so the
+/// pattern work — nearly all of a generator's time — compiles once, here
+/// and at this crate's optimization level, rather than in each caller
+/// for each value type.
+struct Pattern {
+    rpt: Vec<usize>,
+    col: Vec<u32>,
+    rng: Rng64,
+}
+
+impl Pattern {
+    /// The square pattern of per-row column lists (sorted and deduped
+    /// here).
+    fn new(row_cols: Vec<Vec<u32>>, rng: Rng64) -> Self {
+        let n = row_cols.len();
+        let mut rpt = Vec::with_capacity(n + 1);
+        rpt.push(0);
+        let mut col = Vec::new();
+        for mut cs in row_cols {
+            cs.sort_unstable();
+            cs.dedup();
+            debug_assert!(cs.last().is_none_or(|&c| (c as usize) < n));
+            col.extend_from_slice(&cs);
+            rpt.push(col.len());
         }
-        rpt[i + 1] = col.len();
+        Pattern { rpt, col, rng }
     }
-    // lint:allow(unchecked-ctor) — generator emits rows sorted and bounds-checked by construction
-    Csr::from_parts_unchecked(rows, cols, rpt, col, val)
-        .expect("generator emits sorted, in-bounds rows")
+
+    /// The matrix: one random value per entry, drawn in row order.
+    fn values<T: Scalar>(mut self) -> Csr<T> {
+        let n = self.rpt.len() - 1;
+        let val = self.col.iter().map(|_| value::<T>(&mut self.rng)).collect();
+        // lint:allow(unchecked-ctor) — generator emits rows sorted and bounds-checked by construction
+        Csr::from_parts_unchecked(n, n, self.rpt, self.col, val)
+            .expect("generator emits sorted, in-bounds rows")
+    }
 }
 
 /// Banded matrix with clustered off-diagonals — the FEM family
@@ -116,6 +129,16 @@ pub fn banded<T: Scalar>(
     bandwidth: usize,
     seed: u64,
 ) -> Csr<T> {
+    banded_pattern(rows, avg_nnz, max_nnz, bandwidth, seed).values()
+}
+
+fn banded_pattern(
+    rows: usize,
+    avg_nnz: f64,
+    max_nnz: usize,
+    bandwidth: usize,
+    seed: u64,
+) -> Pattern {
     assert!(rows > 0 && avg_nnz >= 1.0 && max_nnz >= 1);
     let mut rng = Rng64::new(seed);
     let half = (bandwidth / 2).max(1) as i64;
@@ -139,7 +162,7 @@ pub fn banded<T: Scalar>(
         }
         row_cols.push(cs);
     }
-    assemble(rows, rows, row_cols, &mut rng)
+    Pattern::new(row_cols, rng)
 }
 
 /// Periodic fixed-offset stencil: every row has exactly the same degree
@@ -148,19 +171,23 @@ pub fn banded<T: Scalar>(
 /// Covers the perfectly regular families: Epidemiology (2-D epidemic
 /// grid, 4 nnz/row) and QCD (4-D lattice operator, 39 nnz/row).
 pub fn periodic_stencil<T: Scalar>(rows: usize, offsets: &[i64], seed: u64) -> Csr<T> {
+    periodic_stencil_pattern(rows, offsets, seed).values()
+}
+
+fn periodic_stencil_pattern(rows: usize, offsets: &[i64], seed: u64) -> Pattern {
     assert!(rows > 0 && !offsets.is_empty());
     let mut offs: Vec<i64> = offsets.to_vec();
     offs.sort_unstable();
     offs.dedup();
     assert!(offs.len() <= rows, "more offsets than columns");
-    let mut rng = Rng64::new(seed);
+    let rng = Rng64::new(seed);
     let n = rows as i64;
     let mut row_cols = Vec::with_capacity(rows);
     for i in 0..rows as i64 {
         let cs: Vec<u32> = offs.iter().map(|&o| (i + o).rem_euclid(n) as u32).collect();
         row_cols.push(cs);
     }
-    assemble(rows, rows, row_cols, &mut rng)
+    Pattern::new(row_cols, rng)
 }
 
 /// Offsets of a periodic 2-D five-minus-diagonal stencil (`±1`, `±width`)
@@ -209,6 +236,10 @@ pub fn qcd_offsets(dims: [usize; 4]) -> Vec<i64> {
 /// Scattered uniform-random columns with mildly varying degree — the
 /// Economics family.
 pub fn random_uniform<T: Scalar>(rows: usize, avg_nnz: f64, max_nnz: usize, seed: u64) -> Csr<T> {
+    random_uniform_pattern(rows, avg_nnz, max_nnz, seed).values()
+}
+
+fn random_uniform_pattern(rows: usize, avg_nnz: f64, max_nnz: usize, seed: u64) -> Pattern {
     assert!(rows > 0 && avg_nnz >= 1.0);
     let mut rng = Rng64::new(seed);
     let mut row_cols = Vec::with_capacity(rows);
@@ -222,7 +253,7 @@ pub fn random_uniform<T: Scalar>(rows: usize, avg_nnz: f64, max_nnz: usize, seed
         }
         row_cols.push(cs);
     }
-    assemble(rows, rows, row_cols, &mut rng)
+    Pattern::new(row_cols, rng)
 }
 
 /// Bounded-Zipf index in `[0, n)` with exponent `theta` via continuous
@@ -254,6 +285,18 @@ pub fn power_law<T: Scalar>(
     community: usize,
     seed: u64,
 ) -> Csr<T> {
+    power_law_pattern(rows, avg_nnz, max_nnz, col_theta, hub_mix, community, seed).values()
+}
+
+fn power_law_pattern(
+    rows: usize,
+    avg_nnz: f64,
+    max_nnz: usize,
+    col_theta: f64,
+    hub_mix: f64,
+    community: usize,
+    seed: u64,
+) -> Pattern {
     assert!((0.0..=1.0).contains(&hub_mix));
     assert!(rows > 1 && avg_nnz >= 1.0 && max_nnz as f64 >= avg_nnz);
     let mut rng = Rng64::new(seed);
@@ -315,7 +358,7 @@ pub fn power_law<T: Scalar>(
         cs.sort_unstable();
         cs.dedup();
     }
-    assemble(rows, rows, row_cols, &mut rng)
+    Pattern::new(row_cols, rng)
 }
 
 /// Modular web crawl — the wb-edu family.
@@ -336,6 +379,17 @@ pub fn modular_web<T: Scalar>(
     hubs: usize,
     seed: u64,
 ) -> Csr<T> {
+    modular_web_pattern(rows, avg_nnz, max_nnz, community, hubs, seed).values()
+}
+
+fn modular_web_pattern(
+    rows: usize,
+    avg_nnz: f64,
+    max_nnz: usize,
+    community: usize,
+    hubs: usize,
+    seed: u64,
+) -> Pattern {
     assert!(community >= 8 && hubs >= 1 && hubs < community);
     assert!(rows > 2 * community && avg_nnz >= 1.0);
     let mut rng = Rng64::new(seed);
@@ -395,7 +449,7 @@ pub fn modular_web<T: Scalar>(
         }
         row_cols.push(cs);
     }
-    assemble(rows, rows, row_cols, &mut rng)
+    Pattern::new(row_cols, rng)
 }
 
 /// R-MAT recursive-quadrant graph (Chakrabarti et al.) — the
@@ -411,6 +465,16 @@ pub fn rmat<T: Scalar>(
     probs: (f64, f64, f64, f64),
     seed: u64,
 ) -> Csr<T> {
+    rmat_pattern(rows, nnz_target, max_nnz, probs, seed).values()
+}
+
+fn rmat_pattern(
+    rows: usize,
+    nnz_target: usize,
+    max_nnz: usize,
+    probs: (f64, f64, f64, f64),
+    seed: u64,
+) -> Pattern {
     assert!(rows > 1);
     let (a, b, c, d) = probs;
     assert!((a + b + c + d - 1.0).abs() < 1e-9, "R-MAT probabilities must sum to 1");
@@ -457,13 +521,17 @@ pub fn rmat<T: Scalar>(
         let j = rng.below(i + 1);
         row_cols.swap(i, j);
     }
-    assemble(rows, rows, row_cols, &mut rng)
+    Pattern::new(row_cols, rng)
 }
 
 /// Circuit-netlist-like matrix: low uniform degree near the diagonal for
 /// almost all rows, plus a few high-degree hub rows and hub columns
 /// (power/ground nets) — the Circuit family.
 pub fn circuit_like<T: Scalar>(rows: usize, avg_nnz: f64, max_nnz: usize, seed: u64) -> Csr<T> {
+    circuit_like_pattern(rows, avg_nnz, max_nnz, seed).values()
+}
+
+fn circuit_like_pattern(rows: usize, avg_nnz: f64, max_nnz: usize, seed: u64) -> Pattern {
     assert!(rows > 16 && avg_nnz >= 1.0);
     let mut rng = Rng64::new(seed);
     let n_hubs = (rows / 1500).clamp(4, 64);
@@ -494,7 +562,7 @@ pub fn circuit_like<T: Scalar>(rows: usize, avg_nnz: f64, max_nnz: usize, seed: 
         }
         row_cols.push(cs);
     }
-    assemble(rows, rows, row_cols, &mut rng)
+    Pattern::new(row_cols, rng)
 }
 
 #[cfg(test)]

@@ -219,7 +219,13 @@ impl<T: Scalar> Csr<T> {
             if self.rpt[r] > self.rpt[r + 1] {
                 return Err(SparseError::MalformedRowPointers(format!("rpt decreases at row {r}")));
             }
-            let cols = &self.col[self.rpt[r]..self.rpt[r + 1]];
+            let Some(cols) = self.col.get(self.rpt[r]..self.rpt[r + 1]) else {
+                return Err(SparseError::MalformedRowPointers(format!(
+                    "row {r} ends at {}, past nnz = {}",
+                    self.rpt[r + 1],
+                    self.col.len()
+                )));
+            };
             for w in cols.windows(2) {
                 if w[0] == w[1] {
                     return Err(SparseError::DuplicateEntry { row: r, col: w[0] });
@@ -525,6 +531,8 @@ mod tests {
         assert!(Csr::<f64>::from_parts(1, 2, vec![0, 1], vec![7], vec![1.0]).is_err()); // col oob
         assert!(Csr::<f64>::from_parts(1, 2, vec![1, 1], vec![], vec![]).is_err());
         // rpt[0] != 0
+        let overshoot = Csr::<f64>::from_parts(2, 2, vec![0, 3, 2], vec![0, 1], vec![1.0, 2.0]);
+        assert!(matches!(overshoot, Err(SparseError::MalformedRowPointers(_))));
     }
 
     #[test]

@@ -39,8 +39,8 @@ pub use vgpu;
 pub mod prelude {
     pub use baselines::Algorithm;
     pub use nsparse_core::{
-        AlgorithmChoice, AlgorithmPolicy, Backend, BatchedExecutor, Error, ErrorKind, Estimator,
-        Executor, HostParallelExecutor, Options, Recovery, SimExecutor, SpgemmPlan, SymbolicPlan,
+        Backend, BatchedExecutor, Error, ErrorKind, Estimator, Executor, HostParallelExecutor,
+        Options, Recovery, SimExecutor, SpgemmPlan, SymbolicPlan,
     };
     pub use sparse::{Csr, Scalar};
     pub use vgpu::{DeviceConfig, FaultPlan, Gpu, Phase, SimTime, SpgemmReport};

@@ -10,7 +10,7 @@
 //! values are compared approximately, except on integer-valued inputs
 //! where every order gives the exact same sums.
 //!
-//! The host backend runs hash rows on its dense accumulator when `B` has
+//! The host backend runs rows on its dense accumulator when `B` has
 //! at most `DENSE_MAX_COLS` columns and on the ESC row kernel beyond, so
 //! the equivalence properties run on a narrow and on a wide `B`.
 
@@ -110,15 +110,14 @@ fn assert_one_phase_matches_plan_reuse(
 }
 
 /// The option sets the one-phase equivalence runs under: the default
-/// plan, a sampled plan that under-sizes rows, and the adaptive policy.
-fn equivalence_options() -> [(Options, &'static str); 3] {
+/// plan and a sampled plan that under-sizes rows.
+fn equivalence_options() -> [(Options, &'static str); 2] {
     [
         (Options::default(), "exact"),
         (
             Options { estimator: Estimator::Sampled { sample: 1 }, ..Options::default() },
             "sampled:1",
         ),
-        (Options { policy: AlgorithmPolicy::Adaptive, ..Options::default() }, "adaptive"),
     ]
 }
 
@@ -228,11 +227,10 @@ fn edge_values_match_bitwise_on_narrow_and_wide_b() {
     }
 }
 
-/// An `A · B` whose adaptive plan has ESC and merge rows: rows of ~64
-/// scattered products (compression ≈ 1, ESC groups) plus four rows
-/// concatenating eight disjoint 3000-column B-rows (24 000 products,
-/// merge groups).
-fn esc_merge_pair(adaptive: &Options) -> (Csr<f64>, Csr<f64>) {
+/// An `A · B` with rows of ~64 scattered products (compression ≈ 1)
+/// plus four rows concatenating eight disjoint 3000-column B-rows
+/// (24 000 products and as many outputs: group-0 rows in both phases).
+fn scattered_and_fat_rows() -> (Csr<f64>, Csr<f64>) {
     let (m, k, n) = (1500usize, 1500usize, 30_000usize);
     let mut seed = 17u64;
     let mut next = |below: usize| {
@@ -257,11 +255,8 @@ fn esc_merge_pair(adaptive: &Options) -> (Csr<f64>, Csr<f64>) {
     }
     let a = Csr::from_triplets(m, k, &ta).unwrap();
     let b = Csr::from_triplets(k, n, &tb).unwrap();
-    let plan = SpgemmPlan::new(&DeviceConfig::p100(), &a, &b, adaptive).unwrap();
-    for algo in [AlgorithmChoice::Esc, AlgorithmChoice::Merge] {
-        let used = (0..m).any(|r| plan.count.algorithm_for(r) == algo);
-        assert!(used, "test needs {algo} rows");
-    }
+    let plan = SpgemmPlan::new(&DeviceConfig::p100(), &a, &b, &Options::default()).unwrap();
+    assert!(plan.count.rows_by_group[0].len() >= 4, "test needs group-0 rows");
     (a, b)
 }
 
@@ -310,7 +305,7 @@ fn assert_cross_backend_replay(a: &Csr<f64>, b: &Csr<f64>, opts: &Options, what:
 
 #[test]
 fn plans_replay_across_backends() {
-    let [(exact, _), (sampled, _), (adaptive, _)] = equivalence_options();
+    let [(exact, _), (sampled, _)] = equivalence_options();
     let replans: u64 = (0..2)
         .map(|seed| {
             let a = matgen::generators::power_law(512, 8.0, 256, 1.1, 0.5, 32, seed);
@@ -319,15 +314,15 @@ fn plans_replay_across_backends() {
         })
         .sum();
     assert!(replans > 0, "test needs replanned rows");
-    let (a, b) = esc_merge_pair(&adaptive);
-    assert_cross_backend_replay(&a, &b, &adaptive, "adaptive ESC + merge");
+    let (a, b) = scattered_and_fat_rows();
+    assert_cross_backend_replay(&a, &b, &exact, "scattered and fat rows");
     let (a, b) = edge_value_pair(8, 1);
     assert_cross_backend_replay(&a, &b, &exact, "edge values");
 }
 
 #[test]
 fn one_phase_multiply_matches_plan_reuse_on_structured_inputs() {
-    let [(exact, _), (sampled, _), (adaptive, _)] = equivalence_options();
+    let [(exact, _), (sampled, _)] = equivalence_options();
     // Power-law rows: exact, and sampled:1, whose under-estimates replan.
     let replans: u64 = (0..3)
         .map(|seed| {
@@ -338,9 +333,9 @@ fn one_phase_multiply_matches_plan_reuse_on_structured_inputs() {
         .sum();
     assert!(replans > 0, "test needs replanned rows");
 
-    // Adaptive policy: ESC and merge rows.
-    let (a, b) = esc_merge_pair(&adaptive);
-    assert_one_phase_matches_plan_reuse(&a, &b, &adaptive, "adaptive ESC + merge");
+    // Low-compression rows beside group-0 rows.
+    let (a, b) = scattered_and_fat_rows();
+    assert_one_phase_matches_plan_reuse(&a, &b, &exact, "scattered and fat rows");
 
     // Edge values (-0.0 first products, ±inf, NaN) on narrow and wide B,
     // empty rows between dense ones, a 0-row A and a 0-column B.

@@ -6,11 +6,10 @@
 //!    row or triggers exactly one replan (the replan count equals the
 //!    number of under-sized rows, and is thread-count independent) — on
 //!    a narrow `B` (the host's dense accumulator) and on one wider than
-//!    `DENSE_MAX_COLS` (whose hash rows the host runs with ESC);
+//!    `DENSE_MAX_COLS` (whose rows the host runs with ESC);
 //! 2. exact and sampled plans produce bitwise-identical `Csr` output on
 //!    both backends (sim and host), across seeded R-MAT / power-law
-//!    matrices and sample budgets, with the adaptive algorithm policy
-//!    riding along.
+//!    matrices and sample budgets.
 //!
 //! One fixed-matrix test pins what the sampled estimator is for: on
 //! dense hub-heavy rows its planning pass costs less simulated time than
@@ -124,15 +123,10 @@ quickprop! {
         rmat in prop_oneof![Just(true), Just(false)],
         seed in 0u64..256,
         sample in prop_oneof![Just(1usize), Just(4), Just(64)],
-        policy in prop_oneof![Just(AlgorithmPolicy::HashOnly), Just(AlgorithmPolicy::Adaptive)],
     ) {
         let a = hub_matrix(rmat, seed);
         let exact = sim_multiply(&a, &a, &Options::default());
-        let opts = Options {
-            estimator: Estimator::Sampled { sample },
-            policy,
-            ..Options::default()
-        };
+        let opts = Options { estimator: Estimator::Sampled { sample }, ..Options::default() };
         let sim = sim_multiply(&a, &a, &opts);
         prop_assert_eq!(sim.rpt(), exact.rpt());
         prop_assert_eq!(sim.col(), exact.col());
