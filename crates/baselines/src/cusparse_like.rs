@@ -329,7 +329,10 @@ fn multiply_inner<T: Scalar>(
 
     let report =
         finish_report(gpu, &before, "cusparse", T::PRECISION, ip, nnz_c as u64, total_probes);
-    // lint:allow(unchecked-ctor) — hot-path assembly; rows sorted by the merge kernel
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "hot-path assembly; rows sorted by the merge kernel"
+    )]
     let c = Csr::from_parts_unchecked(m, b.cols(), rpt_c, col_c, val_c)?;
     Ok((c, report))
 }

@@ -11,6 +11,8 @@
 //! `results/`. All numbers are simulated-device measurements and are
 //! bit-reproducible across runs.
 
+#![warn(clippy::wildcard_enum_match_arm)]
+
 use baselines::Algorithm;
 use bench::experiments as exp;
 use bench::report;

@@ -14,6 +14,8 @@
 //! [`bench::runcli`]. `trace`, `serve`, `bench` and `chaos` are
 //! subcommands.
 
+#![warn(clippy::wildcard_enum_match_arm)]
+
 use bench::{benchcli, chaoscli, cli, runcli, servecli, tracecli};
 
 fn main() {

@@ -13,6 +13,8 @@
 //! ([`matrix_f32`]/[`matrix_f64`]) — generation is seeded and
 //! deterministic, so caching cannot change results.
 
+#![cfg_attr(not(test), warn(clippy::wildcard_enum_match_arm))]
+
 pub mod baseline;
 pub mod benchcli;
 pub mod chaoscli;
@@ -28,7 +30,7 @@ use baselines::Algorithm;
 use matgen::{Dataset, Scale};
 use sparse::{Csr, Scalar};
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use vgpu::{DeviceConfig, Gpu, SpgemmReport};
 
 /// Outcome of one (dataset, algorithm, precision) evaluation.
@@ -66,7 +68,7 @@ fn f64_cache() -> &'static Mutex<HashMap<String, Arc<Csr<f64>>>> {
 pub fn matrix_f32(d: &Dataset) -> Arc<Csr<f32>> {
     f32_cache()
         .lock()
-        .unwrap()
+        .unwrap_or_else(PoisonError::into_inner)
         .entry(d.name.to_string())
         .or_insert_with(|| Arc::new(d.generate::<f32>(Scale::Repro)))
         .clone()
@@ -76,7 +78,7 @@ pub fn matrix_f32(d: &Dataset) -> Arc<Csr<f32>> {
 pub fn matrix_f64(d: &Dataset) -> Arc<Csr<f64>> {
     f64_cache()
         .lock()
-        .unwrap()
+        .unwrap_or_else(PoisonError::into_inner)
         .entry(d.name.to_string())
         .or_insert_with(|| Arc::new(d.generate::<f64>(Scale::Repro)))
         .clone()

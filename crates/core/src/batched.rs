@@ -36,9 +36,16 @@
 //! capacity is reported the same way without burning retries: no batch
 //! boundary can help it.
 
+#![cfg_attr(
+    not(test),
+    warn(clippy::cast_possible_truncation, clippy::cast_sign_loss, clippy::cast_possible_wrap)
+)]
+
 use crate::exec::{Backend, ColdRecord, Execution, Executor, JobCtl, SymbolicOutput, WallClock};
 use crate::partition::weighted_ranges;
-use crate::pipeline::{estimate_memory, CapacityDiagnostic, Error, Options, Recovery, Result};
+use crate::pipeline::{
+    estimate_memory, CapacityDiagnostic, Error, MemoryEstimate, Options, Recovery, Result,
+};
 use crate::plan::SpgemmPlan;
 use crate::sim::SimExecutor;
 use sparse::{ops, to_u64, Csr, Scalar};
@@ -296,32 +303,20 @@ impl<E> BatchedExecutor<E> {
         // Split rows ran separate plans: no one plan stands for `C`.
         Ok(Execution { matrix, report, wall, replans, record: None })
     }
-}
 
-impl<T: Scalar, E: Executor<T>> Executor<T> for BatchedExecutor<E> {
-    fn backend(&self) -> Backend {
-        self.inner.backend()
-    }
-
-    fn plan(&self, a: &Csr<T>, b: &Csr<T>, opts: &Options) -> Result<SpgemmPlan> {
-        self.inner.plan(a, b, opts)
-    }
-
-    fn execute_numeric(
+    /// [`Executor::multiply`] with `forecast`, the caller's
+    /// [`estimate_memory`] of `a·b`: a caller that already forecast the
+    /// same operands (the engine, for admission) does not forecast twice.
+    pub fn multiply_with_forecast<T: Scalar>(
         &mut self,
-        plan: &SpgemmPlan,
-        symbolic: &SymbolicOutput,
         a: &Csr<T>,
         b: &Csr<T>,
-    ) -> Result<Execution<T>> {
-        self.inner.execute_numeric(plan, symbolic, a, b)
-    }
-
-    fn telemetry_mut(&mut self) -> Option<&mut obs::Telemetry> {
-        self.inner.telemetry_mut()
-    }
-
-    fn multiply(&mut self, a: &Csr<T>, b: &Csr<T>, opts: &Options) -> Result<Execution<T>> {
+        opts: &Options,
+        forecast: &MemoryEstimate,
+    ) -> Result<Execution<T>>
+    where
+        E: Executor<T>,
+    {
         if a.rows() == 0 {
             // Zero-row A: the batch plan would be empty. Return the
             // empty product with a zeroed report instead of reaching the
@@ -335,7 +330,6 @@ impl<T: Scalar, E: Executor<T>> Executor<T> for BatchedExecutor<E> {
             let record = Some(ColdRecord { plan, count_probes: 0 });
             return Ok(Execution { matrix, report, wall: None, replans: 0, record });
         }
-        let forecast = estimate_memory(a, b)?;
         let estimate_upper = forecast.upper_bound();
         let capacity = self.capacity;
         self.last_batches = 0;
@@ -424,6 +418,35 @@ impl<T: Scalar, E: Executor<T>> Executor<T> for BatchedExecutor<E> {
                 Err(e) => return Err(e),
             }
         }
+    }
+}
+
+impl<T: Scalar, E: Executor<T>> Executor<T> for BatchedExecutor<E> {
+    fn backend(&self) -> Backend {
+        self.inner.backend()
+    }
+
+    fn plan(&self, a: &Csr<T>, b: &Csr<T>, opts: &Options) -> Result<SpgemmPlan> {
+        self.inner.plan(a, b, opts)
+    }
+
+    fn execute_numeric(
+        &mut self,
+        plan: &SpgemmPlan,
+        symbolic: &SymbolicOutput,
+        a: &Csr<T>,
+        b: &Csr<T>,
+    ) -> Result<Execution<T>> {
+        self.inner.execute_numeric(plan, symbolic, a, b)
+    }
+
+    fn telemetry_mut(&mut self) -> Option<&mut obs::Telemetry> {
+        self.inner.telemetry_mut()
+    }
+
+    fn multiply(&mut self, a: &Csr<T>, b: &Csr<T>, opts: &Options) -> Result<Execution<T>> {
+        let forecast = estimate_memory(a, b)?;
+        self.multiply_with_forecast(a, b, opts, &forecast)
     }
 }
 

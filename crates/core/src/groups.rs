@@ -288,12 +288,15 @@ impl GroupTable {
 
     /// Rows-per-block of the PWARP group (panics if PWARP is disabled).
     pub fn pwarp_rows_per_block(&self) -> usize {
-        // lint:allow(no-expect) — build_groups always emits at least one group
+        #[expect(clippy::expect_used, reason = "build_groups always emits at least one group")]
         let last = self.groups.last().expect("group table never empty");
         match last.assignment {
             Assignment::Pwarp { width } => last.block_threads / width,
-            // lint:allow(no-panic) — panic documented above; callers dispatch on assignment
-            _ => panic!("PWARP group not present"),
+            #[expect(
+                clippy::panic,
+                reason = "panic documented above; callers dispatch on assignment"
+            )]
+            Assignment::TbRow | Assignment::TbRowGlobal => panic!("PWARP group not present"),
         }
     }
 }

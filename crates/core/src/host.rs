@@ -68,9 +68,6 @@
 //! The host inspects no hash slots, so its `hash_probes` is 0
 //! (DESIGN.md §12).
 
-// lint:allow-file(wallclock) — the host backend measures real elapsed time by
-// design (WallClock is its deliverable); determinism lives in the output, not
-// the timings.
 use crate::exec::{Backend, ColdRecord, Execution, Executor, SymbolicOutput, WallClock};
 use crate::partition::{run_workers, JobQueue};
 use crate::pipeline::{Error, Options, Result};
@@ -79,6 +76,17 @@ use sparse::{ix, to_u64, Csr, Scalar, SparseError, DEVICE_INDEX_BYTES};
 use std::any::Any;
 use std::time::Instant;
 use vgpu::{DeviceConfig, Phase, SimTime, SpgemmReport};
+
+/// Now, on the wall clock: the host backend measures real elapsed time
+/// by design, and this is its only clock read.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "WallClock is the host backend's deliverable; determinism lives in the output, not \
+              the timings"
+)]
+fn wall_now() -> Instant {
+    Instant::now()
+}
 
 /// Ranges cut per worker thread: small enough to rebalance skewed
 /// matrices through the pull queue, large enough to amortize locking.
@@ -444,11 +452,14 @@ impl<T: Scalar> Executor<T> for HostParallelExecutor {
         a: &Csr<T>,
         b: &Csr<T>,
     ) -> Result<Execution<T>> {
-        let t0 = Instant::now();
+        let t0 = wall_now();
         let (val_c, acc_bytes) = self.values_pass(plan, symbolic, a, b)?;
         let report = self.host_report::<T>(plan, val_c.len(), acc_bytes);
         let (rpt, col_c) = (symbolic.rpt.clone(), symbolic.structure.clone());
-        // lint:allow(unchecked-ctor) — hot-path assembly; the values pass checked every row against its sorted structure
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "hot-path assembly; the values pass checked every row against its structure"
+        )]
         let matrix = Csr::from_parts_unchecked(plan.rows, plan.cols, rpt, col_c, val_c)
             .map_err(|e| Error::invariant(format!("numeric phase assembled malformed C: {e}")))?;
         let calc = t0.elapsed();
@@ -463,12 +474,12 @@ impl<T: Scalar> Executor<T> for HostParallelExecutor {
     /// The output and `replans` equal `execute_numeric` replaying the
     /// run's record.
     fn multiply(&mut self, a: &Csr<T>, b: &Csr<T>, opts: &Options) -> Result<Execution<T>> {
-        let t0 = Instant::now();
+        let t0 = wall_now();
         let plan = <Self as Executor<T>>::plan(self, a, b, opts)?;
         let setup = t0.elapsed();
         let spare = self.spare.take().and_then(|s| s.downcast::<Vec<Staged<T>>>().ok());
 
-        let t1 = Instant::now();
+        let t1 = wall_now();
         self.mark_stage("symbolic");
         let walk = self.walk_rows(&plan, a, b, spare.map_or_else(Vec::new, |s| *s))?;
         self.note_replans(&plan, walk.replans)?;
@@ -697,9 +708,12 @@ impl HostParallelExecutor {
         });
         drop(queue); // releases the borrows of `col_c`/`val_c`
 
-        // lint:allow(unchecked-ctor) — hot-path assembly; rows are sorted by kernel construction
-        Csr::from_parts_unchecked(plan.rows, plan.cols, rpt, col_c, val_c)
-            .map_err(|e| Error::invariant(format!("host walk assembled malformed C: {e}")))
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "hot-path assembly; rows are sorted by kernel construction"
+        )]
+        let c = Csr::from_parts_unchecked(plan.rows, plan.cols, rpt, col_c, val_c);
+        c.map_err(|e| Error::invariant(format!("host walk assembled malformed C: {e}")))
     }
 
     /// The host backend's report: simulated fields are zero (there is no

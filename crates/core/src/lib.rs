@@ -50,6 +50,10 @@
 //! println!("wall {:?}", run.wall.unwrap().total);
 //! ```
 
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+#![warn(clippy::panic, clippy::todo, clippy::unimplemented)]
+#![cfg_attr(not(test), warn(clippy::wildcard_enum_match_arm))]
+
 pub mod batched;
 pub mod exec;
 pub mod groups;

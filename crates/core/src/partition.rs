@@ -9,6 +9,11 @@
 //! result — the output is bitwise identical for any thread count
 //! (DESIGN.md §12).
 
+#![cfg_attr(
+    not(test),
+    warn(clippy::cast_possible_truncation, clippy::cast_sign_loss, clippy::cast_possible_wrap)
+)]
+
 use sparse::to_u64;
 use std::ops::Range;
 use std::sync::{Mutex, PoisonError};

@@ -254,7 +254,10 @@ impl From<GpuError> for Error {
     fn from(e: GpuError) -> Self {
         match e {
             GpuError::OutOfMemory(oom) => Error::DeviceOom(oom),
-            other => Error::Kernel(other),
+            other @ (GpuError::InvalidLaunch(_)
+            | GpuError::BadAlloc(_)
+            | GpuError::KernelFault(_)
+            | GpuError::MemcpyFault(_)) => Error::Kernel(other),
         }
     }
 }

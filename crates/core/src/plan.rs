@@ -15,6 +15,11 @@
 //! its hash tables from the plan; the host treats the count-phase sizes
 //! only as each row's overflow bound and sizes its own accumulators.
 
+#![cfg_attr(
+    not(test),
+    warn(clippy::cast_possible_truncation, clippy::cast_sign_loss, clippy::cast_possible_wrap)
+)]
+
 use crate::groups::{build_groups, Assignment, GroupPhase, GroupTable};
 use crate::pipeline::{overflow_err, Error, Options, Result};
 use sparse::spgemm_ref::row_intermediate_products;
@@ -207,11 +212,14 @@ impl PhasePlan {
     pub fn table_size_for(&self, row: usize) -> usize {
         let spec = &self.groups.groups[self.groups.group_of(self.metric[row])];
         match spec.assignment {
+            #[expect(
+                clippy::expect_used,
+                reason = "every group-0 row was checked in PhasePlan::new"
+            )]
             Assignment::TbRowGlobal => {
-                // lint:allow(no-expect) — every group-0 row was checked in PhasePlan::new
                 global_table_size_checked(self.metric[row]).expect("validated at plan construction")
             }
-            _ => spec.table_size,
+            Assignment::Pwarp { .. } | Assignment::TbRow => spec.table_size,
         }
     }
 

@@ -111,7 +111,10 @@ impl<T: Scalar> Executor<T> for SimExecutor<'_> {
             nnz_c as u64,
             calc_probes,
         );
-        // lint:allow(unchecked-ctor) — hot-path assembly; rows are sorted by kernel construction
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "hot-path assembly; rows are sorted by kernel construction"
+        )]
         let c = Csr::from_parts_unchecked(m, plan.cols, symbolic.rpt.clone(), col_c, val_c)
             .map_err(|e| Error::invariant(format!("numeric phase assembled malformed C: {e}")))?;
         Ok(Execution { matrix: c, report, wall: None, replans: symbolic.replans, record: None })
@@ -279,7 +282,10 @@ fn multiply_inner<T: Scalar>(
         nnz_c as u64,
         count_probes + calc_probes,
     );
-    // lint:allow(unchecked-ctor) — hot-path assembly; rows are sorted by kernel construction
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "hot-path assembly; rows are sorted by kernel construction"
+    )]
     let c = Csr::from_parts_unchecked(m, b.cols(), rpt_c, col_c, val_c)
         .map_err(|e| Error::invariant(format!("numeric phase assembled malformed C: {e}")))?;
     let record = Some(ColdRecord { plan, count_probes });

@@ -283,9 +283,9 @@ fn flavor_of(cfg: &ChaosConfig, id: u64) -> Flavor {
 
 /// Job `id`'s spec and hooks, a pure function of the config and the id.
 fn spec_of(cfg: &ChaosConfig, id: u64, pool: &[Arc<Csr<f64>>]) -> (JobSpec<f64>, Hooks) {
-    // lint:allow(slice-index) — index reduced modulo pool.len() on this and the next line
+    #[expect(clippy::indexing_slicing, reason = "index reduced modulo pool.len()")]
     let a = Arc::clone(&pool[(rng(cfg.seed, id, 0xA) % pool.len() as u64) as usize]);
-    // lint:allow(slice-index) — same modulo bound
+    #[expect(clippy::indexing_slicing, reason = "index reduced modulo pool.len()")]
     let b = Arc::clone(&pool[(rng(cfg.seed, id, 0xB) % pool.len() as u64) as usize]);
     let mut spec = JobSpec::new(a, b);
     let flavor = flavor_of(cfg, id);
@@ -408,13 +408,16 @@ fn digest_matrix(h: &mut u64, m: &Csr<f64>) {
 /// Standalone reference multiply for a job spec (fresh device, no
 /// engine) — the bitwise oracle for every completed job.
 fn reference(spec: &JobSpec<f64>) -> Csr<f64> {
-    // lint:allow(no-expect) — harness oracle: spec_of only emits in-range windows
+    #[expect(clippy::expect_used, reason = "harness oracle: spec_of only emits in-range windows")]
     let a = spec.effective_a().expect("chaos specs carry valid row windows");
     let mut gpu = Gpu::new(DeviceConfig::p100());
-    multiply(&mut gpu, a.as_ref(), spec.b.as_ref(), &Options::default())
-        // lint:allow(no-expect) — harness oracle: a faultless standalone multiply failing is a harness bug
-        .expect("reference multiply of a clean spec cannot fail")
-        .0
+    #[expect(
+        clippy::expect_used,
+        reason = "harness oracle: a faultless standalone multiply failing is a harness bug"
+    )]
+    let (c, _) = multiply(&mut gpu, a.as_ref(), spec.b.as_ref(), &Options::default())
+        .expect("reference multiply of a clean spec cannot fail");
+    c
 }
 
 /// Run one seeded soak and check every invariant. Deterministic: the

@@ -145,7 +145,7 @@ fn job_mix<T: Scalar>(cfg: &DriverConfig) -> Vec<JobSpec<T>> {
     (0..cfg.jobs)
         .map(|i| {
             let r = lcg(&mut s);
-            // lint:allow(slice-index) — index reduced modulo pool.len()
+            #[expect(clippy::indexing_slicing, reason = "index reduced modulo pool.len()")]
             let base = &pool[(r as usize) % pool.len()];
             // Re-scale values per job: repeated patterns with fresh
             // values make cache hits observable and bitwise-checkable.
@@ -263,7 +263,10 @@ pub fn run_driver<T: Scalar>(cfg: &DriverConfig) -> DriverReport<T> {
     if cfg.verify {
         for (spec, rec) in specs.iter().zip(&records) {
             if let Ok(c) = &rec.output {
-                // lint:allow(no-expect) — harness oracle: a faultless standalone multiply failing is a harness bug
+                #[expect(
+                    clippy::expect_used,
+                    reason = "harness oracle: a faultless standalone multiply failing is a harness bug"
+                )]
                 let want = reference(cfg, spec).expect("reference multiply cannot fail");
                 if !bitwise_eq(c, &want) {
                     mismatches += 1;

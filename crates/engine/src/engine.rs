@@ -52,7 +52,7 @@ use crate::recorder::{FlightRecorder, PhaseSpan, TraceBuilder};
 use crate::Result;
 use nsparse_core::{
     estimate_memory, Backend, BatchedExecutor, Error, ErrorKind, Executor, HostParallelExecutor,
-    JobCtl, Options, Recovery, SimExecutor, SymbolicPlan,
+    JobCtl, MemoryEstimate, Options, Recovery, SimExecutor, SymbolicPlan,
 };
 use obs::Telemetry;
 use sparse::{Csr, Scalar};
@@ -416,13 +416,18 @@ impl<T: Scalar> Engine<T> {
             recorder: Arc::new(FlightRecorder::new(FLIGHT_CAPACITY)),
             cfg,
         });
+        #[expect(
+            clippy::expect_used,
+            reason = "spawn fails only on OS thread exhaustion, which no caller of Engine::new \
+                      can recover from"
+        )]
         let workers = (0..shared.cfg.workers.max(1))
             .map(|i| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("spgemm-worker-{i}"))
                     .spawn(move || worker_loop(&shared))
-                    .expect("spawn engine worker") // grandfathered in ci/lint-allow.txt
+                    .expect("spawn engine worker")
             })
             .collect();
         Engine { shared, workers, next_id: 0 }
@@ -461,7 +466,10 @@ impl<T: Scalar> Engine<T> {
                 hooks,
                 slot: Arc::clone(&slot),
                 cancel: Arc::clone(&cancel),
-                // lint:allow(wallclock) — queue-wait observability only; never enters results
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "queue-wait observability only; never enters results"
+                )]
                 submitted: Instant::now(),
             });
         }
@@ -569,7 +577,10 @@ fn worker_loop<T: Scalar>(shared: &Shared<T>) {
                 g = shared.queue.ready.wait(g).unwrap_or_else(PoisonError::into_inner);
             }
         };
-        // lint:allow(wallclock) — queue-wait observability only; never enters results
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "queue-wait observability only; never enters results"
+        )]
         let t0 = Instant::now();
         let queue_wait = t0.duration_since(job.submitted);
         let mut tracer: Tracer = shared.cfg.trace.then(|| TraceBuilder::new(job.id));
@@ -689,6 +700,12 @@ impl<T: Scalar> Drop for Reservation<'_, T> {
     }
 }
 
+/// The chaos hook's worker panic.
+#[expect(clippy::panic, reason = "deliberate fault injection; the containment guard catches it")]
+fn inject_panic(job: u64) -> ! {
+    panic!("chaos: injected worker panic (job {job})");
+}
+
 fn process_job<T: Scalar>(
     shared: &Shared<T>,
     job: &Pending<T>,
@@ -703,7 +720,8 @@ fn process_job<T: Scalar>(
     let a: EffectiveA<'_, T> = spec.effective_a()?;
     let a = a.as_ref();
     let b = spec.b.as_ref();
-    let est = estimate_memory(a, b)?.upper_bound();
+    let forecast = estimate_memory(a, b)?;
+    let est = forecast.upper_bound();
     let capacity = shared.budget.capacity();
 
     // Admission. A forecast over the whole budget can never run in one
@@ -736,8 +754,7 @@ fn process_job<T: Scalar>(
         cancel.store(true, Ordering::SeqCst);
     }
     if hooks.panic {
-        // lint:allow(no-panic) — deliberate fault injection; the containment guard catches it
-        panic!("chaos: injected worker panic (job {})", job.id);
+        inject_panic(job.id);
     }
 
     // Retry loop for transient device faults: deterministic exponential
@@ -763,6 +780,7 @@ fn process_job<T: Scalar>(
         let canary = hooks.san_canary;
         let attempt_on = |batched: bool, tr: &mut Tracer| {
             let reserve = if batched { capacity } else { est };
+            let batched = batched.then_some(&forecast);
             run_attempt(
                 shared, &spec.opts, a, b, backend, reserve, batched, faults, canary, &ctl, tr,
             )
@@ -887,7 +905,8 @@ fn reserve<T: Scalar>(shared: &Shared<T>, bytes: u64) {
 type Attempt<T> = (Csr<T>, SpgemmReport, Route, CacheOutcome, u32);
 
 /// One job attempt — the per-attempt session every route and backend
-/// shares. Open: a fresh backend capped at the attempt's reservation
+/// shares. `batched` carries the job's admitted forecast on the batched
+/// route. Open: a fresh backend capped at the attempt's reservation
 /// (`est` direct, the whole budget batched) — on the sim backend a
 /// virtual GPU with the sanitizer and the attempt's fault plan, so
 /// concurrent jobs cannot exceed the shared budget in aggregate and
@@ -906,7 +925,7 @@ fn run_attempt<T: Scalar>(
     b: &Csr<T>,
     backend: Backend,
     reserve: u64,
-    batched: bool,
+    batched: Option<&MemoryEstimate>,
     faults: Option<&FaultPlan>,
     canary: Option<SanCanary>,
     ctl: &JobCtl,
@@ -914,7 +933,7 @@ fn run_attempt<T: Scalar>(
 ) -> Result<Attempt<T>> {
     let mut dev = shared.cfg.device.clone();
     dev.device_mem_bytes = reserve.max(1);
-    let batch = batched.then_some(dev.device_mem_bytes);
+    let batch = batched.map(|forecast| (dev.device_mem_bytes, forecast));
     let tel = tr.as_mut().map(TraceBuilder::take_tel);
     let (tel, out) = match backend {
         Backend::Sim => {
@@ -955,9 +974,9 @@ fn run_attempt<T: Scalar>(
 }
 
 /// Run one attempt on `exec`: direct through the plan cache, or — with
-/// a `batch` byte budget — the row-batched fallback wrapped around it
-/// under the job's [`JobCtl`]. Hands `exec` back for the session to
-/// close.
+/// a `batch` byte budget and the job's forecast — the row-batched
+/// fallback wrapped around it under the job's [`JobCtl`]. Hands `exec`
+/// back for the session to close.
 #[allow(clippy::too_many_arguments)]
 fn run_on<T: Scalar, E: Executor<T>>(
     shared: &Shared<T>,
@@ -965,17 +984,17 @@ fn run_on<T: Scalar, E: Executor<T>>(
     a: &Csr<T>,
     b: &Csr<T>,
     opts: &Options,
-    batch: Option<u64>,
+    batch: Option<(u64, &MemoryEstimate)>,
     ctl: &JobCtl,
     tr: &mut Tracer,
 ) -> (Result<Attempt<T>>, E) {
-    let Some(capacity) = batch else {
+    let Some((capacity, forecast)) = batch else {
         return (run_with_cache(shared, &mut exec, a, b, opts, tr), exec);
     };
     let mut batched = BatchedExecutor::new(exec, capacity);
     batched.set_ctl(Some(ctl.clone()));
     let bs = t_begin(tr, batched.inner_mut().telemetry_mut(), "batched");
-    let run = batched.multiply(a, b, opts);
+    let run = batched.multiply_with_forecast(a, b, opts, forecast);
     t_end(tr, batched.inner_mut().telemetry_mut(), bs);
     let retries = batched.retries_used();
     let out = run.map(|r| (r.matrix, r.report, Route::Batched, CacheOutcome::Bypass, retries));
@@ -1214,7 +1233,9 @@ mod tests {
             2 => col[pair? + 1] = col[pair?],
             _ => rpt[1] = col.len() + 1,
         }
-        Csr::from_parts_unchecked(m.rows(), m.cols(), rpt, col, m.val().to_vec()).ok()
+        #[expect(clippy::disallowed_methods, reason = "plants a malformed structure on purpose")]
+        let flawed = Csr::from_parts_unchecked(m.rows(), m.cols(), rpt, col, m.val().to_vec());
+        flawed.ok()
     }
 
     quickprop! {

@@ -61,6 +61,11 @@
 //! assert!(stats.budget_drained);
 //! ```
 
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+#![warn(clippy::panic, clippy::todo, clippy::unimplemented)]
+#![warn(clippy::indexing_slicing)]
+#![cfg_attr(not(test), warn(clippy::wildcard_enum_match_arm))]
+
 pub mod cache;
 pub mod chaos;
 pub mod driver;

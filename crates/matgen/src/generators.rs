@@ -108,9 +108,12 @@ impl Pattern {
     fn values<T: Scalar>(mut self) -> Csr<T> {
         let n = self.rpt.len() - 1;
         let val = self.col.iter().map(|_| value::<T>(&mut self.rng)).collect();
-        // lint:allow(unchecked-ctor) — generator emits rows sorted and bounds-checked by construction
-        Csr::from_parts_unchecked(n, n, self.rpt, self.col, val)
-            .expect("generator emits sorted, in-bounds rows")
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "generator emits rows sorted and bounds-checked by construction"
+        )]
+        let c = Csr::from_parts_unchecked(n, n, self.rpt, self.col, val);
+        c.expect("generator emits sorted, in-bounds rows")
     }
 }
 

@@ -3,8 +3,9 @@
 //! The repo's index types are mixed by design: device-side column indices
 //! are `u32` (§III-D's 4-byte integers), host-side row pointers are
 //! `usize`, and byte budgets are `u64`. Crossing between them with bare
-//! `as` casts silently truncates on adversarial inputs, so `xtask lint`
-//! denies `as` narrowing in the size-arithmetic files and everything
+//! `as` casts silently truncates on adversarial inputs, so clippy's cast
+//! lints deny `as` narrowing in the size-arithmetic files (DESIGN.md
+//! §18) and everything
 //! funnels through these helpers instead: the lossless widenings are
 //! compile-time guaranteed, and the narrowings return
 //! [`SparseError::Overflow`](crate::SparseError::Overflow) so planning

@@ -38,11 +38,11 @@ impl<T: Scalar> Coo<T> {
     }
 
     /// Convert to CSR, sorting and summing duplicate coordinates.
+    #[expect(clippy::expect_used, reason = "COO construction bounds-checks every entry")]
     pub fn to_csr(&self) -> Csr<T> {
         let triplets: Vec<(usize, u32, T)> =
             self.entries.iter().map(|&(r, c, v)| (r as usize, c, v)).collect();
         Csr::from_triplets(self.rows, self.cols, &triplets)
-            // lint:allow(no-expect) — COO construction bounds-checks every entry
             .expect("COO invariants guarantee valid triplets")
     }
 

@@ -5,6 +5,11 @@
 //! and produce CSR, exactly as the paper requires ("All input and output
 //! matrices are stored in CSR format", §III).
 
+#![cfg_attr(
+    not(test),
+    warn(clippy::cast_possible_truncation, clippy::cast_sign_loss, clippy::cast_possible_wrap)
+)]
+
 use crate::convert::{ix, to_u64, try_u32};
 use crate::scalar::{approx_eq, Scalar};
 use crate::{Result, SparseError};
@@ -22,8 +27,8 @@ pub const DEVICE_INDEX_BYTES: u64 = 4;
 /// When `n` exceeds the 4-byte device index: such a dimension is
 /// unrepresentable in this storage, so the infallible constructors
 /// reject it loudly rather than silently wrapping.
+#[expect(clippy::panic, reason = "unrepresentable dimension in infallible constructors")]
 fn dev_index(n: usize) -> u32 {
-    // lint:allow(no-panic) — unrepresentable dimension in infallible constructors
     try_u32(n).unwrap_or_else(|e| panic!("{e}"))
 }
 
@@ -312,9 +317,9 @@ impl<T: Scalar> Csr<T> {
     /// Panics on an out-of-range `range`; callers holding *untrusted*
     /// ranges (the engine's job-submission boundary) must use
     /// [`Csr::try_slice_rows`] instead.
+    #[expect(clippy::panic, reason = "panic documented above; fallible sibling exists")]
     pub fn slice_rows(&self, range: std::ops::Range<usize>) -> Self {
         self.try_slice_rows(range.clone())
-            // lint:allow(no-panic) — panic documented above; fallible sibling exists
             .unwrap_or_else(|_| panic!("slice_rows {range:?} out of bounds for {} rows", self.rows))
     }
 

@@ -16,6 +16,9 @@
 //! on the host for indexing ergonomics, and [`Csr::device_bytes`] reports
 //! the 4-byte-int footprint the GPU simulation charges.
 
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+#![warn(clippy::panic, clippy::todo, clippy::unimplemented)]
+
 pub mod convert;
 pub mod coo;
 pub mod csr;

@@ -1,6 +1,11 @@
 //! Structural operations around SpGEMM: row stacking for the batched
 //! executor, on sorted CSR, preserving its invariants.
 
+#![cfg_attr(
+    not(test),
+    warn(clippy::cast_possible_truncation, clippy::cast_sign_loss, clippy::cast_possible_wrap)
+)]
+
 use crate::csr::Csr;
 use crate::scalar::Scalar;
 use crate::{Result, SparseError};
@@ -10,6 +15,7 @@ use crate::{Result, SparseError};
 /// with [`Csr::slice_rows`]; the batched executor stitches per-batch
 /// results back together with this. The first part's arrays grow to
 /// hold the rest, so only the later parts are copied.
+#[expect(clippy::disallowed_methods, reason = "the sparse crate owns the unchecked constructor")]
 pub fn vstack<T: Scalar>(parts: Vec<Csr<T>>) -> Result<Csr<T>> {
     let mut parts = parts.into_iter();
     let first = parts

@@ -75,6 +75,7 @@ pub fn symbolic_row_nnz<T: Scalar>(a: &Csr<T>, b: &Csr<T>) -> Result<Vec<usize>>
 }
 
 /// Gustavson SpGEMM with a dense sparse-accumulator. The default oracle.
+#[expect(clippy::disallowed_methods, reason = "the sparse crate owns the unchecked constructor")]
 pub fn spgemm_gustavson<T: Scalar>(a: &Csr<T>, b: &Csr<T>) -> Result<Csr<T>> {
     check_dims(a, b)?;
     let n = b.cols();
@@ -114,6 +115,7 @@ pub fn spgemm_gustavson<T: Scalar>(a: &Csr<T>, b: &Csr<T>) -> Result<Csr<T>> {
 /// SpGEMM by k-way heap merge of the (sorted) B-rows selected by each
 /// A-row — the "heap method" of Liu & Vinter used in BHSPARSE's small
 /// bins. Produces sorted output without an accumulator array.
+#[expect(clippy::disallowed_methods, reason = "the sparse crate owns the unchecked constructor")]
 pub fn spgemm_heap<T: Scalar>(a: &Csr<T>, b: &Csr<T>) -> Result<Csr<T>> {
     check_dims(a, b)?;
     // Min-heap over (col_of_B_entry, stream index). std BinaryHeap is a

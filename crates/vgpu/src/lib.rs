@@ -28,6 +28,9 @@
 //! Simulated time ([`SimTime`]) — never wall-clock — is the metric all
 //! benchmarks report, which keeps every figure bit-reproducible.
 
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+#![warn(clippy::panic, clippy::todo, clippy::unimplemented)]
+
 pub mod budget;
 pub mod config;
 pub mod cost;

@@ -120,10 +120,10 @@ impl DeviceMemory {
     /// Panics on double-free / unknown id (a bug in the calling
     /// algorithm, not a recoverable device condition).
     pub fn free(&mut self, id: AllocId) -> u64 {
+        #[expect(clippy::panic, reason = "panic documented above; the sanitizer intercepts first")]
         let (bytes, _) = self
             .allocs
             .remove(&id.0)
-            // lint:allow(no-panic) — panic documented above; the sanitizer intercepts first
             .unwrap_or_else(|| panic!("free of non-live allocation {}", id.0));
         self.live -= bytes;
         bytes

@@ -97,7 +97,7 @@ impl Eq for SmFree {}
 /// earliest-free SM (ties to the lowest index); returns that SM and the
 /// block's end. O(log num_sms).
 fn place(sm_free: &mut BinaryHeap<Reverse<SmFree>>, ready: f64, service: f64) -> (usize, f64) {
-    // lint:allow(no-expect) — the heap holds cfg.num_sms entries, validated > 0
+    #[expect(clippy::expect_used, reason = "the heap holds cfg.num_sms entries, validated > 0")]
     let mut top = sm_free.peek_mut().expect("num_sms > 0");
     let end = top.0.t.max(ready) + service;
     top.0.t = end;
@@ -131,8 +131,11 @@ pub fn schedule_region(
 
         // Latency-hiding efficiency from achievable occupancy, capped by
         // how many blocks the grid actually provides per SM.
+        #[expect(
+            clippy::expect_used,
+            reason = "Gpu::launch validated this exact config before queueing"
+        )]
         let occ = occupancy(cfg, k.block_threads, k.shared_bytes)
-            // lint:allow(no-expect) — Gpu::launch validated this exact config before queueing
             .expect("launch was validated before queueing");
         let warps_per_block = k.block_threads.div_ceil(cfg.warp_size);
         let grid_blocks_per_sm = k.blocks.len().div_ceil(cfg.num_sms).max(1);

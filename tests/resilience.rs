@@ -12,13 +12,11 @@
 //! allocation index a clean run performs, one run per index, so no
 //! allocation site can hide a leaky error path.
 //!
-//! `NSPARSE_FAULT_SEED` (set by `ci/check.sh`) seeds an extra derived
-//! fault plan so CI exercises a reproducible but changeable case.
-//! `NSPARSE_SANITIZE=1` (also a `ci/check.sh` gate) reruns the whole
-//! suite with the device-memory sanitizer shadowing every allocation
-//! (DESIGN.md §18): the OOM sweep's error/retry paths must then be
-//! free of use-after-free, double-free, bounds and init violations —
-//! `assert_no_leak` fails on any sanitizer report.
+//! Every device test runs twice: on a bare device, and (its
+//! `_sanitized` twin) with the device-memory sanitizer shadowing every
+//! allocation (DESIGN.md §18). There the OOM sweep's error/retry paths
+//! must also be free of use-after-free, double-free, bounds and init
+//! violations: `assert_no_leak` fails on any sanitizer report.
 
 use nsparse_repro::prelude::*;
 use sparse::spgemm_ref::spgemm_gustavson;
@@ -43,19 +41,22 @@ fn assert_bitwise_eq(x: &Csr<f64>, y: &Csr<f64>, what: &str) {
     assert_eq!(xb, yb, "{what}: values differ bitwise");
 }
 
+/// The seed of the derived single-OOM fault plan.
+const FAULT_SEED: u64 = 2017;
+
 /// Construct the device under test, with the sanitizer attached when
-/// the `NSPARSE_SANITIZE` CI gate asks for it.
-fn test_gpu(cfg: DeviceConfig) -> Gpu {
+/// `sanitize` is set.
+fn test_gpu(cfg: DeviceConfig, sanitize: bool) -> Gpu {
     let mut gpu = Gpu::new(cfg);
-    if std::env::var("NSPARSE_SANITIZE").is_ok() {
+    if sanitize {
         gpu.enable_sanitizer();
     }
     gpu
 }
 
 /// The device must be fully drained: no live bytes and no live
-/// allocation ids. Under `NSPARSE_SANITIZE` the shadow state must be
-/// clean too.
+/// allocation ids. Under the sanitizer the shadow state must be clean
+/// too.
 fn assert_no_leak(gpu: &Gpu, what: &str) {
     assert_eq!(gpu.live_mem_bytes(), 0, "{what}: live bytes leaked");
     assert_eq!(gpu.memory().live_allocs(), 0, "{what}: allocation ids leaked");
@@ -63,8 +64,8 @@ fn assert_no_leak(gpu: &Gpu, what: &str) {
 }
 
 /// Reference result and the number of device mallocs a clean run makes.
-fn clean_run(a: &Csr<f64>) -> (Csr<f64>, u64) {
-    let mut gpu = test_gpu(DeviceConfig::p100());
+fn clean_run(a: &Csr<f64>, sanitize: bool) -> (Csr<f64>, u64) {
+    let mut gpu = test_gpu(DeviceConfig::p100(), sanitize);
     gpu.enable_telemetry();
     let mut exec = SimExecutor::new(&mut gpu);
     let c = exec.multiply(a, a, &Options::default()).unwrap().matrix;
@@ -82,8 +83,9 @@ fn faulted_run(
     capacity: u64,
     plan: FaultPlan,
     what: &str,
+    sanitize: bool,
 ) -> Result<(), Error> {
-    let mut gpu = test_gpu(DeviceConfig::p100_with_memory(capacity));
+    let mut gpu = test_gpu(DeviceConfig::p100_with_memory(capacity), sanitize);
     gpu.enable_telemetry();
     gpu.set_fault_plan(plan);
     let result = {
@@ -104,14 +106,53 @@ fn faulted_run(
     }
 }
 
+/// `#[test]` twins of each device test `case`: `plain` on a bare
+/// device, `sanitized` under the device-memory sanitizer.
+macro_rules! plain_and_sanitized {
+    ($($case:ident => $plain:ident, $sanitized:ident;)*) => {$(
+        #[test]
+        fn $plain() {
+            $case(false);
+        }
+
+        #[test]
+        fn $sanitized() {
+            $case(true);
+        }
+    )*};
+}
+
+plain_and_sanitized! {
+    oom_sweep_at_full_capacity =>
+        malloc_oom_sweep_recovers_at_full_capacity,
+        malloc_oom_sweep_recovers_at_full_capacity_sanitized;
+    oom_sweep_under_pressure =>
+        malloc_oom_sweep_under_memory_pressure,
+        malloc_oom_sweep_under_memory_pressure_sanitized;
+    batched_fallback_under_pressure =>
+        batched_fallback_is_bitwise_identical_under_4x_pressure,
+        batched_fallback_is_bitwise_identical_under_4x_pressure_sanitized;
+    exhausted_retries =>
+        exhausted_retries_return_capacity_diagnostic,
+        exhausted_retries_return_capacity_diagnostic_sanitized;
+    kernel_fault =>
+        kernel_fault_classifies_transient_and_leak_free,
+        kernel_fault_classifies_transient_and_leak_free_sanitized;
+    memcpy_fault =>
+        memcpy_fault_classifies_as_kernel_error,
+        memcpy_fault_classifies_as_kernel_error_sanitized;
+    seeded_fault =>
+        seeded_fault_recovers,
+        seeded_fault_recovers_sanitized;
+}
+
 /// Tentpole acceptance sweep: inject an OOM at every malloc index of
 /// the clean run. At full device capacity a one-shot OOM must always
 /// be *recovered* (the batched retry re-runs and the fault is spent);
 /// the output must match the clean run bitwise.
-#[test]
-fn malloc_oom_sweep_recovers_at_full_capacity() {
+fn oom_sweep_at_full_capacity(sanitize: bool) {
     let a = rand_mat(150, 5, 11);
-    let (c_ref, mallocs) = clean_run(&a);
+    let (c_ref, mallocs) = clean_run(&a, sanitize);
     assert!(mallocs > 0);
     for nth in 1..=mallocs {
         let plan = FaultPlan::new(nth).malloc_oom(nth);
@@ -121,6 +162,7 @@ fn malloc_oom_sweep_recovers_at_full_capacity() {
             DeviceConfig::p100().device_mem_bytes,
             plan,
             &format!("oom at malloc #{nth}/{mallocs}, full capacity"),
+            sanitize,
         )
         .unwrap_or_else(|e| panic!("malloc #{nth} did not recover: {e}"));
     }
@@ -130,17 +172,15 @@ fn malloc_oom_sweep_recovers_at_full_capacity() {
 /// active, the injected OOM lands inside some batch, and the retry
 /// loop must still converge to the exact result or return a structured
 /// error — never panic, never leak.
-#[test]
-fn malloc_oom_sweep_under_memory_pressure() {
+fn oom_sweep_under_pressure(sanitize: bool) {
     let a = rand_mat(150, 5, 11);
-    let (c_ref, mallocs) = clean_run(&a);
+    let (c_ref, mallocs) = clean_run(&a, sanitize);
     let est = nsparse_core::estimate_memory(&a, &a).unwrap().upper_bound();
     let mut recovered = 0u64;
     for nth in 1..=mallocs {
         let plan = FaultPlan::new(nth).malloc_oom(nth);
-        if faulted_run(&a, &c_ref, est / 2, plan, &format!("oom at malloc #{nth}/{mallocs}, est/2"))
-            .is_ok()
-        {
+        let what = format!("oom at malloc #{nth}/{mallocs}, est/2");
+        if faulted_run(&a, &c_ref, est / 2, plan, &what, sanitize).is_ok() {
             recovered += 1;
         }
     }
@@ -151,27 +191,26 @@ fn malloc_oom_sweep_under_memory_pressure() {
 /// Batched output equals the unconstrained output bitwise when the
 /// forecast exceeds capacity by 2x and 4x (the ISSUE's acceptance
 /// bound), and the unbatched path genuinely cannot run at those caps.
-#[test]
-fn batched_fallback_is_bitwise_identical_under_4x_pressure() {
+fn batched_fallback_under_pressure(sanitize: bool) {
     let a = rand_mat(400, 7, 23);
     let c_ref = spgemm_gustavson(&a, &a).unwrap();
     let est = nsparse_core::estimate_memory(&a, &a).unwrap().upper_bound();
 
-    let mut g_full = test_gpu(DeviceConfig::p100());
+    let mut g_full = test_gpu(DeviceConfig::p100(), sanitize);
     let c_full = nsparse_core::multiply(&mut g_full, &a, &a, &Options::default()).unwrap().0;
     assert_bitwise_eq(&c_full, &c_ref, "unconstrained vs reference structure");
     let peak = g_full.peak_mem_bytes();
 
     // A cap below the real peak: the plain pipeline must report a
     // structured, retryable OOM (and leak nothing).
-    let mut g_oom = test_gpu(DeviceConfig::p100_with_memory(peak * 3 / 4));
+    let mut g_oom = test_gpu(DeviceConfig::p100_with_memory(peak * 3 / 4), sanitize);
     let err = nsparse_core::multiply(&mut g_oom, &a, &a, &Options::default()).unwrap_err();
     assert_eq!(err.kind(), ErrorKind::DeviceOom);
     assert_eq!(err.recovery(), Recovery::RetrySmallerBatch);
     assert_no_leak(&g_oom, "plain multiply OOM");
 
     for denom in [2u64, 4] {
-        let mut gpu = test_gpu(DeviceConfig::p100_with_memory(est / denom));
+        let mut gpu = test_gpu(DeviceConfig::p100_with_memory(est / denom), sanitize);
         gpu.enable_telemetry();
         let (run, batches) = {
             let mut exec = BatchedExecutor::sim(&mut gpu);
@@ -188,14 +227,13 @@ fn batched_fallback_is_bitwise_identical_under_4x_pressure() {
 /// When every retry is struck by a fresh injected OOM, the loop gives
 /// up with `CapacityExhausted` carrying the forecast-vs-capacity
 /// diagnostic — classified as an unrecoverable DeviceOom.
-#[test]
-fn exhausted_retries_return_capacity_diagnostic() {
+fn exhausted_retries(sanitize: bool) {
     let a = rand_mat(120, 5, 31);
     let mut plan = FaultPlan::new(99);
     for nth in 1..=40 {
         plan = plan.malloc_oom(nth);
     }
-    let mut gpu = test_gpu(DeviceConfig::p100());
+    let mut gpu = test_gpu(DeviceConfig::p100(), sanitize);
     gpu.set_fault_plan(plan);
     let err = {
         let mut exec = BatchedExecutor::sim(&mut gpu);
@@ -230,10 +268,9 @@ fn exhausted_retries_return_capacity_diagnostic() {
 /// retry on the same device can outlive a transient launch failure, and
 /// the engine's retry/backoff loop owns that policy. With no retry
 /// budget the fault is still terminal here — and it leaks nothing.
-#[test]
-fn kernel_fault_classifies_transient_and_leak_free() {
+fn kernel_fault(sanitize: bool) {
     let a = rand_mat(100, 5, 17);
-    let mut gpu = test_gpu(DeviceConfig::p100());
+    let mut gpu = test_gpu(DeviceConfig::p100(), sanitize);
     gpu.set_fault_plan(FaultPlan::new(3).kernel_fail("count_products"));
     let err = {
         let mut exec = BatchedExecutor::sim(&mut gpu);
@@ -248,9 +285,8 @@ fn kernel_fault_classifies_transient_and_leak_free() {
 /// Memcpy faults surface as structured kernel-class errors through the
 /// taxonomy's `From<GpuError>` conversion, retryable like any other
 /// transient device fault.
-#[test]
-fn memcpy_fault_classifies_as_kernel_error() {
-    let mut gpu = test_gpu(DeviceConfig::p100());
+fn memcpy_fault(sanitize: bool) {
+    let mut gpu = test_gpu(DeviceConfig::p100(), sanitize);
     gpu.set_fault_plan(FaultPlan::new(5).memcpy_fail(2));
     gpu.memcpy(1024, true).unwrap();
     let ge = gpu.memcpy(1024, false).unwrap_err();
@@ -278,23 +314,19 @@ fn seeded_malloc_oom(seed: u64, span: u64) -> FaultPlan {
     FaultPlan::new(seed).malloc_oom(1 + vgpu::fault::split_mix64(seed) % span.max(1))
 }
 
-/// CI hook: `NSPARSE_FAULT_SEED` derives a malloc-OOM index from the
-/// environment, so the gate pins one reproducible injection per run.
-#[test]
-fn seeded_fault_from_environment_recovers() {
-    let seed = std::env::var("NSPARSE_FAULT_SEED")
-        .ok()
-        .and_then(|s| s.parse::<u64>().ok())
-        .unwrap_or(2017);
+/// A malloc-OOM index derived from [`FAULT_SEED`]: one reproducible
+/// injection, recovered like every index of the exhaustive sweep.
+fn seeded_fault(sanitize: bool) {
     let a = rand_mat(150, 5, 11);
-    let (c_ref, mallocs) = clean_run(&a);
-    let plan = seeded_malloc_oom(seed, mallocs);
+    let (c_ref, mallocs) = clean_run(&a, sanitize);
+    let plan = seeded_malloc_oom(FAULT_SEED, mallocs);
     faulted_run(
         &a,
         &c_ref,
         DeviceConfig::p100().device_mem_bytes,
         plan.clone(),
         &format!("seeded fault {plan}"),
+        sanitize,
     )
     .unwrap_or_else(|e| panic!("seeded fault {plan} did not recover: {e}"));
 }
