@@ -21,6 +21,12 @@ cargo build --release --offline
 echo "== tier-1 tests (offline; default members cover every crate) ==" >&2
 cargo test -q --offline
 
+echo "== engine tests in release (hostile structures need debug_assertions off) ==" >&2
+# `Csr::from_parts_unchecked` validates the whole structure in debug
+# builds, so only a release build can plant a flawed matrix and run the
+# hostile-structure arm of the engine's trust-boundary property.
+cargo test -q --offline --release -p engine
+
 echo "== repository benchmark (its tests, then a smoke run of each workload) ==" >&2
 # benchmark/ is a package of its own on the library's public API, so a
 # deleted item it calls fails here instead of in the next benchmark

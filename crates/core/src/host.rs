@@ -8,12 +8,13 @@
 //! `std::thread::scope` workers pull contiguous row ranges from a
 //! [`JobQueue`] — but accumulates rows the way a CPU wants to, not the
 //! way shared memory forces a GPU to. The kernel follows from one
-//! property of the input, the width of `B`: every worker owns a **dense
-//! accumulator**, a stamp and a value per column of `B`, reset between
-//! rows in O(1) by bumping an epoch: no per-row allocation, no scan over
-//! empty slots, no `(column, value)` pair sort. Only a `B` wider than
-//! [`DENSE_MAX_COLS`] skips the arrays; its rows run the ESC row kernel
-//! (expand, sort, compress) instead.
+//! property of the input, the width of `B`: every worker owns
+//! column-indexed arrays over `B`'s columns — a **dense accumulator**, a
+//! stamp and a value per column, for a cold walk, and a **position map**
+//! for a replay — reset between rows in O(1) by bumping an epoch: no
+//! per-row allocation, no scan over empty slots, no `(column, value)`
+//! pair sort. Only a `B` wider than [`DENSE_MAX_COLS`] skips the arrays;
+//! its rows run the ESC row kernel (expand, sort, compress) instead.
 //!
 //! # Walk, then checked values
 //!
@@ -34,21 +35,31 @@
 //!
 //! The structure depends only on the patterns, so `execute_numeric` —
 //! the numeric phase and the plan-cache hit path — is a values-only
-//! pass: it accumulates each row through the dense arrays and gathers
-//! the values in the recorded column order. It builds no column list
-//! and sorts nothing; `C`'s column array is the structure, copied from
-//! the symbolic result. A hash row above the plan's table capacity for
-//! it (a sampled under-estimate) is complete all the same and counts as
-//! a replan.
+//! pass, and `C`'s own row is its accumulator. Every worker owns a
+//! **position map**, 8 bytes per column of `B`: the epoch of the row
+//! that last recorded the column and the column's position in that row.
+//! A row maps its recorded columns, presets its values to −0.0 and adds
+//! every product straight into its position: one map load per product,
+//! no value array, no gather pass, no data-dependent branch. It builds
+//! no column list and sorts nothing; `C`'s column array is the
+//! structure, copied from the symbolic result. A hash row above the
+//! plan's table capacity for it (a sampled under-estimate) is complete
+//! all the same and counts as a replan.
 //!
-//! Replay is verified, not trusted. Each row must produce exactly as
-//! many new columns as its symbolic count, and every recorded column, in
-//! strictly increasing order, must be one this row stamped. Together
-//! these make the two column sets equal, so a stale or corrupted
-//! structure is an [`Error::invariant`], never a wrong matrix. Rows of
-//! a wide `B` run the ESC kernel and compare the columns it produces. A
-//! structure recorded by the simulator replays the same way: both
-//! backends' `C` have the same bits.
+//! Replay is verified, not trusted. The recorded columns must increase
+//! strictly within `B`'s width. Every product's column must be mapped
+//! for this row: the map entry is xor-ed with the row's epoch tag, so an
+//! entry of any other epoch yields an index past the row, and the bounds
+//! check on `C`'s row is the epoch check. Every recorded column must be
+//! reached, which follows from the preset: an unreached entry keeps its
+//! −0.0, and a reached one reads −0.0 only if all of its products were
+//! −0.0 (an IEEE sum is −0.0 only when both addends are). So only a row
+//! that holds a −0.0 is rechecked, by a walk that marks each product's
+//! column in the map. Together these make the two column sets equal, so
+//! a stale or corrupted structure is an [`Error::invariant`], never a
+//! wrong matrix. Rows of a wide `B` run the ESC kernel and compare the
+//! columns it produces. A structure recorded by the simulator replays
+//! the same way: both backends' `C` have the same bits.
 //!
 //! # Determinism
 //!
@@ -58,12 +69,16 @@
 //! every later product `+=`s into it, in A-row traversal order; the
 //! simulation's hash table (and the ESC kernel) does exactly the same,
 //! so every output value is the same sequence of IEEE operations on both
-//! backends (the value is never formed as `0 + x`, which would turn
-//! `-0.0` into `+0.0`). Every job writes only its own rows — its own
+//! backends (the value is never formed as `+0.0 + x`, which would turn
+//! `-0.0` into `+0.0`). The values pass forms it as `−0.0 + x`, which
+//! is bitwise `x` for every `x`: `−0.0 + ±0.0` is `±0.0`, and
+//! `−0.0 + NaN` returns that NaN with its payload. A product is never a
+//! signalling NaN (an arithmetic result is quiet), so no payload is
+//! changed by quieting. Every job writes only its own rows — its own
 //! staging, or its own output slice carved with `split_at_mut` at
 //! row-pointer boundaries — so scheduling decides *when* a row is
-//! computed, never *what* it computes. The dense arrays and the ESC
-//! kernel produce the same bits.
+//! computed, never *what* it computes. The dense arrays, the position
+//! map and the ESC kernel produce the same bits.
 //!
 //! The host inspects no hash slots, so its `hash_probes` is 0
 //! (DESIGN.md §12).
@@ -99,17 +114,18 @@ const CHUNKS_PER_THREAD: usize = 8;
 /// after a large one releases the excess.
 const STAGING_SLACK: u64 = 8;
 
-/// Widest `B`, in columns, whose rows use the dense accumulator.
+/// Widest `B`, in columns, whose rows use the column-indexed arrays.
 ///
 /// Measured on a 2-core Xeon (2 MiB L2 per core, 300 MiB shared L3),
 /// `A²` at 1 and 2 threads: the dense arrays beat a linear-probing hash
 /// table sized to each row on every registered dataset, from Protein
 /// (3 000 columns) to webbase (1 000 005), by 9–39% in median wall
 /// time. So this bound is set by memory, not speed: per worker the
-/// arrays take `4 + size_of::<T>()` bytes a column (12 MiB in f64 at
-/// this width) whatever the rows hold. For a wider `B` the accumulator, not the
-/// work, would set the host's footprint, and its rows run the ESC
-/// kernel, whose scratch grows with the row.
+/// walk's arrays take `4 + size_of::<T>()` bytes a column (12 MiB in
+/// f64 at this width) and the values pass's position map 8, whatever
+/// the rows hold. For a wider `B` the arrays, not the work, would set
+/// the host's footprint, and its rows run the ESC kernel, whose scratch
+/// grows with the row.
 pub const DENSE_MAX_COLS: usize = 1 << 20;
 
 /// A worker thread's row accumulator: a stamp and a value per column of
@@ -146,9 +162,8 @@ impl<T: Scalar> RowAccumulator<T> {
         (4 * self.stamp.len() + T::BYTES * self.vals.len()) as u64
     }
 
-    /// Walk row `row` through the dense arrays — the one accumulate loop
-    /// of the values pass and the walk — allocating them on first use
-    /// and advancing the epoch. The first product of a column *assigns*
+    /// Walk row `row` through the dense arrays, allocating them on first
+    /// use and advancing the epoch. The first product of a column *assigns*
     /// its value, later ones `+=`, in A-row traversal order — never
     /// `0 + x`, which would turn `-0.0` into `+0.0`. `new_col` receives
     /// each column the first time it appears.
@@ -182,36 +197,6 @@ impl<T: Scalar> RowAccumulator<T> {
         }
     }
 
-    /// Accumulate row `row` and write its values to `out_vals` in the
-    /// order of `cols`, the row's recorded structure (as long as
-    /// `out_vals`). The replay is checked: the row must produce exactly
-    /// `cols.len()` new columns, and each recorded column, in strictly
-    /// increasing order, must be one this row stamped — so the recorded
-    /// and the produced column sets are equal.
-    fn values_row(
-        &mut self,
-        a: &Csr<T>,
-        b: &Csr<T>,
-        row: usize,
-        cols: &[u32],
-        out_vals: &mut [T],
-    ) -> Result<()> {
-        let mut produced = 0usize;
-        self.accumulate(a, b, row, |_| produced += 1);
-        if produced != cols.len() {
-            return Err(replay_mismatch());
-        }
-        let mut prev = None;
-        for (v, &j) in out_vals.iter_mut().zip(cols) {
-            if self.stamp.get(ix(j)) != Some(&self.epoch) || prev >= Some(j) {
-                return Err(replay_mismatch());
-            }
-            prev = Some(j);
-            *v = self.vals[ix(j)];
-        }
-        Ok(())
-    }
-
     /// Count and accumulate row `row` in one walk of the dense arrays,
     /// appending its sorted columns and their values to `out`; returns
     /// the row's nnz. The columns are reserved up front for the row's
@@ -237,6 +222,115 @@ impl<T: Scalar> RowAccumulator<T> {
         reserve(&mut out.vals, row_cols.len())?;
         out.vals.extend(row_cols.iter().map(|&j| self.vals[ix(j)]));
         Ok(row_cols.len())
+    }
+}
+
+/// The mark the values pass's coverage walk sets in a map entry's
+/// position: no row of `C` is as long as [`DENSE_MAX_COLS`], so bit 31
+/// is free.
+const REACHED: u64 = 1 << 31;
+
+/// A worker thread's map for the values pass: per column of `B`, the
+/// epoch of the row that last recorded it (high 32 bits) and its
+/// position in that row of `C` (low 32 bits), allocated on the first row
+/// and reused for every later row. Bumping the epoch unmaps every
+/// column, so a reset is O(1).
+struct PositionMap {
+    /// Column count of `B` (the map's length).
+    width: usize,
+    map: Vec<u64>,
+    /// Epoch of the current row.
+    epoch: u32,
+}
+
+impl PositionMap {
+    fn new(b_cols: usize) -> Self {
+        PositionMap { width: b_cols, map: Vec::new(), epoch: 0 }
+    }
+
+    /// Bytes of the map this worker holds.
+    fn bytes(&self) -> u64 {
+        8 * self.map.len() as u64
+    }
+
+    /// Fill `out`, row `row` of `C`, whose recorded columns are `cols`
+    /// (as long as `out`). Each recorded column is mapped to its
+    /// position and `out` is preset to −0.0, IEEE's exact additive
+    /// identity (`−0.0 + x` is bitwise `x`); then every product, in A-row
+    /// traversal order, adds straight into its position. So each value
+    /// is the sequence of operations where the first product assigns and
+    /// later ones add, with no data-dependent branch per product.
+    ///
+    /// The replay is checked, so the produced and the recorded column
+    /// sets are equal: the record must increase strictly within `B`'s
+    /// width, and every product's column must be mapped for this row
+    /// (the epoch check is folded into the bounds check on `out`). Every
+    /// recorded column must also be reached. An unreached entry keeps
+    /// its −0.0, and a reached one reads −0.0 only if all of its products
+    /// were −0.0, so only a row holding a −0.0 is rechecked, by
+    /// [`Self::all_reached`].
+    fn values_row<T: Scalar>(
+        &mut self,
+        a: &Csr<T>,
+        b: &Csr<T>,
+        row: usize,
+        cols: &[u32],
+        out: &mut [T],
+    ) -> Result<()> {
+        if self.map.len() < self.width {
+            self.map = vec![0; self.width];
+            self.epoch = 0;
+        }
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            // Epoch wrapped: hard-clear once every 2^32 rows.
+            self.map.fill(0);
+            self.epoch = 1;
+        }
+        let tag = u64::from(self.epoch) << 32;
+        // A flag, not a branch per column: the record increases strictly.
+        let (mut sorted, mut prev) = (true, -1);
+        for (pos, &j) in cols.iter().enumerate() {
+            sorted &= i64::from(j) > prev;
+            prev = i64::from(j);
+            *self.map.get_mut(ix(j)).ok_or_else(replay_mismatch)? = tag | to_u64(pos);
+        }
+        out.fill(-T::ZERO);
+        let (acols, avals) = a.row(row);
+        let map = &self.map;
+        for (&k, &av) in acols.iter().zip(avals) {
+            let (bcols, bvals) = b.row(ix(k));
+            for (&j, &bv) in bcols.iter().zip(bvals) {
+                // The epoch check is the bounds check: a column mapped for
+                // this row yields its position, any other column an index
+                // of at least 2^32, past every row.
+                let pos = usize::try_from(map[ix(j)] ^ tag).ok();
+                let Some(v) = pos.and_then(|p| out.get_mut(p)) else {
+                    return Err(replay_mismatch());
+                };
+                *v += av * bv;
+            }
+        }
+        // One pass with no early exit: most rows hold no −0.0.
+        let neg_zero = |v: &T| (*v == T::ZERO) & v.to_f64().is_sign_negative();
+        let any_neg_zero = out.iter().fold(false, |any, v| any | neg_zero(v));
+        if !sorted || (any_neg_zero && !self.all_reached(a, b, row, cols)) {
+            return Err(replay_mismatch());
+        }
+        Ok(())
+    }
+
+    /// The coverage recheck of a row whose products all mapped: mark
+    /// every product's column, then test that each recorded column was
+    /// marked. The marks live in this row's entries, which the next
+    /// row's epoch unmaps.
+    fn all_reached<T: Scalar>(&mut self, a: &Csr<T>, b: &Csr<T>, row: usize, cols: &[u32]) -> bool {
+        for &k in a.row(row).0 {
+            for &j in b.row(ix(k)).0 {
+                self.map[ix(j)] |= REACHED;
+            }
+        }
+        cols.iter().all(|&j| self.map[ix(j)] & REACHED != 0)
     }
 }
 
@@ -367,7 +461,7 @@ impl ThreadResolution {
     }
 }
 
-/// Executes SpGEMM on host threads with a dense row accumulator per
+/// Executes SpGEMM on host threads with column-indexed row arrays per
 /// thread (see the module docs). The plan is still derived from a device class — the
 /// paper's P100 by default — because it decides each row's count-pass
 /// overflow bound and the work partition; it does not size host scratch.
@@ -610,8 +704,8 @@ impl HostParallelExecutor {
     /// The values pass: each worker pulls a product-weighted chunk of
     /// rows and fills its disjoint slice of `C`'s values, cut at the row
     /// pointer, replaying each row against its recorded columns through
-    /// the dense arrays or, for a wide `B`, the ESC kernel. Returns the
-    /// values and the bytes of the dense arrays the workers allocated.
+    /// its position map or, for a wide `B`, the ESC kernel. Returns the
+    /// values and the bytes of the maps the workers allocated.
     fn values_pass<T: Scalar>(
         &self,
         plan: &SpgemmPlan,
@@ -638,17 +732,18 @@ impl HostParallelExecutor {
         }
         let workers = self.threads.min(jobs.len());
         let queue = JobQueue::new(jobs);
-        // Each worker returns its accumulator's bytes.
+        // Each worker returns its map's bytes.
+        let dense = b.cols() <= DENSE_MAX_COLS;
         let tallies = run_workers(workers, || -> Result<u64> {
-            let mut acc = RowAccumulator::<T>::new(b.cols());
+            let mut map = PositionMap::new(b.cols());
             let (mut esc, mut buf) = (Vec::new(), Staged::default());
             while let Some((range, vals)) = queue.next() {
                 let base = rpt[range.start];
                 for r in range {
                     let (lo, hi) = (rpt[r], rpt[r + 1]);
                     let (cols, vals) = (&structure[lo..hi], &mut vals[lo - base..hi - base]);
-                    if acc.dense {
-                        acc.values_row(a, b, r, cols, vals)?;
+                    if dense {
+                        map.values_row(a, b, r, cols, vals)?;
                     } else {
                         // The ESC kernel runs into `buf`; its columns must
                         // be the recorded ones.
@@ -661,7 +756,7 @@ impl HostParallelExecutor {
                     }
                 }
             }
-            Ok(acc.bytes())
+            Ok(map.bytes())
         });
         drop(queue); // releases the borrow of `val_c`
         let mut acc_bytes = 0;
@@ -719,12 +814,13 @@ impl HostParallelExecutor {
     /// The host backend's report: simulated fields are zero (there is no
     /// device model), counters are real, and `peak_mem_bytes` bounds the
     /// host heap a multiply holds: the output, the row pointer and the
-    /// `scratch` its workers actually allocated — the
-    /// dense accumulator arrays and, for `multiply`, the staged entries
-    /// held next to `C` until the copy (what the call needed, not the
-    /// capacity an earlier call left, so the figure depends only on the
-    /// operands and the path). The host inspects no hash slots, so
-    /// `hash_probes` is 0.
+    /// `scratch` its workers actually allocated. For `multiply` that is
+    /// the dense accumulator arrays (`4 + size_of::<T>()` bytes per
+    /// column of `B`) and the staged entries held next to `C` until the
+    /// copy, for the values pass the position maps (8 bytes per column
+    /// of `B`): what the call needed, not the capacity an earlier call
+    /// left, so the figure depends only on the operands and the path.
+    /// The host inspects no hash slots, so `hash_probes` is 0.
     fn host_report<T: Scalar>(
         &self,
         plan: &SpgemmPlan,
@@ -790,13 +886,13 @@ mod tests {
         (Csr::from_triplets(rows, 40, &ta).unwrap(), Csr::from_triplets(40, b_cols, &tb).unwrap())
     }
 
-    /// Walk every row of `A · B` through one dense accumulator and
-    /// replay it through another, checking each row against the
-    /// reference; returns the (walk, values) accumulators.
-    fn check_rows(a: &Csr<f64>, b: &Csr<f64>) -> (RowAccumulator<f64>, RowAccumulator<f64>) {
+    /// Walk every row of `A · B` through a dense accumulator and replay
+    /// it through a position map, checking each row against the
+    /// reference; returns the walk's accumulator and the map.
+    fn check_rows(a: &Csr<f64>, b: &Csr<f64>) -> (RowAccumulator<f64>, PositionMap) {
         let c_ref = spgemm_gustavson(a, b).unwrap();
         let mut walk = RowAccumulator::new(b.cols());
-        let mut num = RowAccumulator::new(b.cols());
+        let mut num = PositionMap::new(b.cols());
         for r in 0..a.rows() {
             let mut staged = Staged::default();
             let nnz = walk.stage_row(a, b, r, &mut staged).unwrap();
@@ -813,10 +909,11 @@ mod tests {
     fn dense_accumulator_rows_match_reference() {
         let (a, b) = int_pair(60, 500, 5);
         let (walk, mut num) = check_rows(&a, &b);
-        assert!(walk.dense && num.dense);
-        // The arrays span B's columns: a stamp and a value per column.
+        assert!(walk.dense);
+        // The arrays span B's columns: a stamp and a value per column for
+        // the walk, an epoch and a position per column for the replay.
         assert_eq!(walk.bytes(), (4 + 8) * 500);
-        assert_eq!(num.bytes(), (4 + 8) * 500);
+        assert_eq!(num.bytes(), 8 * 500);
         // A wrapped epoch clears the stamps instead of aliasing old rows.
         let c_ref = spgemm_gustavson(&a, &b).unwrap();
         let (cols, want) = c_ref.row(0);
@@ -826,12 +923,16 @@ mod tests {
         assert_eq!(num.epoch, 1);
         assert_eq!(vals, want);
         // A recorded row that is not the row's column set is an error: a
-        // column short, one too many, out of order, or past B's width.
+        // column short, one too many (which only the coverage walk finds),
+        // out of order, or past B's width.
         let n = cols.len();
         let unsorted: Vec<u32> = cols.iter().rev().copied().collect();
         let mut outside = cols.to_vec();
         outside[n - 1] = 500;
-        for bad in [&cols[..n - 1], &[cols, &[499]].concat(), &unsorted, &outside] {
+        let mut more = cols.to_vec();
+        let missing = (0..).find(|c| !cols.contains(c)).unwrap();
+        more.insert(cols.partition_point(|&c| c < missing), missing);
+        for bad in [&cols[..n - 1], &more, &unsorted, &outside] {
             let mut vals = vec![0.0; bad.len()];
             let err = num.values_row(&a, &b, 0, bad, &mut vals).unwrap_err();
             assert_eq!(err.kind(), crate::ErrorKind::Invariant);
@@ -899,13 +1000,15 @@ mod tests {
 
     /// The host plan of `a · b` and its symbolic result with one row
     /// tampered: a recorded column swapped for one the row does not
-    /// produce (order and counts kept), and a count one short (the
-    /// row's last column dropped, the row arrays kept consistent).
+    /// produce (order and counts kept), a count one short (the row's last
+    /// column dropped), and an extra recorded column that no product
+    /// reaches, which only the coverage walk finds; the row arrays are
+    /// kept consistent.
     fn tampered(
         ex: &mut HostParallelExecutor,
         a: &Csr<f64>,
         b: &Csr<f64>,
-    ) -> (crate::SymbolicPlan<f64>, [SymbolicOutput; 2]) {
+    ) -> (crate::SymbolicPlan<f64>, [SymbolicOutput; 3]) {
         let plan = crate::SymbolicPlan::from_executor(ex, a, b, &Options::default()).unwrap();
         let good = plan.symbolic();
         let structure = &good.structure;
@@ -918,27 +1021,49 @@ mod tests {
         let col = (cols[0] + 1..hi).find(|&c| c != cols[1]).unwrap();
         let mut swapped = good.clone();
         swapped.structure[good.rpt[r] + 1] = col;
-        let mut structure = structure.clone();
-        structure.remove(good.rpt[r + 1] - 1);
-        let rpt = good.rpt.iter().enumerate().map(|(i, &p)| p - usize::from(i > r)).collect();
-        let short = SymbolicOutput { rpt, replans: 0, structure };
-        (plan, [swapped, short])
+        let resized = |at: usize, structure: Vec<u32>| {
+            let shift = |i, p: usize| if i > r { p - good.rpt[r + 1] + at } else { p };
+            let rpt = good.rpt.iter().enumerate().map(|(i, &p)| shift(i, p)).collect();
+            SymbolicOutput { rpt, replans: 0, structure }
+        };
+        let mut fewer = structure.clone();
+        fewer.remove(good.rpt[r + 1] - 1);
+        let short = resized(good.rpt[r + 1] - 1, fewer);
+        // The first column the row does not produce, inserted in order.
+        let col = (0..).find(|c| !cols.contains(c)).unwrap();
+        let mut more = structure.clone();
+        more.insert(good.rpt[r] + cols.partition_point(|&c| c < col), col);
+        let extra = resized(good.rpt[r + 1] + 1, more);
+        (plan, [swapped, short, extra])
     }
 
     #[test]
     fn tampered_structure_is_an_invariant_error() {
-        let (a, b) = int_pair(60, 500, 5);
-        let c_ref = spgemm_gustavson(&a, &b).unwrap();
-        for threads in [1, 2] {
-            let mut ex = HostParallelExecutor::new(threads);
-            let (plan, bad) = tampered(&mut ex, &a, &b);
-            assert_eq!(plan.execute_with(&mut ex, &a, &b).unwrap().matrix, c_ref);
-            for (sym, what) in bad.iter().zip(["swapped column", "count one short"]) {
-                let err = Executor::<f64>::execute_numeric(&mut ex, plan.plan(), sym, &a, &b)
-                    .unwrap_err();
-                assert_eq!(err.kind(), crate::ErrorKind::Invariant, "{what}, host:{threads}");
+        // Row 0 of the second pair has only −0.0 products, so every value
+        // it reaches reads −0.0 like one it does not.
+        let neg_zero_a = Csr::from_triplets(2, 2, &[(0, 0, -0.0), (0, 1, 0.0), (1, 0, 1.0)]);
+        let neg_zero_b =
+            Csr::from_triplets(2, 8, &[(0, 1, 1.0), (0, 3, 2.0), (1, 1, -1.0), (1, 5, -3.0)]);
+        let pairs = [int_pair(60, 500, 5), (neg_zero_a.unwrap(), neg_zero_b.unwrap())];
+        let bits = |m: &Csr<f64>| m.val().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for (a, b) in &pairs {
+            for threads in [1, 2] {
+                let mut ex = HostParallelExecutor::new(threads);
+                let want = Executor::<f64>::multiply(&mut ex, a, b, &Options::default()).unwrap();
+                let (plan, bad) = tampered(&mut ex, a, b);
+                let hit = plan.execute_with(&mut ex, a, b).unwrap().matrix;
+                assert_eq!(hit, want.matrix);
+                assert_eq!(bits(&hit), bits(&want.matrix));
+                let whats = ["swapped column", "count one short", "extra unreached column"];
+                for (sym, what) in bad.iter().zip(whats) {
+                    let err = Executor::<f64>::execute_numeric(&mut ex, plan.plan(), sym, a, b)
+                        .unwrap_err();
+                    assert_eq!(err.kind(), crate::ErrorKind::Invariant, "{what}, host:{threads}");
+                }
             }
         }
+        let c = spgemm_gustavson(&pairs[1].0, &pairs[1].1).unwrap();
+        assert_eq!(c.row(0).0, [1, 3, 5], "the −0.0 row");
     }
 
     #[test]
@@ -948,21 +1073,22 @@ mod tests {
         let mut ex = HostParallelExecutor::new(1);
         let (m, nnz) = (a.rows() as u64, spgemm_gustavson(&a, &b).unwrap().nnz() as u64);
         let output = |nnz: u64| DEVICE_INDEX_BYTES * (m + 1) + (DEVICE_INDEX_BYTES + 8) * nnz;
-        let dense = (4 + 8) * 500;
         // The values pass of a plan-cache hit holds the row pointer, the
-        // dense arrays and C.
+        // position map (8 B per column of B) and C.
         let plan = crate::SymbolicPlan::from_executor(&mut ex, &a, &b, &opts).unwrap();
         let split = plan.execute_with(&mut ex, &a, &b).unwrap();
         assert_eq!(split.matrix.nnz() as u64, nnz);
-        let values_pass = 8 * (m + 1) + dense + output(nnz);
+        let values_pass = 8 * (m + 1) + 8 * 500 + output(nnz);
         assert_eq!(split.report.peak_mem_bytes, values_pass);
-        // `multiply` walks once and holds its staging next to C until the
-        // copy: a column and a value per entry, into fresh staging or the
-        // staging the call before kept.
+        // `multiply` walks once through the dense arrays (a stamp and a
+        // value per column of B) and holds its staging next to C until
+        // the copy: a column and a value per entry, into fresh staging or
+        // the staging the call before kept.
+        let walk = 8 * (m + 1) + (4 + 8) * 500 + output(nnz);
         for _ in 0..2 {
             let run = Executor::<f64>::multiply(&mut ex, &a, &b, &opts).unwrap();
             assert_eq!(run.matrix, split.matrix);
-            assert_eq!(run.report.peak_mem_bytes, values_pass + (4 + 8) * nnz);
+            assert_eq!(run.report.peak_mem_bytes, walk + (4 + 8) * nnz);
             assert_eq!(run.report.hash_probes, 0, "the host inspects no hash slots");
             assert_eq!(phases(&run), [Phase::Setup, Phase::Calc]);
         }

@@ -37,13 +37,20 @@ impl<T: Scalar> Coo<T> {
         &self.entries
     }
 
-    /// Convert to CSR, sorting and summing duplicate coordinates.
-    #[expect(clippy::expect_used, reason = "COO construction bounds-checks every entry")]
+    /// Convert to CSR, sorting and summing duplicate coordinates. Panics
+    /// when the heap refuses the `rows + 1` row arrays; the Matrix Market
+    /// reader, whose row count comes from outside, calls the fallible
+    /// [`Csr::from_triplets`] instead.
+    #[expect(
+        clippy::expect_used,
+        reason = "COO construction bounds-checks every entry; only the row arrays' allocation \
+                  can fail"
+    )]
     pub fn to_csr(&self) -> Csr<T> {
         let triplets: Vec<(usize, u32, T)> =
             self.entries.iter().map(|&(r, c, v)| (r as usize, c, v)).collect();
         Csr::from_triplets(self.rows, self.cols, &triplets)
-            .expect("COO invariants guarantee valid triplets")
+            .expect("COO entries are in bounds, so only the row arrays' allocation can fail")
     }
 
     /// Convert from CSR (entries come out row-major sorted).

@@ -118,7 +118,9 @@ impl<T: Scalar> Csr<T> {
     }
 
     /// Build from `(row, col, value)` triplets in any order; duplicates
-    /// are summed (Matrix Market semantics).
+    /// are summed (Matrix Market semantics). The three `rows + 1` arrays
+    /// are reserved before any is written, so a row count the heap
+    /// cannot hold is a [`SparseError::Overflow`], not an abort.
     pub fn from_triplets(rows: usize, cols: usize, triplets: &[(usize, u32, T)]) -> Result<Self> {
         for &(r, c, _) in triplets {
             if r >= rows {
@@ -128,15 +130,24 @@ impl<T: Scalar> Csr<T> {
                 return Err(SparseError::ColumnOutOfBounds { row: r, col: c, cols });
             }
         }
+        let mut row_arrays = [Vec::new(), Vec::new(), Vec::new()];
+        for v in &mut row_arrays {
+            v.try_reserve_exact(rows.saturating_add(1)).map_err(|_| {
+                SparseError::Overflow(format!("{rows} rows: 3 row arrays do not fit the heap"))
+            })?;
+        }
+        let [mut counts, mut slot, mut rpt] = row_arrays.map(|mut v| {
+            v.resize(rows + 1, 0usize);
+            v
+        });
         // Counting sort by row, then sort+combine within each row.
-        let mut counts = vec![0usize; rows + 1];
         for &(r, _, _) in triplets {
             counts[r + 1] += 1;
         }
         for i in 0..rows {
             counts[i + 1] += counts[i];
         }
-        let mut slot = counts.clone();
+        slot.copy_from_slice(&counts);
         let mut col = vec![0u32; triplets.len()];
         let mut val = vec![T::ZERO; triplets.len()];
         for &(r, c, v) in triplets {
@@ -146,7 +157,6 @@ impl<T: Scalar> Csr<T> {
             slot[r] += 1;
         }
         // Sort each row and sum duplicates in place.
-        let mut rpt = vec![0usize; rows + 1];
         let mut out_col = Vec::with_capacity(triplets.len());
         let mut out_val = Vec::with_capacity(triplets.len());
         let mut scratch: Vec<(u32, T)> = Vec::new();

@@ -10,8 +10,7 @@
 //! every finite value, −0.0 and ±inf reads back bitwise. NaN reads back
 //! as NaN, but the text format keeps neither its payload nor its sign.
 
-use crate::convert::{to_u64, try_u32};
-use crate::coo::Coo;
+use crate::convert::{ix, to_u64, try_u32};
 use crate::csr::Csr;
 use crate::scalar::Scalar;
 use crate::{Result, SparseError};
@@ -96,7 +95,7 @@ pub fn read_matrix_market<T: Scalar, R: Read>(reader: R) -> Result<Csr<T>> {
         return Err(parse_err(format!("symmetric storage of a non-square matrix: {size_line}")));
     }
 
-    let mut coo = Coo::<T>::new(rows, cols);
+    let mut triplets = Vec::new();
     let mut seen = 0usize;
     for line in lines {
         let line = line.map_err(|e| parse_err(e.to_string()))?;
@@ -128,11 +127,11 @@ pub fn read_matrix_market<T: Scalar, R: Read>(reader: R) -> Result<Csr<T>> {
             }
         };
         let (r0, c0) = (try_u32(r - 1)?, try_u32(c - 1)?);
-        coo.push(r0, c0, v);
+        triplets.push((ix(r0), c0, v));
         match symmetry {
             Symmetry::General => {}
-            Symmetry::Symmetric if r0 != c0 => coo.push(c0, r0, v),
-            Symmetry::SkewSymmetric if r0 != c0 => coo.push(c0, r0, -v),
+            Symmetry::Symmetric if r0 != c0 => triplets.push((ix(c0), r0, v)),
+            Symmetry::SkewSymmetric if r0 != c0 => triplets.push((ix(c0), r0, -v)),
             _ => {}
         }
         seen += 1;
@@ -140,7 +139,9 @@ pub fn read_matrix_market<T: Scalar, R: Read>(reader: R) -> Result<Csr<T>> {
     if seen != declared_nnz {
         return Err(parse_err(format!("declared {declared_nnz} entries, found {seen}")));
     }
-    Ok(coo.to_csr())
+    // A size line that passed the 2^32 check can still ask for row
+    // arrays the heap cannot hold: `from_triplets` reserves them first.
+    Csr::from_triplets(rows, cols, &triplets)
 }
 
 /// Read a `.mtx` file from disk.

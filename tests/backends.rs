@@ -171,12 +171,13 @@ quickprop! {
     }
 }
 
-/// A 5 × 4 `A` and, for `B` of `width` columns (`stride` apart), rows
-/// whose first product is -0.0, rows that meet +inf and -inf, and rows
-/// with NaN products.
+/// A 7 × 4 `A` and, for `B` of `width` columns (`stride` apart), rows
+/// whose first product is -0.0, rows that meet +inf and -inf, rows with
+/// NaN products, a row whose products are all -0.0 and one that mixes
+/// -0.0 and +0.0 products.
 fn edge_value_pair(width: usize, stride: u32) -> (Csr<f64>, Csr<f64>) {
     let a = Csr::from_triplets(
-        5,
+        7,
         4,
         &[
             (0, 0, -1.0),
@@ -188,6 +189,9 @@ fn edge_value_pair(width: usize, stride: u32) -> (Csr<f64>, Csr<f64>) {
             (3, 1, -3.0),
             (4, 2, 0.0),
             (4, 3, -2.0),
+            (5, 0, -0.0),
+            (6, 0, -0.0),
+            (6, 1, 0.0),
         ],
     )
     .unwrap();
@@ -211,18 +215,31 @@ const EDGE_SHAPES: [(usize, u32); 2] = [(8, 1), (WIDE, (WIDE / 8) as u32)];
 #[test]
 fn edge_values_match_bitwise_on_narrow_and_wide_b() {
     // Each value must be the same sequence of IEEE operations on every
-    // backend: the first product of a column assigns, later ones add
-    // (0 + -0.0 would give +0.0).
+    // backend and path: the first product of a column assigns, later
+    // ones add (0 + -0.0 would give +0.0). A plan-cache hit adds every
+    // product to -0.0, the exact identity, and rechecks the rows that
+    // hold a -0.0 for unreached columns.
+    let bits = |row: (&[u32], &[f64])| row.1.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    let (neg, pos) = ((-0.0f64).to_bits(), 0.0f64.to_bits());
     for (width, stride) in EDGE_SHAPES {
         let (a, b) = edge_value_pair(width, stride);
         let c_sim = sim_ab(&a, &b);
         // Row 0, column 0: -1·0.0 = -0.0 assigned, then += 2·-0.0.
-        assert_eq!(c_sim.row(0).1[0].to_bits(), (-0.0f64).to_bits(), "width {width}");
+        assert_eq!(c_sim.row(0).1[0].to_bits(), neg, "width {width}");
         // Row 1, column 1: +inf + -inf; column 2: NaN + 1.
         assert!(c_sim.row(1).1[0].is_nan() && c_sim.row(1).1[1].is_nan());
+        // Row 5: only -0.0 products. Row 6: column 0 adds -0.0 to -0.0,
+        // column 3 adds +0.0 to -0.0.
+        assert_eq!(bits(c_sim.row(5)), [neg, neg], "width {width}");
+        assert_eq!(bits(c_sim.row(6)), [neg, pos], "width {width}");
         for threads in [1usize, 3] {
-            let c_host = host_ab(&a, &b, threads);
-            assert_bitwise_eq(&c_sim, &c_host, &format!("width {width}, host:{threads}"));
+            let what = format!("width {width}, host:{threads}");
+            let mut host = HostParallelExecutor::new(threads);
+            let cold = host.multiply(&a, &b, &Options::default()).unwrap().matrix;
+            assert_bitwise_eq(&c_sim, &cold, &what);
+            let plan = SymbolicPlan::from_executor(&mut host, &a, &b, &Options::default()).unwrap();
+            let hit = plan.execute_with(&mut host, &a, &b).unwrap().matrix;
+            assert_bitwise_eq(&c_sim, &hit, &format!("{what}, plan-cache hit"));
         }
     }
 }
