@@ -168,6 +168,26 @@ mod tests {
     }
 
     #[test]
+    fn sanitizer_canaries_fail_the_soak_and_a_clean_one_passes() {
+        // `spgemm chaos --seed 5 --jobs 20 --workers 2 --dim 64 --sanitize`:
+        // a clean soak exits 0; one whose every job commits the named
+        // violation reports it and exits 1.
+        let flags = |canary: &str| -> Vec<String> {
+            format!("--seed 5 --jobs 20 --workers 2 --dim 64 --sanitize {canary}")
+                .split_whitespace()
+                .map(String::from)
+                .collect()
+        };
+        assert_eq!(run_chaos_cli(&flags("")), 0, "a clean sanitized soak must pass");
+        for canary in ["leak", "uaf"] {
+            let argv = flags(&format!("--san-canary {canary}"));
+            assert_eq!(run_chaos_cli(&argv), 1, "{canary}: the soak must fail");
+            let (cfg, _) = parse_chaos_args(&argv).unwrap();
+            assert!(run_chaos(&cfg).stats.san.reports > 0, "{canary}: no sanitizer report");
+        }
+    }
+
+    #[test]
     fn bad_input_is_an_error_not_an_exit() {
         for bad in [
             "--bogus",

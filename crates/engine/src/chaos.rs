@@ -591,44 +591,92 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
 mod tests {
     use super::*;
 
+    /// The values `spgemm chaos` prints below its header line (the one
+    /// that names the worker count): outcome and hostility counters,
+    /// the conservation and leak checks, the sanitizer's report count,
+    /// the digest and the violation count.
+    fn printed(r: &ChaosReport) -> [u64; 12] {
+        let s = &r.stats;
+        [
+            s.completed,
+            s.failed,
+            s.shed,
+            s.cancelled,
+            s.deadline_exceeded,
+            s.panicked_jobs,
+            s.backoff_retries,
+            u64::from(s.conserved()),
+            u64::from(s.budget_drained),
+            s.san.reports,
+            r.digest,
+            r.violations.len() as u64,
+        ]
+    }
+
+    /// `spgemm chaos --seed S --jobs N --workers W --dim 64
+    /// --queue-depth 32 --shed-jobs SHED --retry-budget 2`.
+    fn soak(seed: u64, jobs: usize, shed_jobs: usize, workers: usize) -> ChaosConfig {
+        ChaosConfig {
+            seed,
+            jobs,
+            workers,
+            rows: 64,
+            max_queue_depth: 32,
+            shed_jobs,
+            retry_budget: 2,
+            ..ChaosConfig::default()
+        }
+    }
+
     #[test]
     fn soak_is_clean_and_deterministic_across_worker_counts() {
-        let base = ChaosConfig { jobs: 60, rows: 48, seed: 42, ..ChaosConfig::default() };
-        let r1 = run_chaos(&ChaosConfig { workers: 1, ..base.clone() });
-        assert!(r1.violations.is_empty(), "violations: {:?}", r1.violations);
-        assert!(r1.stats.conserved() && r1.stats.budget_drained);
-        let r4 = run_chaos(&ChaosConfig { workers: 4, ..base.clone() });
-        assert!(r4.violations.is_empty(), "violations: {:?}", r4.violations);
-        assert_eq!(r1.digest, r4.digest, "digest must not depend on worker count");
-        assert_eq!(r1.stats.completed, r4.stats.completed);
-        assert_eq!(r1.stats.shed, r4.stats.shed);
-        assert_eq!(r1.stats.backoff_retries, r4.stats.backoff_retries);
-        // The mix actually exercised the hostile paths.
-        assert!(
-            r1.stats.shed > 0
-                && r1.stats.cancelled > 0
-                && r1.stats.deadline_exceeded > 0
-                && r1.stats.failed > 0
-        );
+        for seed in [5, 23] {
+            let r1 = run_chaos(&soak(seed, 1000, 8, 1));
+            assert!(r1.violations.is_empty(), "seed {seed}: violations: {:?}", r1.violations);
+            assert!(r1.stats.conserved() && r1.stats.budget_drained);
+            let r4 = run_chaos(&soak(seed, 1000, 8, 4));
+            assert_eq!(printed(&r1), printed(&r4), "seed {seed}: soak depends on worker count");
+            let rerun = run_chaos(&soak(seed, 1000, 8, 4));
+            assert_eq!(printed(&r4), printed(&rerun), "seed {seed}: rerun diverged");
+            // The mix actually exercised the hostile paths.
+            assert!(
+                r1.stats.shed > 0
+                    && r1.stats.cancelled > 0
+                    && r1.stats.deadline_exceeded > 0
+                    && r1.stats.failed > 0
+            );
+        }
     }
 
     #[test]
     fn sanitized_soak_is_clean_and_byte_identical() {
         // DESIGN.md §18: the sanitizer's clean path charges no simulated
-        // time and touches no output, so a sanitized soak must reproduce
-        // the unsanitized digest bit for bit — while actually checking
-        // (nonzero shadowed allocations and bytes).
-        let base = ChaosConfig { jobs: 40, rows: 48, workers: 2, seed: 42, ..Default::default() };
-        let plain = run_chaos(&base);
-        let san = run_chaos(&ChaosConfig { sanitize: true, ..base });
-        assert!(san.violations.is_empty(), "violations: {:?}", san.violations);
-        assert_eq!(plain.digest, san.digest, "sanitizer must not change any output byte");
-        assert!(
-            san.stats.san.allocs > 0 && san.stats.san.bytes_checked > 0,
-            "sanitizer saw no traffic"
-        );
-        assert_eq!(san.stats.san.reports, 0);
-        assert_eq!(plain.stats.san, crate::SanTotals::default(), "off ⇒ all-zero totals");
+        // time and touches no output, so a sanitized soak must report
+        // what the unsanitized one does, bit for bit, at any worker
+        // count — while actually checking (nonzero shadowed allocations
+        // and bytes). Its activity totals are deterministic at one
+        // worker; at more, concurrent misses on one pattern may each
+        // plan cold and shadow more work.
+        for seed in [5, 23] {
+            let run = |workers, sanitize| {
+                run_chaos(&ChaosConfig { sanitize, ..soak(seed, 200, 4, workers) })
+            };
+            let mut by_workers = Vec::new();
+            for workers in [1, 4] {
+                let (san, plain) = (run(workers, true), run(workers, false));
+                assert!(san.violations.is_empty(), "violations: {:?}", san.violations);
+                assert_eq!(san.stats.san.reports, 0);
+                assert!(
+                    san.stats.san.allocs > 0 && san.stats.san.bytes_checked > 0,
+                    "sanitizer saw no traffic"
+                );
+                assert_eq!(printed(&san), printed(&plain), "seed {seed}, {workers} workers");
+                assert_eq!(plain.stats.san, crate::SanTotals::default(), "off ⇒ all-zero totals");
+                by_workers.push(san);
+            }
+            assert_eq!(printed(&by_workers[0]), printed(&by_workers[1]), "seed {seed}");
+            assert_eq!(by_workers[0].stats.san, run(1, true).stats.san, "seed {seed}: totals");
+        }
     }
 
     #[test]
@@ -642,19 +690,24 @@ mod tests {
 
     #[test]
     fn host_soak_completes_every_non_hostile_job() {
-        let cfg = ChaosConfig {
-            jobs: 30,
-            rows: 32,
-            workers: 2,
-            backend: Backend::Host { threads: 2 },
-            seed: 11,
-            ..ChaosConfig::default()
+        // `spgemm chaos --seed 5 --jobs 60 --dim 96 --backend host:2` at
+        // 1 and 3 workers.
+        let run = |workers| {
+            run_chaos(&ChaosConfig {
+                jobs: 60,
+                rows: 96,
+                workers,
+                backend: Backend::Host { threads: 2 },
+                seed: 5,
+                ..ChaosConfig::default()
+            })
         };
-        let r = run_chaos(&cfg);
+        let r = run(1);
         assert!(r.violations.is_empty(), "violations: {:?}", r.violations);
         // With no device, injected faults and past simulated deadlines
         // stop mattering: only cancellations remain hostile.
         assert_eq!(r.stats.failed, 0);
         assert_eq!(r.stats.deadline_exceeded, 0);
+        assert_eq!(printed(&r), printed(&run(3)), "host soak depends on worker count");
     }
 }

@@ -57,12 +57,13 @@ fn widen(a: &Csr<f64>) -> Csr<f64> {
     Csr::from_triplets(a.rows(), WIDE, &t).unwrap()
 }
 
-/// Bitwise equality of two CSR results (structure exact, values by bits).
-fn assert_bitwise_eq(x: &Csr<f64>, y: &Csr<f64>, what: &str) {
+/// Bitwise equality of two CSR results (structure exact, values by
+/// bits; widening an `f32` to `f64` keeps every bit).
+fn assert_bitwise_eq<T: Scalar>(x: &Csr<T>, y: &Csr<T>, what: &str) {
     assert_eq!(x.rpt(), y.rpt(), "{what}: row pointer differs");
     assert_eq!(x.col(), y.col(), "{what}: columns differ");
-    let xb: Vec<u64> = x.val().iter().map(|v| v.to_bits()).collect();
-    let yb: Vec<u64> = y.val().iter().map(|v| v.to_bits()).collect();
+    let xb: Vec<u64> = x.val().iter().map(|v| v.to_f64().to_bits()).collect();
+    let yb: Vec<u64> = y.val().iter().map(|v| v.to_f64().to_bits()).collect();
     assert_eq!(xb, yb, "{what}: values differ bitwise");
 }
 
@@ -493,7 +494,7 @@ fn batched_runs_record_a_plan_only_unsplit() {
     // A batched run that splits the rows ran one plan per batch, so it
     // records none and `from_executor` reports an invariant error; one
     // that fits runs unbatched and records the plan of its one multiply.
-    let a = matgen::generators::random_uniform(300, 6.0, 24, 5);
+    let a = matgen::generators::random_uniform::<f64>(300, 6.0, 24, 5);
     let est = nsparse_core::estimate_memory(&a, &a).unwrap().upper_bound();
     let opts = Options::default();
     let mut split = BatchedExecutor::host(2, DeviceConfig::p100_with_memory(est / 2));
@@ -535,4 +536,88 @@ fn backends_classify_capacity_errors_identically() {
     };
     assert_eq!(ds.estimate_upper, dh.estimate_upper);
     assert_eq!(ds.capacity, dh.capacity);
+}
+
+/// What one row of the registry table asserts about a dataset's `A²`.
+#[derive(Clone, Copy, Debug)]
+enum Gate {
+    /// The sim's product equals `host:2`'s.
+    SimEqualsHost,
+    /// `host:1`'s product equals `host:3`'s.
+    HostThreadInvariant,
+    /// A `sampled:64` plan gives the exact plan's product, on the sim
+    /// and on `host:2`.
+    SampledEqualsExact,
+    /// Capped at a quarter of `estimate_memory`'s upper bound (the
+    /// CLI's `--max-device-mem 0.25x`), the sim batches, leaves no
+    /// device memory live and equals the unbatched product.
+    QuarterCapacityBatched,
+    /// Under the fault plan `seed=7;malloc-oom=3` exactly one OOM is
+    /// injected; the batched fallback recovers, leaves no device memory
+    /// live and equals the clean product.
+    InjectedOom,
+}
+
+fn check_registry_gate<T: Scalar>(name: &str, gate: Gate) {
+    let a = matgen::by_name(name).unwrap().generate::<T>(matgen::Scale::Tiny);
+    let what = format!("{name} {}: {gate:?}", T::PRECISION);
+    match gate {
+        Gate::SimEqualsHost => assert_bitwise_eq(&sim(&a), &host(&a, 2), &what),
+        Gate::HostThreadInvariant => assert_bitwise_eq(&host(&a, 1), &host(&a, 3), &what),
+        Gate::SampledEqualsExact => {
+            let opts =
+                Options { estimator: Estimator::Sampled { sample: 64 }, ..Options::default() };
+            let mut gpu = Gpu::new(DeviceConfig::p100());
+            let on_sim = nsparse_core::multiply(&mut gpu, &a, &a, &opts).unwrap().0;
+            assert_bitwise_eq(&on_sim, &sim(&a), &format!("{what}, sim"));
+            let on_host = HostParallelExecutor::new(2).multiply(&a, &a, &opts).unwrap().matrix;
+            assert_bitwise_eq(&on_host, &host(&a, 2), &format!("{what}, host:2"));
+        }
+        Gate::QuarterCapacityBatched => {
+            let cap = nsparse_core::estimate_memory(&a, &a).unwrap().upper_bound().div_ceil(4);
+            let mut gpu = Gpu::new(DeviceConfig::p100_with_memory(cap));
+            let batched = {
+                let mut exec = BatchedExecutor::sim(&mut gpu);
+                let run = exec.multiply(&a, &a, &Options::default()).unwrap();
+                assert!(exec.batches_used() > 1, "{what}: a quarter of the forecast must batch");
+                run.matrix
+            };
+            assert_eq!(gpu.live_mem_bytes(), 0, "{what}: device memory left live");
+            assert_bitwise_eq(&batched, &sim(&a), &what);
+        }
+        Gate::InjectedOom => {
+            let mut gpu = Gpu::new(DeviceConfig::p100());
+            gpu.set_fault_plan(FaultPlan::parse("seed=7;malloc-oom=3").unwrap());
+            let faulted =
+                BatchedExecutor::sim(&mut gpu).multiply(&a, &a, &Options::default()).unwrap();
+            assert_eq!(gpu.injected_faults(), 1, "{what}");
+            assert_eq!(gpu.live_mem_bytes(), 0, "{what}: device memory left live");
+            assert_bitwise_eq(&faulted.matrix, &sim(&a), &what);
+        }
+    }
+}
+
+#[test]
+fn registry_datasets_agree_across_backends_estimators_and_capacity() {
+    // `--tiny` registry datasets squared the way `spgemm --dataset NAME
+    // --tiny` squares them: a Table-3-class graph, Protein (compression
+    // ratio ~25) and Economics (~1.1), cit-Patents batched, QCD faulted.
+    // No `--tiny` dataset is wider than `DENSE_MAX_COLS`; the host's ESC
+    // rows are held to the same bits by the properties above.
+    for (name, gate) in [
+        ("wb-edu", Gate::SimEqualsHost),
+        ("Economics", Gate::HostThreadInvariant),
+        ("QCD", Gate::SampledEqualsExact),
+        ("Economics", Gate::SampledEqualsExact),
+    ] {
+        check_registry_gate::<f32>(name, gate);
+    }
+    for (name, gate) in [
+        ("Protein", Gate::SimEqualsHost),
+        ("Economics", Gate::SimEqualsHost),
+        ("cit-Patents", Gate::QuarterCapacityBatched),
+        ("QCD", Gate::InjectedOom),
+    ] {
+        check_registry_gate::<f64>(name, gate);
+    }
 }

@@ -7,8 +7,8 @@
 //! survivors stay bitwise identical.
 
 use engine::{
-    run_chaos, run_driver, CacheOutcome, ChaosConfig, DriverConfig, Engine, EngineConfig, JobSpec,
-    Route,
+    run_chaos, run_driver, CacheOutcome, ChaosConfig, DriverConfig, DriverReport, Engine,
+    EngineConfig, JobSpec, Route,
 };
 use nsparse_core::{multiply, Backend, Options};
 use quickprop::prelude::*;
@@ -23,6 +23,22 @@ fn bits(m: &Csr<f64>) -> Vec<u64> {
 fn reference(a: &Csr<f64>, b: &Csr<f64>) -> Csr<f64> {
     let mut gpu = Gpu::new(DeviceConfig::p100());
     multiply(&mut gpu, a, b, &Options::default()).unwrap().0
+}
+
+/// Every job's product of two driver runs: equal structure and value
+/// bits, or the same error.
+fn assert_same_outputs(x: &DriverReport<f64>, y: &DriverReport<f64>, what: &str) {
+    assert_eq!(x.records.len(), y.records.len(), "{what}");
+    for (i, (rx, ry)) in x.records.iter().zip(&y.records).enumerate() {
+        match (&rx.output, &ry.output) {
+            (Ok(cx), Ok(cy)) => {
+                assert_eq!((cx.rpt(), cx.col()), (cy.rpt(), cy.col()), "{what}: job {i}");
+                assert_eq!(bits(cx), bits(cy), "{what}: job {i}");
+            }
+            (Err(ex), Err(ey)) => assert_eq!(ex, ey, "{what}: job {i}"),
+            _ => panic!("{what}: job {i} completed in one run only"),
+        }
+    }
 }
 
 #[test]
@@ -40,6 +56,43 @@ fn engine_products_are_bitwise_identical_across_worker_counts() {
             rep.stats.symbolic_runs,
             rep.stats.jobs
         );
+    }
+}
+
+#[test]
+fn host_plan_cache_hits_reproduce_the_sims_outputs_and_cache() {
+    // `spgemm serve --jobs 24 --dim 160` at seeds 11 and 29: the sim's
+    // outputs do not depend on the worker count, and neither do
+    // `host:1`'s, which equal the sim's. A host hit fills values into
+    // the structure its miss recorded (DESIGN.md §14), and every cache
+    // entry holds `C`'s structure whichever backend built it. One
+    // worker serves the jobs in order, so its whole cache record equals
+    // the sim's; four workers can race misses on one pattern, so only
+    // their cached entries, bytes and capacity are compared.
+    for seed in [11, 29] {
+        let run = |backend, workers| {
+            let what = format!("seed {seed}, {backend} at {workers} workers");
+            let cfg =
+                DriverConfig { jobs: 24, workers, seed, dim: 160, backend, ..Default::default() };
+            let rep = run_driver::<f64>(&cfg);
+            assert_eq!((rep.mismatches, rep.failures), (0, 0), "{what}");
+            assert!(rep.stats.budget_drained, "{what}");
+            rep
+        };
+        let sim = run(Backend::Sim, 1);
+        assert_same_outputs(&run(Backend::Sim, 4), &sim, &format!("seed {seed}, sim"));
+        for workers in [1, 4] {
+            let what = format!("seed {seed}, host:1 at {workers} workers");
+            let host = run(Backend::Host { threads: 1 }, workers);
+            assert!(host.stats.cache.hits > 0, "{what}: the mix must hit the plan cache");
+            assert_same_outputs(&host, &sim, &what);
+            let (h, s) = (host.stats.cache, sim.stats.cache);
+            if workers == 1 {
+                assert_eq!(h, s, "{what}");
+            } else {
+                assert_eq!((h.len, h.bytes, h.capacity), (s.len, s.bytes, s.capacity), "{what}");
+            }
+        }
     }
 }
 
@@ -111,11 +164,12 @@ fn job_traces_are_byte_identical_across_runs_and_worker_counts() {
 
 #[test]
 fn faulted_job_trace_shows_retry_and_batched_completion() {
+    // `spgemm serve --jobs 10 --dim 128 --faults --trace-jobs` at seed 7.
     // Job 4 carries the injected double OOM: its trace must tell the
     // whole recovery story under one job id — direct attempt, fallback,
     // failed first batched attempt, budget-halving retry, completion.
     let cfg = DriverConfig {
-        jobs: 5,
+        jobs: 10,
         workers: 1,
         seed: 7,
         dim: 128,
@@ -126,6 +180,9 @@ fn faulted_job_trace_shows_retry_and_batched_completion() {
     };
     let rep = run_driver::<f64>(&cfg);
     assert_eq!(rep.failures, 0);
+    let again = run_driver::<f64>(&cfg);
+    assert_eq!(rep.flight_dump, again.flight_dump, "identical runs must dump identical bytes");
+    assert_eq!(rep.flight_chrome, again.flight_chrome);
     let dump = rep.flight_dump.unwrap();
     let job4: Vec<&str> = dump.lines().filter(|l| l.starts_with("{\"job\":4,")).collect();
     assert!(!job4.is_empty());
@@ -243,6 +300,31 @@ fn host_job_traces_cover_direct_and_batched_routes_byte_identically() {
     let (_, dump2, chrome2) = run();
     assert_eq!(dump, dump2, "identical host runs must dump identical bytes");
     assert_eq!(chrome, chrome2);
+
+    // The driver's mix on the same backend and budget (`spgemm serve
+    // --jobs 10 --dim 128 --backend host:2 --budget 64K --trace-jobs` at
+    // seed 7): three jobs run direct and seven batched.
+    let mix = || {
+        run_driver::<f64>(&DriverConfig {
+            jobs: 10,
+            workers: 1,
+            seed: 7,
+            dim: 128,
+            backend: Backend::Host { threads: 2 },
+            budget_bytes: Some(64 * 1024),
+            verify: false,
+            trace: true,
+            ..DriverConfig::default()
+        })
+    };
+    let (one, two) = (mix(), mix());
+    assert_eq!(one.failures, 0);
+    assert!(one.stats.budget_drained);
+    assert_eq!((one.stats.admitted, one.stats.batched), (3, 7));
+    assert_eq!(one.flight_dump, two.flight_dump, "identical host runs must dump identical bytes");
+    assert_eq!(one.flight_chrome, two.flight_chrome);
+    let dump = one.flight_dump.unwrap();
+    assert!(dump.contains("\"kind\":\"stitch\"") && dump.contains("\"outcome\":\"miss\""));
 }
 
 #[test]
@@ -334,7 +416,7 @@ fn chaos_soak_reaches_every_outcome_class_and_stays_deterministic() {
 
 #[test]
 fn panic_canary_drains_budget_and_dumps_the_flight_recorder() {
-    let cfg = ChaosConfig {
+    let unbounded = ChaosConfig {
         seed: 5,
         jobs: 12,
         workers: 2,
@@ -343,10 +425,21 @@ fn panic_canary_drains_budget_and_dumps_the_flight_recorder() {
         panic_at: Some(3),
         ..ChaosConfig::default()
     };
-    let rep = run_chaos(&cfg);
-    assert!(rep.violations.is_empty(), "violations: {:?}", rep.violations);
-    assert_eq!(rep.stats.panicked_jobs, 1, "the canary panic must be contained and counted");
-    assert!(rep.stats.budget_drained, "the panicked job's reservation must be released");
+    // `spgemm chaos --seed 7 --jobs 40 --workers 4 --dim 96 --panic-at 5`.
+    let cli = ChaosConfig {
+        seed: 7,
+        jobs: 40,
+        workers: 4,
+        rows: 96,
+        panic_at: Some(5),
+        ..ChaosConfig::default()
+    };
+    for cfg in [unbounded, cli] {
+        let rep = run_chaos(&cfg);
+        assert!(rep.violations.is_empty(), "violations: {:?}", rep.violations);
+        assert_eq!(rep.stats.panicked_jobs, 1, "the canary panic must be contained and counted");
+        assert!(rep.stats.budget_drained, "the panicked job's reservation must be released");
+    }
     // The recorder trigger and dump of a contained panic are checked on
     // a raw engine in `engine::tests::worker_panic_is_contained_and_the_pool_survives`.
 }

@@ -13,7 +13,9 @@
 //!
 //! One fixed-matrix test pins what the sampled estimator is for: on
 //! dense hub-heavy rows its planning pass costs less simulated time than
-//! the exact count pass.
+//! the exact count pass. Another forces the replan path on a registry
+//! dataset and checks it is visible: a `replan` telemetry event on the
+//! sim, a non-zero replan count on the host.
 
 use nsparse_core::host::DENSE_MAX_COLS;
 use nsparse_repro::prelude::*;
@@ -82,6 +84,34 @@ fn sampled_planning_is_cheaper_than_exact_on_hub_heavy_rows() {
         assert_eq!(sampled.rpt(), exact.rpt(), "{name}");
         assert_eq!(sampled.col(), exact.col(), "{name}");
         assert_eq!(bits(&sampled), bits(&exact), "{name}");
+    }
+}
+
+/// `sampled:1` on Circuit's skewed `--tiny` rows under-sizes some
+/// tables (the `spgemm trace --dataset Circuit --tiny --estimator
+/// sampled:1` run): the sim's replan pass emits a `replan` event, the
+/// host's walk counts the rows it finished past their tables, and both
+/// products equal the exact plan's bit for bit.
+#[test]
+fn forced_under_estimate_replans_visibly_on_both_backends() {
+    let a = matgen::by_name("Circuit").unwrap().generate::<f32>(matgen::Scale::Tiny);
+    let bits32 = |c: &Csr<f32>| c.val().iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+    let exact = {
+        let mut gpu = Gpu::new(DeviceConfig::p100());
+        nsparse_core::multiply(&mut gpu, &a, &a, &Options::default()).unwrap().0
+    };
+    let opts = Options { estimator: Estimator::Sampled { sample: 1 }, ..Options::default() };
+    let mut gpu = Gpu::new(DeviceConfig::p100());
+    gpu.enable_telemetry();
+    let (sim, _) = nsparse_core::multiply(&mut gpu, &a, &a, &opts).unwrap();
+    let jsonl = gpu.telemetry().unwrap().to_jsonl();
+    assert!(jsonl.contains("\"kind\":\"replan\""), "no replan event in the sim's trace");
+    let host = HostParallelExecutor::new(2).multiply(&a, &a, &opts).unwrap();
+    assert!(host.replans > 0, "the host walk replanned no rows");
+    for (c, backend) in [(&sim, "sim"), (&host.matrix, "host:2")] {
+        assert_eq!(c.rpt(), exact.rpt(), "{backend}");
+        assert_eq!(c.col(), exact.col(), "{backend}");
+        assert_eq!(bits32(c), bits32(&exact), "{backend}");
     }
 }
 
