@@ -11,19 +11,17 @@
 //!
 //! Squares the chosen matrix with one of the four implementations and
 //! prints the report (time, GFLOPS, peak memory, phase breakdown); see
-//! [`bench::runcli`]. `trace`, `serve`, `bench` and `chaos` are
-//! subcommands.
+//! [`bench::runcli`]. `trace`, `serve` and `chaos` are subcommands.
 
 #![warn(clippy::wildcard_enum_match_arm)]
 
-use bench::{benchcli, chaoscli, cli, runcli, servecli, tracecli};
+use bench::{chaoscli, cli, runcli, servecli, tracecli};
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let rest = argv.get(1..).unwrap_or_default();
     let code = match argv.first().map(String::as_str) {
         Some("serve") => servecli::run_serve(rest),
-        Some("bench") => benchcli::run_bench(rest),
         Some("chaos") => chaoscli::run_chaos_cli(rest),
         Some("trace") if rest.iter().any(|a| a == "--per-job") => tracecli::run_per_job(rest),
         _ => match runcli::parse_run_args(&argv) {

@@ -4,10 +4,10 @@
 //! Each experiment has a function returning structured rows; the `repro`
 //! binary prints them as text tables, and the [`report`] module writes
 //! the per-figure CSVs, so `repro` is the one producer of every paper
-//! number. `spgemm bench --check-regression` gates the proposal's
-//! simulated times against `results/baseline.json`; wall time is
-//! measured by the repository benchmark (`benchmark/`), not here. The
-//! `spgemm` binary's subcommands live in the `*cli` modules.
+//! number. The proposal's simulated times are pinned exactly by a
+//! tier-1 test (`tests/determinism.rs`); wall time is measured by the
+//! repository benchmark (`benchmark/`), not here. The `spgemm` binary's
+//! subcommands live in the `*cli` modules.
 //!
 //! Dataset matrices are generated once per process and cached
 //! ([`matrix_f32`]/[`matrix_f64`]) — generation is seeded and
@@ -15,8 +15,6 @@
 
 #![cfg_attr(not(test), warn(clippy::wildcard_enum_match_arm))]
 
-pub mod baseline;
-pub mod benchcli;
 pub mod chaoscli;
 pub mod cli;
 pub mod experiments;

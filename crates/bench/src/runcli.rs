@@ -89,7 +89,6 @@ pub fn usage() -> String {
          p50/p90/p99 per stage\n\
        spgemm serve ...  (job-engine serving mode; `spgemm serve --help`)\n\
        spgemm chaos ...  (deterministic chaos soak; `spgemm chaos --help`)\n\
-       spgemm bench ...  (perf-regression gate; `spgemm bench --help`)\n\
          datasets: {}",
         cli::DRIVER_FLAGS,
         datasets.join(", ")

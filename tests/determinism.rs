@@ -31,6 +31,45 @@ fn simulated_times_are_bit_identical() {
     }
 }
 
+/// The proposal's simulated time in seconds and its peak device memory
+/// in bytes on the benchmark's five `paper-sim` datasets, run as it runs
+/// them: `Scale::Repro`, f32, C = A², each one `multiply` on a fresh
+/// P100. Both are pure functions of the input and the cost model and are
+/// compared exactly (times by their bits), so any change to either is a
+/// cost-model change: paste the printed table over this one and say why
+/// in CHANGES.md.
+const PINNED_PROPOSAL_RUNS: [(&str, f64, u64); 5] = [
+    ("Protein", 0.0016099562505351966, 19180704),
+    ("QCD", 0.0010513634942687054, 25349776),
+    ("Economics", 0.0022820736534067162, 104386728),
+    ("Circuit", 0.0019422960049281521, 73807088),
+    ("Epidemiology", 0.002543717976220182, 81997516),
+];
+
+#[test]
+fn proposal_times_and_peak_memory_are_pinned() {
+    let fresh: Vec<(&str, f64, u64)> = PINNED_PROPOSAL_RUNS
+        .iter()
+        .map(|&(name, _, _)| {
+            let a = matgen::by_name(name).unwrap().generate::<f32>(matgen::Scale::Repro);
+            let mut gpu = Gpu::new(DeviceConfig::p100());
+            let (_, r) = nsparse_core::multiply(&mut gpu, &a, &a, &Options::default()).unwrap();
+            (name, r.total_time.secs(), r.peak_mem_bytes)
+        })
+        .collect();
+    let same = fresh
+        .iter()
+        .zip(&PINNED_PROPOSAL_RUNS)
+        .all(|(f, p)| f.0 == p.0 && f.1.to_bits() == p.1.to_bits() && f.2 == p.2);
+    let table: String =
+        fresh.iter().map(|(n, t, m)| format!("    ({n:?}, {t:?}, {m}),\n")).collect();
+    assert!(
+        same,
+        "simulated time or peak memory moved; if the cost-model change is deliberate, \
+         paste this over PINNED_PROPOSAL_RUNS and say why in CHANGES.md:\n{table}"
+    );
+}
+
 #[test]
 fn all_baselines_deterministic() {
     let d = matgen::by_name("Circuit").unwrap();
