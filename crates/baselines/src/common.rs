@@ -49,9 +49,9 @@ impl Allocs {
     }
 }
 
-/// Snapshot the profiler's phase times before a run.
+/// Snapshot the device's phase times before a run.
 pub(crate) fn phase_snapshot(gpu: &Gpu) -> Vec<(Phase, SimTime)> {
-    gpu.profiler().phase_times()
+    gpu.phase_times()
 }
 
 /// Build the report from the phase-time delta of this run.
@@ -67,7 +67,7 @@ pub(crate) fn finish_report(
     hash_probes: u64,
 ) -> SpgemmReport {
     gpu.set_phase(Phase::Other);
-    let after = gpu.profiler().phase_times();
+    let after = gpu.phase_times();
     let phase_times: Vec<(Phase, SimTime)> =
         after.iter().zip(before).map(|(&(p, t1), &(_, t0))| (p, t1 - t0)).collect();
     let total_time = phase_times.iter().filter(|(p, _)| *p != Phase::Other).map(|&(_, t)| t).sum();

@@ -7,8 +7,10 @@
 //! then checks every invariant — outcome conservation, zero budget
 //! leaks, the per-job outcome oracle, and bitwise identity of every
 //! completed product against standalone `multiply`. All output on
-//! stdout is a pure function of the flags, so CI diffs two runs (or
-//! two worker counts) byte-for-byte.
+//! stdout is a pure function of the flags, so two runs (or two worker
+//! counts) print the same bytes; tier-1 tests hold the soak's values
+//! (`engine::chaos::tests`, and this module's tests for the sanitizer
+//! canary's exit code).
 //!
 //! Exit codes: 0 all invariants held, 1 violations, 2 usage.
 

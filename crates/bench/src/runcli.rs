@@ -342,7 +342,8 @@ fn run_on_device<T: Scalar>(
     if let Some(plan) = &args.faults {
         gpu.set_fault_plan(plan.clone());
     }
-    if args.trace {
+    // The Chrome export reads the telemetry log.
+    if args.trace || args.chrome_trace.is_some() {
         gpu.enable_telemetry();
     }
     let outcome = sim_multiply(&mut gpu, args, a, cap);

@@ -6,8 +6,9 @@
 //! the worker pool, then (with `--verify`) diffed bitwise against
 //! standalone `multiply`. Prints admission counters, cache counters,
 //! latency percentiles and the budget leak check; `--out-dir` writes
-//! each job's product as Matrix Market so CI can `cmp` runs at
-//! different worker counts.
+//! each job's product as Matrix Market. That products do not depend on
+//! the worker count is a tier-1 test (`tests/engine.rs`
+//! `engine_products_are_bitwise_identical_across_worker_counts`).
 //!
 //! Exit codes: 0 ok, 1 job failures or verify mismatches, 2 usage or
 //! an unwritable output path, 3 budget leak.

@@ -140,8 +140,8 @@ fn per_job_report<T: Scalar>(rep: &engine::DriverReport<T>, cfg: &engine::Driver
 }
 
 /// The trace tables, printed after the report of a successful run.
-/// Emits a `peak_holder` event per peak-memory holder into the
-/// telemetry, so the JSONL export carries the attribution too.
+/// Logs the peak-memory holders into the telemetry, so the JSONL
+/// export carries the attribution too.
 pub fn print_tables(gpu: &mut Gpu, report: &SpgemmReport) {
     println!("\nhash probes : {}", report.hash_probes);
     println!("\n== kernels (phase x kernel x stream) ==");
@@ -149,7 +149,8 @@ pub fn print_tables(gpu: &mut Gpu, report: &SpgemmReport) {
         "  {:10} {:24} {:>6} {:>8} {:>8} {:>14}",
         "phase", "kernel", "stream", "launches", "blocks", "time"
     );
-    for k in gpu.profiler().kernel_table() {
+    let timeline = gpu.timeline();
+    for k in timeline.kernel_table() {
         println!(
             "  {:10} {:24} {:>6} {:>8} {:>8} {:>14}",
             k.phase.label(),
@@ -162,12 +163,12 @@ pub fn print_tables(gpu: &mut Gpu, report: &SpgemmReport) {
     }
 
     println!("\n== streams ==");
-    let wall = match gpu.profiler().wall_span() {
+    let wall = match timeline.wall_span() {
         Some((t0, t1)) => t1 - t0,
         None => SimTime::ZERO,
     };
     println!("  {:>6} {:>8} {:>14} {:>6}", "stream", "kernels", "busy", "util");
-    for s in gpu.profiler().stream_utilization() {
+    for s in timeline.stream_utilization() {
         println!(
             "  {:>6} {:>8} {:>14} {:>5.1}%",
             s.stream,
@@ -194,8 +195,7 @@ pub fn print_tables(gpu: &mut Gpu, report: &SpgemmReport) {
     }
 
     println!("\n== peak memory attribution ==");
-    let peak_holders: Vec<(String, u64)> = gpu.memory().peak_breakdown().to_vec();
-    for (tag, bytes) in &peak_holders {
+    for (tag, bytes) in gpu.memory().peak_breakdown() {
         println!(
             "  {:24} {:>14} B  {:5.1}%",
             tag,
@@ -203,11 +203,7 @@ pub fn print_tables(gpu: &mut Gpu, report: &SpgemmReport) {
             100.0 * *bytes as f64 / report.peak_mem_bytes.max(1) as f64
         );
     }
-    if let Some(t) = gpu.telemetry_mut() {
-        for (tag, bytes) in &peak_holders {
-            t.emit(obs::Event::new("peak_holder").str("tag", tag).u64("bytes", *bytes));
-        }
-    }
+    gpu.log_peak_holders();
 }
 
 /// Write the run's exports — the Chrome trace (`--trace` /
@@ -217,7 +213,7 @@ pub fn print_tables(gpu: &mut Gpu, report: &SpgemmReport) {
 pub fn export(gpu: &Gpu, args: &RunArgs) -> bool {
     let mut ok = true;
     let jsonl = gpu.telemetry().map(obs::Telemetry::to_jsonl).unwrap_or_default();
-    let chrome = gpu.profiler().chrome_trace();
+    let chrome = gpu.timeline().chrome_trace();
     if args.check {
         let checks = [
             ("jsonl", jsonl.lines().try_for_each(obs::json::validate)),

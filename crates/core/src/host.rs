@@ -518,14 +518,6 @@ impl HostParallelExecutor {
     pub fn take_telemetry(&mut self) -> Option<obs::Telemetry> {
         self.telemetry.take().map(|b| *b)
     }
-
-    /// Record a deterministic stage marker (no wall times — traces must
-    /// stay byte-identical across runs) when telemetry is enabled.
-    fn mark_stage(&mut self, name: &str) {
-        if let Some(t) = self.telemetry.as_deref_mut() {
-            t.emit(obs::Event::new("stage").str("name", name));
-        }
-    }
 }
 
 impl<T: Scalar> Executor<T> for HostParallelExecutor {
@@ -574,10 +566,8 @@ impl<T: Scalar> Executor<T> for HostParallelExecutor {
         let spare = self.spare.take().and_then(|s| s.downcast::<Vec<Staged<T>>>().ok());
 
         let t1 = wall_now();
-        self.mark_stage("symbolic");
         let walk = self.walk_rows(&plan, a, b, spare.map_or_else(Vec::new, |s| *s))?;
         self.note_replans(&plan, walk.replans)?;
-        self.mark_stage("numeric");
         let matrix = self.stitch(&plan, walk.rpt, &walk.chunks)?;
         let calc = t1.elapsed();
         let mut chunks = walk.chunks;

@@ -31,7 +31,7 @@ use vgpu::{Gpu, GpuError, OutOfDeviceMemory, SpgemmReport};
 
 /// Tunables of the proposal. Defaults reproduce the paper's
 /// configuration; the switches drive the §III/§IV-C ablations.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Options {
     /// Launch each group's kernels on a separate CUDA stream (§IV-C).
     pub use_streams: bool,

@@ -89,7 +89,7 @@ impl<T: Scalar> Executor<T> for SimExecutor<'_> {
         b: &Csr<T>,
     ) -> Result<Execution<T>> {
         let gpu = &mut *self.gpu;
-        let phase_before = gpu.profiler().phase_times();
+        let phase_before = gpu.phase_times();
         let m = a.rows();
         let nnz_c = symbolic.output_nnz();
         gpu.set_phase(Phase::Malloc);
@@ -158,7 +158,7 @@ impl<T: Scalar> Executor<T> for SimExecutor<'_> {
     }
 }
 
-/// Assemble a report from the profiler delta since `phase_before`.
+/// Assemble a report from the phase-time delta since `phase_before`.
 fn report_from_delta(
     gpu: &mut Gpu,
     phase_before: Vec<(Phase, SimTime)>,
@@ -168,7 +168,7 @@ fn report_from_delta(
     output_nnz: u64,
     hash_probes: u64,
 ) -> SpgemmReport {
-    let phase_after = gpu.profiler().phase_times();
+    let phase_after = gpu.phase_times();
     let phase_times: Vec<(Phase, SimTime)> =
         phase_after.iter().zip(&phase_before).map(|(&(p, t1), &(_, t0))| (p, t1 - t0)).collect();
     let total_time = phase_times.iter().filter(|(p, _)| *p != Phase::Other).map(|&(_, t)| t).sum();
@@ -194,7 +194,7 @@ fn multiply_inner<T: Scalar>(
     threads: usize,
 ) -> Result<Execution<T>> {
     let m = a.rows();
-    let phase_before = gpu.profiler().phase_times();
+    let phase_before = gpu.phase_times();
 
     // Device inputs; allocation time is outside the measured phases (the
     // paper's breakdown starts at its setup phase).
@@ -272,7 +272,7 @@ fn multiply_inner<T: Scalar>(
     let (col_c, val_c, calc_probes) =
         run_numeric(gpu, a, b, &plan, &rpt_c, Some(c_range), threads)?;
     gpu.set_phase(Phase::Other);
-    // Assemble the report from the profiler delta of this call.
+    // Assemble the report from the phase-time delta of this call.
     let report = report_from_delta(
         gpu,
         phase_before,
@@ -632,13 +632,9 @@ pub(crate) fn run_numeric<T: Scalar>(
 /// (`A²` of the five Table II analogues at repro scale), so a worker's
 /// 2^16 products stand for about 1–6 ms, while a scoped spawn and join
 /// of one or two workers took 27–65 µs: a spawn costs at most a few
-/// percent of the work it carries.
-#[cfg(not(test))]
-const PRODUCTS_PER_WORKER: usize = 1 << 16;
-/// Unit tests split every group that has work, so small inputs drive the
-/// threaded path.
-#[cfg(test)]
-const PRODUCTS_PER_WORKER: usize = 1;
+/// percent of the work it carries. Unit tests split every group that
+/// has work, so small inputs drive the threaded path.
+const PRODUCTS_PER_WORKER: usize = if cfg!(test) { 1 } else { 1 << 16 };
 
 /// Chunks cut per worker: enough for the pull queue to rebalance skewed
 /// rows, few enough to amortize its lock.

@@ -23,7 +23,7 @@
 //! change results — an evicted pattern just plans cold again — which
 //! `tests/cache_props.rs` asserts property-style.
 
-use nsparse_core::{pattern_fingerprint, Estimator, Options, SymbolicPlan};
+use nsparse_core::{pattern_fingerprint, Options, SymbolicPlan};
 use sparse::{Csr, Scalar};
 use std::collections::HashMap;
 use std::collections::VecDeque;
@@ -36,13 +36,12 @@ pub struct PlanKey {
     fp_b: u64,
     shape: (usize, usize, usize),
     nnz: (usize, usize),
-    // (use_streams, use_pwarp, pwarp_width, use_mul_hash). The
-    // estimator is part of the fingerprint too: a sampled plan's table
-    // sizes live inside the cached SymbolicPlan, so plans built under
-    // different estimators must never be conflated (outputs would still
-    // be bitwise identical, but replayed cost/telemetry would silently
-    // belong to the wrong mode).
-    opts: (bool, bool, usize, bool, Estimator),
+    // The whole options value, so a field added to `Options` keys plans
+    // too. The estimator matters although outputs never depend on it: a
+    // sampled plan's table sizes live inside the cached SymbolicPlan, so
+    // plans built under different estimators must never be conflated
+    // (replayed cost/telemetry would silently belong to the wrong mode).
+    opts: Options,
 }
 
 impl PlanKey {
@@ -53,13 +52,7 @@ impl PlanKey {
             fp_b: pattern_fingerprint(b),
             shape: (a.rows(), a.cols(), b.cols()),
             nnz: (a.nnz(), b.nnz()),
-            opts: (
-                opts.use_streams,
-                opts.use_pwarp,
-                opts.pwarp_width,
-                opts.use_mul_hash,
-                opts.estimator,
-            ),
+            opts: opts.clone(),
         }
     }
 
@@ -182,7 +175,7 @@ impl<T: Scalar> PlanCache<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nsparse_core::HostParallelExecutor;
+    use nsparse_core::{Estimator, HostParallelExecutor};
 
     fn plan_for(a: &Csr<f64>) -> Arc<SymbolicPlan<f64>> {
         let mut host = HostParallelExecutor::new(1);
@@ -227,6 +220,28 @@ mod tests {
         // plans never alias the default's entry.
         let sampled = Options { estimator: Estimator::sampled(), ..Options::default() };
         assert_ne!(PlanKey::new(&a, &a, &opts), PlanKey::new(&a, &a, &sampled));
+    }
+
+    #[test]
+    fn every_option_field_is_part_of_the_key() {
+        let a = Csr::<f64>::identity(16);
+        let base = Options::default();
+        // Exhaustive on purpose: a new `Options` field stops this
+        // compiling until it gets a variant below.
+        let Options { use_streams, use_pwarp, pwarp_width, use_mul_hash, estimator } = base.clone();
+        let other_estimator =
+            if estimator == Estimator::Exact { Estimator::sampled() } else { Estimator::Exact };
+        let variants = [
+            Options { use_streams: !use_streams, ..base.clone() },
+            Options { use_pwarp: !use_pwarp, ..base.clone() },
+            Options { pwarp_width: pwarp_width * 2, ..base.clone() },
+            Options { use_mul_hash: !use_mul_hash, ..base.clone() },
+            Options { estimator: other_estimator, ..base.clone() },
+        ];
+        let key = PlanKey::new(&a, &a, &base);
+        for opts in &variants {
+            assert_ne!(PlanKey::new(&a, &a, opts), key, "{opts:?}");
+        }
     }
 
     #[test]

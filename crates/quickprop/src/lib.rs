@@ -15,7 +15,7 @@
 //! * [`quickprop!`] — the case-running macro (same `a in strategy`
 //!   binding syntax as `proptest!`), with [`prop_assert!`],
 //!   [`prop_assert_eq!`], [`prop_assert_ne!`] and [`prop_assume!`];
-//! * [`sparse_gen`] — CSR/COO strategies shared by every crate, with
+//! * [`sparse_gen`] — CSR strategies shared by every crate, with
 //!   greedy structural shrinking (drop triplets, halve rows/cols);
 //! * deterministic seeding on [`matgen::generators::Rng64`]
 //!   (xoshiro256**): every run draws the same cases, and a failing

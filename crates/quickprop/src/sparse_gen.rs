@@ -1,15 +1,20 @@
-//! CSR/COO strategies shared by every crate's property tests, with
+//! CSR strategies shared by every crate's property tests, with
 //! greedy structural shrinking: a failing matrix is simplified by
 //! dropping triplets, halving its shape, and flattening its values —
 //! each candidate re-tested so the reported minimal case still fails.
 
 use crate::{Gen, Rng64};
-use sparse::{Coo, Csr};
+use sparse::Csr;
 use std::ops::Range;
 
 /// Triplets of a CSR matrix, in `from_triplets` form.
 fn triplets(m: &Csr<f64>) -> Vec<(usize, u32, f64)> {
-    Coo::from_csr(m).entries().iter().map(|&(r, c, v)| (r as usize, c, v)).collect()
+    (0..m.rows())
+        .flat_map(|r| {
+            let (cols, vals) = m.row(r);
+            cols.iter().zip(vals).map(move |(&c, &v)| (r, c, v))
+        })
+        .collect()
 }
 
 fn rebuild(rows: usize, cols: usize, t: &[(usize, u32, f64)]) -> Csr<f64> {
@@ -239,25 +244,6 @@ impl Gen for CsrChainGen {
             out.push((rebuild(a.rows(), k2, &ka), rebuild(k2, b.cols(), &kb)));
         }
         out
-    }
-}
-
-/// Random COO matrix (same distribution as [`csr`], kept in COO form).
-#[derive(Clone, Debug)]
-pub struct CooGen(CsrGen);
-
-/// COO strategy with rows, cols in `2..max_n`.
-pub fn coo(max_n: usize, max_nnz: usize) -> CooGen {
-    CooGen(csr(max_n, max_nnz))
-}
-
-impl Gen for CooGen {
-    type Value = Coo<f64>;
-    fn generate(&self, rng: &mut Rng64) -> Coo<f64> {
-        Coo::from_csr(&self.0.generate(rng))
-    }
-    fn shrink(&self, value: &Coo<f64>) -> Vec<Coo<f64>> {
-        self.0.shrink(&value.to_csr()).iter().map(Coo::from_csr).collect()
     }
 }
 

@@ -89,13 +89,6 @@ quickprop! {
     }
 
     #[test]
-    fn coo_gen_roundtrips(m in sparse_gen::coo(60, 300)) {
-        let back = m.to_csr();
-        prop_assert!(back.validate().is_ok());
-        prop_assert_eq!(back.nnz(), m.nnz());
-    }
-
-    #[test]
     fn assume_filters_inputs(n in 0usize..1000) {
         prop_assume!(n % 3 == 0);
         prop_assert_eq!(n % 3, 0);

@@ -2,7 +2,7 @@
 //!
 //! This crate provides the host-side substrate every other crate builds on:
 //!
-//! * [`Csr`] and [`Coo`] storage (§II-A of the paper), with conversions,
+//! * [`Csr`] storage (§II-A of the paper), built from triplets or parts, with
 //!   transpose, addition, SpMV and validation;
 //! * reference CPU SpGEMM implementations ([`spgemm_ref`]) used as ground
 //!   truth by every GPU-simulated algorithm;
@@ -20,7 +20,6 @@
 #![warn(clippy::panic, clippy::todo, clippy::unimplemented)]
 
 pub mod convert;
-pub mod coo;
 pub mod csr;
 pub mod io;
 pub mod ops;
@@ -29,7 +28,6 @@ pub mod spgemm_ref;
 pub mod stats;
 
 pub use convert::{ix, to_u64, try_u32, try_usize};
-pub use coo::Coo;
 pub use csr::{Csr, DEVICE_INDEX_BYTES};
 pub use scalar::Scalar;
 
@@ -38,7 +36,7 @@ pub use scalar::Scalar;
 pub enum SparseError {
     /// A column index was `>= cols`.
     ColumnOutOfBounds { row: usize, col: u32, cols: usize },
-    /// A row index was `>= rows` (COO construction).
+    /// A row index was `>= rows` (triplet construction).
     RowOutOfBounds { row: usize, rows: usize },
     /// The row-pointer array is not monotonically non-decreasing or has
     /// the wrong length / final value.

@@ -2,7 +2,7 @@
 //! Matrix Market text form must be lossless.
 
 use quickprop::prelude::*;
-use sparse::{Coo, Csr, Scalar};
+use sparse::{Csr, Scalar};
 
 fn arb_csr() -> sparse_gen::CsrGen {
     sparse_gen::csr_in(2..80, 2..80, 400).values(-8.0, 8.0)
@@ -57,11 +57,6 @@ fn matrix_market_roundtrip<T: Scalar>(a: &Csr<T>) -> CaseResult {
 
 quickprop! {
     #![config(cases = 64)]
-
-    #[test]
-    fn coo_roundtrip(a in arb_csr()) {
-        prop_assert_eq!(Coo::from_csr(&a).to_csr(), a);
-    }
 
     #[test]
     fn matrix_market_roundtrip_via_string(

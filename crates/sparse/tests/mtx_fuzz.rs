@@ -97,7 +97,7 @@ quickprop! {
 
 /// Symmetric storage mirrors `(r, c)` to `(c, r)`, so over a non-square
 /// size an entry in range mirrors past the last column: that must be a
-/// parse error, not a panic in `Coo::push`.
+/// parse error, not a panic.
 #[test]
 fn symmetric_storage_must_be_square() {
     for symmetry in ["symmetric", "skew-symmetric"] {

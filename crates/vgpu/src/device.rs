@@ -16,7 +16,7 @@ use crate::cost::{BlockCost, BlockCostBuilder, CostModel};
 use crate::fault::{FaultPlan, FaultState};
 use crate::memory::{AllocId, DeviceMemory, OutOfDeviceMemory};
 use crate::occupancy::occupancy;
-use crate::profiler::{KernelRecord, Phase, Profiler};
+use crate::profiler::{Phase, PhaseTotals, Timeline};
 use crate::sanitize::{SanReport, SanStats, Sanitizer};
 use crate::sched::{schedule_region, PendingKernel};
 use crate::simtime::SimTime;
@@ -45,7 +45,7 @@ pub struct MemRange {
 /// number of block costs passed to [`Gpu::launch`]).
 #[derive(Debug, Clone)]
 pub struct KernelDesc {
-    /// Kernel name, recorded by the profiler.
+    /// Kernel name, logged with the kernel's telemetry event.
     pub name: String,
     /// Stream to launch on.
     pub stream: StreamId,
@@ -100,7 +100,7 @@ pub struct Gpu {
     cfg: DeviceConfig,
     cost: CostModel,
     mem: DeviceMemory,
-    profiler: Profiler,
+    phase_totals: PhaseTotals,
     now: SimTime,
     phase_start: SimTime,
     phase: Phase,
@@ -127,7 +127,7 @@ impl Gpu {
             cfg,
             cost: CostModel::p100(),
             mem,
-            profiler: Profiler::new(),
+            phase_totals: PhaseTotals::default(),
             now: SimTime::ZERO,
             phase_start: SimTime::ZERO,
             phase: Phase::Other,
@@ -313,6 +313,16 @@ impl Gpu {
         self.telemetry.take().map(|b| *b)
     }
 
+    /// Log each allocation that made up the memory high-water mark as a
+    /// `peak_holder` event (no-op when telemetry is off).
+    pub fn log_peak_holders(&mut self) {
+        if let Some(t) = self.telemetry.as_deref_mut() {
+            for (tag, bytes) in self.mem.peak_breakdown() {
+                t.emit(obs::Event::new("peak_holder").str("tag", tag).u64("bytes", *bytes));
+            }
+        }
+    }
+
     /// Snapshot of the metric registry for report embedding.
     pub fn telemetry_summary(&self) -> Option<obs::Summary> {
         self.telemetry.as_ref().map(|t| t.summary())
@@ -354,9 +364,16 @@ impl Gpu {
         &self.mem
     }
 
-    /// Profiler with phase times and kernel records.
-    pub fn profiler(&self) -> &Profiler {
-        &self.profiler
+    /// Simulated time attributed to each phase so far, in
+    /// [`Phase::ALL`] order (Figures 5 and 6).
+    pub fn phase_times(&self) -> Vec<(Phase, SimTime)> {
+        self.phase_totals.times()
+    }
+
+    /// Every kernel, malloc and copy the telemetry log holds — empty
+    /// unless telemetry was on while they ran.
+    pub fn timeline(&self) -> Timeline<'_> {
+        Timeline::new(self.telemetry.as_deref().map_or(&[], |t| t.events.events()))
     }
 
     /// Switch the current phase; elapsed time since the previous switch
@@ -365,7 +382,7 @@ impl Gpu {
     pub fn set_phase(&mut self, phase: Phase) {
         self.sync();
         let dt = self.now - self.phase_start;
-        self.profiler.add_phase_time(self.phase, dt);
+        self.phase_totals.add(self.phase, dt);
         if let Some(t) = self.telemetry.as_deref_mut() {
             if dt > SimTime::ZERO {
                 t.emit(
@@ -404,18 +421,8 @@ impl Gpu {
         if let Some(s) = self.sanitizer.as_deref_mut() {
             s.on_malloc(id.0, bytes, tag);
         }
-        let dt = self.cost.malloc_time(bytes);
-        self.profiler.record_kernel(KernelRecord {
-            name: format!("cudaMalloc({tag})"),
-            phase: self.phase,
-            stream: 0,
-            start: self.now,
-            end: self.now + dt,
-            blocks: 0,
-            dram_bytes: 0.0,
-            efficiency: 1.0,
-        });
-        self.now += dt;
+        let start = self.now;
+        self.now += self.cost.malloc_time(bytes);
         if let Some(t) = self.telemetry.as_deref_mut() {
             t.registry.counter_add("mem.allocs", 1);
             t.registry.counter_add("mem.alloc_bytes", bytes);
@@ -425,14 +432,16 @@ impl Gpu {
                     .str("tag", tag)
                     .u64("bytes", bytes)
                     .u64("live", self.mem.live_bytes())
-                    .f64("t_us", self.now.us()),
+                    .f64("t_us", self.now.us())
+                    .str("phase", self.phase.label())
+                    .f64("dur_us", (self.now - start).us()),
             );
         }
         Ok(id)
     }
 
     /// Host↔device transfer of `bytes` (synchronizes, charges PCIe
-    /// time). Direction only matters for the profiler label. Fails only
+    /// time). Direction only matters for the telemetry event. Fails only
     /// under an injected [`FaultPlan`] memcpy rule.
     pub fn memcpy(&mut self, bytes: u64, to_device: bool) -> Result<()> {
         self.sync();
@@ -444,18 +453,8 @@ impl Gpu {
                 return Err(GpuError::MemcpyFault(nth));
             }
         }
-        let dt = self.cost.memcpy_time(bytes);
-        self.profiler.record_kernel(KernelRecord {
-            name: if to_device { "memcpy_h2d".into() } else { "memcpy_d2h".into() },
-            phase: self.phase,
-            stream: 0,
-            start: self.now,
-            end: self.now + dt,
-            blocks: 0,
-            dram_bytes: bytes as f64,
-            efficiency: 1.0,
-        });
-        self.now += dt;
+        let start = self.now;
+        self.now += self.cost.memcpy_time(bytes);
         if let Some(t) = self.telemetry.as_deref_mut() {
             t.registry.counter_add("mem.memcpys", 1);
             t.registry.counter_add("mem.memcpy_bytes", bytes);
@@ -463,7 +462,9 @@ impl Gpu {
                 obs::Event::new("memcpy")
                     .str("dir", if to_device { "h2d" } else { "d2h" })
                     .u64("bytes", bytes)
-                    .f64("t_us", self.now.us()),
+                    .f64("t_us", self.now.us())
+                    .str("phase", self.phase.label())
+                    .f64("dur_us", (self.now - start).us()),
             );
         }
         Ok(())
@@ -551,8 +552,8 @@ impl Gpu {
         let pending = std::mem::take(&mut self.pending);
         let sched =
             schedule_region(&pending, &self.cfg, &self.cost, self.now, &mut self.stream_ready);
-        for (k, span) in pending.iter().zip(&sched.spans) {
-            if let Some(t) = self.telemetry.as_deref_mut() {
+        if let Some(t) = self.telemetry.as_deref_mut() {
+            for (k, span) in pending.iter().zip(&sched.spans) {
                 t.registry.counter_add("kernel.launches", 1);
                 t.registry.counter_add("kernel.blocks", k.blocks.len() as u64);
                 t.emit(
@@ -562,19 +563,11 @@ impl Gpu {
                         .u64("stream", k.stream as u64)
                         .u64("blocks", k.blocks.len() as u64)
                         .f64("t_us", span.start.us())
-                        .f64("dur_us", (span.end - span.start).us()),
+                        .f64("dur_us", (span.end - span.start).us())
+                        .f64("dram_bytes", span.dram_bytes)
+                        .f64("efficiency", span.efficiency),
                 );
             }
-            self.profiler.record_kernel(KernelRecord {
-                name: k.name.clone(),
-                phase: k.phase,
-                stream: k.stream,
-                start: span.start,
-                end: span.end,
-                blocks: k.blocks.len(),
-                dram_bytes: span.dram_bytes,
-                efficiency: span.efficiency,
-            });
         }
         self.now = self.now.max(sched.end);
     }
@@ -642,14 +635,14 @@ mod tests {
         g.launch(KernelDesc::new("calc", DEFAULT_STREAM, 256, 0), vec![BlockCost::raw(2e6, 0.0)])
             .unwrap();
         g.finish();
-        let times = g.profiler().phase_times();
+        let times = g.phase_times();
         let count = times.iter().find(|(p, _)| *p == Phase::Count).unwrap().1;
         let calc = times.iter().find(|(p, _)| *p == Phase::Calc).unwrap().1;
         assert!(count > SimTime::ZERO);
         // calc has 2x the slots; both phases also contain one launch overhead.
         assert!(calc > count);
         // Total phase time equals elapsed.
-        let phases: SimTime = g.profiler().phase_times().iter().map(|&(_, t)| t).sum();
+        let phases: SimTime = g.phase_times().iter().map(|&(_, t)| t).sum();
         assert!((phases.secs() - g.elapsed().secs()).abs() < 1e-12);
     }
 
@@ -676,11 +669,12 @@ mod tests {
     #[test]
     fn memcpy_charges_pcie_time() {
         let mut g = gpu();
+        g.enable_telemetry();
         let t0 = g.elapsed();
         g.memcpy(12_000_000_000, true).unwrap(); // 12 GB at 12 GB/s ≈ 1 s
         let dt = (g.elapsed() - t0).secs();
         assert!((dt - 1.0).abs() < 0.01, "dt {dt}");
-        assert!(g.profiler().kernels().iter().any(|k| k.name == "memcpy_h2d"));
+        assert!(g.timeline().kernel_table().iter().any(|k| k.name == "memcpy_h2d"));
     }
 
     #[test]
@@ -790,6 +784,7 @@ mod tests {
     fn sanitized_clean_run_is_byte_identical() {
         let run = |sanitize: bool| {
             let mut g = gpu();
+            g.enable_telemetry();
             if sanitize {
                 g.enable_sanitizer();
             }
@@ -807,12 +802,12 @@ mod tests {
             g.san_note_d2h(a, 0, 4096);
             g.free(a);
             let t = g.finish();
-            (t, g.san_reports().len(), g.profiler().kernels().len())
+            (t, g.san_reports().len(), g.timeline().chrome_trace())
         };
         let (t_off, r_off, k_off) = run(false);
         let (t_on, r_on, k_on) = run(true);
         assert_eq!(t_off, t_on, "sanitizer must not charge simulated time");
-        assert_eq!(k_off, k_on, "sanitizer must not add profiler records");
+        assert_eq!(k_off, k_on, "sanitizer must not change the device timeline");
         assert_eq!((r_off, r_on), (0, 0));
     }
 

@@ -21,9 +21,10 @@
 //!   peak tracking (Figure 4) and an out-of-memory error (the "-" entries
 //!   of Table III), plus the measured-order Pascal `cudaMalloc` latency
 //!   the paper's §IV-C breakdown highlights.
-//! * **Profiling** ([`profiler`]): every kernel and malloc is recorded
-//!   with its phase tag so Figures 5/6 (setup/count/calc/malloc
-//!   breakdown) can be regenerated.
+//! * **Profiling** ([`profiler`]): elapsed time is summed per phase so
+//!   Figures 5/6 (setup/count/calc/malloc breakdown) can be regenerated;
+//!   with telemetry on, every kernel, malloc and copy is logged and
+//!   [`Timeline`] reads the log back as tables and a Chrome trace.
 //!
 //! Simulated time ([`SimTime`]) — never wall-clock — is the metric all
 //! benchmarks report, which keeps every figure bit-reproducible.
@@ -51,7 +52,7 @@ pub use cost::{BlockCost, BlockCostBuilder, CostModel};
 pub use device::{Gpu, KernelDesc, MemRange, StreamId};
 pub use fault::{FaultPlan, FaultRule};
 pub use memory::{AllocId, DeviceMemory, OutOfDeviceMemory};
-pub use profiler::{KernelAgg, Phase, Profiler, StreamUtil};
+pub use profiler::{KernelAgg, Phase, StreamUtil, Timeline};
 pub use report::SpgemmReport;
 pub use sanitize::{SanKind, SanReport, SanStats, Sanitizer};
 pub use simtime::SimTime;

@@ -1,13 +1,20 @@
-//! Execution profiler: phase attribution and per-kernel records.
+//! Phase attribution and the views of the device timeline.
 //!
 //! Figures 5 and 6 of the paper break SpGEMM time into four phases —
 //! *setup* (grouping), *count*, *calculation* and *cudaMalloc of the
-//! output matrix*. Algorithms mark phase boundaries on the device; the
-//! profiler attributes elapsed simulated time to the phase that was
-//! current when it passed, and additionally keeps every kernel span for
-//! fine-grained inspection.
+//! output matrix*. Algorithms mark phase boundaries on the device, and
+//! the device adds the elapsed simulated time to the running total of
+//! the phase that was current ([`PhaseTotals`]). That is all a run keeps
+//! when telemetry is off.
+//!
+//! With telemetry on, the device logs every kernel, malloc and copy as a
+//! `kernel`, `alloc` or `memcpy` event ([`crate::Gpu`] writes them);
+//! [`Timeline`] reads those events back as the kernel table, stream
+//! utilization, wall span and Chrome trace.
 
 use crate::simtime::SimTime;
+use obs::{Event, Value};
+use std::borrow::Cow;
 
 /// Execution phase, matching the paper's Figure 5/6 categories.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -39,133 +46,175 @@ impl Phase {
             Phase::Other => "other",
         }
     }
-}
 
-/// One executed kernel (or memory operation) on the device timeline.
-#[derive(Debug, Clone, PartialEq)]
-pub struct KernelRecord {
-    /// Kernel name (diagnostics).
-    pub name: String,
-    /// Phase current at execution.
-    pub phase: Phase,
-    /// Stream the kernel ran on.
-    pub stream: usize,
-    /// Start instant.
-    pub start: SimTime,
-    /// End instant.
-    pub end: SimTime,
-    /// Number of thread blocks.
-    pub blocks: usize,
-    /// Total DRAM bytes moved.
-    pub dram_bytes: f64,
-    /// Latency-hiding efficiency the schedule used.
-    pub efficiency: f64,
-}
-
-/// Collects phase times and kernel records for one algorithm run.
-#[derive(Debug, Clone, Default)]
-pub struct Profiler {
-    records: Vec<KernelRecord>,
-    phase_acc: Vec<(Phase, SimTime)>,
-}
-
-impl Profiler {
-    /// Empty profiler.
-    pub fn new() -> Self {
-        Self::default()
+    fn from_label(label: &str) -> Option<Phase> {
+        Phase::ALL.into_iter().find(|p| p.label() == label)
     }
+}
 
-    /// Record a kernel span.
-    pub fn record_kernel(&mut self, rec: KernelRecord) {
-        self.records.push(rec);
-    }
+/// Running simulated time per phase, in [`Phase::ALL`] order.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct PhaseTotals([SimTime; 5]);
 
+impl PhaseTotals {
     /// Attribute `dt` of elapsed device time to `phase`.
-    pub fn add_phase_time(&mut self, phase: Phase, dt: SimTime) {
-        if dt <= SimTime::ZERO {
-            return;
+    pub(crate) fn add(&mut self, phase: Phase, dt: SimTime) {
+        if dt > SimTime::ZERO {
+            self.0[phase as usize] += dt;
         }
-        self.phase_acc.push((phase, dt));
-    }
-
-    /// All kernel records, in completion order.
-    pub fn kernels(&self) -> &[KernelRecord] {
-        &self.records
     }
 
     /// Total attributed time per phase, in [`Phase::ALL`] order (phases
     /// with zero time included).
-    pub fn phase_times(&self) -> Vec<(Phase, SimTime)> {
-        Phase::ALL
-            .iter()
-            .map(|&p| {
-                let t = self.phase_acc.iter().filter(|(q, _)| *q == p).map(|&(_, dt)| dt).sum();
-                (p, t)
+    pub(crate) fn times(&self) -> Vec<(Phase, SimTime)> {
+        Phase::ALL.into_iter().zip(self.0).collect()
+    }
+}
+
+/// One timed device operation — kernel, malloc or copy — read back from
+/// its event.
+struct Op<'a> {
+    name: Cow<'a, str>,
+    phase: Phase,
+    stream: usize,
+    start_us: f64,
+    dur_us: f64,
+    blocks: usize,
+    dram_bytes: f64,
+    efficiency: f64,
+}
+
+impl<'a> Op<'a> {
+    /// The operation an event logs, or `None` for any other event. A
+    /// kernel's `t_us` is its start; a malloc's or copy's, its end.
+    fn of(e: &'a Event) -> Option<Op<'a>> {
+        let text = |key| match e.field(key)? {
+            Value::Str(s) => Some(s.as_str()),
+            _ => None,
+        };
+        let int = |key| match e.field(key)? {
+            Value::U64(v) => usize::try_from(*v).ok(),
+            _ => None,
+        };
+        let float = |key| match e.field(key)? {
+            Value::F64(v) => Some(*v),
+            _ => None,
+        };
+        let phase = Phase::from_label(text("phase")?)?;
+        let (t_us, dur_us) = (float("t_us")?, float("dur_us")?);
+        let serial = |name, dram_bytes| {
+            let start_us = t_us - dur_us;
+            Some(Op {
+                name,
+                phase,
+                stream: 0,
+                start_us,
+                dur_us,
+                blocks: 0,
+                dram_bytes,
+                efficiency: 1.0,
             })
-            .collect()
+        };
+        match e.kind() {
+            "kernel" => Some(Op {
+                name: Cow::Borrowed(text("name")?),
+                phase,
+                stream: int("stream")?,
+                start_us: t_us,
+                dur_us,
+                blocks: int("blocks")?,
+                dram_bytes: float("dram_bytes")?,
+                efficiency: float("efficiency")?,
+            }),
+            "alloc" => serial(Cow::Owned(format!("cudaMalloc({})", text("tag")?)), 0.0),
+            "memcpy" => {
+                let name = if text("dir")? == "h2d" { "memcpy_h2d" } else { "memcpy_d2h" };
+                serial(Cow::Borrowed(name), int("bytes")? as f64)
+            }
+            _ => None,
+        }
+    }
+}
+
+/// The device timeline in a telemetry event log: every kernel, malloc
+/// and copy, in completion order. Other events are skipped, so a job
+/// trace that mixes engine and device events reads the same.
+#[derive(Debug, Clone, Copy)]
+pub struct Timeline<'a> {
+    events: &'a [Event],
+}
+
+impl<'a> Timeline<'a> {
+    /// The timeline in `events` (empty when no device event is there).
+    pub fn new(events: &'a [Event]) -> Self {
+        Timeline { events }
     }
 
-    /// Busy/idle utilization of every stream that ran a kernel, sorted
-    /// by stream id. Kernels on one stream serialize on the device, so a
-    /// stream's busy time is the plain sum of its span durations and can
-    /// never exceed the overall wall span.
+    fn ops(&self) -> impl Iterator<Item = Op<'a>> + 'a {
+        self.events.iter().filter_map(Op::of)
+    }
+
+    /// Number of timed operations.
+    pub fn len(&self) -> usize {
+        self.ops().count()
+    }
+
+    /// Whether no operation was logged.
+    pub fn is_empty(&self) -> bool {
+        self.ops().next().is_none()
+    }
+
+    /// Busy/idle utilization of every stream that ran an operation,
+    /// sorted by stream id. Operations on one stream serialize on the
+    /// device, so a stream's busy time is the plain sum of its span
+    /// durations and can never exceed the overall wall span.
     pub fn stream_utilization(&self) -> Vec<StreamUtil> {
         let mut by_stream: Vec<StreamUtil> = Vec::new();
-        for k in &self.records {
-            let pos = by_stream.iter().position(|u| u.stream == k.stream);
-            let p = match pos {
-                Some(p) => p,
-                None => {
-                    by_stream.push(StreamUtil {
-                        stream: k.stream,
-                        busy: SimTime::ZERO,
-                        kernels: 0,
-                        first_start: k.start,
-                        last_end: k.end,
-                    });
-                    by_stream.len() - 1
+        for k in self.ops() {
+            let busy = SimTime::from_us(k.dur_us);
+            match by_stream.iter_mut().find(|u| u.stream == k.stream) {
+                Some(u) => {
+                    u.busy += busy;
+                    u.kernels += 1;
                 }
-            };
-            let u = &mut by_stream[p];
-            u.busy += k.end - k.start;
-            u.kernels += 1;
-            u.first_start = u.first_start.min(k.start);
-            u.last_end = u.last_end.max(k.end);
+                None => by_stream.push(StreamUtil { stream: k.stream, busy, kernels: 1 }),
+            }
         }
         by_stream.sort_by_key(|u| u.stream);
         by_stream
     }
 
-    /// `(earliest start, latest end)` over all records, or `None` when
-    /// nothing ran.
+    /// `(earliest start, latest end)` over all operations, or `None`
+    /// when nothing ran.
     pub fn wall_span(&self) -> Option<(SimTime, SimTime)> {
-        let first = self.records.iter().map(|k| k.start).reduce(SimTime::min)?;
-        let last = self.records.iter().map(|k| k.end).reduce(SimTime::max)?;
-        Some((first, last))
+        let first = self.ops().map(|k| k.start_us).reduce(f64::min)?;
+        let last = self.ops().map(|k| k.start_us + k.dur_us).reduce(f64::max)?;
+        Some((SimTime::from_us(first), SimTime::from_us(last)))
     }
 
-    /// Kernel time aggregated by `(phase, kernel name, stream)`, in
+    /// Operation time aggregated by `(phase, name, stream)`, in
     /// first-appearance order — the rows of the trace CLI's
     /// phase × group × stream table (group ids are encoded in kernel
     /// names, e.g. `numeric_tb_g3`).
     pub fn kernel_table(&self) -> Vec<KernelAgg> {
         let mut rows: Vec<KernelAgg> = Vec::new();
-        for k in &self.records {
-            let key = (k.phase, k.name.as_str(), k.stream);
+        for k in self.ops() {
+            let time = SimTime::from_us(k.dur_us);
+            let key = (k.phase, &*k.name, k.stream);
             match rows.iter_mut().find(|r| (r.phase, r.name.as_str(), r.stream) == key) {
                 Some(r) => {
                     r.launches += 1;
                     r.blocks += k.blocks;
-                    r.time += k.end - k.start;
+                    r.time += time;
                     r.dram_bytes += k.dram_bytes;
                 }
                 None => rows.push(KernelAgg {
                     phase: k.phase,
-                    name: k.name.clone(),
+                    name: k.name.into_owned(),
                     stream: k.stream,
                     launches: 1,
                     blocks: k.blocks,
-                    time: k.end - k.start,
+                    time,
                     dram_bytes: k.dram_bytes,
                 }),
             }
@@ -173,19 +222,19 @@ impl Profiler {
         rows
     }
 
-    /// Export the kernel timeline as Chrome trace-event JSON (load it at
+    /// Export the timeline as Chrome trace-event JSON (load it at
     /// `chrome://tracing` or in Perfetto). One track per CUDA stream;
     /// durations are the simulated device times in microseconds. Kernel
     /// names are JSON-escaped verbatim (quotes, backslashes and control
     /// characters included).
     pub fn chrome_trace(&self) -> String {
         let mut trace = obs::chrome::Trace::default();
-        for k in &self.records {
+        for k in self.ops() {
             trace.span(&obs::chrome::Span {
                 name: &k.name,
                 cat: Some(k.phase.label()),
-                ts_us: k.start.us(),
-                dur_us: (k.end - k.start).us(),
+                ts_us: k.start_us,
+                dur_us: k.dur_us,
                 pid: 0,
                 tid: k.stream as u64,
                 args: &[
@@ -200,19 +249,15 @@ impl Profiler {
 }
 
 /// Busy/idle accounting of one CUDA stream (see
-/// [`Profiler::stream_utilization`]).
+/// [`Timeline::stream_utilization`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StreamUtil {
     /// Stream id.
     pub stream: usize,
-    /// Sum of kernel span durations on this stream.
+    /// Sum of operation span durations on this stream.
     pub busy: SimTime,
-    /// Number of kernel records.
+    /// Number of operations.
     pub kernels: usize,
-    /// Earliest span start.
-    pub first_start: SimTime,
-    /// Latest span end.
-    pub last_end: SimTime,
 }
 
 impl StreamUtil {
@@ -226,7 +271,7 @@ impl StreamUtil {
     }
 }
 
-/// One row of [`Profiler::kernel_table`]: kernel time aggregated by
+/// One row of [`Timeline::kernel_table`]: operation time aggregated by
 /// `(phase, name, stream)`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct KernelAgg {
@@ -252,60 +297,70 @@ mod tests {
 
     #[test]
     fn phase_times_aggregate() {
-        let mut p = Profiler::new();
-        p.add_phase_time(Phase::Count, SimTime(1.0));
-        p.add_phase_time(Phase::Calc, SimTime(2.0));
-        p.add_phase_time(Phase::Count, SimTime(0.5));
-        let t = p.phase_times();
+        let mut p = PhaseTotals::default();
+        p.add(Phase::Count, SimTime(1.0));
+        p.add(Phase::Calc, SimTime(2.0));
+        p.add(Phase::Count, SimTime(0.5));
+        let t = p.times();
         assert_eq!(t.len(), Phase::ALL.len());
         assert_eq!(t[1], (Phase::Count, SimTime(1.5)));
         assert_eq!(t[2], (Phase::Calc, SimTime(2.0)));
         assert_eq!(t[0].1, SimTime::ZERO);
-        assert_eq!(p.phase_times().iter().map(|&(_, t)| t).sum::<SimTime>(), SimTime(3.5));
+        assert_eq!(p.times().iter().map(|&(_, t)| t).sum::<SimTime>(), SimTime(3.5));
     }
 
     #[test]
     fn zero_or_negative_deltas_ignored() {
-        let mut p = Profiler::new();
-        p.add_phase_time(Phase::Setup, SimTime::ZERO);
-        p.add_phase_time(Phase::Setup, SimTime(-1.0));
-        assert!(p.phase_times().iter().all(|&(_, t)| t == SimTime::ZERO));
+        let mut p = PhaseTotals::default();
+        p.add(Phase::Setup, SimTime::ZERO);
+        p.add(Phase::Setup, SimTime(-1.0));
+        assert!(p.times().iter().all(|&(_, t)| t == SimTime::ZERO));
     }
 
     #[test]
     fn labels_match_paper_categories() {
         assert_eq!(Phase::Setup.label(), "setup");
         assert_eq!(Phase::Malloc.label(), "cudaMalloc");
+        for p in Phase::ALL {
+            assert_eq!(Phase::from_label(p.label()), Some(p));
+        }
+    }
+
+    /// A `kernel` event as the device logs it.
+    fn kernel(name: &str, phase: Phase, stream: u64, start_us: f64, end_us: f64) -> Event {
+        Event::new("kernel")
+            .str("name", name)
+            .str("phase", phase.label())
+            .u64("stream", stream)
+            .u64("blocks", 1)
+            .f64("t_us", start_us)
+            .f64("dur_us", end_us - start_us)
+            .f64("dram_bytes", 100.0)
+            .f64("efficiency", 1.0)
     }
 
     #[test]
     fn chrome_trace_is_wellformed_json_events() {
-        let mut p = Profiler::new();
-        assert_eq!(p.chrome_trace(), "[]");
-        p.record_kernel(KernelRecord {
-            name: "symbolic_tb_g1".into(),
-            phase: Phase::Count,
-            stream: 2,
-            start: SimTime::from_us(1.0),
-            end: SimTime::from_us(3.5),
-            blocks: 7,
-            dram_bytes: 1024.0,
-            efficiency: 0.8,
-        });
-        p.record_kernel(KernelRecord {
-            name: "we\"ird\\name\twith\ncontrol\u{1}chars".into(),
-            phase: Phase::Calc,
-            stream: 0,
-            start: SimTime::ZERO,
-            end: SimTime::from_us(1.0),
-            blocks: 1,
-            dram_bytes: 0.0,
-            efficiency: 1.0,
-        });
-        let t = p.chrome_trace();
+        assert_eq!(Timeline::new(&[]).chrome_trace(), "[]");
+        let events = [
+            Event::new("kernel")
+                .str("name", "symbolic_tb_g1")
+                .str("phase", "count")
+                .u64("stream", 2)
+                .u64("blocks", 7)
+                .f64("t_us", 1.0)
+                .f64("dur_us", 2.5)
+                .f64("dram_bytes", 1024.0)
+                .f64("efficiency", 0.8),
+            // Not a timed operation: skipped.
+            Event::new("phase").str("name", "count").f64("t_us", 0.0).f64("dur_us", 3.5),
+            kernel("we\"ird\\name\twith\ncontrol\u{1}chars", Phase::Calc, 0, 0.0, 1.0),
+        ];
+        let t = Timeline::new(&events).chrome_trace();
         assert!(t.starts_with('[') && t.ends_with(']'));
         assert!(t.contains("\"tid\":2"));
         assert!(t.contains("\"dur\":2.500"));
+        assert!(t.contains("\"args\":{\"blocks\":7,\"dram_bytes\":1024,\"efficiency\":0.800}"));
         // Names survive verbatim, properly escaped — no scrubbing.
         assert!(t.contains("we\\\"ird\\\\name\\twith\\ncontrol\\u0001chars"));
         obs::json::validate(&t).expect("trace parses as JSON");
@@ -313,27 +368,52 @@ mod tests {
         assert_eq!(t.matches("\"ph\":\"X\"").count(), 2);
     }
 
-    fn span(name: &str, stream: usize, start: f64, end: f64) -> KernelRecord {
-        KernelRecord {
-            name: name.into(),
-            phase: Phase::Calc,
-            stream,
-            start: SimTime::from_us(start),
-            end: SimTime::from_us(end),
-            blocks: 1,
-            dram_bytes: 100.0,
-            efficiency: 1.0,
-        }
+    #[test]
+    fn mallocs_and_copies_end_at_their_timestamp_on_stream_zero() {
+        let events = [
+            Event::new("alloc")
+                .str("tag", "C")
+                .u64("bytes", 64)
+                .u64("live", 64)
+                .f64("t_us", 5.0)
+                .str("phase", "cudaMalloc")
+                .f64("dur_us", 4.0),
+            Event::new("memcpy")
+                .str("dir", "d2h")
+                .u64("bytes", 4096)
+                .f64("t_us", 8.0)
+                .str("phase", "other")
+                .f64("dur_us", 2.0),
+        ];
+        let tl = Timeline::new(&events);
+        assert_eq!(tl.len(), 2);
+        let t = tl.chrome_trace();
+        assert!(t.contains(
+            "{\"name\":\"cudaMalloc(C)\",\"cat\":\"cudaMalloc\",\"ph\":\"X\",\"ts\":1.000,\
+             \"dur\":4.000,\"pid\":0,\"tid\":0,\"args\":{\"blocks\":0,\"dram_bytes\":0,\
+             \"efficiency\":1.000}}"
+        ));
+        assert!(t.contains("\"name\":\"memcpy_d2h\",\"cat\":\"other\",\"ph\":\"X\",\"ts\":6.000"));
+        assert!(t.contains("\"dram_bytes\":4096"));
+        let rows = tl.kernel_table();
+        assert_eq!(rows[0].name, "cudaMalloc(C)");
+        assert_eq!((rows[0].phase, rows[0].blocks), (Phase::Malloc, 0));
+        let (w0, w1) = tl.wall_span().unwrap();
+        assert!((w0.us() - 1.0).abs() < 1e-9 && (w1.us() - 8.0).abs() < 1e-9);
     }
 
     #[test]
     fn stream_utilization_sums_per_stream() {
-        let mut p = Profiler::new();
-        assert!(p.stream_utilization().is_empty());
-        assert_eq!(p.wall_span(), None);
-        p.record_kernel(span("a", 1, 0.0, 2.0));
-        p.record_kernel(span("b", 0, 1.0, 2.0));
-        p.record_kernel(span("c", 1, 3.0, 4.0));
+        let empty = Timeline::new(&[]);
+        assert!(empty.stream_utilization().is_empty());
+        assert_eq!(empty.wall_span(), None);
+        assert!(empty.is_empty());
+        let events = [
+            kernel("a", Phase::Calc, 1, 0.0, 2.0),
+            kernel("b", Phase::Calc, 0, 1.0, 2.0),
+            kernel("c", Phase::Calc, 1, 3.0, 4.0),
+        ];
+        let p = Timeline::new(&events);
         let u = p.stream_utilization();
         assert_eq!(u.len(), 2);
         assert_eq!(u[0].stream, 0);
@@ -356,11 +436,12 @@ mod tests {
 
     #[test]
     fn kernel_table_aggregates_by_phase_name_stream() {
-        let mut p = Profiler::new();
-        p.record_kernel(span("k", 1, 0.0, 1.0));
-        p.record_kernel(span("k", 1, 2.0, 4.0));
-        p.record_kernel(span("k", 2, 0.0, 1.0));
-        let t = p.kernel_table();
+        let events = [
+            kernel("k", Phase::Calc, 1, 0.0, 1.0),
+            kernel("k", Phase::Calc, 1, 2.0, 4.0),
+            kernel("k", Phase::Calc, 2, 0.0, 1.0),
+        ];
+        let t = Timeline::new(&events).kernel_table();
         assert_eq!(t.len(), 2);
         assert_eq!(t[0].launches, 2);
         assert_eq!(t[0].blocks, 2);

@@ -16,7 +16,7 @@
 //!   going so one soak surfaces every distinct bug. Callers (the engine)
 //!   turn non-empty reports into `Invariant` errors at job boundaries.
 //! * **Zero simulated time.** Sanitizer hooks never advance the device
-//!   clock or emit profiler records — a sanitized clean run is
+//!   clock or log device operations — a sanitized clean run is
 //!   byte-identical (outputs, reports, telemetry timings) to an
 //!   unsanitized one, which is what lets CI diff the two.
 //! * **Deterministic reports.** Ordering comes from a monotone sequence

@@ -27,9 +27,9 @@ use std::collections::BinaryHeap;
 /// A kernel waiting to be scheduled at the next synchronization point.
 #[derive(Debug, Clone)]
 pub struct PendingKernel {
-    /// Kernel name for profiler records.
+    /// Kernel name for its telemetry event.
     pub name: String,
-    /// Phase tag for profiler records.
+    /// Phase tag for its telemetry event.
     pub phase: crate::profiler::Phase,
     /// Stream the kernel was launched on.
     pub stream: usize,

@@ -16,6 +16,7 @@ fn main() {
     });
     let a = dataset.generate::<f32>(matgen::Scale::Repro);
     let mut gpu = Gpu::new(DeviceConfig::p100());
+    gpu.enable_telemetry();
     let (_, report) = nsparse_core::multiply(&mut gpu, &a, &a, &Options::default()).unwrap();
     println!(
         "'{}' multiplied in {} ({:.2} GFLOPS)",
@@ -26,7 +27,8 @@ fn main() {
 
     std::fs::create_dir_all("results").unwrap();
     let path = "results/trace.json";
-    std::fs::write(path, gpu.profiler().chrome_trace()).unwrap();
-    println!("kernel timeline ({} events) written to {path}", gpu.profiler().kernels().len());
+    let timeline = gpu.timeline();
+    std::fs::write(path, timeline.chrome_trace()).unwrap();
+    println!("kernel timeline ({} events) written to {path}", timeline.len());
     println!("open it at chrome://tracing — streams appear as separate tracks");
 }

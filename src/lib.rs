@@ -11,7 +11,7 @@
 //! `tests/` directories at the workspace root have a single dependency
 //! surface:
 //!
-//! * [`sparse`] — CSR/COO formats, reference SpGEMM, Matrix Market I/O;
+//! * [`sparse`] — the CSR format, reference SpGEMM, Matrix Market I/O;
 //! * [`matgen`] — seeded synthetic analogues of the paper's datasets;
 //! * [`vgpu`] — the virtual Pascal P100;
 //! * [`nsparse_core`] — the paper's grouped hash-table SpGEMM algorithm;

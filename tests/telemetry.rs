@@ -23,6 +23,8 @@ fn telemetry_is_none_when_disabled() {
     let (_, report) = Algorithm::Proposal.run::<f32>(&mut gpu, &a, &a).unwrap();
     assert!(report.telemetry.is_none());
     assert!(gpu.telemetry().is_none());
+    // No per-operation timeline is kept without telemetry.
+    assert!(gpu.timeline().is_empty());
     // Probe totals are collected regardless — they ride on data the
     // kernels already produce.
     assert!(report.hash_probes > 0);
@@ -67,10 +69,10 @@ fn hash_probes_surface_for_every_algorithm() {
 fn per_stream_busy_never_exceeds_wall() {
     let a = tiny("FEM/Cantilever");
     let (gpu, _) = traced_run(Algorithm::Proposal, &a);
-    let (t0, t1) = gpu.profiler().wall_span().expect("kernels ran");
+    let (t0, t1) = gpu.timeline().wall_span().expect("kernels ran");
     let wall = t1 - t0;
     assert!(wall > SimTime::ZERO);
-    for s in gpu.profiler().stream_utilization() {
+    for s in gpu.timeline().stream_utilization() {
         assert!(s.busy <= wall + SimTime::from_us(1e-6), "stream {}", s.stream);
         let u = s.utilization(wall);
         assert!((0.0..=1.0 + 1e-9).contains(&u), "stream {} utilization {u}", s.stream);
@@ -105,7 +107,7 @@ fn telemetry_exports_are_byte_deterministic() {
         gpu.enable_telemetry();
         let (_, _) = Algorithm::Proposal.run::<f32>(&mut gpu, &a, &a).unwrap();
         let jsonl = gpu.telemetry().unwrap().to_jsonl();
-        let chrome = gpu.profiler().chrome_trace();
+        let chrome = gpu.timeline().chrome_trace();
         (jsonl, chrome)
     };
     let (j1, c1) = run();
@@ -117,6 +119,26 @@ fn telemetry_exports_are_byte_deterministic() {
         obs::json::validate(line).expect("every JSONL line is valid JSON");
     }
     obs::json::validate(&c1).expect("chrome trace is valid JSON");
+}
+
+/// `examples/profile_trace.rs` commits the Chrome trace of one run:
+/// Circuit at repro scale, f32, default options, on a fresh P100. The
+/// same run rendered from the telemetry log must reproduce the file byte
+/// for byte.
+#[test]
+fn committed_kernel_timeline_is_reproduced() {
+    let a = matgen::by_name("Circuit").unwrap().generate::<f32>(matgen::Scale::Repro);
+    let mut gpu = Gpu::new(DeviceConfig::p100());
+    gpu.enable_telemetry();
+    nsparse_core::multiply(&mut gpu, &a, &a, &Options::default()).unwrap();
+    let fresh = gpu.timeline().chrome_trace();
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/results/trace.json");
+    let committed = std::fs::read_to_string(path).unwrap();
+    assert!(
+        fresh == committed,
+        "results/trace.json differs from a fresh run \
+         (`cargo run --release --example profile_trace` rewrites it); fresh trace:\n{fresh}"
+    );
 }
 
 /// Integer field extractor for the hand-rolled trace JSON (the dump
