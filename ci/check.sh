@@ -21,6 +21,9 @@ cargo fmt --check
 echo "== clippy (deny warnings) ==" >&2
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+echo "== docs (deny rustdoc warnings: broken or private intra-doc links) ==" >&2
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "== build (release, offline) ==" >&2
 cargo build --release --offline
 

@@ -1,5 +1,5 @@
 //! BHSPARSE baseline: Liu & Vinter's bin-dispatched hybrid SpGEMM
-//! (§V, [17]).
+//! (§V, \[17\]).
 //!
 //! The published algorithm assigns rows to bins by their *upper-bound*
 //! non-zero count (the intermediate-product count) and picks a method

@@ -80,6 +80,6 @@ pub(crate) fn finish_report(
         intermediate_products,
         output_nnz,
         hash_probes,
-        telemetry: gpu.telemetry_summary(),
+        telemetry: gpu.telemetry().map(|t| t.registry.clone()),
     }
 }

@@ -1,5 +1,5 @@
 //! CUSP baseline: the ESC (expansion, sorting, contraction) algorithm
-//! (§II-B; Bell, Dalton & Olson [1], CUSP [16]).
+//! (§II-B; Bell, Dalton & Olson \[1\], CUSP \[16\]).
 //!
 //! 1. **Expansion** materializes *every* intermediate product as a
 //!    `(row, col, value)` tuple in device memory — the paper's central

@@ -1,4 +1,4 @@
-//! cuSPARSE baseline: Demouth's two-phase hash SpGEMM (§V, [18]).
+//! cuSPARSE baseline: Demouth's two-phase hash SpGEMM (§V, \[18\]).
 //!
 //! "The SpGEMM kernel of cuSPARSE allocates hash table on shared memory
 //! and global memory. If the insertion to the hash table on shared

@@ -156,9 +156,9 @@ fn write_outputs<T: Scalar>(
 ) -> Result<(), (String, std::io::Error)> {
     std::fs::create_dir_all(dir).map_err(|e| (dir.to_string(), e))?;
     for (i, r) in rep.records.iter().enumerate() {
-        if let Ok(c) = &r.output {
+        if let Ok(out) = r {
             let path = format!("{dir}/job{i:02}.mtx");
-            sparse::io::write_matrix_market_file(c, &path).map_err(|e| (path, e))?;
+            sparse::io::write_matrix_market_file(&out.matrix, &path).map_err(|e| (path, e))?;
         }
     }
     Ok(())

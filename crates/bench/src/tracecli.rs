@@ -12,7 +12,8 @@
 use crate::cli;
 use crate::runcli::RunArgs;
 use sparse::Scalar;
-use vgpu::{Gpu, SimTime, SpgemmReport};
+use std::time::Duration;
+use vgpu::{Gpu, Phase, SimTime, SpgemmReport};
 
 /// Scaled ASCII bar for histogram rendering.
 fn bar(count: u64, max: u64, width: usize) -> String {
@@ -71,6 +72,18 @@ fn parse_per_job(argv: &[String]) -> Result<cli::DriverArgs, String> {
     Ok(args)
 }
 
+/// Simulated time of `phases` in one job's report, in µs (0 on the host
+/// backend, which has no simulated clock).
+fn phase_us<T>(out: &engine::JobOutput<T>, phases: &[Phase]) -> f64 {
+    out.report
+        .phase_times
+        .iter()
+        .filter(|(p, _)| phases.contains(p))
+        .map(|&(_, t)| t.us())
+        .sum::<f64>()
+        .max(0.0)
+}
+
 fn per_job_report<T: Scalar>(rep: &engine::DriverReport<T>, cfg: &engine::DriverConfig) -> i32 {
     println!(
         "== per-job stages (seed {}, {} jobs, {} workers, faults {}) ==",
@@ -90,31 +103,46 @@ fn per_job_report<T: Scalar>(rep: &engine::DriverReport<T>, cfg: &engine::Driver
         "numeric us",
         "retries"
     );
-    for (i, r) in rep.records.iter().enumerate() {
-        let route = match r.route {
-            Some(engine::Route::Direct) => "direct",
-            Some(engine::Route::Batched) => "batched",
-            None => "failed",
-        };
-        let cache = match r.cache {
-            Some(engine::CacheOutcome::Hit) => "hit",
-            Some(engine::CacheOutcome::Miss) => "miss",
-            Some(engine::CacheOutcome::Bypass) => "bypass",
-            None => "-",
-        };
+    let us = |d: Duration| d.as_micros() as f64;
+    // One row per job: route, cache, then the four stage columns and the
+    // retries; a failed job reads "failed", "-" and zeros.
+    let rows: Vec<(&str, &str, [f64; 5])> = rep
+        .records
+        .iter()
+        .map(|r| match r {
+            Ok(out) => (
+                match out.route {
+                    engine::Route::Direct => "direct",
+                    engine::Route::Batched => "batched",
+                },
+                match out.cache {
+                    engine::CacheOutcome::Hit => "hit",
+                    engine::CacheOutcome::Miss => "miss",
+                    engine::CacheOutcome::Bypass => "bypass",
+                },
+                [
+                    us(out.queue_wait),
+                    us(out.latency),
+                    phase_us(out, &[Phase::Setup, Phase::Count]),
+                    phase_us(out, &[Phase::Malloc, Phase::Calc]),
+                    f64::from(out.batched_retries),
+                ],
+            ),
+            Err(_) => ("failed", "-", [0.0; 5]),
+        })
+        .collect();
+    for (i, (route, cache, [queue_wait, latency, symbolic, numeric, retries])) in
+        rows.iter().enumerate()
+    {
         println!(
-            "  {i:>3} {route:>8} {cache:>7} {:>14} {:>12} {:>12.1} {:>12.1} {:>8}",
-            r.queue_wait_us, r.latency_us, r.symbolic_us, r.numeric_us, r.retries
+            "  {i:>3} {route:>8} {cache:>7} {queue_wait:>14} {latency:>12} {symbolic:>12.1} \
+             {numeric:>12.1} {retries:>8}"
         );
     }
-    let stages: [(&str, Vec<f64>); 4] = [
-        ("queue-wait us", rep.records.iter().map(|r| r.queue_wait_us as f64).collect()),
-        ("latency us", rep.records.iter().map(|r| r.latency_us as f64).collect()),
-        ("symbolic us", rep.records.iter().map(|r| r.symbolic_us).collect()),
-        ("numeric us", rep.records.iter().map(|r| r.numeric_us).collect()),
-    ];
     println!("\n  {:14} {:>12} {:>12} {:>12}", "stage", "p50", "p90", "p99");
-    for (name, mut v) in stages {
+    let stages = ["queue-wait us", "latency us", "symbolic us", "numeric us"];
+    for (k, name) in stages.into_iter().enumerate() {
+        let mut v: Vec<f64> = rows.iter().map(|(_, _, cols)| cols[k]).collect();
         v.sort_by(f64::total_cmp);
         println!(
             "  {name:14} {:>12.1} {:>12.1} {:>12.1}",
@@ -123,7 +151,7 @@ fn per_job_report<T: Scalar>(rep: &engine::DriverReport<T>, cfg: &engine::Driver
             percentile(&v, 99.0)
         );
     }
-    let retries: u32 = rep.records.iter().map(|r| r.retries).sum();
+    let retries: f64 = rows.iter().map(|(_, _, cols)| cols[4]).sum();
     println!(
         "\n  batched retries: {retries} total; {} of {} jobs failed",
         rep.failures,
@@ -178,16 +206,16 @@ pub fn print_tables(gpu: &mut Gpu, report: &SpgemmReport) {
         );
     }
 
-    if let Some(summary) = gpu.telemetry_summary() {
+    if let Some(registry) = gpu.telemetry().map(|t| &t.registry) {
         println!("\n== group populations ==");
         println!("  {:24} {:>10}", "group", "rows");
-        for (name, v) in &summary.counters {
-            if let Some(group) = name.strip_suffix(".rows") {
-                println!("  {group:24} {v:>10}");
+        for (name, h) in registry.hists() {
+            if let Some(group) = name.strip_suffix(".row_metric") {
+                println!("  {group:24} {:>10}", h.count());
             }
         }
         println!("\n== histograms ==");
-        for (name, h) in &summary.hists {
+        for (name, h) in registry.hists() {
             if name.ends_with(".probe_len") || name.ends_with(".row_metric") {
                 print_histogram(name, h);
             }

@@ -466,7 +466,7 @@ impl ThreadResolution {
 /// paper's P100 by default — because it decides each row's count-pass
 /// overflow bound and the work partition; it does not size host scratch.
 /// Between calls the executor holds the staging of its last
-/// `multiply`, emptied: at most [`STAGING_SLACK`] times what that call
+/// `multiply`, emptied: at most `STAGING_SLACK` times what that call
 /// staged (a column and a value per entry of its `C`). Drop the
 /// executor to release it.
 pub struct HostParallelExecutor {
@@ -556,7 +556,7 @@ impl<T: Scalar> Executor<T> for HostParallelExecutor {
     /// Plan, then one walk per intermediate product: every row is
     /// counted and accumulated at once into per-chunk staging (refilling
     /// the staging an earlier `multiply` of this value type kept), and
-    /// [`Self::stitch`] places the chunks once the row pointer is known.
+    /// `stitch` places the chunks once the row pointer is known.
     /// The output and `replans` equal `execute_numeric` replaying the
     /// run's record.
     fn multiply(&mut self, a: &Csr<T>, b: &Csr<T>, opts: &Options) -> Result<Execution<T>> {

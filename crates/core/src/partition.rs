@@ -1,7 +1,7 @@
 //! Deterministic work partitioning for thread-parallel backends.
 //!
 //! Both backends split rows into contiguous ranges weighted by a per-row
-//! cost metric (intermediate products) and let [`run_workers`] threads
+//! cost metric (intermediate products) and let `run_workers` threads
 //! pull them from a shared [`JobQueue`] — the host over the whole row
 //! space, the simulator over each group's rows. Because every range owns
 //! a disjoint slice of the output and rows are pure functions of their

@@ -47,7 +47,7 @@ pub struct Options {
     /// ignores it.
     pub use_mul_hash: bool,
     /// How the count-phase metric is obtained (DESIGN.md §16). The
-    /// default, [`Estimator::Exact`], is byte-identical to the paper's
+    /// default, [`crate::Estimator::Exact`], is byte-identical to the paper's
     /// pipeline; a sampled estimator trades table-sizing accuracy for
     /// planning cost, with per-row replans absorbing under-estimates.
     pub estimator: crate::plan::Estimator,

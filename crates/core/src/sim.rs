@@ -2,7 +2,7 @@
 //! [`vgpu`] virtual Pascal GPU.
 //!
 //! This is the pre-refactor `pipeline::multiply` body split along the
-//! [`Executor`](crate::Executor) phase boundaries. The device-operation
+//! [`Executor`] phase boundaries. The device-operation
 //! sequence (mallocs, phase transitions, kernel launches, scans,
 //! telemetry emits) is preserved *exactly*, so simulated phase times,
 //! peak memory, hash-probe counts and every telemetry export stay
@@ -181,7 +181,7 @@ fn report_from_delta(
         intermediate_products,
         output_nnz,
         hash_probes,
-        telemetry: gpu.telemetry_summary(),
+        telemetry: gpu.telemetry().map(|t| t.registry.clone()),
     }
 }
 
@@ -441,7 +441,7 @@ fn global_count_pass<T: Scalar>(
     (a, b): (&Csr<T>, &Csr<T>),
     rows: &[u32],
     products: impl Fn(usize) -> usize,
-    (kernel, tag): (&str, &str),
+    (kernel, tag): (&str, &'static str),
     nnz_row: &mut [u32],
 ) -> Result<(Vec<u32>, u64)> {
     // Capacities up front (the `?` must run before the malloc).
@@ -785,7 +785,6 @@ fn emit_group_summary(gpu: &mut Gpu, groups: &GroupTable, metric: &[usize], phas
                     .u64("rows", o.rows)
                     .u64("metric_total", o.metric_total),
             );
-            t.registry.counter_add(&format!("{phase}.g{}.rows", o.id), o.rows);
             t.registry.hist_merge(&format!("{phase}.g{}.row_metric", o.id), &o.metric_hist);
         }
     }
@@ -837,7 +836,7 @@ mod tests {
         peak_mem_bytes: u64,
         hash_probes: u64,
         replans: u64,
-        telemetry: Option<obs::Summary>,
+        telemetry: Option<obs::Registry>,
         events_jsonl: String,
     }
 

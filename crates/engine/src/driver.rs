@@ -15,7 +15,7 @@
 //! several worker counts and requires byte-identical outputs.
 
 use crate::engine::{Engine, EngineConfig, EngineStats};
-use crate::job::{CacheOutcome, JobSpec, Route};
+use crate::job::{JobOutput, JobSpec};
 use nsparse_core::{Backend, Executor, HostParallelExecutor, Options};
 use sparse::{Csr, Scalar};
 use std::sync::Arc;
@@ -81,33 +81,12 @@ impl Default for DriverConfig {
     }
 }
 
-/// One job's outcome in submission order.
-#[derive(Debug, Clone)]
-pub struct JobRecord<T> {
-    /// The product, or the classified error rendered to a string.
-    pub output: Result<Csr<T>, String>,
-    /// Route taken (None when the job failed).
-    pub route: Option<Route>,
-    /// Cache outcome (None when the job failed).
-    pub cache: Option<CacheOutcome>,
-    /// Wall-clock submit → pickup wait in microseconds.
-    pub queue_wait_us: u64,
-    /// Wall-clock pickup → completion latency in microseconds.
-    pub latency_us: u64,
-    /// Simulated symbolic time (Setup + Count phases) in microseconds
-    /// (0 on the host backend, which has no simulated clock).
-    pub symbolic_us: f64,
-    /// Simulated numeric time (Malloc + Calc phases) in microseconds.
-    pub numeric_us: f64,
-    /// Budget-halving retries the batched route consumed.
-    pub retries: u32,
-}
-
 /// Everything a driver run produced.
 #[derive(Debug)]
 pub struct DriverReport<T> {
-    /// Per-job outcomes, in submission order.
-    pub records: Vec<JobRecord<T>>,
+    /// Each job's result as [`crate::JobTicket::wait`] returned it, in
+    /// submission order.
+    pub records: Vec<crate::Result<JobOutput<T>>>,
     /// Final engine counters.
     pub stats: EngineStats,
     /// Jobs whose output differed bitwise from standalone `multiply`
@@ -214,45 +193,8 @@ pub fn run_driver<T: Scalar>(cfg: &DriverConfig) -> DriverReport<T> {
         ..EngineConfig::default()
     });
     let tickets: Vec<_> = specs.iter().map(|spec| eng.submit(spec.clone())).collect();
-    let mut records = Vec::with_capacity(specs.len());
-    let mut failures = 0;
-    let us = |d: std::time::Duration| d.as_micros().min(u64::MAX as u128) as u64;
-    let phase_us = |out: &crate::JobOutput<T>, phases: &[vgpu::Phase]| -> f64 {
-        out.report
-            .phase_times
-            .iter()
-            .filter(|(p, _)| phases.contains(p))
-            .map(|&(_, t)| t.us())
-            .sum::<f64>()
-            .max(0.0)
-    };
-    for t in tickets {
-        records.push(match t.wait() {
-            Ok(out) => JobRecord {
-                queue_wait_us: us(out.queue_wait),
-                latency_us: us(out.latency),
-                symbolic_us: phase_us(&out, &[vgpu::Phase::Setup, vgpu::Phase::Count]),
-                numeric_us: phase_us(&out, &[vgpu::Phase::Malloc, vgpu::Phase::Calc]),
-                retries: out.batched_retries,
-                route: Some(out.route),
-                cache: Some(out.cache),
-                output: Ok(out.matrix),
-            },
-            Err(e) => {
-                failures += 1;
-                JobRecord {
-                    output: Err(e.to_string()),
-                    route: None,
-                    cache: None,
-                    queue_wait_us: 0,
-                    latency_us: 0,
-                    symbolic_us: 0.0,
-                    numeric_us: 0.0,
-                    retries: 0,
-                }
-            }
-        });
-    }
+    let records: Vec<_> = tickets.into_iter().map(crate::JobTicket::wait).collect();
+    let failures = records.iter().filter(|r| r.is_err()).count();
     let flight = cfg.trace.then(|| eng.flight());
     let stats = eng.shutdown();
     let (flight_dump, flight_chrome, flight_trigger) = match flight {
@@ -262,13 +204,13 @@ pub fn run_driver<T: Scalar>(cfg: &DriverConfig) -> DriverReport<T> {
     let mut mismatches = 0;
     if cfg.verify {
         for (spec, rec) in specs.iter().zip(&records) {
-            if let Ok(c) = &rec.output {
+            if let Ok(out) = rec {
                 #[expect(
                     clippy::expect_used,
                     reason = "harness oracle: a faultless standalone multiply failing is a harness bug"
                 )]
                 let want = reference(cfg, spec).expect("reference multiply cannot fail");
-                if !bitwise_eq(c, &want) {
+                if !bitwise_eq(&out.matrix, &want) {
                     mismatches += 1;
                 }
             }
@@ -299,9 +241,9 @@ mod tests {
         assert_eq!(one.failures, 0);
         assert_eq!(one.records.len(), four.records.len());
         for (x, y) in one.records.iter().zip(&four.records) {
-            match (&x.output, &y.output) {
-                (Ok(cx), Ok(cy)) => assert!(bitwise_eq(cx, cy)),
-                (Err(ex), Err(ey)) => assert_eq!(ex, ey),
+            match (x, y) {
+                (Ok(x), Ok(y)) => assert!(bitwise_eq(&x.matrix, &y.matrix)),
+                (Err(ex), Err(ey)) => assert_eq!(ex.to_string(), ey.to_string()),
                 _ => panic!("outcome diverged across worker counts"),
             }
         }

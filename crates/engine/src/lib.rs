@@ -75,7 +75,7 @@ pub mod recorder;
 
 pub use cache::{CacheStats, PlanCache, PlanKey};
 pub use chaos::{run_chaos, ChaosConfig, ChaosReport, SanCanary};
-pub use driver::{run_driver, DriverConfig, DriverReport, JobRecord};
+pub use driver::{run_driver, DriverConfig, DriverReport};
 pub use engine::{Engine, EngineConfig, EngineStats, JobTicket, LatencySummary, SanTotals};
 pub use job::{CacheOutcome, JobOutput, JobSpec, Route};
 pub use recorder::{FlightRecorder, JobTrace, TraceBuilder};

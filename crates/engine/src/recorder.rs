@@ -15,8 +15,8 @@
 //! Engine phases carry a per-job **logical sequence clock** (0, 1, 2, …
 //! in `t_us`): wall-clock durations of queue waits and retries are
 //! scheduling-dependent and would break the byte-identical-dump
-//! guarantee, so they live only in aggregate metrics
-//! (`engine.queue_wait_us`), never in traces. Device events keep their
+//! guarantee, so they live only in the engine's aggregate statistics
+//! (`EngineStats::queue_wait`), never in traces. Device events keep their
 //! **simulated microseconds** (each job runs a fresh device starting at
 //! 0, so those are deterministic too). The tree's nesting invariant is
 //! therefore *structural* — a child's span id is greater than its

@@ -11,8 +11,8 @@
 //!
 //! * [`hist::Log2Histogram`] — fixed power-of-two bucket histograms, the
 //!   shape every distribution here uses (probe chains, row sizes);
-//! * [`metrics::Registry`] — named counters, gauges and histograms with
-//!   deterministic (sorted) iteration order;
+//! * [`metrics::Registry`] — named histograms with deterministic
+//!   (sorted) iteration order;
 //! * [`Telemetry`] — a capture session: the registry plus a structured
 //!   [`event::EventLog`] that serializes to JSON Lines, and a scoped
 //!   span API (`span_begin`/`span_end`) for interval attribution.
@@ -34,7 +34,7 @@ pub mod metrics;
 
 pub use event::{Event, EventLog, Value};
 pub use hist::Log2Histogram;
-pub use metrics::{Registry, Summary};
+pub use metrics::Registry;
 
 /// One telemetry capture session: metrics plus the event log.
 ///
@@ -42,7 +42,7 @@ pub use metrics::{Registry, Summary};
 /// caller opted in, so the disabled path carries no cost.
 #[derive(Debug, Clone, Default)]
 pub struct Telemetry {
-    /// Named counters / gauges / histograms.
+    /// Named histograms.
     pub registry: Registry,
     /// Structured events in emission order (JSONL export).
     pub events: EventLog,
@@ -123,11 +123,6 @@ impl Telemetry {
     /// (every `span_begin` matched by a `span_end`).
     pub fn open_span_count(&self) -> usize {
         self.open_spans.len()
-    }
-
-    /// Snapshot of the registry for embedding into reports.
-    pub fn summary(&self) -> Summary {
-        self.registry.summary()
     }
 
     /// The whole event log as JSON Lines (one event per line,

@@ -1,5 +1,5 @@
 //! Property tests of the telemetry substrate: histogram accounting,
-//! merge algebra, JSON escaping, and registry-summary determinism must
+//! merge algebra, JSON escaping, and registry determinism must
 //! hold for arbitrary inputs, not just the unit-test values.
 
 use obs::hist::{bucket_lower, bucket_of, BUCKETS};
@@ -73,16 +73,23 @@ quickprop! {
     fn registry_summary_is_insertion_order_independent(
         names in collection::vec(0u32..20, 1..30),
     ) {
-        // The same multiset of counter bumps must summarize identically
-        // regardless of arrival order (BTreeMap-backed determinism).
+        // The same multiset of histogram merges must read back
+        // identically regardless of arrival order (BTreeMap-backed
+        // determinism).
+        let merge = |r: &mut Registry, n: u32| {
+            let mut h = Log2Histogram::new();
+            h.record(u64::from(n));
+            r.hist_merge(&format!("h{}", n % 7), &h);
+        };
         let mut fwd = Registry::default();
         let mut rev = Registry::default();
         for &n in &names {
-            fwd.counter_add(&format!("c{n}"), 1);
+            merge(&mut fwd, n);
         }
         for &n in names.iter().rev() {
-            rev.counter_add(&format!("c{n}"), 1);
+            merge(&mut rev, n);
         }
-        prop_assert_eq!(fwd.summary(), rev.summary());
+        prop_assert!(fwd.hists().map(|(name, _)| name).is_sorted());
+        prop_assert_eq!(fwd, rev);
     }
 }

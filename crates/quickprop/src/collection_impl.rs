@@ -11,7 +11,7 @@ pub fn vec<G: Gen>(element: G, len: Range<usize>) -> VecGen<G> {
     VecGen { element, len }
 }
 
-/// See [`vec`].
+/// See [`vec()`].
 pub struct VecGen<G> {
     element: G,
     len: Range<usize>,

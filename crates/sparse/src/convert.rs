@@ -8,7 +8,7 @@
 //! §18) and everything
 //! funnels through these helpers instead: the lossless widenings are
 //! compile-time guaranteed, and the narrowings return
-//! [`SparseError::Overflow`](crate::SparseError::Overflow) so planning
+//! [`SparseError::Overflow`] so planning
 //! rejects impossible shapes instead of wrapping around.
 
 use crate::SparseError;

@@ -9,8 +9,8 @@
 //! *sum of forecasts* of in-flight jobs never exceeds the device.
 //!
 //! Accounting is deliberately panic-free under misuse: releasing more
-//! than is reserved saturates to zero and flips a sticky
-//! [`SharedBudget::poisoned`] flag instead of unwinding a worker
+//! than is reserved saturates to zero and flips a sticky `poisoned`
+//! flag (read by [`SharedBudget::drained`]) instead of unwinding a worker
 //! thread, so a leak check at shutdown still reports the truth. The
 //! same principle applies to *lock* poisoning: a worker that panics
 //! while holding the budget mutex must not wedge every later release

@@ -171,48 +171,24 @@ impl Gpu {
         self.sanitizer.as_deref().map(Sanitizer::reports_jsonl).unwrap_or_default()
     }
 
-    /// Bump telemetry counters for reports recorded since `before`.
-    /// Costs nothing on the clean path (no new reports).
-    fn san_account(&mut self, before: usize) {
-        let labels: Vec<&'static str> = self
-            .sanitizer
-            .as_deref()
-            .and_then(|s| s.reports().get(before..))
-            .map(|new| new.iter().map(|r| r.kind.label()).collect())
-            .unwrap_or_default();
-        if labels.is_empty() {
-            return;
-        }
-        if let Some(t) = self.telemetry.as_deref_mut() {
-            for label in labels {
-                t.registry.counter_add("san.reports", 1);
-                t.registry.counter_add(&format!("san.{label}"), 1);
-            }
-        }
-    }
-
     /// Annotate a host→device transfer landing in `[offset, offset+len)`
     /// of `id`: bounds-checked, then marked initialized. Zero simulated
     /// time; no-op when the sanitizer is off. (The timed [`Gpu::memcpy`]
     /// deliberately carries no allocation id — annotations ride along.)
     pub fn san_note_h2d(&mut self, id: AllocId, offset: u64, len: u64) {
         let t = self.now.us();
-        let before = self.san_reports().len();
         if let Some(s) = self.sanitizer.as_deref_mut() {
             s.note_write(id.0, offset, len, "memcpy_h2d", t);
         }
-        self.san_account(before);
     }
 
     /// Annotate a device→host transfer reading `[offset, offset+len)`
     /// of `id`: liveness, bounds and initialization are checked.
     pub fn san_note_d2h(&mut self, id: AllocId, offset: u64, len: u64) {
         let t = self.now.us();
-        let before = self.san_reports().len();
         if let Some(s) = self.sanitizer.as_deref_mut() {
             s.note_read(id.0, offset, len, "memcpy_d2h", t);
         }
-        self.san_account(before);
     }
 
     /// Annotate a device-side memset of `[offset, offset+len)` of `id`:
@@ -220,21 +196,16 @@ impl Gpu {
     /// clear scratch tables before kernels read them.
     pub fn san_note_memset(&mut self, id: AllocId, offset: u64, len: u64) {
         let t = self.now.us();
-        let before = self.san_reports().len();
         if let Some(s) = self.sanitizer.as_deref_mut() {
             s.note_write(id.0, offset, len, "memset", t);
         }
-        self.san_account(before);
     }
 
     /// Leak checkpoint: every allocation still live is reported. Returns
     /// the number of leaks found (0 when the sanitizer is off).
     pub fn san_leak_check(&mut self) -> usize {
         let t = self.now.us();
-        let before = self.san_reports().len();
-        let leaks = self.sanitizer.as_deref_mut().map(|s| s.leak_check(t)).unwrap_or(0);
-        self.san_account(before);
-        leaks
+        self.sanitizer.as_deref_mut().map(|s| s.leak_check(t)).unwrap_or(0)
     }
 
     /// Attach a fault-injection plan (replacing any previous one and
@@ -258,7 +229,6 @@ impl Gpu {
         }
         let now = self.now;
         if let Some(t) = self.telemetry.as_deref_mut() {
-            t.registry.counter_add("fault.injected", 1);
             t.emit(
                 obs::Event::new("fault")
                     .str("site", site)
@@ -321,11 +291,6 @@ impl Gpu {
                 t.emit(obs::Event::new("peak_holder").str("tag", tag).u64("bytes", *bytes));
             }
         }
-    }
-
-    /// Snapshot of the metric registry for report embedding.
-    pub fn telemetry_summary(&self) -> Option<obs::Summary> {
-        self.telemetry.as_ref().map(|t| t.summary())
     }
 
     /// Device configuration.
@@ -400,7 +365,7 @@ impl Gpu {
     /// Allocate device memory. Synchronizes, charges the Pascal
     /// `cudaMalloc` latency, and fails with [`GpuError::OutOfMemory`]
     /// when capacity is exceeded.
-    pub fn malloc(&mut self, bytes: u64, tag: &str) -> Result<AllocId> {
+    pub fn malloc(&mut self, bytes: u64, tag: &'static str) -> Result<AllocId> {
         self.sync();
         if let Some(s) = self.faults.as_deref_mut() {
             s.mallocs_seen += 1;
@@ -410,7 +375,7 @@ impl Gpu {
                     requested: bytes,
                     live: self.mem.live_bytes(),
                     capacity: self.mem.capacity(),
-                    tag: tag.to_string(),
+                    tag,
                     injected: true,
                 };
                 self.note_injected_fault("malloc", &format!("{tag}#{nth}"));
@@ -424,15 +389,12 @@ impl Gpu {
         let start = self.now;
         self.now += self.cost.malloc_time(bytes);
         if let Some(t) = self.telemetry.as_deref_mut() {
-            t.registry.counter_add("mem.allocs", 1);
-            t.registry.counter_add("mem.alloc_bytes", bytes);
-            t.registry.gauge_max("mem.peak_bytes", self.mem.peak_bytes() as f64);
             t.emit(
                 obs::Event::new("alloc")
                     .str("tag", tag)
                     .u64("bytes", bytes)
                     .u64("live", self.mem.live_bytes())
-                    .f64("t_us", self.now.us())
+                    .f64("t_us", start.us())
                     .str("phase", self.phase.label())
                     .f64("dur_us", (self.now - start).us()),
             );
@@ -456,13 +418,11 @@ impl Gpu {
         let start = self.now;
         self.now += self.cost.memcpy_time(bytes);
         if let Some(t) = self.telemetry.as_deref_mut() {
-            t.registry.counter_add("mem.memcpys", 1);
-            t.registry.counter_add("mem.memcpy_bytes", bytes);
             t.emit(
                 obs::Event::new("memcpy")
                     .str("dir", if to_device { "h2d" } else { "d2h" })
                     .u64("bytes", bytes)
-                    .f64("t_us", self.now.us())
+                    .f64("t_us", start.us())
                     .str("phase", self.phase.label())
                     .f64("dur_us", (self.now - start).us()),
             );
@@ -479,9 +439,7 @@ impl Gpu {
         self.sync();
         if self.sanitizer.is_some() {
             let t = self.now.us();
-            let before = self.san_reports().len();
             let valid = self.sanitizer.as_deref_mut().is_some_and(|s| s.on_free(id.0, t));
-            self.san_account(before);
             if !valid {
                 return;
             }
@@ -489,7 +447,6 @@ impl Gpu {
         let bytes = self.mem.free(id);
         self.now += self.cost.free_base;
         if let Some(t) = self.telemetry.as_deref_mut() {
-            t.registry.counter_add("mem.frees", 1);
             t.emit(
                 obs::Event::new("free")
                     .u64("bytes", bytes)
@@ -518,7 +475,6 @@ impl Gpu {
         // kernel's inputs must already be initialized), then writes.
         if self.sanitizer.is_some() && !(desc.reads.is_empty() && desc.writes.is_empty()) {
             let t = self.now.us();
-            let before = self.san_reports().len();
             if let Some(s) = self.sanitizer.as_deref_mut() {
                 for r in &desc.reads {
                     s.note_read(r.id.0, r.offset, r.len, &desc.name, t);
@@ -527,7 +483,6 @@ impl Gpu {
                     s.note_write(w.id.0, w.offset, w.len, &desc.name, t);
                 }
             }
-            self.san_account(before);
         }
         // Host-side launch overhead advances the issue cursor.
         self.now += self.cost.launch_overhead;
@@ -554,8 +509,6 @@ impl Gpu {
             schedule_region(&pending, &self.cfg, &self.cost, self.now, &mut self.stream_ready);
         if let Some(t) = self.telemetry.as_deref_mut() {
             for (k, span) in pending.iter().zip(&sched.spans) {
-                t.registry.counter_add("kernel.launches", 1);
-                t.registry.counter_add("kernel.blocks", k.blocks.len() as u64);
                 t.emit(
                     obs::Event::new("kernel")
                         .str("name", &k.name)
@@ -689,7 +642,6 @@ mod tests {
         let mut g = gpu();
         assert!(!g.telemetry_enabled());
         assert!(g.telemetry().is_none());
-        assert!(g.telemetry_summary().is_none());
 
         g.enable_telemetry();
         assert!(g.telemetry_enabled());
@@ -705,21 +657,21 @@ mod tests {
         g.finish();
 
         let t = g.telemetry().unwrap();
-        let s = t.summary();
-        assert_eq!(s.counter("mem.allocs"), Some(1));
-        assert_eq!(s.counter("mem.frees"), Some(1));
-        assert_eq!(s.counter("kernel.launches"), Some(1));
-        assert_eq!(s.counter("mem.memcpy_bytes"), Some(4096));
+        let events = t.events.events();
         let jsonl = t.to_jsonl();
-        for kind in [
-            "\"kind\":\"alloc\"",
-            "\"kind\":\"kernel\"",
-            "\"kind\":\"free\"",
-            "\"kind\":\"memcpy\"",
-            "\"kind\":\"phase\"",
-        ] {
-            assert!(jsonl.contains(kind), "missing {kind} in {jsonl}");
+        for kind in ["alloc", "kernel", "free", "memcpy", "phase"] {
+            let n = events.iter().filter(|e| e.kind() == kind).count();
+            assert_eq!(n, 1, "{kind} events in {jsonl}");
         }
+        let memcpy_bytes: u64 = events
+            .iter()
+            .filter(|e| e.kind() == "memcpy")
+            .map(|e| match e.field("bytes") {
+                Some(obs::Value::U64(b)) => *b,
+                other => panic!("memcpy bytes: {other:?}"),
+            })
+            .sum();
+        assert_eq!(memcpy_bytes, 4096);
         for line in jsonl.lines() {
             obs::json::validate(line).unwrap();
         }
@@ -771,9 +723,8 @@ mod tests {
         g.finish();
         assert_eq!(g.live_mem_bytes(), 0);
         assert_eq!(g.injected_faults(), 4);
-        let s = g.telemetry_summary().unwrap();
-        assert_eq!(s.counter("fault.injected"), Some(4));
-        assert!(g.telemetry().unwrap().to_jsonl().contains("\"kind\":\"fault\""));
+        let events = g.telemetry().unwrap().events.events();
+        assert_eq!(events.iter().filter(|e| e.kind() == "fault").count(), 4);
         // An empty plan detaches injection.
         g.set_fault_plan(FaultPlan::new(9));
         g.memcpy(1024, true).unwrap();
@@ -850,15 +801,13 @@ mod tests {
     }
 
     #[test]
-    fn leak_check_and_telemetry_counters() {
+    fn leak_check_reports_each_live_allocation() {
         let mut g = gpu();
-        g.enable_telemetry();
         g.enable_sanitizer();
         let _a = g.malloc(128, "leaked").unwrap();
         assert_eq!(g.san_leak_check(), 1);
-        let s = g.telemetry_summary().unwrap();
-        assert_eq!(s.counter("san.reports"), Some(1));
-        assert_eq!(s.counter("san.leak"), Some(1));
+        let kinds: Vec<_> = g.san_reports().iter().map(|r| r.kind).collect();
+        assert_eq!(kinds, vec![crate::sanitize::SanKind::Leak]);
         let jsonl = g.san_jsonl();
         assert!(jsonl.contains("\"kind\":\"leak\""));
         assert!(jsonl.contains("\"tag\":\"leaked\""));

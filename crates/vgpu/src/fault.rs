@@ -9,8 +9,8 @@
 //! Nth `memcpy`. Plans are plain data — seeded, order-independent,
 //! round-trippable through a compact text spec (`FaultPlan::parse` /
 //! `Display`) — so a failing run can be replayed from a single string,
-//! and injected faults are reported through the telemetry layer
-//! (`fault` events, `fault.injected` counter) so they show up in traces
+//! and injected faults are counted (`Gpu::injected_faults`) and logged
+//! as `fault` events when telemetry is on, so they show up in traces
 //! next to the work they interrupted.
 
 use std::fmt;

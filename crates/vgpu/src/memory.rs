@@ -23,7 +23,7 @@ pub struct OutOfDeviceMemory {
     /// Device capacity.
     pub capacity: u64,
     /// Allocation tag (for diagnostics).
-    pub tag: String,
+    pub tag: &'static str,
     /// `true` when the failure was injected by a fault plan rather than
     /// produced by real capacity accounting (see [`crate::fault`]).
     pub injected: bool,
@@ -52,11 +52,11 @@ pub struct DeviceMemory {
     live: u64,
     peak: u64,
     next_id: u64,
-    allocs: HashMap<u64, (u64, String)>,
+    allocs: HashMap<u64, (u64, &'static str)>,
     /// High-water telemetry: the live breakdown captured the last time
     /// `peak` rose. `None` (the default) records nothing, so the
     /// uninstrumented path pays nothing.
-    peak_holders: Option<Vec<(String, u64)>>,
+    peak_holders: Option<Vec<(&'static str, u64)>>,
 }
 
 impl DeviceMemory {
@@ -84,26 +84,26 @@ impl DeviceMemory {
     /// mark was last raised, largest first — which allocations *make up*
     /// the Figure 4 peak. Empty when tracking is off or nothing was
     /// allocated.
-    pub fn peak_breakdown(&self) -> &[(String, u64)] {
+    pub fn peak_breakdown(&self) -> &[(&'static str, u64)] {
         self.peak_holders.as_deref().unwrap_or(&[])
     }
 
     /// Allocate `bytes`, tagged for diagnostics. Fails with
     /// [`OutOfDeviceMemory`] when capacity would be exceeded — the
     /// condition Table III renders as "-".
-    pub fn malloc(&mut self, bytes: u64, tag: &str) -> Result<AllocId, OutOfDeviceMemory> {
+    pub fn malloc(&mut self, bytes: u64, tag: &'static str) -> Result<AllocId, OutOfDeviceMemory> {
         if self.live.saturating_add(bytes) > self.capacity {
             return Err(OutOfDeviceMemory {
                 requested: bytes,
                 live: self.live,
                 capacity: self.capacity,
-                tag: tag.to_string(),
+                tag,
                 injected: false,
             });
         }
         let id = self.next_id;
         self.next_id += 1;
-        self.allocs.insert(id, (bytes, tag.to_string()));
+        self.allocs.insert(id, (bytes, tag));
         self.live += bytes;
         if self.live > self.peak {
             self.peak = self.live;
@@ -150,10 +150,9 @@ impl DeviceMemory {
     }
 
     /// Live allocations as `(tag, bytes)`, largest first (diagnostics).
-    pub fn live_breakdown(&self) -> Vec<(String, u64)> {
-        let mut v: Vec<(String, u64)> =
-            self.allocs.values().map(|(b, t)| (t.clone(), *b)).collect();
-        v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+    pub fn live_breakdown(&self) -> Vec<(&'static str, u64)> {
+        let mut v: Vec<(&'static str, u64)> = self.allocs.values().map(|&(b, t)| (t, b)).collect();
+        v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
         v
     }
 }
@@ -250,8 +249,8 @@ mod tests {
         m.enable_tracking(); // idempotent: the attribution survives
         let bd = m.peak_breakdown();
         assert_eq!(bd.len(), 2);
-        assert_eq!(bd[0], ("big".to_string(), 400));
-        assert_eq!(bd[1], ("small".to_string(), 100));
+        assert_eq!(bd[0], ("big", 400));
+        assert_eq!(bd[1], ("small", 100));
         assert_eq!(bd.iter().map(|&(_, b)| b).sum::<u64>(), m.peak_bytes());
     }
 }

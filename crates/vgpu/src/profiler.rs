@@ -4,7 +4,7 @@
 //! *setup* (grouping), *count*, *calculation* and *cudaMalloc of the
 //! output matrix*. Algorithms mark phase boundaries on the device, and
 //! the device adds the elapsed simulated time to the running total of
-//! the phase that was current ([`PhaseTotals`]). That is all a run keeps
+//! the phase that was current (`PhaseTotals`). That is all a run keeps
 //! when telemetry is off.
 //!
 //! With telemetry on, the device logs every kernel, malloc and copy as a
@@ -85,8 +85,8 @@ struct Op<'a> {
 }
 
 impl<'a> Op<'a> {
-    /// The operation an event logs, or `None` for any other event. A
-    /// kernel's `t_us` is its start; a malloc's or copy's, its end.
+    /// The operation an event logs, or `None` for any other event.
+    /// Every timed event's `t_us` is its start.
     fn of(e: &'a Event) -> Option<Op<'a>> {
         let text = |key| match e.field(key)? {
             Value::Str(s) => Some(s.as_str()),
@@ -101,9 +101,8 @@ impl<'a> Op<'a> {
             _ => None,
         };
         let phase = Phase::from_label(text("phase")?)?;
-        let (t_us, dur_us) = (float("t_us")?, float("dur_us")?);
+        let (start_us, dur_us) = (float("t_us")?, float("dur_us")?);
         let serial = |name, dram_bytes| {
-            let start_us = t_us - dur_us;
             Some(Op {
                 name,
                 phase,
@@ -120,7 +119,7 @@ impl<'a> Op<'a> {
                 name: Cow::Borrowed(text("name")?),
                 phase,
                 stream: int("stream")?,
-                start_us: t_us,
+                start_us,
                 dur_us,
                 blocks: int("blocks")?,
                 dram_bytes: float("dram_bytes")?,
@@ -369,19 +368,19 @@ mod tests {
     }
 
     #[test]
-    fn mallocs_and_copies_end_at_their_timestamp_on_stream_zero() {
+    fn mallocs_and_copies_start_at_their_timestamp_on_stream_zero() {
         let events = [
             Event::new("alloc")
                 .str("tag", "C")
                 .u64("bytes", 64)
                 .u64("live", 64)
-                .f64("t_us", 5.0)
+                .f64("t_us", 1.0)
                 .str("phase", "cudaMalloc")
                 .f64("dur_us", 4.0),
             Event::new("memcpy")
                 .str("dir", "d2h")
                 .u64("bytes", 4096)
-                .f64("t_us", 8.0)
+                .f64("t_us", 6.0)
                 .str("phase", "other")
                 .f64("dur_us", 2.0),
         ];

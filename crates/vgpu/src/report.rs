@@ -26,9 +26,10 @@ pub struct SpgemmReport {
     /// algorithms that use no hash tables, e.g. ESC-based CUSP, and for
     /// the host backend, whose row accumulators are dense arrays).
     pub hash_probes: u64,
-    /// Metrics snapshot when the device ran with telemetry enabled;
-    /// `None` for uninstrumented runs (the default).
-    pub telemetry: Option<obs::Summary>,
+    /// The device's histograms (probe lengths, row populations) when it
+    /// ran with telemetry enabled; `None` for uninstrumented runs (the
+    /// default).
+    pub telemetry: Option<obs::Registry>,
 }
 
 impl SpgemmReport {

@@ -4,8 +4,8 @@
 //! use-after-free, double-free, out-of-bounds transfers, reads of
 //! never-written memory, leaks — corrupt results silently long before
 //! they crash. The virtual device can do better than hardware: every
-//! allocation, transfer and kernel annotation passes through [`Gpu`]
-//! (see [`crate::device`]), so a shadow of the allocator
+//! allocation, transfer and kernel annotation passes through
+//! [`crate::Gpu`], so a shadow of the allocator
 //! (generation-tagged allocations plus byte-granular initialization
 //! intervals) can check each access exactly and deterministically.
 //!
@@ -47,7 +47,7 @@ pub enum SanKind {
 }
 
 impl SanKind {
-    /// Stable label used in JSONL dumps and telemetry counters.
+    /// Stable label used in JSONL dumps.
     pub fn label(self) -> &'static str {
         match self {
             SanKind::UseAfterFree => "use_after_free",
@@ -75,7 +75,7 @@ pub struct SanReport {
     /// disambiguate reuse of an id across malloc/free cycles).
     pub generation: u64,
     /// Allocation tag (or the freed allocation's last tag).
-    pub tag: String,
+    pub tag: &'static str,
     /// The access site (kernel name or transfer direction).
     pub site: String,
     /// Human-readable specifics: offsets, lengths, bounds.
@@ -94,7 +94,7 @@ impl SanReport {
             self.kind.label(),
             self.alloc,
             self.generation,
-            escape(&self.tag),
+            escape(self.tag),
             escape(&self.site),
             escape(&self.detail)
         )
@@ -124,7 +124,7 @@ pub struct SanStats {
 #[derive(Debug, Clone)]
 struct Shadow {
     bytes: u64,
-    tag: String,
+    tag: &'static str,
     generation: u64,
     /// Sorted, disjoint, non-empty `[start, end)` initialized intervals.
     init: Vec<(u64, u64)>,
@@ -136,7 +136,7 @@ struct Shadow {
 pub struct Sanitizer {
     live: HashMap<u64, Shadow>,
     /// Last generation + tag of freed ids, for precise UAF messages.
-    dead: HashMap<u64, (u64, String)>,
+    dead: HashMap<u64, (u64, &'static str)>,
     next_gen: u64,
     seq: u64,
     reports: Vec<SanReport>,
@@ -176,7 +176,7 @@ impl Sanitizer {
         kind: SanKind,
         alloc: u64,
         generation: u64,
-        tag: &str,
+        tag: &'static str,
         site: &str,
         detail: String,
     ) {
@@ -188,19 +188,19 @@ impl Sanitizer {
             kind,
             alloc,
             generation,
-            tag: tag.to_string(),
+            tag,
             site: site.to_string(),
             detail,
         });
     }
 
     /// Shadow a successful allocation.
-    pub fn on_malloc(&mut self, id: u64, bytes: u64, tag: &str) {
+    pub fn on_malloc(&mut self, id: u64, bytes: u64, tag: &'static str) {
         self.stats.allocs += 1;
         let generation = self.next_gen;
         self.next_gen += 1;
         self.dead.remove(&id);
-        self.live.insert(id, Shadow { bytes, tag: tag.to_string(), generation, init: Vec::new() });
+        self.live.insert(id, Shadow { bytes, tag, generation, init: Vec::new() });
     }
 
     /// Observe a free. Returns `true` when the free is valid (the caller
@@ -217,13 +217,13 @@ impl Sanitizer {
             None => {
                 match self.dead.get(&id) {
                     Some((generation, tag)) => {
-                        let (generation, tag) = (*generation, tag.clone());
+                        let (generation, tag) = (*generation, *tag);
                         self.record(
                             t_us,
                             SanKind::DoubleFree,
                             id,
                             generation,
-                            &tag,
+                            tag,
                             "free",
                             "second free of this allocation".to_string(),
                         );
@@ -259,13 +259,13 @@ impl Sanitizer {
         let Some(shadow) = self.live.get(&id) else {
             match self.dead.get(&id) {
                 Some((generation, tag)) => {
-                    let (generation, tag) = (*generation, tag.clone());
+                    let (generation, tag) = (*generation, *tag);
                     self.record(
                         t_us,
                         SanKind::UseAfterFree,
                         id,
                         generation,
-                        &tag,
+                        tag,
                         site,
                         format!("access of {len} B at offset {offset} after free"),
                     );
@@ -284,7 +284,7 @@ impl Sanitizer {
             }
             return None;
         };
-        let (bytes, generation, tag) = (shadow.bytes, shadow.generation, shadow.tag.clone());
+        let (bytes, generation, tag) = (shadow.bytes, shadow.generation, shadow.tag);
         let end = offset.checked_add(len);
         if end.is_none() || end.is_some_and(|e| e > bytes) {
             self.record(
@@ -292,7 +292,7 @@ impl Sanitizer {
                 SanKind::OutOfBounds,
                 id,
                 generation,
-                &tag,
+                tag,
                 site,
                 format!("range [{offset}, {offset}+{len}) exceeds {bytes} B allocation"),
             );
@@ -326,17 +326,14 @@ impl Sanitizer {
         if let Some((start, end)) = self.check_range(id, offset, len, site, t_us) {
             let gap = self.live.get(&id).and_then(|s| first_gap(&s.init, start, end));
             if let Some((gs, ge)) = gap {
-                let (generation, tag) = self
-                    .live
-                    .get(&id)
-                    .map(|s| (s.generation, s.tag.clone()))
-                    .unwrap_or((0, "?".to_string()));
+                let (generation, tag) =
+                    self.live.get(&id).map(|s| (s.generation, s.tag)).unwrap_or((0, "?"));
                 self.record(
                     t_us,
                     SanKind::UninitRead,
                     id,
                     generation,
-                    &tag,
+                    tag,
                     site,
                     format!("bytes [{gs}, {ge}) read before any write"),
                 );
@@ -352,14 +349,13 @@ impl Sanitizer {
         ids.sort_unstable();
         for id in &ids {
             if let Some(shadow) = self.live.get(id) {
-                let (bytes, generation, tag) =
-                    (shadow.bytes, shadow.generation, shadow.tag.clone());
+                let (bytes, generation, tag) = (shadow.bytes, shadow.generation, shadow.tag);
                 self.record(
                     t_us,
                     SanKind::Leak,
                     *id,
                     generation,
-                    &tag,
+                    tag,
                     "leak_check",
                     format!("{bytes} B still live at checkpoint"),
                 );

@@ -30,12 +30,13 @@ fn reference(a: &Csr<f64>, b: &Csr<f64>) -> Csr<f64> {
 fn assert_same_outputs(x: &DriverReport<f64>, y: &DriverReport<f64>, what: &str) {
     assert_eq!(x.records.len(), y.records.len(), "{what}");
     for (i, (rx, ry)) in x.records.iter().zip(&y.records).enumerate() {
-        match (&rx.output, &ry.output) {
-            (Ok(cx), Ok(cy)) => {
+        match (rx, ry) {
+            (Ok(x), Ok(y)) => {
+                let (cx, cy) = (&x.matrix, &y.matrix);
                 assert_eq!((cx.rpt(), cx.col()), (cy.rpt(), cy.col()), "{what}: job {i}");
                 assert_eq!(bits(cx), bits(cy), "{what}: job {i}");
             }
-            (Err(ex), Err(ey)) => assert_eq!(ex, ey, "{what}: job {i}"),
+            (Err(ex), Err(ey)) => assert_eq!(ex.to_string(), ey.to_string(), "{what}: job {i}"),
             _ => panic!("{what}: job {i} completed in one run only"),
         }
     }
@@ -191,7 +192,8 @@ fn faulted_job_trace_shows_retry_and_batched_completion() {
     assert!(has("fallback"), "the OOM must route the job to the fallback");
     assert!(has("batch_retry"), "the second OOM must halve the batch budget");
     assert!(job4.iter().any(|l| l.contains("\"status\":\"complete\"")), "job must complete");
-    assert!(rep.records[4].retries >= 1, "the retry must surface in the job record");
+    let job4 = rep.records[4].as_ref().unwrap();
+    assert!(job4.batched_retries >= 1, "the retry must surface in the job's output");
     // A recoverable fault is not a flight-recorder trigger.
     assert!(rep.flight_trigger.is_none());
 }

@@ -69,7 +69,8 @@ fn clean_run(a: &Csr<f64>, sanitize: bool) -> (Csr<f64>, u64) {
     gpu.enable_telemetry();
     let mut exec = SimExecutor::new(&mut gpu);
     let c = exec.multiply(a, a, &Options::default()).unwrap().matrix;
-    let mallocs = gpu.telemetry_summary().unwrap().counter("mem.allocs").unwrap();
+    let events = gpu.telemetry().unwrap().events.events();
+    let mallocs = events.iter().filter(|e| e.kind() == "alloc").count() as u64;
     assert_no_leak(&gpu, "clean run");
     (c, mallocs)
 }

@@ -32,9 +32,9 @@ fn run_scenario(inject: Option<usize>, n_allocs: usize, seed: u64) -> Vec<SanKin
     // Benign prologue: n buffers, fully initialized, read back, plus a
     // kernel launch with correct range annotations over the first one.
     let mut bufs = Vec::new();
-    for i in 0..n_allocs {
+    for _ in 0..n_allocs {
         let bytes = 64 + rng.next_u64() % 4096;
-        let id = gpu.malloc(bytes, &format!("buf{i}")).unwrap();
+        let id = gpu.malloc(bytes, "buf").unwrap();
         gpu.san_note_h2d(id, 0, bytes);
         gpu.san_note_d2h(id, 0, bytes.min(128));
         bufs.push((id, bytes));

@@ -3,6 +3,7 @@
 //! byte-deterministic, and cost nothing when disabled.
 
 use nsparse_repro::prelude::*;
+use obs::Value;
 
 fn tiny(name: &str) -> Csr<f32> {
     matgen::by_name(name).unwrap().generate::<f32>(matgen::Scale::Tiny)
@@ -34,17 +35,74 @@ fn telemetry_is_none_when_disabled() {
 fn probe_histograms_account_for_reported_probes() {
     let a = tiny("QCD");
     let (_, report) = traced_run(Algorithm::Proposal, &a);
-    let summary = report.telemetry.expect("telemetry enabled");
+    let registry = report.telemetry.expect("telemetry enabled");
     // Every probe counted in the report appears in exactly one
     // phase/group probe-length histogram, and vice versa.
-    let hist_total: u64 = summary
-        .hists
-        .iter()
+    let hist_total: u64 = registry
+        .hists()
         .filter(|(name, _)| name.ends_with(".probe_len"))
         .map(|(_, h)| h.sum())
         .sum();
     assert_eq!(hist_total, report.hash_probes);
     assert!(report.hash_probes > 0);
+}
+
+/// Rows per `{phase}.g{group}` group.
+type GroupRows = std::collections::BTreeMap<String, u64>;
+
+/// Each group's rows as the `group` events report them and as the
+/// `row_metric` histograms count them, on a traced proposal run of `a`,
+/// capped at `cap` bytes (through the row-batched fallback) when given.
+/// Also returns the batches the run took.
+fn group_rows(a: &Csr<f32>, cap: Option<u64>) -> (GroupRows, GroupRows, usize) {
+    let mut gpu = Gpu::new(cap.map_or_else(DeviceConfig::p100, DeviceConfig::p100_with_memory));
+    gpu.enable_telemetry();
+    let batches = if cap.is_some() {
+        let mut exec = BatchedExecutor::sim(&mut gpu);
+        exec.multiply(a, a, &Options::default()).unwrap();
+        exec.batches_used()
+    } else {
+        nsparse_core::multiply(&mut gpu, a, a, &Options::default()).unwrap();
+        1
+    };
+    let t = gpu.telemetry().unwrap();
+    let mut from_events = GroupRows::new();
+    for e in t.events.events().iter().filter(|e| e.kind() == "group") {
+        let (Some(Value::Str(phase)), Some(Value::U64(group)), Some(Value::U64(rows))) =
+            (e.field("phase"), e.field("group"), e.field("rows"))
+        else {
+            panic!("malformed group event: {}", e.to_json());
+        };
+        *from_events.entry(format!("{phase}.g{group}")).or_default() += rows;
+    }
+    let from_hists = t
+        .registry
+        .hists()
+        .filter_map(|(name, h)| Some((name.strip_suffix(".row_metric")?.to_string(), h.count())))
+        .collect();
+    (from_events, from_hists, batches)
+}
+
+#[test]
+fn group_events_and_row_histograms_agree() {
+    let a = tiny("QCD");
+    let est = nsparse_core::estimate_memory(&a, &a).unwrap().upper_bound();
+    for cap in [None, Some(est.div_ceil(4))] {
+        let (from_events, from_hists, batches) = group_rows(&a, cap);
+        assert_eq!(batches > 1, cap.is_some(), "cap {cap:?}: {batches} batches");
+        // Each group's rows, summed over its events, are its
+        // histogram's count.
+        assert_eq!(from_events, from_hists, "cap {cap:?}");
+        // Every grouping pass partitions the rows it covers, and the
+        // batches partition A's rows, so each phase accounts for every
+        // row of A exactly once.
+        for phase in ["count", "calc"] {
+            let prefix = format!("{phase}.");
+            let rows: u64 =
+                from_hists.iter().filter(|(g, _)| g.starts_with(&prefix)).map(|(_, n)| n).sum();
+            assert_eq!(rows, a.rows() as u64, "cap {cap:?}: {phase}");
+        }
+    }
 }
 
 #[test]
